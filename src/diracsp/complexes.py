@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicateSimplex,
@@ -217,12 +218,24 @@ def matrix_rank(B: sp.sparray | np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
+def graph_rank(K: SimplicialComplex) -> int:
+    """Exact rank of B1: N0 minus the number of connected components."""
+    if K.n0 == 0:
+        return 0
+    ends = np.array(K.links, dtype=np.int64).reshape(-1, 2)
+    adjacency = sp.coo_array(
+        (np.ones(K.n1), (ends[:, 0], ends[:, 1])), shape=(K.n0, K.n0)
+    )
+    return K.n0 - int(connected_components(adjacency, directed=False, return_labels=False))
+
+
 def betti_numbers(K: SimplicialComplex) -> tuple[int, int, int]:
     """(beta_0, beta_1, beta_2) from the ranks of the boundary matrices.
 
-    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}).
+    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}).  rank(B1) is
+    exact (:func:`graph_rank`); only rank(B2) is numerical.
     """
-    r1 = matrix_rank(boundary_matrix(K, 1)) if K.n1 else 0
+    r1 = graph_rank(K)
     r2 = matrix_rank(boundary_matrix(K, 2)) if K.n2 else 0
     return (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
 

@@ -13,8 +13,8 @@ stops moving.
 
 Linear systems are solved by a sparse factorization of the SPD filter
 matrix, one factorization per (tau, m); when a SpectralBasis is supplied
-the filter is applied diagonally in the eigenbasis instead, which makes
-each learning iteration O(dim im(D_n)).
+the filter is applied diagonally in its coefficient space instead, which
+makes each learning iteration O(dim im(D_n)).
 """
 
 from __future__ import annotations
@@ -81,11 +81,10 @@ def dirac_filter(
         raise ValueError("tau must be >= 0")
     Dop._check(s_tilde_n)
     if basis is not None:
-        nz = basis.nonzero_indices
-        Phi = basis.vectors[:, nz]
-        c = Phi.T @ s_tilde_n.vector
-        c *= _attenuation(basis.eigenvalues[nz], tau, m)
-        return TopologicalSpinor.from_vector(Dop.K, Phi @ c)
+        basis.check(Dop, n)
+        c = basis.coefficients(s_tilde_n)
+        c *= _attenuation(basis.eigenvalues[basis.nonzero_indices], tau, m)
+        return basis.synthesize(c)
     p = dirac_project(s_tilde_n, Dop, n)
     if tau == 0.0:
         return p
@@ -213,11 +212,10 @@ def learn(
     tau = config.tau
 
     if basis is not None:
-        nz = basis.nonzero_indices
-        lam = basis.eigenvalues[nz]
-        Phi = basis.vectors[:, nz]
-        c0 = Phi.T @ s_tilde_n.vector
-        c_true = None if truth is None else Phi.T @ truth.vector
+        basis.check(Dop, n)
+        lam = basis.eigenvalues[basis.nonzero_indices]
+        c0 = basis.coefficients(s_tilde_n)
+        c_true = None if truth is None else basis.coefficients(truth)
 
         def filt(m):
             return c0 * _attenuation(lam, tau, m)
@@ -231,8 +229,7 @@ def learn(
         def err(c):
             return float(np.linalg.norm(c - c_true))
 
-        def to_spinor(c):
-            return TopologicalSpinor.from_vector(Dop.K, Phi @ c)
+        to_spinor = basis.synthesize
 
         p0 = c0
     else:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import svds
 
-from .complexes import RANK_RTOL, SimplicialComplex, boundary_matrix
+from .complexes import RANK_RTOL, SimplicialComplex, boundary_matrix, graph_rank
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor
 
@@ -34,6 +34,8 @@ from .spinors import TopologicalSpinor
 # (iterative) SVD with deflation.  4000 covers every experiment in the
 # bundled harness presets.
 DENSE_SVD_THRESHOLD = 4000
+
+SQRT2 = np.sqrt(2.0)
 
 
 def _block_dirac(B1: sp.sparray, B2: sp.sparray, parts: str) -> sp.csr_array:
@@ -101,7 +103,13 @@ class DiracOperator:
 
     @cached_property
     def _svd1(self):
-        return self._svd(1)
+        U, sig, V = self._svd(1)
+        exact = graph_rank(self.K)
+        if sig.size != exact:
+            raise EigensolveFailure(
+                f"numerical rank of B1 is {sig.size}, but N0 - #components = {exact}"
+            )
+        return U, sig, V
 
     @cached_property
     def _svd2(self):
@@ -121,20 +129,6 @@ class DiracOperator:
         """dim im(D_n) = 2 rank(B_n)."""
         return 2 * self.rank(n)
 
-    def _blocks_for(self, n: int, s: TopologicalSpinor):
-        """(left-block, right-block) of the spinor that D_n actually touches."""
-        if n == 1:
-            return s.s0, s.s1
-        if n == 2:
-            return s.s1, s.s2
-        raise InvalidOrder(f"n must be 1 or 2, got {n}")
-
-    def _spinor_from_blocks(self, n: int, left, right) -> TopologicalSpinor:
-        K = self.K
-        if n == 1:
-            return TopologicalSpinor(left, right, np.zeros(K.n2))
-        return TopologicalSpinor(np.zeros(K.n0), left, right)
-
     def _check(self, s: TopologicalSpinor) -> None:
         if len(s) != self.dim:
             raise DimensionMismatch(
@@ -146,6 +140,21 @@ class DiracOperator:
         self._check(s)
         op = self.full if n is None else self.part(n)
         return TopologicalSpinor.from_vector(self.K, op @ s.vector)
+
+
+def _blocks_for(n: int, s: TopologicalSpinor):
+    """(left-block, right-block) of the spinor that D_n actually touches."""
+    if n == 1:
+        return s.s0, s.s1
+    if n == 2:
+        return s.s1, s.s2
+    raise InvalidOrder(f"n must be 1 or 2, got {n}")
+
+
+def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> TopologicalSpinor:
+    if n == 1:
+        return TopologicalSpinor(left, right, np.zeros(K.n2))
+    return TopologicalSpinor(np.zeros(K.n0), left, right)
 
 
 def assemble_dirac(K: SimplicialComplex) -> DiracOperator:
@@ -258,26 +267,38 @@ def _lanczos_svd(B: sp.sparray):
     return U[:, order], s[order], Vt[order]
 
 
-def _null_basis(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(A) with the package-wide rank threshold."""
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0))
-    if m == 0:
-        return np.eye(n)
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    r = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
-    return Vt[r:].T
+def _complement(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of A's orthonormal columns."""
+    m, r = A.shape
+    if r == 0:
+        return np.eye(m)
+    return np.linalg.qr(A, mode="complete")[0][:, r:]
 
 
-def _fix_signs(cols: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column positive (first on ties)."""
-    if cols.size == 0:
-        return cols
-    idx = np.argmax(np.abs(cols), axis=0)
-    signs = np.sign(cols[idx, np.arange(cols.shape[1])])
-    signs[signs == 0] = 1.0
-    return cols * signs
+def _fix_sign(col: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude entry of a column positive (first on ties)."""
+    return -col if col[np.argmax(np.abs(col))] < 0 else col
+
+
+def _mode_signs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """+/-1 per nonzero mode, in ``SpectralBasis.nonzero_indices`` order.
+
+    The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
+    modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
+    winning ties.  |u| and |v| are the same in both columns of a triplet, so
+    one argmax per block decides both.
+    """
+    r = U.shape[1]
+    if r == 0:
+        return np.zeros(0)
+    cols = np.arange(r)
+    au, av = np.abs(U) / SQRT2, np.abs(V) / SQRT2
+    iu, iv = np.argmax(au, axis=0), np.argmax(av, axis=0)
+    from_u = au[iu, cols] >= av[iv, cols]
+    su, sv = np.sign(U[iu, cols]), np.sign(V[iv, cols])
+    neg = np.where(from_u, su, -sv)
+    pos = np.where(from_u, su, sv)
+    return np.concatenate([neg, pos[::-1]])
 
 
 # -- spectral basis -----------------------------------------------------------
@@ -287,116 +308,194 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
 class SpectralBasis:
     """Eigenpairs of D_n, ascending, split into negative / harmonic / positive.
 
-    ``vectors[:, i]`` is the unit eigenvector for ``eigenvalues[i]`` in full
-    spinor coordinates.  ``harm_indices`` span ker(D_n) (empty when the basis
-    was built with ``include_kernel=False``); ``nonharmonic_dim`` is
-    dim im(D_n) regardless.
+    The basis is factored: it holds the rank-truncated singular triplets
+    (U, sigma, V) of B_n, O((N_{n-1} + N_n) r) numbers, and one +/-1 sign per
+    nonzero mode.  Triplet j gives the modes sign * (u_j, -/+v_j)/sqrt(2) for
+    eigenvalues -/+sigma_j, padded with the zero block; the sign makes the
+    largest-magnitude entry positive (first on ties).  Eigenvalues ascend:
+    -sigma in triplet order, the harmonic zeros, then +sigma reversed.
+
+    ``spinor(i)`` builds the unit eigenvector for ``eigenvalues[i]``;
+    ``coefficients`` and ``synthesize`` map between spinors and coordinates
+    along the nonzero modes (in ``nonzero_indices`` order) through U and V,
+    so no dense basis is ever formed.  ``harm_indices`` span ker(D_n) (empty
+    when the basis was built with ``include_kernel=False``); their columns
+    come from the orthogonal complements of U and V, computed on first use.
+    ``nonharmonic_dim`` is dim im(D_n) regardless.
     """
 
     order: int
     K: SimplicialComplex
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    pos_indices: np.ndarray
-    neg_indices: np.ndarray
-    harm_indices: np.ndarray
-    nonharmonic_dim: int
+    U: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
+    signs: np.ndarray
+    kernel_dim: int
 
     def __post_init__(self):
-        for name in ("eigenvalues", "vectors", "pos_indices", "neg_indices", "harm_indices"):
-            a = getattr(self, name)
-            a.flags.writeable = False
+        for name in ("U", "sigma", "V", "signs"):
+            getattr(self, name).flags.writeable = False
 
-    def spinor(self, i: int) -> TopologicalSpinor:
-        return TopologicalSpinor.from_vector(self.K, self.vectors[:, i])
+    @property
+    def rank(self) -> int:
+        return self.sigma.size
+
+    @property
+    def nonharmonic_dim(self) -> int:
+        return 2 * self.rank
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        vals = np.concatenate([-self.sigma, np.zeros(self.kernel_dim), self.sigma[::-1]])
+        vals.flags.writeable = False
+        return vals
+
+    @property
+    def neg_indices(self) -> np.ndarray:
+        return np.arange(self.rank)
+
+    @property
+    def harm_indices(self) -> np.ndarray:
+        return np.arange(self.rank, self.rank + self.kernel_dim)
+
+    @property
+    def pos_indices(self) -> np.ndarray:
+        return np.arange(self.rank + self.kernel_dim, 2 * self.rank + self.kernel_dim)
 
     @property
     def nonzero_indices(self) -> np.ndarray:
         return np.concatenate([self.neg_indices, self.pos_indices])
 
     def classify(self, i: int) -> str:
-        r, k = self.neg_indices.size, self.harm_indices.size
+        r, k = self.rank, self.kernel_dim
         if i < r:
             return "neg"
         if i < r + k:
             return "harm"
         return "pos"
 
+    def check(self, Dop: DiracOperator, n: int) -> None:
+        """Refuse to act for D_n of ``Dop`` unless this basis was built for it."""
+        if self.order != n:
+            raise InvalidOrder(f"basis is for D_{self.order}, filter asks for D_{n}")
+        if self.K.counts != Dop.K.counts:
+            raise DimensionMismatch(
+                f"basis is for a complex of size {self.K.counts}, operator has {Dop.K.counts}"
+            )
+
+    def coefficients(self, s: TopologicalSpinor) -> np.ndarray:
+        """Coordinates of s along the nonzero modes, in ``nonzero_indices`` order.
+
+        For the blocks (a, b) that D_n couples: sign * (U^T a -/+ V^T b)/sqrt(2).
+        """
+        if len(s) != self.K.spinor_dim:
+            raise DimensionMismatch(
+                f"spinor has length {len(s)}, basis needs {self.K.spinor_dim}"
+            )
+        a, b = _blocks_for(self.order, s)
+        x, y = self.U.T @ a, self.V.T @ b
+        return np.concatenate([x - y, (x + y)[::-1]]) / SQRT2 * self.signs
+
+    def synthesize(self, c: np.ndarray) -> TopologicalSpinor:
+        """The spinor sum_i c[i] phi_i over the nonzero modes phi_i."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.nonharmonic_dim,):
+            raise DimensionMismatch(
+                f"expected {self.nonharmonic_dim} coefficients, got shape {c.shape}"
+            )
+        c = c * self.signs
+        r = self.rank
+        neg, pos = c[:r], c[r:][::-1]
+        left = self.U @ (pos + neg) / SQRT2
+        right = self.V @ (pos - neg) / SQRT2
+        return _spinor_from_blocks(self.K, self.order, left, right)
+
+    def spinor(self, i: int) -> TopologicalSpinor:
+        """The unit eigenvector for ``eigenvalues[i]``, in full spinor coordinates."""
+        r, k = self.rank, self.kernel_dim
+        if not 0 <= i < 2 * r + k:
+            raise IndexError(f"mode {i} outside 0..{2 * r + k - 1}")
+        if r <= i < r + k:
+            return self._harmonic_spinor(i - r)
+        positive = i >= r + k
+        j = 2 * r + k - 1 - i if positive else i  # triplet index
+        sign = self.signs[i - k if positive else i]
+        left = self.U[:, j] / SQRT2 * sign
+        right = self.V[:, j] / SQRT2 * (sign if positive else -sign)
+        return _spinor_from_blocks(self.K, self.order, left, right)
+
+    @cached_property
+    def _left_kernel(self) -> np.ndarray:
+        return _complement(self.U)
+
+    @cached_property
+    def _right_kernel(self) -> np.ndarray:
+        return _complement(self.V)
+
+    def _harmonic_spinor(self, j: int) -> TopologicalSpinor:
+        """Harmonic column j: ker(B_n^T), ker(B_n) and the free block, in block order."""
+        n = self.order
+        blocks = [np.zeros(size) for size in self.K.counts]
+        for b, size in enumerate(self.K.counts):
+            free = b not in (n - 1, n)
+            width = size if free else size - self.rank
+            if j < width:
+                if free:
+                    blocks[b][j] = 1.0
+                else:
+                    kernel = self._left_kernel if b == n - 1 else self._right_kernel
+                    blocks[b] = _fix_sign(kernel[:, j])
+                return TopologicalSpinor(*blocks)
+            j -= width
+        raise AssertionError("harmonic index outside the kernel")
+
 
 def spectral_basis(
     Dop: DiracOperator, n: int, *, include_kernel: bool = True, method: str = "svd"
 ) -> SpectralBasis:
-    """Eigendecomposition of D_n, as a basis in full spinor coordinates.
+    """Eigendecomposition of D_n, as a factored basis over the full spinor space.
 
     method="svd" (default, fast): nonzero eigenpairs are exact chiral pairs
-    built from the singular triplets of B_n; for each (u, sigma, v) the
-    columns (u, +v)/sqrt(2) and (u, -v)/sqrt(2), padded with the zero block,
-    are unit eigenvectors for +sigma and -sigma.
+    built from the singular triplets of B_n that ``Dop`` caches; for each
+    (u, sigma, v) the modes (u, +v)/sqrt(2) and (u, -v)/sqrt(2), padded with
+    the zero block, are unit eigenvectors for +sigma and -sigma.
 
     method="eigh" (plain reference): dense symmetric eigendecomposition of
     the block of D_n restricted to the two simplex dimensions it couples
-    (size N0+N1 for n=1, N1+N2 for n=2).  Same spectrum and subspaces,
-    useful for cross-checks and as the unoptimized implementation the
-    runtime benchmark times.
+    (size N0+N1 for n=1, N1+N2 for n=2).  Its positive half gives the
+    triplets, so both methods return the same factored type.  Useful for
+    cross-checks and as the unoptimized implementation the runtime
+    benchmark times.
 
     With ``include_kernel`` the basis is completed to an orthonormal basis
     of the whole spinor space by a basis of ker(D_n).
     """
     if n not in (1, 2):
         raise InvalidOrder(f"spectral bases exist for n in {{1, 2}}, got {n}")
-    if method == "eigh":
-        return _spectral_basis_eigh(Dop, n, include_kernel)
-    if method != "svd":
-        raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
-    K = Dop.K
-    M = Dop.dim
-    U, sig, V = Dop.singular_triplets(n)
-    r = sig.size
-
-    def embed(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        cols = left.shape[1]
-        out = np.zeros((M, cols))
-        if n == 1:
-            out[: K.n0] = left
-            out[K.n0 : K.n0 + K.n1] = right
-        else:
-            out[K.n0 : K.n0 + K.n1] = left
-            out[K.n0 + K.n1 :] = right
-        return out
-
-    plus = embed(U, V) / np.sqrt(2.0)
-    minus = embed(U, -V) / np.sqrt(2.0)
-
-    # ascending: -sigma_max ... -sigma_min | zeros | +sigma_min ... +sigma_max
-    neg_vals = -sig
-    pos_vals = sig[::-1]
-    neg_vecs = minus
-    pos_vecs = plus[:, ::-1]
-
-    if include_kernel:
-        kernel = _kernel_basis(Dop, n)
+    if method == "svd":
+        U, sig, V = Dop.singular_triplets(n)
+    elif method == "eigh":
+        U, sig, V = _eigh_triplets(Dop.boundary(n))
     else:
-        kernel = np.zeros((M, 0))
-    k = kernel.shape[1]
-
-    vals = np.concatenate([neg_vals, np.zeros(k), pos_vals])
-    vecs = _fix_signs(np.hstack([neg_vecs, kernel, pos_vecs]))
+        raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
     return SpectralBasis(
         order=n,
-        K=K,
-        eigenvalues=vals,
-        vectors=vecs,
-        neg_indices=np.arange(r),
-        harm_indices=np.arange(r, r + k),
-        pos_indices=np.arange(r + k, 2 * r + k),
-        nonharmonic_dim=2 * r,
+        K=Dop.K,
+        U=U,
+        sigma=sig,
+        V=V,
+        signs=_mode_signs(U, V),
+        kernel_dim=Dop.dim - 2 * sig.size if include_kernel else 0,
     )
 
 
-def _spectral_basis_eigh(Dop: DiracOperator, n: int, include_kernel: bool) -> SpectralBasis:
-    K = Dop.K
-    M = Dop.dim
-    B = Dop.boundary(n).toarray()
+def _eigh_triplets(B: sp.sparray):
+    """(U, sigma, V) of B, sigma descending, from a dense eigh of [[0, B], [B^T, 0]].
+
+    An eigenvector for +sigma > 0 is (u, v)/sqrt(2); the negative half of
+    the spectrum mirrors the positive one and is not read.
+    """
+    B = B.toarray()
     left, right = B.shape
     R = np.zeros((left + right, left + right))
     R[:left, left:] = B
@@ -405,89 +504,28 @@ def _spectral_basis_eigh(Dop: DiracOperator, n: int, include_kernel: bool) -> Sp
         vals, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"dense eigendecomposition failed: {exc}") from exc
-
     scale = float(np.abs(vals).max()) if vals.size else 0.0
-    zero = np.abs(vals) <= (RANK_RTOL * scale if scale > 0 else 0.0)
-    offset = 0 if n == 1 else K.n0
-
-    def embed(cols: np.ndarray) -> np.ndarray:
-        out = np.zeros((M, cols.shape[1]))
-        out[offset : offset + left + right] = cols
-        return out
-
-    neg = vals < 0
-    pos = ~(neg | zero)
-    neg &= ~zero
-    blocks = [(vals[neg], embed(vecs[:, neg]))]
-    if include_kernel:
-        ker = embed(vecs[:, zero])
-        third = np.zeros((M, M - (left + right)))
-        if n == 1:
-            third[K.n0 + K.n1 :] = np.eye(K.n2)
-        else:
-            third[: K.n0] = np.eye(K.n0)
-        kernel = np.hstack([ker, third])
-        blocks.append((np.zeros(kernel.shape[1]), kernel))
-    blocks.append((vals[pos], embed(vecs[:, pos])))
-
-    r = int(neg.sum())
-    k = blocks[1][1].shape[1] if include_kernel else 0
-    allvals = np.concatenate([b[0] for b in blocks])
-    allvecs = _fix_signs(np.hstack([b[1] for b in blocks]))
-    return SpectralBasis(
-        order=n,
-        K=K,
-        eigenvalues=allvals,
-        vectors=allvecs,
-        neg_indices=np.arange(r),
-        harm_indices=np.arange(r, r + k),
-        pos_indices=np.arange(r + k, r + k + int(pos.sum())),
-        nonharmonic_dim=r + int(pos.sum()),
-    )
-
-
-def _kernel_basis(Dop: DiracOperator, n: int) -> np.ndarray:
-    """Orthonormal basis of ker(D_n), localized per block."""
-    K = Dop.K
-    B = Dop.boundary(n).toarray()
-    left_null = _null_basis(B.T)   # ker(B^T) in the left block
-    right_null = _null_basis(B)    # ker(B) in the right block
-    M = Dop.dim
-    cols = []
-    if n == 1:
-        free = np.zeros((M, K.n2))
-        free[K.n0 + K.n1 :] = np.eye(K.n2)
-        a = np.zeros((M, left_null.shape[1]))
-        a[: K.n0] = left_null
-        b = np.zeros((M, right_null.shape[1]))
-        b[K.n0 : K.n0 + K.n1] = right_null
-        cols = [a, b, free]
-    else:
-        free = np.zeros((M, K.n0))
-        free[: K.n0] = np.eye(K.n0)
-        a = np.zeros((M, left_null.shape[1]))
-        a[K.n0 : K.n0 + K.n1] = left_null
-        b = np.zeros((M, right_null.shape[1]))
-        b[K.n0 + K.n1 :] = right_null
-        cols = [free, a, b]
-    return np.hstack(cols)
+    pos = np.flatnonzero(vals > RANK_RTOL * scale)[::-1]
+    x = vecs[:, pos]
+    return SQRT2 * x[:left], vals[pos], SQRT2 * x[left:]
 
 
 def harmonic_basis(Dop: DiracOperator) -> np.ndarray:
-    """Orthonormal basis of ker(D) = ker(L0) + ker(L1) + ker(L2), per block."""
-    K = Dop.K
-    B1 = Dop.B1.toarray()
-    B2 = Dop.B2.toarray()
-    nodes = _null_basis(B1.T)
-    links = _null_basis(np.vstack([B1, B2.T])) if K.n1 else np.zeros((0, 0))
-    tris = _null_basis(B2)
-    M = Dop.dim
-    out = np.zeros((M, nodes.shape[1] + links.shape[1] + tris.shape[1]))
-    c = 0
-    for block, offset in ((nodes, 0), (links, K.n0), (tris, K.n0 + K.n1)):
-        w = block.shape[1]
-        out[offset : offset + block.shape[0], c : c + w] = block
-        c += w
+    """Orthonormal basis of ker(D) = ker(L0) + ker(L1) + ker(L2), per block.
+
+    Built from the cached singular triplets: nodes orthogonal to U1, links
+    orthogonal to [V1 U2], triangles orthogonal to V2.
+    """
+    U1, _, V1 = Dop.singular_triplets(1)
+    U2, _, V2 = Dop.singular_triplets(2)
+    blocks = (_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2))
+    out = np.zeros((Dop.dim, sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for block in blocks:
+        h, w = block.shape
+        out[row : row + h, col : col + w] = block
+        row += h
+        col += w
     return out
 
 
@@ -516,8 +554,8 @@ def dirac_project(s: TopologicalSpinor, Dop: DiracOperator, n: int) -> Topologic
     """
     Dop._check(s)
     U, _, V = Dop.singular_triplets(n)
-    left, right = Dop._blocks_for(n, s)
-    return Dop._spinor_from_blocks(n, U @ (U.T @ left), V @ (V.T @ right))
+    left, right = _blocks_for(n, s)
+    return _spinor_from_blocks(Dop.K, n, U @ (U.T @ left), V @ (V.T @ right))
 
 
 def harmonic_project(s: TopologicalSpinor, Dop: DiracOperator) -> TopologicalSpinor:

@@ -167,8 +167,7 @@ def gaussian_mix_signal(
     # weights are scale-free; subtract the min exponent for stability
     w = np.exp(-(d2 - d2.min()) / denom)
     w /= np.linalg.norm(w)
-    vec = basis.vectors[:, nz] @ w
-    return TopologicalSpinor.from_vector(basis.K, vec)
+    return basis.synthesize(w)
 
 
 def lift_signal(

@@ -65,3 +65,20 @@ def random_complex(rng: np.random.Generator, max_nodes: int = 12):
     ]
     tris = [t for t in candidates if rng.random() < 0.5]
     return build_complex(sorted(links), tris, n)
+
+
+# Inputs where a numerical rank or kernel is easy to get wrong.
+HARD_COMPLEXES = {
+    # a filled triangle, a hollow one and an isolated node
+    "disconnected": build_complex(
+        [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], [(0, 1, 2)], 7
+    ),
+    "nodes_only": build_complex([], [], 4),
+    "empty": build_complex([], [], 0),
+    # boundary of a tetrahedron: beta_2 = 1
+    "tetrahedron": build_complex(
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+        [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+        4,
+    ),
+}

@@ -74,3 +74,64 @@ def eigenbasis_projection(M_dense, vec, keep):
     vals, vecs = np.linalg.eigh(M_dense)
     cols = vecs[:, [i for i, v in enumerate(vals) if keep(v)]]
     return cols @ (cols.T @ vec)
+
+
+# -- dense spectral basis -----------------------------------------------------
+# The construction the library used before its basis was factored: every
+# eigenvector of D_n as a column of a dense M x M matrix.
+
+
+def null_basis(A, rtol=1e-10):
+    """Orthonormal basis of ker(A) from a full SVD, relative cutoff ``rtol``."""
+    m, n = A.shape
+    if n == 0:
+        return np.zeros((0, 0))
+    if m == 0:
+        return np.eye(n)
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    r = int(np.count_nonzero(s > rtol * s[0])) if s.size and s[0] > 0 else 0
+    return Vt[r:].T
+
+
+def fix_signs(cols):
+    """Make the largest-magnitude entry of each column positive (first on ties)."""
+    if cols.size == 0:
+        return cols
+    idx = np.argmax(np.abs(cols), axis=0)
+    signs = np.sign(cols[idx, np.arange(cols.shape[1])])
+    signs[signs == 0] = 1.0
+    return cols * signs
+
+
+def dense_spectral_basis(Dop, n):
+    """(eigenvalues, M x M eigenvectors) of D_n from Dop's singular triplets of B_n.
+
+    Columns ascend: (u, -v)/sqrt(2) for -sigma in triplet order, then ker(D_n)
+    (ker(B_n^T), ker(B_n) from full SVDs, and the free block, in block
+    order), then (u, +v)/sqrt(2) for +sigma with sigma ascending.  Each is
+    zero-padded to spinor coordinates and sign-fixed.
+    """
+    K = Dop.K
+    M = Dop.dim
+    U, sig, V = Dop.singular_triplets(n)
+    offset = 0 if n == 1 else K.n0
+    left, right = U.shape[0], V.shape[0]
+
+    def embed(cols, at):
+        out = np.zeros((M, cols.shape[1]))
+        out[at : at + cols.shape[0]] = cols
+        return out
+
+    plus = (embed(U, offset) + embed(V, offset + left)) / np.sqrt(2.0)
+    minus = (embed(U, offset) - embed(V, offset + left)) / np.sqrt(2.0)
+    B = Dop.boundary(n).toarray()
+    free_at, free_size = (K.n0 + K.n1, K.n2) if n == 1 else (0, K.n0)
+    kernel_blocks = [
+        (offset, null_basis(B.T)),
+        (offset + left, null_basis(B)),
+        (free_at, np.eye(free_size)),
+    ]
+    kernel = [embed(cols, at) for at, cols in sorted(kernel_blocks, key=lambda b: b[0])]
+    vals = np.concatenate([-sig, np.zeros(M - 2 * sig.size), sig[::-1]])
+    vecs = fix_signs(np.hstack([minus, *kernel, plus[:, ::-1]]))
+    return vals, vecs

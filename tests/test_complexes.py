@@ -15,7 +15,7 @@ from diracsp.errors import (
     ParseError,
 )
 
-from conftest import random_complex
+from conftest import HARD_COMPLEXES, random_complex
 from oracles import exact_rank
 
 
@@ -108,6 +108,18 @@ def test_betti_disjoint_edges():
 def test_betti_coastal(coastal):
     # one component, four holes, no cavities
     assert betti_numbers(coastal) == (1, 4, 0)
+
+
+@pytest.mark.parametrize("name", sorted(HARD_COMPLEXES))
+def test_betti_hard_inputs_match_exact_ranks(name):
+    K = HARD_COMPLEXES[name]
+    r1 = exact_rank(boundary_matrix(K, 1))
+    r2 = exact_rank(boundary_matrix(K, 2))
+    assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
+
+
+def test_betti_tetrahedron_boundary_has_a_cavity():
+    assert betti_numbers(HARD_COMPLEXES["tetrahedron"]) == (1, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)

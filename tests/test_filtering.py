@@ -17,8 +17,9 @@ from diracsp import (
     rayleigh_m,
     reconstruction_error,
     sample_noise,
+    spectral_basis,
 )
-from diracsp.errors import DimensionMismatch, NonConvergence, ZeroSignal
+from diracsp.errors import DimensionMismatch, InvalidOrder, NonConvergence, ZeroSignal
 from diracsp.operators import harmonic_basis
 
 from conftest import random_complex
@@ -291,3 +292,20 @@ def test_learn_matches_dense_reference_loop(ff_dirac, ff_basis):
     assert tr.converged
     assert tr.final_m == pytest.approx(m_ref, abs=1e-9)
     assert np.abs(got.vector - s_hat).max() <= 1e-9
+
+
+def test_basis_of_the_wrong_order_is_rejected(coastal_dirac):
+    basis1 = spectral_basis(coastal_dirac, 1)
+    s = eigenmode_signal(spectral_basis(coastal_dirac, 2), "smallest_positive")
+    with pytest.raises(InvalidOrder):
+        dirac_filter(s, coastal_dirac, 2, 10.0, 1.0, basis=basis1)
+    with pytest.raises(InvalidOrder):
+        learn(s, coastal_dirac, 2, FilterConfig(tau=10.0), basis=basis1)
+
+
+def test_basis_of_another_complex_is_rejected(coastal_dirac, coastal, ff_basis):
+    s = TopologicalSpinor.zeros(coastal)
+    with pytest.raises(DimensionMismatch):
+        dirac_filter(s, coastal_dirac, 1, 10.0, 1.0, basis=ff_basis)
+    with pytest.raises(DimensionMismatch):
+        learn(s, coastal_dirac, 1, FilterConfig(tau=10.0), basis=ff_basis)

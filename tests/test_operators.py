@@ -13,7 +13,8 @@ from diracsp import (
     hodge_laplacian,
     spectral_basis,
 )
-from diracsp.errors import InvalidOrder
+from diracsp import operators
+from diracsp.errors import EigensolveFailure, InvalidOrder
 from diracsp.operators import (
     _lanczos_svd,
     _truncated_svd,
@@ -150,7 +151,7 @@ def test_pos_neg_balance_random():
 
 
 def test_basis_is_orthonormal_and_diagonalizes(ff_dirac, ff_basis):
-    V = ff_basis.vectors
+    V = np.column_stack([ff_basis.spinor(i).vector for i in range(ff_basis.eigenvalues.size)])
     assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-8
     lam = ff_basis.eigenvalues
     D1 = ff_dirac.part1.toarray()
@@ -266,6 +267,17 @@ def test_harmonic_basis_spans_kernel(two_triangles):
     assert np.abs(H.T @ H - np.eye(H.shape[1])).max() <= 1e-10
 
 
+def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
+    # a cutoff that drops genuine singular values must not yield a projector
+    monkeypatch.setattr(operators, "RANK_RTOL", 0.5)
+    D = assemble_dirac(coastal)
+    with pytest.raises(EigensolveFailure):
+        spectral_basis(D, 1)
+    s = TopologicalSpinor.zeros(coastal)
+    with pytest.raises(EigensolveFailure):
+        dirac_project(s, D, 1)
+
+
 def test_lanczos_svd_agrees_with_dense(coastal_dirac):
     B1 = coastal_dirac.B1
     Ud, sd, Vd = _truncated_svd(B1)
@@ -292,8 +304,7 @@ def test_chirality_maps_degenerate_eigenspaces(filled_triangle):
     # subspace level even if individual vectors rotate within the cluster
     D = assemble_dirac(filled_triangle)
     basis = spectral_basis(D, 1)
-    pos = basis.vectors[:, basis.pos_indices]
-    neg = basis.vectors[:, basis.neg_indices]
+    neg = np.column_stack([basis.spinor(i).vector for i in basis.neg_indices])
     flipped = np.column_stack(
         [chirality_map(basis.spinor(i), 1).vector for i in basis.pos_indices]
     )
