@@ -218,12 +218,11 @@ def _m0s(text: str) -> tuple:
 @click.option("--m-step", type=float, default=0.05, show_default=True)
 @click.option("--seeds", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False), help="Load the full plan from JSON instead of flags.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 def sweep_m(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
             sigma_hat, variance_convention, source, alphas, taus, ms, m_max,
-            m_step, seeds, seed, workers, plan_file, output):
+            m_step, seeds, seed, plan_file, output):
     """Error vs fixed m (dip at the signal's spectral center)."""
     def run():
         if plan_file:
@@ -238,7 +237,7 @@ def sweep_m(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
                 path, nodes, flavor, beta, preset, mode, n, selector,
                 lambda_bar, sigma_hat, variance_convention, source, seed,
                 alphas=_floats(alphas), taus=_floats(taus), ms=grid,
-                seeds=seeds, workers=workers,
+                seeds=seeds,
             )
         out = cmd_sweep_m(plan, output)
         click.echo(f"wrote {out}")
@@ -256,12 +255,11 @@ def sweep_m(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--seeds", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 def learn_cmd(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
               sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-              delta, max_iters, seeds, seed, workers, plan_file, output):
+              delta, max_iters, seeds, seed, plan_file, output):
     """Adaptive filtering traces: learn m, track the error per iteration."""
     def run():
         if plan_file:
@@ -273,7 +271,7 @@ def learn_cmd(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
                 alphas=_floats(alphas), taus=_floats(taus),
                 m0s=_m0s(m0s) if m0s else None,
                 eta=eta, delta=delta, max_iters=max_iters,
-                seeds=seeds, workers=workers,
+                seeds=seeds,
             )
         out = cmd_learn(plan, output)
         click.echo(f"wrote {out} and {out.with_name(out.stem + '.summary.csv')}")
@@ -290,12 +288,11 @@ def learn_cmd(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
 @click.option("--delta", type=float, default=1e-4, show_default=True)
 @click.option("--seeds", type=int, default=10, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 def heatmap(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
             sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-            delta, seeds, seed, workers, plan_file, output):
+            delta, seeds, seed, plan_file, output):
     """Mean error of the learned filter over a (tau, alpha) grid."""
     def run():
         if plan_file:
@@ -306,7 +303,7 @@ def heatmap(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
                 lambda_bar, sigma_hat, variance_convention, source, seed,
                 alphas=_floats(alphas), taus=_floats(taus),
                 m0s=_m0s(m0s) if m0s else None,
-                eta=eta, delta=delta, seeds=seeds, workers=workers,
+                eta=eta, delta=delta, seeds=seeds,
             )
         out = cmd_heatmap(plan, output)
         click.echo(f"wrote {out}")
@@ -323,12 +320,11 @@ def heatmap(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
 @click.option("--delta", type=float, default=1e-4, show_default=True)
 @click.option("--seeds", type=int, default=20, show_default=True)
 @click.option("--seed", type=int, required=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 def basin(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
           sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-          delta, seeds, seed, workers, plan_file, output):
+          delta, seeds, seed, plan_file, output):
     """Convergence basin: |learned m - true m| vs the initial guess."""
     def run():
         if plan_file:
@@ -338,7 +334,7 @@ def basin(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
                 path, nodes, flavor, beta, preset, mode, n, selector,
                 lambda_bar, sigma_hat, variance_convention, source, seed,
                 alphas=_floats(alphas), taus=_floats(taus), m0s=_m0s(m0s),
-                eta=eta, delta=delta, seeds=seeds, workers=workers,
+                eta=eta, delta=delta, seeds=seeds,
             )
         out = cmd_basin(plan, output)
         click.echo(f"wrote {out}")

@@ -8,7 +8,7 @@ re-run with the same plan and seed reproduces the data rows byte for byte
 
 Randomness is fully keyed: the noise draw for grid cell c and repetition k
 uses the substream (plan.seed, cell_index=c, draw_index=k), so cells can be
-evaluated in any order or in parallel without changing any number.
+evaluated in any order without changing any number.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .complexes import SimplicialComplex, load_complex
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
+    RunTrace,
     dirac_filter,
     learn,
     rayleigh_m,
@@ -76,15 +78,16 @@ class ExperimentPlan:
     seed: int = 0  # master seed
     sizes: tuple[int, ...] = ()  # bench: NGF target node counts
     runs: int = 20  # bench: timed runs per size
-    workers: int = 1
 
     def __post_init__(self):
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
         if not self.alphas or not self.taus:
             raise ValueError("alpha and tau grids must be non-empty")
+        if not self.m0s:
+            raise ValueError("m0s must be non-empty")
 
     def to_dict(self) -> dict:
         return {
@@ -226,17 +229,56 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _run_cells(plan: ExperimentPlan, cells: list, worker) -> list:
-    """Evaluate independent grid cells, possibly on a thread pool.
+# -- shared set-up and evaluator ---------------------------------------------
 
-    Results are collected positionally, so the output never depends on
-    execution order.
+
+class _Setup(NamedTuple):
+    """What every grid command computes once before its first draw."""
+
+    Dop: DiracOperator
+    n: int
+    basis: SpectralBasis
+    s_true: TopologicalSpinor
+    m_true: float
+
+
+def _prepare(plan: ExperimentPlan) -> _Setup:
+    """Dataset -> Dirac operator -> spectral basis of D_n -> true signal."""
+    Dop = assemble_dirac(resolve_dataset(plan))
+    n = plan.signal.n
+    basis = spectral_basis(Dop, n)
+    s_true, m_true = make_signal(plan.signal, Dop, basis)
+    return _Setup(Dop, n, basis, s_true, m_true)
+
+
+def _draws(plan: ExperimentPlan, setup: _Setup, alpha: float, cell_index: int):
+    """Yield the plan.seeds noisy observations of grid cell `cell_index`.
+
+    Draw k carries the noise keyed by (plan.seed, cell_index, k); at
+    alpha = 0 every draw is the clean signal itself.
     """
-    if plan.workers == 1:
-        return [worker(i, c) for i, c in enumerate(cells)]
-    with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-        futures = [pool.submit(worker, i, c) for i, c in enumerate(cells)]
-        return [f.result() for f in futures]
+    for k in range(plan.seeds):
+        if alpha > 0:
+            yield setup.s_true + _noise(plan, setup.Dop, setup.n, alpha, cell_index, k)
+        else:
+            yield setup.s_true
+
+
+def _learn_cell(
+    plan: ExperimentPlan, setup: _Setup, tau: float, alpha: float, m0, cell_index: int
+) -> list[RunTrace]:
+    """One learning run per draw of a grid cell, in draw order."""
+    config = plan.config(tau, m0)
+    return [
+        learn(s_tilde, setup.Dop, setup.n, config, truth=setup.s_true, basis=setup.basis)[1]
+        for s_tilde in _draws(plan, setup, alpha, cell_index)
+    ]
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation (0 for a single value)."""
+    x = np.asarray(values)
+    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
 
 
 # -- commands -----------------------------------------------------------------
@@ -248,48 +290,24 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
     The m = 0 Hodge baseline is always part of the grid; rel_error divides
     each draw's error by its own m = 0 error, then aggregates over draws.
     """
-    K = resolve_dataset(plan)
-    Dop = assemble_dirac(K)
-    n = plan.signal.n
-    basis = spectral_basis(Dop, n)
-    s_true, _ = make_signal(plan.signal, Dop, basis)
-
+    setup = _prepare(plan)
     ms = list(plan.ms)
     if 0.0 not in ms:
         ms = [0.0] + ms
-    cells = [(tau, alpha) for tau in plan.taus for alpha in plan.alphas]
 
-    def worker(cell_index, cell):
-        tau, alpha = cell
+    rows = []
+    for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
         errs = np.empty((plan.seeds, len(ms)))
-        for k in range(plan.seeds):
-            if alpha > 0:
-                s_tilde = s_true + _noise(plan, Dop, n, alpha, cell_index, k)
-            else:
-                s_tilde = s_true
+        for k, s_tilde in enumerate(_draws(plan, setup, alpha, c)):
             for j, m in enumerate(ms):
-                s_hat = dirac_filter(s_tilde, Dop, n, tau, m, basis=basis)
-                errs[k, j] = reconstruction_error(s_hat, s_true)
+                s_hat = dirac_filter(s_tilde, setup.Dop, setup.n, tau, m, basis=setup.basis)
+                errs[k, j] = reconstruction_error(s_hat, setup.s_true)
         base = errs[:, ms.index(0.0)]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
-        rows = []
         for j, m in enumerate(ms):
-            rows.append(
-                (
-                    tau,
-                    alpha,
-                    m,
-                    float(rel[:, j].mean()),
-                    float(rel[:, j].std(ddof=1)) if plan.seeds > 1 else 0.0,
-                    float(errs[:, j].mean()),
-                    float(errs[:, j].std(ddof=1)) if plan.seeds > 1 else 0.0,
-                )
-            )
-        return rows
+            rows.append((tau, alpha, m, *_mean_std(rel[:, j]), *_mean_std(errs[:, j])))
 
-    results = _run_cells(plan, cells, worker)
-    rows = [r for cell_rows in results for r in cell_rows]
     header = ["tau", "alpha", "m", "rel_error_mean", "rel_error_std", "delta_s_mean", "delta_s_std"]
     write_csv(out, plan, "sweep-m", header, rows)
     return Path(out)
@@ -301,29 +319,13 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
     A companion ``<out stem>.summary.csv`` holds one row per draw with the
     converged flag, final m and the error-reduction ratio vs the noisy input.
     """
-    K = resolve_dataset(plan)
-    Dop = assemble_dirac(K)
-    n = plan.signal.n
-    basis = spectral_basis(Dop, n)
-    s_true, m_true = make_signal(plan.signal, Dop, basis)
-
-    cells = [
-        (tau, alpha, m0)
-        for tau in plan.taus
-        for alpha in plan.alphas
-        for m0 in plan.m0s
-    ]
-
-    def worker(cell_index, cell):
-        tau, alpha, m0 = cell
-        trace_rows, summary_rows = [], []
-        for k in range(plan.seeds):
-            s_tilde = s_true + _noise(plan, Dop, n, alpha, cell_index, k) if alpha > 0 else s_true
-            _, tr = learn(s_tilde, Dop, n, plan.config(tau, m0), truth=s_true, basis=basis)
-            for r in tr.rows:
-                trace_rows.append(
-                    (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error)
-                )
+    setup = _prepare(plan)
+    trace_rows, summary_rows = [], []
+    for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
+        for k, tr in enumerate(_learn_cell(plan, setup, tau, alpha, m0, c)):
+            trace_rows.extend(
+                (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error) for r in tr.rows
+            )
             final = tr.rows[-1]
             reduction = (
                 1.0 - final.delta_s / tr.noisy_error if tr.noisy_error else float("nan")
@@ -331,15 +333,10 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
             summary_rows.append(
                 (
                     tau, alpha, m0, k,
-                    int(tr.converged), tr.iterations, tr.final_m, m_true,
+                    int(tr.converged), tr.iterations, tr.final_m, setup.m_true,
                     final.delta_s, final.rel_error, tr.noisy_error, reduction,
                 )
             )
-        return trace_rows, summary_rows
-
-    results = _run_cells(plan, cells, worker)
-    trace_rows = [r for t, _ in results for r in t]
-    summary_rows = [r for _, s in results for r in s]
 
     out = Path(out)
     write_csv(
@@ -358,32 +355,16 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
 
 def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
     """Mean reconstruction error of the learned filter over a (tau, alpha) grid."""
-    K = resolve_dataset(plan)
-    Dop = assemble_dirac(K)
-    n = plan.signal.n
-    basis = spectral_basis(Dop, n)
-    s_true, _ = make_signal(plan.signal, Dop, basis)
+    setup = _prepare(plan)
     m0 = plan.m0s[0]
-
-    cells = [(tau, alpha) for tau in plan.taus for alpha in plan.alphas]
-
-    def worker(cell_index, cell):
-        tau, alpha = cell
-        errs, convs = [], []
-        for k in range(plan.seeds):
-            s_tilde = s_true + _noise(plan, Dop, n, alpha, cell_index, k) if alpha > 0 else s_true
-            _, tr = learn(s_tilde, Dop, n, plan.config(tau, m0), truth=s_true, basis=basis)
-            errs.append(tr.rows[-1].delta_s)
-            convs.append(tr.converged)
-        errs = np.array(errs)
-        return (
+    rows = []
+    for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
+        traces = _learn_cell(plan, setup, tau, alpha, m0, c)
+        rows.append((
             tau, alpha,
-            float(errs.mean()),
-            float(errs.std(ddof=1)) if plan.seeds > 1 else 0.0,
-            float(np.mean(convs)),
-        )
-
-    rows = _run_cells(plan, cells, worker)
+            *_mean_std([tr.rows[-1].delta_s for tr in traces]),
+            float(np.mean([tr.converged for tr in traces])),
+        ))
     write_csv(
         out, plan, "heatmap",
         ["tau", "alpha", "delta_s_mean", "delta_s_std", "converged_fraction"],
@@ -394,34 +375,14 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
 
 def cmd_basin(plan: ExperimentPlan, out) -> Path:
     """Convergence basin: |m_final - m_true| as a function of the initial guess."""
-    K = resolve_dataset(plan)
-    Dop = assemble_dirac(K)
-    n = plan.signal.n
-    basis = spectral_basis(Dop, n)
-    s_true, m_true = make_signal(plan.signal, Dop, basis)
-
-    cells = [
-        (tau, alpha, m0)
-        for tau in plan.taus
-        for alpha in plan.alphas
-        for m0 in plan.m0s
-    ]
-
-    def worker(cell_index, cell):
-        tau, alpha, m0 = cell
-        devs = []
-        for k in range(plan.seeds):
-            s_tilde = s_true + _noise(plan, Dop, n, alpha, cell_index, k) if alpha > 0 else s_true
-            _, tr = learn(s_tilde, Dop, n, plan.config(tau, m0), truth=s_true, basis=basis)
-            devs.append(abs(tr.final_m - m_true))
-        devs = np.array(devs)
-        return (
-            tau, alpha, m0, m_true,
-            float(devs.mean()),
-            float(devs.std(ddof=1)) if plan.seeds > 1 else 0.0,
-        )
-
-    rows = _run_cells(plan, cells, worker)
+    setup = _prepare(plan)
+    rows = []
+    for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
+        traces = _learn_cell(plan, setup, tau, alpha, m0, c)
+        rows.append((
+            tau, alpha, m0, setup.m_true,
+            *_mean_std([abs(tr.final_m - setup.m_true) for tr in traces]),
+        ))
     write_csv(
         out, plan, "basin",
         ["tau", "alpha", "m0", "m_true", "abs_dm_mean", "abs_dm_std"],

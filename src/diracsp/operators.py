@@ -24,16 +24,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import svds
 
 from .complexes import RANK_RTOL, SimplicialComplex, boundary_matrix, graph_rank
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor
-
-# Larger side of B_n above which the dense SVD is replaced by a Lanczos
-# (iterative) SVD with deflation.  4000 covers every experiment in the
-# bundled harness presets.
-DENSE_SVD_THRESHOLD = 4000
 
 SQRT2 = np.sqrt(2.0)
 
@@ -205,66 +199,14 @@ def _truncated_svd(B: sp.sparray):
     m, n = B.shape
     if m == 0 or n == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-    if max(m, n) <= DENSE_SVD_THRESHOLD:
-        try:
-            U, s, Vt = np.linalg.svd(B.toarray(), full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolveFailure(f"dense SVD failed: {exc}") from exc
-    else:
-        U, s, Vt = _lanczos_svd(B.astype(float))
-    if s.size == 0 or s[0] == 0.0:
+    try:
+        U, s, Vt = np.linalg.svd(B.toarray(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(f"dense SVD failed: {exc}") from exc
+    if s[0] == 0.0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
     r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     return U[:, :r], s[:r], Vt[:r].T
-
-
-def _lanczos_svd(B: sp.sparray):
-    """Iterative SVD capturing the whole nonzero spectrum.
-
-    svds() returns at most min(shape)-1 triplets; when B has full minimal
-    rank the last direction is recovered by deflation against the computed
-    singular vectors.
-    """
-    m, n = B.shape
-    k = min(m, n) - 1
-    if k < 1:
-        U, s, Vt = np.linalg.svd(B.toarray(), full_matrices=False)
-        return U, s, Vt
-    try:
-        U, s, Vt = svds(B, k=k)
-    except Exception as exc:  # ARPACK non-convergence
-        raise EigensolveFailure(f"iterative SVD failed: {exc}") from exc
-    order = np.argsort(s)[::-1]
-    U, s, Vt = U[:, order], s[order], Vt[order]
-
-    # Deflate on the short side to find the possibly-missed triplet.
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-    if n <= m:
-        v = rng.standard_normal(n)
-        v -= Vt.T @ (Vt @ v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            v /= nv
-            Bv = B @ v
-            extra = np.linalg.norm(Bv)
-            if extra > RANK_RTOL * max(s[0], 1.0):
-                U = np.column_stack([U, Bv / extra])
-                s = np.append(s, extra)
-                Vt = np.vstack([Vt, v])
-    else:
-        u = rng.standard_normal(m)
-        u -= U @ (U.T @ u)
-        nu = np.linalg.norm(u)
-        if nu > 1e-8:
-            u /= nu
-            Btu = B.T @ u
-            extra = np.linalg.norm(Btu)
-            if extra > RANK_RTOL * max(s[0], 1.0):
-                U = np.column_stack([U, u])
-                s = np.append(s, extra)
-                Vt = np.vstack([Vt, Btu / extra])
-    order = np.argsort(s)[::-1]
-    return U[:, order], s[order], Vt[order]
 
 
 def _complement(A: np.ndarray) -> np.ndarray:

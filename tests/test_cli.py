@@ -137,6 +137,27 @@ def test_bench_cli(tmp_path):
     assert "low confidence" in r.output
 
 
+def test_empty_m0s_fails_with_one_error_line(tmp_path):
+    for cmd in ("learn", "heatmap", "basin"):
+        out = tmp_path / f"{cmd}.csv"
+        r = invoke(cmd, "-i", FF, "--m0s", ",", "--seed", 1, "-o", out)
+        assert isinstance(r.exception, SystemExit), (cmd, r.exception)
+        assert r.exit_code == 1, cmd
+        assert r.output.splitlines() == ["error=ValueError: m0s must be non-empty"]
+        assert not out.exists()
+
+
+def test_bench_cli_rejects_zero_runs(tmp_path):
+    r = invoke(
+        "bench", "--sizes", "20,40", "--runs", "0", "--seed", "1",
+        "-o", tmp_path / "b.csv",
+    )
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert r.output.splitlines() == ["error=ValueError: runs must be >= 1"]
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_stochastic_commands_require_seed(tmp_path):
     for cmd in (
         ("sweep-m", "-i", FF, "-o", tmp_path / "x.csv"),

@@ -144,12 +144,31 @@ def test_rows_are_byte_identical_on_rerun(tmp_path):
     assert a == b
 
 
-def test_workers_do_not_change_output(tmp_path):
-    plan1 = ff_plan(ms=(0.0, 0.5, 1.0), alphas=(0.4, 0.8), seeds=3, workers=1)
-    plan4 = ff_plan(ms=(0.0, 0.5, 1.0), alphas=(0.4, 0.8), seeds=3, workers=4)
-    a = data_rows(cmd_sweep_m(plan1, tmp_path / "a.csv"))
-    b = data_rows(cmd_sweep_m(plan4, tmp_path / "b.csv"))
-    assert a == b
+def test_grid_commands_see_the_same_draws(tmp_path):
+    # with one m0, learn's cells (tau, alpha, m0) carry the same indices as
+    # heatmap's (tau, alpha), so all three commands filter the same draws
+    plan = ff_plan(alphas=(0.0, 0.6), taus=(2.0, 7.0), m0s=(1.5,), seeds=3)
+    summary = data_rows(cmd_learn(plan, tmp_path / "l.csv").with_name("l.summary.csv"))
+    heat = data_rows(cmd_heatmap(plan, tmp_path / "h.csv"))
+    basin = data_rows(cmd_basin(plan, tmp_path / "b.csv"))
+    assert len(heat) == len(basin) == 4
+    for h, b in zip(heat, basin):
+        assert b[:2] == h[:2]
+        cell = [r for r in summary if r[:2] == h[:2]]
+        assert len(cell) == plan.seeds
+        assert float(h[2]) == np.mean([float(r[8]) for r in cell])
+        assert float(b[4]) == np.mean([abs(float(r[6]) - float(r[7])) for r in cell])
+
+
+def test_plan_rejects_empty_m0s_and_zero_runs():
+    with pytest.raises(ValueError, match="m0s"):
+        ff_plan(m0s=())
+    with pytest.raises(ValueError, match="runs"):
+        ff_plan(runs=0)
+    data = ff_plan().to_dict()
+    for bad in ({"m0s": []}, {"runs": 0}, {"workers": 2}):
+        with pytest.raises(ParseError):
+            plan_from_dict({**data, **bad})
 
 
 def test_header_embeds_plan(tmp_path):

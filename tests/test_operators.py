@@ -15,12 +15,8 @@ from diracsp import (
 )
 from diracsp import operators
 from diracsp.errors import EigensolveFailure, InvalidOrder
-from diracsp.operators import (
-    _lanczos_svd,
-    _truncated_svd,
-    export_spectrum,
-    harmonic_basis,
-)
+from diracsp.complexes import graph_rank
+from diracsp.operators import export_spectrum, harmonic_basis
 
 from conftest import random_complex
 from oracles import brute_dirac, dense_eigh, eig_multiset, eigenbasis_projection
@@ -278,14 +274,20 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
         dirac_project(s, D, 1)
 
 
-def test_lanczos_svd_agrees_with_dense(coastal_dirac):
-    B1 = coastal_dirac.B1
-    Ud, sd, Vd = _truncated_svd(B1)
-    Ui, si, Vti = _lanczos_svd(B1)
-    keep = si > 1e-10 * si[0]
-    assert np.allclose(np.sort(si[keep]), np.sort(sd), atol=1e-8)
-    # both factorizations reconstruct B1
-    assert np.abs(Ud @ np.diag(sd) @ Vd.T - B1.toarray()).max() <= 1e-8
+def test_wide_boundary_takes_the_dense_svd():
+    # complete graph on 90 nodes: B1 is 90 x 4005, wider than any former
+    # dense-SVD size limit; L0 = 90 I - J, so every nonzero sigma is sqrt(90)
+    nodes = 90
+    K = build_complex(
+        [(i, j) for i in range(nodes) for j in range(i + 1, nodes)], node_count=nodes
+    )
+    D = assemble_dirac(K)
+    assert D.B1.shape == (90, 4005)
+    U, sigma, V = D.singular_triplets(1)
+    assert D.rank(1) == graph_rank(K) == 89
+    assert np.abs(sigma - np.sqrt(90.0)).max() <= 1e-12
+    assert np.abs(U @ np.diag(sigma) @ V.T - D.B1.toarray()).max() <= 1e-12
+    assert spectral_basis(D, 1).nonharmonic_dim == 2 * 89
 
 
 def test_export_spectrum(tmp_path, ff_dirac):
