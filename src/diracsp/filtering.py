@@ -11,10 +11,11 @@ region carrying the true signal, the unsupervised learner alternates the
 filter with a relaxed Rayleigh-quotient update of m until the estimate
 stops moving.
 
-Linear systems are solved by a sparse factorization of the SPD filter
-matrix, one factorization per (tau, m); when a SpectralBasis is supplied
-the filter is applied diagonally in its coefficient space instead, which
-makes each learning iteration O(dim im(D_n)).
+The Dirac filter and the learner act in the coordinates of the factored
+SpectralBasis of D_n, where the filter is diagonal: each learning
+iteration is O(dim im(D_n)).  Without a basis from the caller they build
+one from the operator's cached singular triplets.  The Hodge filter needs
+no spectrum and solves its SPD system by a sparse factorization.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NonConvergence, SolverFailure, ZeroSignal
-from .operators import DiracOperator, SpectralBasis, dirac_project
+from .operators import DiracOperator, SpectralBasis, spectral_basis
 from .spinors import TopologicalSpinor
 
 
@@ -63,6 +64,14 @@ def _attenuation(lam: np.ndarray, tau: float, m: float) -> np.ndarray:
     return 1.0 / (1.0 + tau * (lam - m) ** 2)
 
 
+def _basis_for(Dop: DiracOperator, n: int, basis: SpectralBasis | None) -> SpectralBasis:
+    """The caller's basis, checked against D_n of ``Dop``, or a new one."""
+    if basis is None:
+        return spectral_basis(Dop, n)
+    basis.check(Dop, n)
+    return basis
+
+
 def dirac_filter(
     s_tilde_n: TopologicalSpinor,
     Dop: DiracOperator,
@@ -73,24 +82,17 @@ def dirac_filter(
 ) -> TopologicalSpinor:
     """Band-pass filter [I + tau (D_n - m I)^2]^(-1) restricted to im(D_n).
 
-    The input is projected onto im(D_n) first, so the output always lies in
-    that subspace.  With a basis the filter is applied diagonally; otherwise
-    an SPD system is factorized for this (tau, m).
+    Applied diagonally in the coordinates of the spectral basis of D_n, so
+    the output always lies in im(D_n): the part of the input outside it is
+    dropped.  Without ``basis`` one is built from ``Dop``'s cached triplets.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
     Dop._check(s_tilde_n)
-    if basis is not None:
-        basis.check(Dop, n)
-        c = basis.coefficients(s_tilde_n)
-        c *= _attenuation(basis.eigenvalues[basis.nonzero_indices], tau, m)
-        return basis.synthesize(c)
-    p = dirac_project(s_tilde_n, Dop, n)
-    if tau == 0.0:
-        return p
-    Dn = Dop.part(n)
-    A = ((1.0 + tau * m * m) * sp.eye_array(Dop.dim) + tau * (Dn @ Dn) - (2.0 * tau * m) * Dn).tocsc()
-    return TopologicalSpinor.from_vector(Dop.K, _solve_spd(A, p.vector))
+    basis = _basis_for(Dop, n, basis)
+    c = basis.coefficients(s_tilde_n)
+    c *= _attenuation(basis.eigenvalues[basis.nonzero_indices], tau, m)
+    return basis.synthesize(c)
 
 
 def rayleigh_m(s_n: TopologicalSpinor, Dop: DiracOperator, n: int) -> float:
@@ -155,10 +157,12 @@ class TraceRow:
 class RunTrace:
     """Per-iteration history of one learning run.
 
-    ``delta_s`` is ||s_hat(t) - s_true|| and ``rel_error`` divides it by the
-    error of the m=0 (Hodge-kernel) filter with the same tau; both are None
-    when the truth was not supplied.  Row t=0 records the initial guess and
-    the error of the projected noisy input itself.
+    ``delta_s`` is ||s_hat(t) - P_n s_true||, where P_n projects onto
+    im(D_n): the filter output never leaves im(D_n), so the part of the
+    truth outside it is not counted.  ``rel_error`` divides delta_s by the
+    same distance for the m=0 (Hodge-kernel) filter with the same tau; both
+    are None when the truth was not supplied.  Row t=0 records the initial
+    guess and the error of the projected noisy input itself.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
@@ -205,58 +209,39 @@ def learn(
         m_hat(t+1)  <- (1 - eta) m_hat(t) + eta * Rayleigh(s_hat)
 
     ``m0="auto"`` starts from the Rayleigh quotient of the projected noisy
-    input.  If max_iters is hit the partial trace is still returned with
+    input.  The loop runs on coordinates in the spectral basis of D_n (built
+    from ``Dop`` when no ``basis`` is given).  ``truth`` is measured by its
+    projection P_n truth onto im(D_n), as described in :class:`RunTrace`.
+    If max_iters is hit the partial trace is still returned with
     ``converged=False`` (or raised inside :class:`NonConvergence` when
     ``strict=True``).
     """
     tau = config.tau
+    basis = _basis_for(Dop, n, basis)
+    lam = basis.eigenvalues[basis.nonzero_indices]
+    c0 = basis.coefficients(s_tilde_n)
+    c_true = None if truth is None else basis.coefficients(truth)
 
-    if basis is not None:
-        basis.check(Dop, n)
-        lam = basis.eigenvalues[basis.nonzero_indices]
-        c0 = basis.coefficients(s_tilde_n)
-        c_true = None if truth is None else basis.coefficients(truth)
+    def filt(m):
+        return c0 * _attenuation(lam, tau, m)
 
-        def filt(m):
-            return c0 * _attenuation(lam, tau, m)
+    def ray(c):
+        denom = c @ c
+        if denom <= 0.0:
+            raise ZeroSignal("filtered signal collapsed to zero")
+        return float((lam * c**2).sum() / denom)
 
-        def ray(c):
-            denom = c @ c
-            if denom <= 0.0:
-                raise ZeroSignal("filtered signal collapsed to zero")
-            return float((lam * c**2).sum() / denom)
+    def err(c):
+        return float(np.linalg.norm(c - c_true))
 
-        def err(c):
-            return float(np.linalg.norm(c - c_true))
-
-        to_spinor = basis.synthesize
-
-        p0 = c0
-    else:
-        proj = dirac_project(s_tilde_n, Dop, n)
-
-        def filt(m):
-            return dirac_filter(proj, Dop, n, tau, m)
-
-        def ray(s):
-            return rayleigh_m(s, Dop, n)
-
-        def err(s):
-            return reconstruction_error(s, truth)
-
-        def to_spinor(s):
-            return s
-
-        p0 = proj
-
-    norm_p0 = float(np.linalg.norm(p0)) if basis is not None else p0.norm()
-    if norm_p0 == 0.0:
+    norm_c0 = float(np.linalg.norm(c0))
+    if norm_c0 == 0.0:
         raise ZeroSignal("observed signal has no component in im(D_n)")
 
     # Rule of thumb: with unit-norm truth, ||s_tilde_n||^2 ~ 1 + alpha^2, so
     # an observed power above 2 suggests snr < 1, where the initial guess
     # matters a lot.
-    if norm_p0**2 - 1.0 > 1.0:
+    if norm_c0**2 - 1.0 > 1.0:
         warnings.warn(
             "estimated snr < 1; convergence is sensitive to the initial m0",
             RuntimeWarning,
@@ -264,13 +249,13 @@ def learn(
         )
 
     if config.m0 == "auto":
-        m_hat = ray(p0)
+        m_hat = ray(c0)
     else:
         m_hat = float(config.m0)
 
     trace = RunTrace()
     if truth is not None:
-        trace.noisy_error = err(p0)
+        trace.noisy_error = err(c0)
         trace.baseline_error = err(filt(0.0))
     trace.rows.append(
         TraceRow(
@@ -283,14 +268,14 @@ def learn(
         )
     )
 
-    s_hat = p0
+    c_hat = c0
     converged = False
     t = 0
     while t < config.max_iters:
         t += 1
-        s_hat = filt(m_hat)
-        m_new = (1.0 - config.eta) * m_hat + config.eta * ray(s_hat)
-        delta_s = err(s_hat) if truth is not None else None
+        c_hat = filt(m_hat)
+        m_new = (1.0 - config.eta) * m_hat + config.eta * ray(c_hat)
+        delta_s = err(c_hat) if truth is not None else None
         rel = (
             delta_s / trace.baseline_error
             if delta_s is not None and trace.baseline_error
@@ -306,7 +291,7 @@ def learn(
     trace.converged = converged
     trace.iterations = t
     trace.final_m = m_hat
-    result = (to_spinor(s_hat), trace)
+    result = (basis.synthesize(c_hat), trace)
     if not converged and strict:
         raise NonConvergence(
             f"m estimate still moving after {t} iterations", result=result

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -86,8 +87,13 @@ class ExperimentPlan:
             raise ValueError("runs must be >= 1")
         if not self.alphas or not self.taus:
             raise ValueError("alpha and tau grids must be non-empty")
+        for name in ("alphas", "taus"):
+            if not all(math.isfinite(x) and x >= 0 for x in getattr(self, name)):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not self.m0s:
             raise ValueError("m0s must be non-empty")
+        if len(set(self.sizes)) != len(self.sizes):
+            raise ValueError("sizes must be distinct")
 
     def to_dict(self) -> dict:
         return {
@@ -420,16 +426,14 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
             )
         )
         prep = assemble_dirac(K)
-        prep_basis = spectral_basis(prep, plan.signal.n, include_kernel=False)
+        prep_basis = spectral_basis(prep, plan.signal.n)
         s_true, _ = make_signal(plan.signal, prep, prep_basis)
         times = []
         for r in range(plan.runs + 1):  # +1 warm-up
             s_tilde = s_true + _noise(plan, prep, plan.signal.n, alpha, si, r)
             t0 = time.perf_counter()
             Dop = assemble_dirac(K)
-            basis = spectral_basis(
-                Dop, plan.signal.n, include_kernel=False, method="eigh"
-            )
+            basis = spectral_basis(Dop, plan.signal.n, method="eigh")
             learn(s_tilde, Dop, plan.signal.n, plan.config(tau, plan.m0s[0]), basis=basis)
             dt = time.perf_counter() - t0
             if r > 0:

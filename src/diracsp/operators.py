@@ -260,10 +260,10 @@ class SpectralBasis:
     ``spinor(i)`` builds the unit eigenvector for ``eigenvalues[i]``;
     ``coefficients`` and ``synthesize`` map between spinors and coordinates
     along the nonzero modes (in ``nonzero_indices`` order) through U and V,
-    so no dense basis is ever formed.  ``harm_indices`` span ker(D_n) (empty
-    when the basis was built with ``include_kernel=False``); their columns
-    come from the orthogonal complements of U and V, computed on first use.
-    ``nonharmonic_dim`` is dim im(D_n) regardless.
+    so no dense basis is ever formed.  ``harm_indices`` span ker(D_n), of
+    dimension ``kernel_dim``; their columns come from the orthogonal
+    complements of U and V, computed on first use.  Together the modes form
+    an orthonormal basis of the whole spinor space.
     """
 
     order: int
@@ -272,7 +272,6 @@ class SpectralBasis:
     sigma: np.ndarray
     V: np.ndarray
     signs: np.ndarray
-    kernel_dim: int
 
     def __post_init__(self):
         for name in ("U", "sigma", "V", "signs"):
@@ -285,6 +284,10 @@ class SpectralBasis:
     @property
     def nonharmonic_dim(self) -> int:
         return 2 * self.rank
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.K.spinor_dim - self.nonharmonic_dim
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -393,7 +396,7 @@ class SpectralBasis:
 
 
 def spectral_basis(
-    Dop: DiracOperator, n: int, *, include_kernel: bool = True, method: str = "svd"
+    Dop: DiracOperator, n: int, *, method: str = "svd"
 ) -> SpectralBasis:
     """Eigendecomposition of D_n, as a factored basis over the full spinor space.
 
@@ -409,8 +412,8 @@ def spectral_basis(
     cross-checks and as the unoptimized implementation the runtime
     benchmark times.
 
-    With ``include_kernel`` the basis is completed to an orthonormal basis
-    of the whole spinor space by a basis of ker(D_n).
+    Either way the basis covers the whole spinor space: its kernel columns,
+    a basis of ker(D_n), are built only when ``spinor`` asks for one.
     """
     if n not in (1, 2):
         raise InvalidOrder(f"spectral bases exist for n in {{1, 2}}, got {n}")
@@ -427,7 +430,6 @@ def spectral_basis(
         sigma=sig,
         V=V,
         signs=_mode_signs(U, V),
-        kernel_dim=Dop.dim - 2 * sig.size if include_kernel else 0,
     )
 
 

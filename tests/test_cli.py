@@ -158,6 +158,30 @@ def test_bench_cli_rejects_zero_runs(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_bench_cli_rejects_repeated_sizes(tmp_path):
+    r = invoke(
+        "bench", "--sizes", "20,20", "--runs", "1", "--seed", "1",
+        "-o", tmp_path / "b.csv",
+    )
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert r.output.splitlines() == ["error=ValueError: sizes must be distinct"]
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_sweep_m_cli_rejects_bad_alphas_and_taus(tmp_path):
+    out = tmp_path / "s.csv"
+    for flag, value in (("--alphas", "-1"), ("--alphas", "nan"), ("--taus", "nan")):
+        r = invoke(
+            "sweep-m", "-i", FF, flag, value, "--ms", "0.5", "--seeds", "1",
+            "--seed", "1", "-o", out,
+        )
+        assert r.exit_code == 1, (flag, value, r.output)
+        name = flag.removeprefix("--")
+        assert r.output.splitlines() == [f"error=ValueError: {name} must be finite and >= 0"]
+        assert not out.exists()
+
+
 def test_stochastic_commands_require_seed(tmp_path):
     for cmd in (
         ("sweep-m", "-i", FF, "-o", tmp_path / "x.csv"),

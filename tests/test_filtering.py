@@ -22,7 +22,8 @@ from diracsp import (
 from diracsp.errors import DimensionMismatch, InvalidOrder, NonConvergence, ZeroSignal
 from diracsp.operators import harmonic_basis
 
-from conftest import random_complex
+from conftest import HARD_COMPLEXES, random_complex
+from oracles import brute_dirac, eigenbasis_projection
 
 
 def test_hodge_tau_zero_is_identity(ff_dirac, ff_basis):
@@ -205,16 +206,6 @@ def test_learn_auto_m0(ff_dirac, ff_basis):
     assert tr.converged
 
 
-def test_learn_solver_and_basis_paths_agree(ff_dirac, ff_basis):
-    s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=8), ff_dirac, 1, 0)
-    cfg = FilterConfig(tau=7.0, m0=1.5)
-    _, tr_a = learn(s + eps, ff_dirac, 1, cfg, truth=s, basis=ff_basis)
-    _, tr_b = learn(s + eps, ff_dirac, 1, cfg, truth=s)
-    assert tr_a.final_m == pytest.approx(tr_b.final_m, abs=1e-10)
-    assert tr_a.iterations == tr_b.iterations
-
-
 def test_learn_nonconvergence_returns_partial(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
     eps = sample_noise(NoiseModel(alpha1=0.5, seed=2), ff_dirac, 1, 0)
@@ -261,7 +252,8 @@ def test_trace_export(tmp_path, ff_dirac, ff_basis):
     assert len(lines) == 2 + len(tr.rows)
 
 
-def test_learn_matches_dense_reference_loop(ff_dirac, ff_basis):
+@pytest.mark.parametrize("with_basis", [False, True], ids=["no_basis", "ff_basis"])
+def test_learn_matches_dense_reference_loop(ff_dirac, ff_basis, with_basis):
     # independent oracle: the adaptive loop written out literally with a
     # dense matrix inverse per iteration
     import numpy.linalg as la
@@ -287,11 +279,66 @@ def test_learn_matches_dense_reference_loop(ff_dirac, ff_basis):
     got, tr = learn(
         s_tilde, ff_dirac, 1,
         FilterConfig(tau=tau, m0=m0, eta=eta, delta=delta),
-        basis=ff_basis,
+        basis=ff_basis if with_basis else None,
     )
     assert tr.converged
     assert tr.final_m == pytest.approx(m_ref, abs=1e-9)
     assert np.abs(got.vector - s_hat).max() <= 1e-9
+
+
+def test_learn_measures_truth_by_its_projection(coastal_dirac, coastal):
+    # a truth with a part outside im(D_1): the triangle block is never reached
+    # by the filter, so delta_s is the distance to P_1 truth, not to truth
+    basis = spectral_basis(coastal_dirac, 1)
+    s = eigenmode_signal(basis, "smallest_positive")
+    rng = np.random.default_rng(5)
+    off_image = TopologicalSpinor(
+        np.zeros(coastal.n0), np.zeros(coastal.n1), 0.1 * rng.standard_normal(coastal.n2)
+    )
+    truth = s + off_image
+    s_tilde = s + sample_noise(NoiseModel(alpha1=0.5, seed=9), coastal_dirac, 1, 0)
+    D1 = brute_dirac(coastal)[1]
+    p_truth = eigenbasis_projection(D1, truth.vector, lambda v: abs(v) > 1e-8)
+    p_tilde = eigenbasis_projection(D1, s_tilde.vector, lambda v: abs(v) > 1e-8)
+    cfg = FilterConfig(tau=7.0, m0=1.5)
+    runs = [
+        learn(s_tilde, coastal_dirac, 1, cfg, truth=truth, basis=b) for b in (None, basis)
+    ]
+    for s_hat, tr in runs:
+        assert tr.rows[-1].delta_s == pytest.approx(
+            np.linalg.norm(s_hat.vector - p_truth), abs=1e-12
+        )
+        assert tr.noisy_error == pytest.approx(np.linalg.norm(p_tilde - p_truth), abs=1e-12)
+        assert reconstruction_error(s_hat, truth) > tr.rows[-1].delta_s + 0.5
+    (_, a), (_, b) = runs
+    assert [r.delta_s for r in a.rows] == [r.delta_s for r in b.rows]
+    assert a.final_m == b.final_m
+
+
+def _filter_cases():
+    rng = np.random.default_rng(41)
+    named = [(f"random{i}", random_complex(rng)) for i in range(6)]
+    named += list(HARD_COMPLEXES.items())
+    return [(name, K, n) for name, K in named for n in (1, 2)]
+
+
+FILTER_CASES = _filter_cases()
+
+
+@pytest.mark.parametrize(
+    "name,K,n", FILTER_CASES, ids=[f"{name}-n{n}" for name, _, n in FILTER_CASES]
+)
+def test_dirac_filter_without_basis_matches_dense_solve(name, K, n):
+    tau, m = 3.0, 0.7
+    D = assemble_dirac(K)
+    Dn = brute_dirac(K)[n]
+    rng = np.random.default_rng(len(name) + n)
+    x = rng.standard_normal(D.dim)
+    p = eigenbasis_projection(Dn, x, lambda v: abs(v) > 1e-8)
+    shifted = Dn - m * np.eye(D.dim)
+    expected = np.linalg.solve(np.eye(D.dim) + tau * shifted @ shifted, p)
+    out = dirac_filter(TopologicalSpinor.from_vector(K, x), D, n, tau, m)
+    assert np.abs(out.vector - expected).max(initial=0.0) <= 1e-10
 
 
 def test_basis_of_the_wrong_order_is_rejected(coastal_dirac):

@@ -171,6 +171,24 @@ def test_plan_rejects_empty_m0s_and_zero_runs():
             plan_from_dict({**data, **bad})
 
 
+def test_plan_rejects_bad_noise_tau_and_repeated_sizes():
+    bad = [
+        ({"alphas": (-1.0,)}, "alphas"),
+        ({"alphas": (0.3, float("nan"))}, "alphas"),
+        ({"alphas": (float("inf"),)}, "alphas"),
+        ({"taus": (float("nan"),)}, "taus"),
+        ({"taus": (-2.0,)}, "taus"),
+        ({"sizes": (20, 20)}, "sizes"),
+    ]
+    data = ff_plan().to_dict()
+    for kw, match in bad:
+        with pytest.raises(ValueError, match=match):
+            ff_plan(**kw)
+        with pytest.raises(ParseError, match=match):
+            plan_from_dict({**data, **{k: list(v) for k, v in kw.items()}})
+    ff_plan(alphas=(0.0,), taus=(0.0,), sizes=(20, 40))
+
+
 def test_header_embeds_plan(tmp_path):
     plan = ff_plan(ms=(0.0,))
     out = cmd_sweep_m(plan, tmp_path / "s.csv")

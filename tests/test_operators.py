@@ -163,7 +163,7 @@ def test_basis_eigenvalues_ascending(ff_basis):
 
 def test_basis_matches_up_laplacian_spectrum(coastal_dirac, coastal):
     for n in (1, 2):
-        basis = spectral_basis(coastal_dirac, n, include_kernel=False)
+        basis = spectral_basis(coastal_dirac, n)
         pos = basis.eigenvalues[basis.pos_indices]
         mu = eig_multiset(hodge_laplacian(coastal, n - 1, "up"))
         assert np.allclose(np.sort(pos**2), mu, atol=1e-8)
