@@ -8,11 +8,13 @@ machine-readable line ``error=<ErrorClass>: <message>`` to stderr.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .complexes import betti_numbers, load_complex
@@ -48,10 +50,61 @@ def _guard(fn, *args, **kwargs):
         _fail(exc)
 
 
+def _add(opts):
+    def deco(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+    return deco
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
     """Dirac signal processing toolkit for simplicial complexes."""
+
+
+# -- options shared between commands -----------------------------------------
+
+_flavor_opt = click.option("--flavor", type=click.Choice(["-1", "0", "1"]), default="-1", show_default=True)
+_seed_opt = click.option("--seed", type=int, required=True)
+_output_opt = click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
+_eta_delta_opts = [
+    click.option("--eta", type=float, default=0.3, show_default=True),
+    click.option("--delta", type=float, default=1e-4, show_default=True),
+]
+
+_signal_opts = [
+    click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True),
+    click.option("--n", type=click.Choice(["1", "2"]), default="1", show_default=True),
+    click.option("--selector", default="smallest_positive", show_default=True,
+                 help="Eigen selector: smallest_positive, largest_positive, an index, or a target eigenvalue."),
+    click.option("--lambda-bar", type=float, default=1.0, show_default=True),
+    click.option("--sigma-hat", type=float, default=0.2, show_default=True),
+    click.option("--variance-convention", type=click.Choice(["linear", "squared"]),
+                 default="linear", show_default=True),
+    click.option("--source", type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="Signal CSV to lift (mode=lifted)."),
+]
+
+
+def _signal_spec(mode, n, selector, lambda_bar, sigma_hat, variance_convention, source) -> SignalSpec:
+    return SignalSpec(
+        mode=mode, n=int(n), selector=_parse_selector(selector),
+        lambda_bar=lambda_bar, sigma_hat=sigma_hat, source=source,
+        variance_convention=variance_convention,
+    )
+
+
+def _parse_selector(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 # -- dataset commands ---------------------------------------------------------
@@ -59,10 +112,10 @@ def main():
 
 @main.command()
 @click.option("--nodes", type=int, required=True, help="Target number of nodes (>= 3).")
-@click.option("--flavor", type=click.Choice(["-1", "0", "1"]), default="-1", show_default=True)
+@_flavor_opt
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
+@_seed_opt
+@_output_opt
 def generate(nodes, flavor, beta, seed, output):
     """Grow a random simplicial complex and write it as a complex file."""
     def run():
@@ -89,41 +142,28 @@ def info(path):
 
 @main.command()
 @click.option("--input", "-i", "path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True)
-@click.option("--n", type=click.Choice(["1", "2"]), default="1", show_default=True)
-@click.option("--selector", default="smallest_positive", show_default=True,
-              help="Eigen selector: smallest_positive, largest_positive, an index, or a target eigenvalue.")
-@click.option("--lambda-bar", type=float, default=1.0, show_default=True)
-@click.option("--sigma-hat", type=float, default=0.2, show_default=True)
-@click.option("--variance-convention", type=click.Choice(["linear", "squared"]), default="linear", show_default=True)
-@click.option("--source", type=click.Path(exists=True, dir_okay=False), help="Signal CSV to lift (mode=lifted).")
+@_add(_signal_opts)
 @click.option("--alpha", type=float, default=0.0, show_default=True, help="Noise amplitude; 0 writes the clean signal only.")
 @click.option("--seed", type=int, default=None, help="Required when --alpha > 0.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
+@_output_opt
 @click.option("--noisy-output", type=click.Path(dir_okay=False), help="Where to write the noisy copy (defaults to <output>.noisy.csv).")
-def synth(path, mode, n, selector, lambda_bar, sigma_hat, variance_convention, source, alpha, seed, output, noisy_output):
+def synth(path, alpha, seed, output, noisy_output, **signal):
     """Synthesize a true signal (optionally plus calibrated noise)."""
     def run():
         if alpha > 0 and seed is None:
             raise ValueError("--seed is required when --alpha > 0")
-        K = load_complex(path)
-        Dop = assemble_dirac(K)
-        spec = SignalSpec(
-            mode=mode, n=int(n), selector=_parse_selector(selector),
-            lambda_bar=lambda_bar, sigma_hat=sigma_hat, source=source,
-            variance_convention=variance_convention,
-        )
-        basis = spectral_basis(Dop, int(n))
-        s, m_true = make_signal(spec, Dop, basis)
+        spec = _signal_spec(**signal)
+        Dop = assemble_dirac(load_complex(path))
+        s, m_true = make_signal(spec, Dop, spectral_basis(Dop, spec.n))
         save_signal(s, output)
         click.echo(f"wrote {output} (m_true={m_true:.6g})")
         if alpha > 0:
             model = NoiseModel(
-                alpha1=alpha if int(n) == 1 else 0.0,
-                alpha2=alpha if int(n) == 2 else 0.0,
+                alpha1=alpha if spec.n == 1 else 0.0,
+                alpha2=alpha if spec.n == 2 else 0.0,
                 seed=seed,
             )
-            eps = sample_noise(model, Dop, int(n), 0)
+            eps = sample_noise(model, Dop, spec.n, 0)
             noisy = s + eps
             target = noisy_output or str(Path(output).with_suffix(".noisy.csv"))
             save_signal(noisy, target)
@@ -131,73 +171,46 @@ def synth(path, mode, n, selector, lambda_bar, sigma_hat, variance_convention, s
     _guard(run)
 
 
-def _parse_selector(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 # -- experiment commands --------------------------------------------------------
 
-_dataset_opts = [
-    click.option("--input", "-i", "path", type=click.Path(exists=True, dir_okay=False),
-                 help="Complex file; omit to grow an NGF complex."),
-    click.option("--nodes", type=int, default=50, show_default=True, help="NGF size when no --input."),
-    click.option("--flavor", type=click.Choice(["-1", "0", "1"]), default="-1", show_default=True),
-    click.option("--beta", type=float, default=0.0, show_default=True),
-]
 
-_signal_opts = [
-    click.option("--preset", type=click.Choice(sorted(SIGNAL_PRESETS)), default=None,
-                 help="Named signal preset (sets mode/selector/m0)."),
-    click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True),
-    click.option("--n", type=click.Choice(["1", "2"]), default="1", show_default=True),
-    click.option("--selector", default="smallest_positive", show_default=True),
-    click.option("--lambda-bar", type=float, default=1.0, show_default=True),
-    click.option("--sigma-hat", type=float, default=0.2, show_default=True),
-    click.option("--variance-convention", type=click.Choice(["linear", "squared"]),
-                 default="linear", show_default=True),
-    click.option("--source", type=click.Path(exists=True, dir_okay=False), default=None),
-]
+def _m0s_opt(default):
+    return click.option("--m0s", default=default, show_default=True,
+                        help="Comma-separated initial guesses; numbers or 'auto'.")
 
 
-def _add(opts):
-    def deco(fn):
-        for opt in reversed(opts):
-            fn = opt(fn)
-        return fn
-    return deco
-
-
-def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector,
-               lambda_bar, sigma_hat, variance_convention, source, seed, **kw):
-    if preset is not None:
-        p = SIGNAL_PRESETS[preset]
-        mode = p["mode"]
-        selector = p.get("selector", selector)
-        lambda_bar = p.get("lambda_bar", lambda_bar)
-        sigma_hat = p.get("sigma_hat", sigma_hat)
-        if "m0s" not in kw or kw["m0s"] is None:
-            kw["m0s"] = (p["m0"],)
-    if kw.get("m0s") is None:
-        kw["m0s"] = ("auto",)
-    dataset = (
-        {"kind": "file", "path": str(path)}
-        if path
-        else {"kind": "ngf", "target_nodes": nodes, "flavor": int(flavor),
-              "beta": beta, "seed": seed}
-    )
-    spec = SignalSpec(
-        mode=mode, n=int(n), selector=_parse_selector(selector),
-        lambda_bar=lambda_bar, sigma_hat=sigma_hat, source=source,
-        variance_convention=variance_convention,
-    )
-    return ExperimentPlan(dataset=dataset, signal=spec, seed=seed, **kw)
+# One entry per experiment command: what sets it apart from the others.
+# ``options`` are the command's own, listed between --taus and --seeds.
+_EXPERIMENTS = {
+    "sweep-m": dict(
+        command=cmd_sweep_m, doc="Error vs fixed m (dip at the signal's spectral center).",
+        alphas="0.6", taus="10", seeds=100,
+        options=[
+            click.option("--ms", default="", help="Comma-separated m grid (0 baseline always added)."),
+            click.option("--m-max", type=float, default=3.0, show_default=True,
+                         help="Used when --ms omitted: grid 0..m-max."),
+            click.option("--m-step", type=float, default=0.05, show_default=True),
+        ],
+    ),
+    "learn": dict(
+        command=cmd_learn, doc="Adaptive filtering traces: learn m, track the error per iteration.",
+        alphas="0.5", taus="7", seeds=50,
+        options=[_m0s_opt(None), *_eta_delta_opts,
+                 click.option("--max-iters", type=int, default=500, show_default=True)],
+        echo="wrote {out} and {summary}",
+    ),
+    "heatmap": dict(
+        command=cmd_heatmap, doc="Mean error of the learned filter over a (tau, alpha) grid.",
+        alphas=",".join(str(a) for a in HEATMAP_ALPHAS),
+        taus=",".join(str(t) for t in HEATMAP_TAUS), seeds=10,
+        options=[_m0s_opt(None), *_eta_delta_opts],
+    ),
+    "basin": dict(
+        command=cmd_basin, doc="Convergence basin: |learned m - true m| vs the initial guess.",
+        alphas=",".join(str(a) for a in BASIN_ALPHAS), taus="7", seeds=20,
+        options=[_m0s_opt("0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3"), *_eta_delta_opts],
+    ),
+}
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -208,137 +221,91 @@ def _m0s(text: str) -> tuple:
     return tuple("auto" if x.strip() == "auto" else float(x) for x in text.split(",") if x.strip())
 
 
-@main.command("sweep-m")
-@_add(_dataset_opts)
-@_add(_signal_opts)
-@click.option("--alphas", default="0.6", show_default=True, help="Comma-separated noise amplitudes.")
-@click.option("--taus", default="10", show_default=True)
-@click.option("--ms", default="", help="Comma-separated m grid (0 baseline always added).")
-@click.option("--m-max", type=float, default=3.0, show_default=True, help="Used when --ms omitted: grid 0..m-max.")
-@click.option("--m-step", type=float, default=0.05, show_default=True)
-@click.option("--seeds", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False), help="Load the full plan from JSON instead of flags.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
-def sweep_m(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
-            sigma_hat, variance_convention, source, alphas, taus, ms, m_max,
-            m_step, seeds, seed, plan_file, output):
-    """Error vs fixed m (dip at the signal's spectral center)."""
-    def run():
-        if plan_file:
-            plan = load_plan(plan_file)
-        else:
-            grid = (
-                _floats(ms)
-                if ms
-                else tuple(round(float(x), 10) for x in np.arange(0.0, m_max + 1e-12, m_step))
-            )
-            plan = _make_plan(
-                path, nodes, flavor, beta, preset, mode, n, selector,
-                lambda_bar, sigma_hat, variance_convention, source, seed,
-                alphas=_floats(alphas), taus=_floats(taus), ms=grid,
-                seeds=seeds,
-            )
-        out = cmd_sweep_m(plan, output)
-        click.echo(f"wrote {out}")
-    _guard(run)
+# Comma-separated options and their parsers.
+_LISTS = {"alphas": _floats, "taus": _floats, "ms": _floats, "m0s": _m0s}
 
 
-@main.command("learn")
-@_add(_dataset_opts)
-@_add(_signal_opts)
-@click.option("--alphas", default="0.5", show_default=True)
-@click.option("--taus", default="7", show_default=True)
-@click.option("--m0s", default=None, help="Comma-separated initial guesses; numbers or 'auto'.")
-@click.option("--eta", type=float, default=0.3, show_default=True)
-@click.option("--delta", type=float, default=1e-4, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--seeds", type=int, default=50, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
-def learn_cmd(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
-              sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-              delta, max_iters, seeds, seed, plan_file, output):
-    """Adaptive filtering traces: learn m, track the error per iteration."""
-    def run():
-        if plan_file:
-            plan = load_plan(plan_file)
-        else:
-            plan = _make_plan(
-                path, nodes, flavor, beta, preset, mode, n, selector,
-                lambda_bar, sigma_hat, variance_convention, source, seed,
-                alphas=_floats(alphas), taus=_floats(taus),
-                m0s=_m0s(m0s) if m0s else None,
-                eta=eta, delta=delta, max_iters=max_iters,
-                seeds=seeds,
-            )
-        out = cmd_learn(plan, output)
-        click.echo(f"wrote {out} and {out.with_name(out.stem + '.summary.csv')}")
-    _guard(run)
+def _m_grid(m_max: float, m_step: float) -> tuple[float, ...]:
+    if not (math.isfinite(m_max) and m_max >= 0):
+        raise ValueError("m-max must be finite and >= 0")
+    if not (math.isfinite(m_step) and m_step > 0):
+        raise ValueError("m-step must be finite and > 0")
+    return tuple(round(float(x), 10) for x in np.arange(0.0, m_max + 1e-12, m_step))
 
 
-@main.command("heatmap")
-@_add(_dataset_opts)
-@_add(_signal_opts)
-@click.option("--alphas", default=",".join(str(a) for a in HEATMAP_ALPHAS), show_default=True)
-@click.option("--taus", default=",".join(str(t) for t in HEATMAP_TAUS), show_default=True)
-@click.option("--m0s", default=None)
-@click.option("--eta", type=float, default=0.3, show_default=True)
-@click.option("--delta", type=float, default=1e-4, show_default=True)
-@click.option("--seeds", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
-def heatmap(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
-            sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-            delta, seeds, seed, plan_file, output):
-    """Mean error of the learned filter over a (tau, alpha) grid."""
-    def run():
-        if plan_file:
-            plan = load_plan(plan_file)
-        else:
-            plan = _make_plan(
-                path, nodes, flavor, beta, preset, mode, n, selector,
-                lambda_bar, sigma_hat, variance_convention, source, seed,
-                alphas=_floats(alphas), taus=_floats(taus),
-                m0s=_m0s(m0s) if m0s else None,
-                eta=eta, delta=delta, seeds=seeds,
-            )
-        out = cmd_heatmap(plan, output)
-        click.echo(f"wrote {out}")
-    _guard(run)
+def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
+               sigma_hat, variance_convention, source, seed, m_max=None, m_step=None, **kw):
+    if preset is not None:
+        p = SIGNAL_PRESETS[preset]
+        mode = p["mode"]
+        selector = p.get("selector", selector)
+        lambda_bar = p.get("lambda_bar", lambda_bar)
+        sigma_hat = p.get("sigma_hat", sigma_hat)
+        if kw.get("m0s") is None:
+            kw["m0s"] = (p["m0"],)
+    if kw.get("m0s") is None:
+        kw["m0s"] = ("auto",)
+    if m_step is not None and not kw["ms"]:
+        kw["ms"] = _m_grid(m_max, m_step)
+    dataset = (
+        {"kind": "file", "path": str(path)}
+        if path
+        else {"kind": "ngf", "target_nodes": nodes, "flavor": int(flavor),
+              "beta": beta, "seed": seed}
+    )
+    spec = _signal_spec(mode, n, selector, lambda_bar, sigma_hat, variance_convention, source)
+    return ExperimentPlan(dataset=dataset, signal=spec, seed=seed, **kw)
 
 
-@main.command("basin")
-@_add(_dataset_opts)
-@_add(_signal_opts)
-@click.option("--alphas", default=",".join(str(a) for a in BASIN_ALPHAS), show_default=True)
-@click.option("--taus", default="7", show_default=True)
-@click.option("--m0s", default="0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3", show_default=True)
-@click.option("--eta", type=float, default=0.3, show_default=True)
-@click.option("--delta", type=float, default=1e-4, show_default=True)
-@click.option("--seeds", type=int, default=20, show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
-def basin(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
-          sigma_hat, variance_convention, source, alphas, taus, m0s, eta,
-          delta, seeds, seed, plan_file, output):
-    """Convergence basin: |learned m - true m| vs the initial guess."""
-    def run():
-        if plan_file:
-            plan = load_plan(plan_file)
-        else:
-            plan = _make_plan(
-                path, nodes, flavor, beta, preset, mode, n, selector,
-                lambda_bar, sigma_hat, variance_convention, source, seed,
-                alphas=_floats(alphas), taus=_floats(taus), m0s=_m0s(m0s),
-                eta=eta, delta=delta, seeds=seeds,
-            )
-        out = cmd_basin(plan, output)
-        click.echo(f"wrote {out}")
-    _guard(run)
+def _run_experiment(command, echo, plan_file, seed, output, opts):
+    """Build or load the plan, run the harness command, report what it wrote."""
+    if plan_file:
+        ctx = click.get_current_context()
+        given = [
+            p.opts[0] for p in ctx.command.params
+            if p.name not in ("plan_file", "seed", "output")
+            and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE
+        ]
+        if given:
+            raise ValueError(f"--plan takes every setting from the plan file; drop {', '.join(given)}")
+        plan = load_plan(plan_file)
+        if plan.seed != seed:
+            raise ValueError(f"--seed {seed} differs from the plan's seed {plan.seed}")
+    else:
+        lists = {k: _LISTS[k](v) for k, v in opts.items() if k in _LISTS and v is not None}
+        plan = _make_plan(seed=seed, **{**opts, **lists})
+    out = command(plan, output)
+    click.echo(echo.format(out=out, summary=out.with_name(out.stem + ".summary.csv")))
+
+
+def _register(name, command, doc, alphas, taus, seeds, options, echo="wrote {out}"):
+    opts = [
+        click.option("--input", "-i", "path", type=click.Path(exists=True, dir_okay=False),
+                     help="Complex file; omit to grow an NGF complex."),
+        click.option("--nodes", type=int, default=50, show_default=True, help="NGF size when no --input."),
+        _flavor_opt,
+        click.option("--beta", type=float, default=0.0, show_default=True),
+        click.option("--preset", type=click.Choice(sorted(SIGNAL_PRESETS)), default=None,
+                     help="Named signal preset (sets mode/selector/m0)."),
+        *_signal_opts,
+        click.option("--alphas", default=alphas, show_default=True, help="Comma-separated noise amplitudes."),
+        click.option("--taus", default=taus, show_default=True, help="Comma-separated filter strengths."),
+        *options,
+        click.option("--seeds", type=int, default=seeds, show_default=True, help="Noise draws per grid cell."),
+        _seed_opt,
+        click.option("--plan", "plan_file", type=click.Path(exists=True, dir_okay=False),
+                     help="Load the full plan from JSON instead of flags (--seed must match it)."),
+        _output_opt,
+    ]
+
+    def experiment(plan_file, seed, output, **opts):
+        _guard(_run_experiment, command, echo, plan_file, seed, output, opts)
+
+    main.command(name, help=doc)(_add(opts)(experiment))
+
+
+for _name, _entry in _EXPERIMENTS.items():
+    _register(_name, **_entry)
 
 
 @main.command("bench")
@@ -347,11 +314,10 @@ def basin(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
 @click.option("--runs", type=int, default=20, show_default=True)
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @click.option("--tau", type=float, default=2.0, show_default=True)
-@click.option("--eta", type=float, default=0.3, show_default=True)
-@click.option("--delta", type=float, default=1e-4, show_default=True)
-@click.option("--flavor", type=click.Choice(["-1", "0", "1"]), default="-1", show_default=True)
-@click.option("--seed", type=int, required=True)
-@click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
+@_add(_eta_delta_opts)
+@_flavor_opt
+@_seed_opt
+@_output_opt
 def bench(sizes, runs, alpha, tau, eta, delta, flavor, seed, output):
     """Wall-time scaling of the adaptive filter vs problem size."""
     def run():

@@ -21,6 +21,7 @@ no spectrum and solves its SPD system by a sparse factorization.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,7 +66,7 @@ def _attenuation(lam: np.ndarray, tau: float, m: float) -> np.ndarray:
 
 
 def _basis_for(Dop: DiracOperator, n: int, basis: SpectralBasis | None) -> SpectralBasis:
-    """The caller's basis, checked against D_n of ``Dop``, or a new one."""
+    """The caller's basis, checked against D_n of ``Dop``, or the one ``Dop`` keeps."""
     if basis is None:
         return spectral_basis(Dop, n)
     basis.check(Dop, n)
@@ -84,7 +85,7 @@ def dirac_filter(
 
     Applied diagonally in the coordinates of the spectral basis of D_n, so
     the output always lies in im(D_n): the part of the input outside it is
-    dropped.  Without ``basis`` one is built from ``Dop``'s cached triplets.
+    dropped.  Without ``basis`` it uses the one ``Dop`` keeps for D_n.
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
@@ -132,8 +133,11 @@ class FilterConfig:
             raise ValueError("delta must be > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if isinstance(self.m0, str) and self.m0 != "auto":
-            raise ValueError(f"m0 must be a number or 'auto', got {self.m0!r}")
+        if isinstance(self.m0, str):
+            if self.m0 != "auto":
+                raise ValueError(f"m0 must be a number or 'auto', got {self.m0!r}")
+        elif not math.isfinite(self.m0):
+            raise ValueError(f"m0 must be finite, got {self.m0!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -209,8 +213,8 @@ def learn(
         m_hat(t+1)  <- (1 - eta) m_hat(t) + eta * Rayleigh(s_hat)
 
     ``m0="auto"`` starts from the Rayleigh quotient of the projected noisy
-    input.  The loop runs on coordinates in the spectral basis of D_n (built
-    from ``Dop`` when no ``basis`` is given).  ``truth`` is measured by its
+    input.  The loop runs on coordinates in the spectral basis of D_n (the
+    one ``Dop`` keeps when no ``basis`` is given).  ``truth`` is measured by its
     projection P_n truth onto im(D_n), as described in :class:`RunTrace`.
     If max_iters is hit the partial trace is still returned with
     ``converged=False`` (or raised inside :class:`NonConvergence` when

@@ -90,8 +90,12 @@ class ExperimentPlan:
         for name in ("alphas", "taus"):
             if not all(math.isfinite(x) and x >= 0 for x in getattr(self, name)):
                 raise ValueError(f"{name} must be finite and >= 0")
+        if not all(math.isfinite(m) for m in self.ms):
+            raise ValueError("ms must be finite")
         if not self.m0s:
             raise ValueError("m0s must be non-empty")
+        if not all(m0 == "auto" if isinstance(m0, str) else math.isfinite(m0) for m0 in self.m0s):
+            raise ValueError("m0s must be finite numbers or 'auto'")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
 

@@ -109,6 +109,14 @@ class DiracOperator:
     def _svd2(self):
         return self._svd(2)
 
+    @cached_property
+    def _basis1(self):
+        return _signed_basis(self, 1, *self._svd1)
+
+    @cached_property
+    def _basis2(self):
+        return _signed_basis(self, 2, *self._svd2)
+
     def singular_triplets(self, n: int):
         if n == 1:
             return self._svd1
@@ -414,23 +422,21 @@ def spectral_basis(
 
     Either way the basis covers the whole spinor space: its kernel columns,
     a basis of ker(D_n), are built only when ``spinor`` asks for one.
+
+    ``Dop`` keeps the svd basis, so every call for the same n returns the
+    same object; the eigh basis is built anew on every call.
     """
     if n not in (1, 2):
         raise InvalidOrder(f"spectral bases exist for n in {{1, 2}}, got {n}")
     if method == "svd":
-        U, sig, V = Dop.singular_triplets(n)
-    elif method == "eigh":
-        U, sig, V = _eigh_triplets(Dop.boundary(n))
-    else:
-        raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
-    return SpectralBasis(
-        order=n,
-        K=Dop.K,
-        U=U,
-        sigma=sig,
-        V=V,
-        signs=_mode_signs(U, V),
-    )
+        return Dop._basis1 if n == 1 else Dop._basis2
+    if method == "eigh":
+        return _signed_basis(Dop, n, *_eigh_triplets(Dop.boundary(n)))
+    raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
+
+
+def _signed_basis(Dop: DiracOperator, n: int, U, sig, V) -> SpectralBasis:
+    return SpectralBasis(order=n, K=Dop.K, U=U, sigma=sig, V=V, signs=_mode_signs(U, V))
 
 
 def _eigh_triplets(B: sp.sparray):

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 from click.testing import CliRunner
 
@@ -138,11 +139,11 @@ def test_bench_cli(tmp_path):
 
 
 def test_empty_m0s_fails_with_one_error_line(tmp_path):
-    for cmd in ("learn", "heatmap", "basin"):
+    for cmd, m0s in product(("learn", "heatmap", "basin"), (",", "")):
         out = tmp_path / f"{cmd}.csv"
-        r = invoke(cmd, "-i", FF, "--m0s", ",", "--seed", 1, "-o", out)
-        assert isinstance(r.exception, SystemExit), (cmd, r.exception)
-        assert r.exit_code == 1, cmd
+        r = invoke(cmd, "-i", FF, "--m0s", m0s, "--seed", 1, "-o", out)
+        assert isinstance(r.exception, SystemExit), (cmd, m0s, r.exception)
+        assert r.exit_code == 1, (cmd, m0s)
         assert r.output.splitlines() == ["error=ValueError: m0s must be non-empty"]
         assert not out.exists()
 
@@ -182,6 +183,63 @@ def test_sweep_m_cli_rejects_bad_alphas_and_taus(tmp_path):
         assert not out.exists()
 
 
+def test_cli_rejects_non_finite_filter_centres(tmp_path):
+    out = tmp_path / "x.csv"
+    for cmd, flag, value, message in (
+        ("sweep-m", "--ms", "0.5,nan", "ms must be finite"),
+        ("learn", "--m0s", "nan", "m0s must be finite numbers or 'auto'"),
+        ("basin", "--m0s", "1,inf", "m0s must be finite numbers or 'auto'"),
+    ):
+        r = invoke(cmd, "-i", FF, flag, value, "--seeds", "1", "--seed", "1", "-o", out)
+        assert r.exit_code == 1, (cmd, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not out.exists()
+
+
+def test_sweep_m_cli_rejects_bad_grid_flags(tmp_path):
+    out = tmp_path / "s.csv"
+    for flag, value, message in (
+        ("--m-step", "0", "m-step must be finite and > 0"),
+        ("--m-step", "-0.5", "m-step must be finite and > 0"),
+        ("--m-max", "nan", "m-max must be finite and >= 0"),
+    ):
+        r = invoke("sweep-m", "-i", FF, flag, value, "--seeds", "1", "--seed", "1", "-o", out)
+        assert isinstance(r.exception, SystemExit), (flag, value, r.exception)
+        assert r.exit_code == 1, (flag, value, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not out.exists()
+
+
+def test_plan_file_rejects_other_flags_and_another_seed(tmp_path):
+    plan = {
+        "dataset": {"kind": "file", "path": FF},
+        "signal": {"mode": "eigen", "n": 1},
+        "m0s": [1.5],
+        "seeds": 1,
+        "seed": 11,
+    }
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    out = tmp_path / "tr.csv"
+    for extra, message in (
+        (("--seed", 11, "--taus", 3), "--plan takes every setting from the plan file; drop --taus"),
+        (("--seed", 11, "-i", FF, "--seeds", 2),
+         "--plan takes every setting from the plan file; drop --input, --seeds"),
+        (("--seed", 99), "--seed 99 differs from the plan's seed 11"),
+    ):
+        r = invoke("learn", "--plan", pf, *extra, "-o", out)
+        assert r.exit_code == 1, (extra, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not out.exists()
+
+    pf.write_text(json.dumps({**plan, "m0s": [float("nan")]}))
+    r = invoke("learn", "--plan", pf, "--seed", 11, "-o", out)
+    assert r.exit_code == 3
+    assert r.output.splitlines() == [
+        "error=ParseError: malformed plan: m0s must be finite numbers or 'auto'"
+    ]
+
+
 def test_stochastic_commands_require_seed(tmp_path):
     for cmd in (
         ("sweep-m", "-i", FF, "-o", tmp_path / "x.csv"),
@@ -193,3 +251,113 @@ def test_stochastic_commands_require_seed(tmp_path):
         r = invoke(*cmd)
         assert r.exit_code == 2, cmd
         assert "--seed" in r.output
+
+
+# (opts, default, required, choices or type) of every option, recorded from
+# the commands as they were before they were declared from one table.
+_DATASET_AND_SIGNAL = [
+    (("--input", "-i"), None, False, "Path"),
+    (("--nodes",), 50, False, "Int"),
+    (("--flavor",), "-1", False, ("-1", "0", "1")),
+    (("--beta",), 0.0, False, "Float"),
+    (("--preset",), None, False, ("gaussian", "largest", "smallest")),
+    (("--mode",), "eigen", False, ("eigen", "gaussian_mix", "lifted")),
+    (("--n",), "1", False, ("1", "2")),
+    (("--selector",), "smallest_positive", False, "String"),
+    (("--lambda-bar",), 1.0, False, "Float"),
+    (("--sigma-hat",), 0.2, False, "Float"),
+    (("--variance-convention",), "linear", False, ("linear", "squared")),
+    (("--source",), None, False, "Path"),
+]
+_ETA_DELTA = [
+    (("--eta",), 0.3, False, "Float"),
+    (("--delta",), 0.0001, False, "Float"),
+]
+_SEED_PLAN_OUTPUT = [
+    (("--seed",), None, True, "Int"),
+    (("--plan",), None, False, "Path"),
+    (("--output", "-o"), None, True, "Path"),
+]
+OPTION_SURFACE = {
+    "basin": [
+        *_DATASET_AND_SIGNAL,
+        (("--alphas",), "0.6,1.5", False, "String"),
+        (("--taus",), "7", False, "String"),
+        (("--m0s",), "0,0.25,0.5,0.75,1,1.25,1.5,1.75,2,2.25,2.5,2.75,3", False, "String"),
+        *_ETA_DELTA,
+        (("--seeds",), 20, False, "Int"),
+        *_SEED_PLAN_OUTPUT,
+    ],
+    "bench": [
+        (("--sizes",), "68,134,267,534,1068", False, "String"),
+        (("--runs",), 20, False, "Int"),
+        (("--alpha",), 0.5, False, "Float"),
+        (("--tau",), 2.0, False, "Float"),
+        *_ETA_DELTA,
+        (("--flavor",), "-1", False, ("-1", "0", "1")),
+        (("--seed",), None, True, "Int"),
+        (("--output", "-o"), None, True, "Path"),
+    ],
+    "generate": [
+        (("--nodes",), None, True, "Int"),
+        (("--flavor",), "-1", False, ("-1", "0", "1")),
+        (("--beta",), 0.0, False, "Float"),
+        (("--seed",), None, True, "Int"),
+        (("--output", "-o"), None, True, "Path"),
+    ],
+    "heatmap": [
+        *_DATASET_AND_SIGNAL,
+        (("--alphas",), "0.1,0.3,0.5,0.7,1.0,1.5", False, "String"),
+        (("--taus",), "0.5,1.0,2.0,5.0,10.0,20.0", False, "String"),
+        (("--m0s",), None, False, "String"),
+        *_ETA_DELTA,
+        (("--seeds",), 10, False, "Int"),
+        *_SEED_PLAN_OUTPUT,
+    ],
+    "info": [
+        (("--input", "-i"), None, True, "Path"),
+    ],
+    "learn": [
+        *_DATASET_AND_SIGNAL,
+        (("--alphas",), "0.5", False, "String"),
+        (("--taus",), "7", False, "String"),
+        (("--m0s",), None, False, "String"),
+        *_ETA_DELTA,
+        (("--max-iters",), 500, False, "Int"),
+        (("--seeds",), 50, False, "Int"),
+        *_SEED_PLAN_OUTPUT,
+    ],
+    "sweep-m": [
+        *_DATASET_AND_SIGNAL,
+        (("--alphas",), "0.6", False, "String"),
+        (("--taus",), "10", False, "String"),
+        (("--ms",), "", False, "String"),
+        (("--m-max",), 3.0, False, "Float"),
+        (("--m-step",), 0.05, False, "Float"),
+        (("--seeds",), 100, False, "Int"),
+        *_SEED_PLAN_OUTPUT,
+    ],
+    "synth": [
+        (("--input", "-i"), None, True, "Path"),
+        *_DATASET_AND_SIGNAL[5:],
+        (("--alpha",), 0.0, False, "Float"),
+        (("--seed",), None, False, "Int"),
+        (("--output", "-o"), None, True, "Path"),
+        (("--noisy-output",), None, False, "Path"),
+    ],
+}
+
+
+def test_option_surface_is_unchanged():
+    def surface(cmd):
+        rows = []
+        for p in cmd.params:
+            info = p.to_info_dict()
+            kind = info["type"].get("choices") or info["type"]["param_type"]
+            rows.append((
+                tuple(info["opts"]), info["default"], info["required"],
+                kind if isinstance(kind, str) else tuple(kind),
+            ))
+        return rows
+
+    assert {name: surface(cmd) for name, cmd in main.commands.items()} == OPTION_SURFACE

@@ -161,6 +161,8 @@ def test_config_validation():
         FilterConfig(tau=1.0, delta=0.0)
     with pytest.raises(ValueError):
         FilterConfig(tau=1.0, m0="magic")
+    with pytest.raises(ValueError):
+        FilterConfig(tau=1.0, m0=float("nan"))
     FilterConfig(tau=1.0, m0="auto", eta=1.0)
 
 

@@ -179,6 +179,9 @@ def test_plan_rejects_bad_noise_tau_and_repeated_sizes():
         ({"taus": (float("nan"),)}, "taus"),
         ({"taus": (-2.0,)}, "taus"),
         ({"sizes": (20, 20)}, "sizes"),
+        ({"ms": (0.5, float("nan"))}, "ms"),
+        ({"m0s": (float("nan"),)}, "m0s"),
+        ({"m0s": ("auto", float("-inf"))}, "m0s"),
     ]
     data = ff_plan().to_dict()
     for kw, match in bad:

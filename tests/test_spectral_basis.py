@@ -11,13 +11,16 @@ from diracsp import (
     NoiseModel,
     TopologicalSpinor,
     assemble_dirac,
+    dirac_filter,
     gaussian_mix_signal,
     learn,
     ngf_generate,
     sample_noise,
     spectral_basis,
 )
+from diracsp import operators
 from diracsp.errors import DimensionMismatch
+from diracsp.operators import _mode_signs
 
 from conftest import HARD_COMPLEXES, random_complex
 from oracles import brute_dirac, dense_spectral_basis, eigenbasis_projection
@@ -111,6 +114,20 @@ def test_foreign_spinor_and_coefficients_rejected(ff_basis, filled_triangle):
         ff_basis.coefficients(TopologicalSpinor.zeros(filled_triangle))
     with pytest.raises(DimensionMismatch):
         ff_basis.synthesize(np.zeros(ff_basis.nonharmonic_dim + 1))
+
+
+def test_operator_keeps_its_svd_basis(coastal, monkeypatch):
+    D = assemble_dirac(coastal)
+    signs = []
+    monkeypatch.setattr(operators, "_mode_signs", lambda U, V: signs.append(1) or _mode_signs(U, V))
+    s = sample_noise(NoiseModel(alpha1=0.5, seed=1), D, 1, 0)
+    for _ in range(2):
+        dirac_filter(s, D, 1, 2.0, 1.0)
+        learn(s, D, 1, FilterConfig(tau=2.0, m0=1.0))
+    assert spectral_basis(D, 1) is spectral_basis(D, 1)
+    assert len(signs) == 1
+    assert spectral_basis(D, 2) is spectral_basis(D, 2) is not spectral_basis(D, 1)
+    assert spectral_basis(D, 1, method="eigh") is not spectral_basis(D, 1, method="eigh")
 
 
 def test_basis_and_learning_never_allocate_a_dense_basis():
