@@ -23,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicateSimplex,
+    EigensolveFailure,
     IndexOutOfRange,
     InvalidOrder,
     MissingFace,
@@ -31,8 +32,9 @@ from .errors import (
 
 COMPLEX_FORMAT = "diracsp/complex/1"
 
-# Singular values below RANK_RTOL * sigma_max count as zero when ranking
-# boundary matrices.
+# Relative cutoff for ranking boundary matrices: a Gram eigenvalue (a squared
+# singular value) at or below RANK_RTOL * w_max counts as zero, and so does a
+# singular value at or below RANK_RTOL * sigma_max on the eigh reference path.
 RANK_RTOL = 1e-10
 
 
@@ -207,17 +209,6 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
 
 
-def matrix_rank(B: sp.sparray | np.ndarray) -> int:
-    """Numerical rank via SVD with relative threshold RANK_RTOL."""
-    A = B.toarray() if sp.issparse(B) else np.asarray(B)
-    if min(A.shape) == 0:
-        return 0
-    s = np.linalg.svd(A.astype(float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
-
-
 def graph_rank(K: SimplicialComplex) -> int:
     """Exact rank of B1: N0 minus the number of connected components."""
     if K.n0 == 0:
@@ -229,14 +220,109 @@ def graph_rank(K: SimplicialComplex) -> int:
     return K.n0 - int(connected_components(adjacency, directed=False, return_labels=False))
 
 
+def triangle_rank(K: SimplicialComplex) -> int:
+    """Rank of B2, exact whenever every link bounds at most two triangles.
+
+    Then ker(B2) has one dimension per triangle component (triangles joined
+    by shared links) that is closed, with no link on a single triangle, and
+    orientable, so rank B2 = N2 minus their number.  Otherwise the rank
+    comes from the eigenvalues of B2's smaller Gram matrix, which must show
+    a clear gap (:func:`_gram_rank`).
+    """
+    if K.n2 == 0:
+        return 0
+    B2 = boundary_matrix(K, 2).tocsr()  # row per link: its triangles and signs
+    if np.diff(B2.indptr).max() > 2:
+        return _gram_rank(B2)
+    return K.n2 - _closed_orientable_components(B2)
+
+
+def _closed_orientable_components(B2: sp.csr_array) -> int:
+    """Number of triangle components of B2's complex that carry a 2-cycle.
+
+    Each triangle t gets an orientation o_t = +/-1 so that every link shared
+    by t and u cancels in B2 o: o_u = -o_t * sign_t * sign_u.  One pass
+    propagates these signs over the triangles joined by shared links; a
+    component is a cycle when it has no free link (one triangle only) and
+    no shared link contradicts the signs.
+    """
+    per_link = np.diff(B2.indptr)
+    first = B2.indptr[:-1]
+    free = np.zeros(B2.shape[1], dtype=bool)
+    free[B2.indices[first[per_link == 1]]] = True
+    neighbours = [[] for _ in range(B2.shape[1])]
+    for row in first[per_link == 2].tolist():
+        t, u = B2.indices[row : row + 2].tolist()
+        flip = bool(B2.data[row] * B2.data[row + 1] > 0)
+        neighbours[t].append((u, flip))
+        neighbours[u].append((t, flip))
+
+    orientation = [0] * B2.shape[1]
+    cycles = 0
+    for root in range(B2.shape[1]):
+        if orientation[root]:
+            continue
+        orientation[root] = 1
+        stack, closed, orientable = [root], True, True
+        while stack:
+            t = stack.pop()
+            closed &= not free[t]
+            for u, flip in neighbours[t]:
+                want = -orientation[t] if flip else orientation[t]
+                if not orientation[u]:
+                    orientation[u] = want
+                    stack.append(u)
+                elif orientation[u] != want:
+                    orientable = False
+        cycles += closed and orientable
+    return cycles
+
+
+def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
+    """The smaller Gram matrix of B, dense, and whether it is B B^T.
+
+    (B B^T, True) when B has no more rows than columns, else (B^T B, False).
+    """
+    wide = B.shape[0] <= B.shape[1]
+    G = B @ B.T if wide else B.T @ B
+    return G.toarray().astype(float, copy=False), wide
+
+
+def _gram_rank(B: sp.sparray) -> int:
+    """rank B from the eigenvalues w of its smaller Gram matrix.
+
+    B is an integer matrix, so its Gram matrix is exact and the eigenvalues
+    of its null space are pure roundoff, at most size * eps * w_max.  Every
+    eigenvalue must lie either at that level or above RANK_RTOL * w_max;
+    one in between leaves the rank undecided and raises
+    :class:`EigensolveFailure`.
+    """
+    try:
+        w = np.linalg.eigvalsh(gram_matrix(B)[0])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+    top = w[-1] if w.size else 0.0
+    if top <= 0.0:
+        return 0
+    roundoff = w.size * np.finfo(float).eps * top
+    cutoff = RANK_RTOL * top
+    undecided = np.count_nonzero((np.abs(w) > roundoff) & (w <= cutoff))
+    if undecided:
+        raise EigensolveFailure(
+            f"no clear gap in the Gram spectrum: {undecided} eigenvalue(s) between "
+            f"roundoff {roundoff:.3g} and the cutoff {cutoff:.3g}"
+        )
+    return int(np.count_nonzero(w > cutoff))
+
+
 def betti_numbers(K: SimplicialComplex) -> tuple[int, int, int]:
     """(beta_0, beta_1, beta_2) from the ranks of the boundary matrices.
 
-    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}).  rank(B1) is
-    exact (:func:`graph_rank`); only rank(B2) is numerical.
+    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}), with rank(B1)
+    from :func:`graph_rank` and rank(B2) from :func:`triangle_rank`.
     """
     r1 = graph_rank(K)
-    r2 = matrix_rank(boundary_matrix(K, 2)) if K.n2 else 0
+    r2 = triangle_rank(K)
     return (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
 
 

@@ -35,7 +35,7 @@ class InvalidOrder(DiracSPError):
 
 
 class EigensolveFailure(DiracSPError):
-    """The symmetric eigensolver / SVD did not converge."""
+    """An eigensolve did not converge, or the rank it shows is contradicted or undecided."""
 
 
 class DimensionMismatch(DiracSPError):

@@ -14,6 +14,13 @@ and 1 triangle, so a complex grown to N nodes always has 2N-3 links and N-2
 triangles.  Flavor -1 gives saturated links (n_ell = 1) zero weight, which
 keeps every link on at most two triangles: the complex is a discrete
 manifold.
+
+The link weights live in arrays preallocated for all 2N-3 links, and each
+step replays ``numpy.random.Generator.choice(p=...)`` exactly: p = w/total,
+cdf = cumsum(p), cdf /= cdf[-1], then ``searchsorted(rng.random(), "right")``.
+With the energies drawn in the same order (three at the start, two after
+each choice), a seed grows the same complex as a loop calling
+``rng.choice``.
 """
 
 from __future__ import annotations
@@ -65,31 +72,37 @@ def ngf_generate(params: NgfParams) -> SimplicialComplex:
     """Grow a complex to ``target_nodes`` nodes; deterministic per seed."""
     rng = rng_stream(params.seed)
     s, beta = params.flavor, params.beta
+    nodes = params.target_nodes
+    size = 2 * nodes - 3  # links of the grown complex
 
-    links: list[tuple[int, int]] = [(0, 1), (0, 2), (1, 2)]
-    triangles: list[tuple[int, int, int]] = [(0, 1, 2)]
-    hits = [0, 0, 0]  # n_ell: times each link has been chosen
-    energies = rng.uniform(0.0, 1.0, size=3).tolist()
+    ends = np.empty((size, 2), dtype=np.int64)
+    ends[:3] = [(0, 1), (0, 2), (1, 2)]
+    triangles = np.empty((nodes - 2, 3), dtype=np.int64)
+    triangles[0] = (0, 1, 2)
+    hits = np.zeros(size)  # n_ell: times each link has been chosen
+    decay = np.empty(size)  # exp(-beta * eps_ell)
+    decay[:3] = np.exp(-beta * rng.uniform(0.0, 1.0, size=3))
 
-    for new_node in range(3, params.target_nodes):
-        w = (1.0 + s * np.asarray(hits, dtype=float)) * np.exp(
-            -beta * np.asarray(energies)
-        )
+    for new_node in range(3, nodes):
+        live = 2 * new_node - 3
+        w = (1.0 + s * hits[:live]) * decay[:live]
         total = w.sum()
         if total <= 0.0:
             # cannot happen for s in {-1,0,1}: fresh links always have weight > 0
             raise InvalidFlavor("no attachable link left; invalid flavor dynamics")
-        choice = int(rng.choice(len(links), p=w / total))
-        i, j = links[choice]
+        # rng.choice(live, p=w / total), step for step
+        cdf = np.cumsum(w / total)
+        cdf /= cdf[-1]
+        choice = int(cdf.searchsorted(rng.random(), side="right"))
         hits[choice] += 1
+        i, j = ends[choice]
 
-        links.append((i, new_node))
-        links.append((j, new_node))
-        hits.extend([0, 0])
-        energies.extend(rng.uniform(0.0, 1.0, size=2).tolist())
-        triangles.append((i, j, new_node))
+        ends[live] = (i, new_node)
+        ends[live + 1] = (j, new_node)
+        decay[live : live + 2] = np.exp(-beta * rng.uniform(0.0, 1.0, size=2))
+        triangles[new_node - 2] = (i, j, new_node)
 
-    return build_complex(links, triangles, params.target_nodes)
+    return build_complex(ends.tolist(), triangles.tolist(), nodes)
 
 
 def load_flow(path, K: SimplicialComplex) -> TopologicalSpinor:

@@ -364,9 +364,15 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
 
 
 def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
-    """Mean reconstruction error of the learned filter over a (tau, alpha) grid."""
+    """Mean reconstruction error of the learned filter over a (tau, alpha) grid.
+
+    Every cell starts the learner from the plan's single initial guess; a
+    plan with more than one m0 is rejected before any work is done.
+    """
+    if len(plan.m0s) != 1:
+        raise ValueError(f"heatmap takes one m0, got {len(plan.m0s)}: {list(plan.m0s)}")
+    (m0,) = plan.m0s
     setup = _prepare(plan)
-    m0 = plan.m0s[0]
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
         traces = _learn_cell(plan, setup, tau, alpha, m0, c)

@@ -25,7 +25,14 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .complexes import RANK_RTOL, SimplicialComplex, boundary_matrix, graph_rank
+from .complexes import (
+    RANK_RTOL,
+    SimplicialComplex,
+    boundary_matrix,
+    graph_rank,
+    gram_matrix,
+    triangle_rank,
+)
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor
 
@@ -91,23 +98,13 @@ class DiracOperator:
 
     # -- spectra of the parts -------------------------------------------------
 
-    def _svd(self, n: int):
-        """Rank-truncated singular triplets (U, sigma, V) of B_n, sigma descending."""
-        return _truncated_svd(self.boundary(n))
-
     @cached_property
     def _svd1(self):
-        U, sig, V = self._svd(1)
-        exact = graph_rank(self.K)
-        if sig.size != exact:
-            raise EigensolveFailure(
-                f"numerical rank of B1 is {sig.size}, but N0 - #components = {exact}"
-            )
-        return U, sig, V
+        return _gram_triplets(self.B1, graph_rank(self.K))
 
     @cached_property
     def _svd2(self):
-        return self._svd(2)
+        return _gram_triplets(self.B2, triangle_rank(self.K))
 
     @cached_property
     def _basis1(self):
@@ -199,22 +196,38 @@ def hodge_laplacian(
     return (d + u).tocsr()
 
 
-# -- SVD machinery ------------------------------------------------------------
+# -- singular triplets --------------------------------------------------------
 
 
-def _truncated_svd(B: sp.sparray):
-    """(U, sigma, V) of B keeping sigma > RANK_RTOL * sigma_max, descending."""
+def _gram_triplets(B: sp.sparray, r: int):
+    """(U, sigma, V) of the r nonzero singular triplets of B, sigma descending.
+
+    A dense eigh of the smaller Gram matrix (B B^T when B has no more rows
+    than columns, else B^T B) gives sigma^2 and one factor; the other is
+    B^T U / sigma (or B V / sigma).  The rank r is exact (graph_rank,
+    triangle_rank); the count of Gram eigenvalues above RANK_RTOL * w_max
+    must agree with it, or the eigensolve is not trusted.  U and V are
+    C-contiguous, so products with them never copy.
+    """
     m, n = B.shape
     if m == 0 or n == 0:
         return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    G, wide = gram_matrix(B)
     try:
-        U, s, Vt = np.linalg.svd(B.toarray(), full_matrices=False)
+        w, X = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"dense SVD failed: {exc}") from exc
-    if s[0] == 0.0:
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-    r = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    return U[:, :r], s[:r], Vt[:r].T
+        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+    found = int(np.count_nonzero(w > RANK_RTOL * w[-1])) if w[-1] > 0.0 else 0
+    if found != r:
+        raise EigensolveFailure(
+            f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
+            f"the cutoff, but its exact rank is {r}"
+        )
+    top = np.arange(w.size - 1, w.size - 1 - r, -1)
+    sigma = np.sqrt(w[top])
+    X = np.ascontiguousarray(X[:, top])
+    Y = np.ascontiguousarray((B.T @ X if wide else B @ X) / sigma)
+    return (X, sigma, Y) if wide else (Y, sigma, X)
 
 
 def _complement(A: np.ndarray) -> np.ndarray:
@@ -499,7 +512,7 @@ def chirality_map(phi: TopologicalSpinor, n: int) -> TopologicalSpinor:
 def dirac_project(s: TopologicalSpinor, Dop: DiracOperator, n: int) -> TopologicalSpinor:
     """Project onto im(D_n): the component s_n = D_n D_n^+ s.
 
-    Computed blockwise from the truncated SVD of B_n, so the projector is
+    Computed blockwise from the singular triplets of B_n, so the projector is
     exactly idempotent up to roundoff.
     """
     Dop._check(s)

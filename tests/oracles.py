@@ -34,6 +34,17 @@ def exact_rank(M) -> int:
     return rank
 
 
+def matrix_rank(B, rtol=1e-10) -> int:
+    """Numerical rank from a dense SVD: singular values above rtol * sigma_max."""
+    A = B.toarray() if hasattr(B, "toarray") else np.asarray(B)
+    if min(A.shape) == 0:
+        return 0
+    s = np.linalg.svd(A.astype(float), compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0]))
+
+
 def dense_eigh(M):
     """Sorted eigenvalues and eigenvectors of a (sparse or dense) symmetric matrix."""
     A = M.toarray() if hasattr(M, "toarray") else np.asarray(M, dtype=float)

@@ -148,6 +148,18 @@ def test_empty_m0s_fails_with_one_error_line(tmp_path):
         assert not out.exists()
 
 
+def test_heatmap_cli_rejects_more_than_one_m0(tmp_path):
+    out = tmp_path / "h.csv"
+    r = invoke(
+        "heatmap", "-i", FF, "--m0s", "0.5,2.5", "--alphas", "0.5",
+        "--taus", "5", "--seeds", "2", "--seed", "1", "-o", out,
+    )
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 1
+    assert r.output.splitlines() == ["error=ValueError: heatmap takes one m0, got 2: [0.5, 2.5]"]
+    assert not out.exists()
+
+
 def test_bench_cli_rejects_zero_runs(tmp_path):
     r = invoke(
         "bench", "--sizes", "20,40", "--runs", "0", "--seed", "1",

@@ -1,14 +1,24 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracsp import betti_numbers, boundary_matrix, build_complex, load_complex
-from diracsp.complexes import from_dict, matrix_rank
+from diracsp import (
+    NgfParams,
+    betti_numbers,
+    boundary_matrix,
+    build_complex,
+    load_complex,
+    ngf_generate,
+)
+from diracsp import complexes
+from diracsp.complexes import from_dict, triangle_rank
 from diracsp.errors import (
     DuplicateSimplex,
+    EigensolveFailure,
     IndexOutOfRange,
     InvalidOrder,
     MissingFace,
@@ -16,7 +26,7 @@ from diracsp.errors import (
 )
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import exact_rank
+from oracles import exact_rank, matrix_rank
 
 
 def test_filled_triangle_is_valid(filled_triangle):
@@ -110,16 +120,84 @@ def test_betti_coastal(coastal):
     assert betti_numbers(coastal) == (1, 4, 0)
 
 
-@pytest.mark.parametrize("name", sorted(HARD_COMPLEXES))
-def test_betti_hard_inputs_match_exact_ranks(name):
-    K = HARD_COMPLEXES[name]
-    r1 = exact_rank(boundary_matrix(K, 1))
-    r2 = exact_rank(boundary_matrix(K, 2))
-    assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
-
-
 def test_betti_tetrahedron_boundary_has_a_cavity():
     assert betti_numbers(HARD_COMPLEXES["tetrahedron"]) == (1, 0, 1)
+
+
+def _surface(triangles):
+    links = {face for tri in triangles for face in combinations(sorted(tri), 2)}
+    return build_complex(sorted(links), triangles)
+
+
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+
+# Closed surfaces and a surface with boundary, with their Betti numbers over Q
+# (the tetrahedron boundary itself is in HARD_COMPLEXES).
+SURFACES = {
+    # two tetrahedron boundaries glued at node 0: two separate 2-cycles
+    "two_tetrahedra": (
+        _surface(TETRAHEDRON + [tuple(v and v + 3 for v in tri) for tri in TETRAHEDRON]),
+        (1, 0, 2),
+    ),
+    # the 6-vertex projective plane: closed but not orientable
+    "rp2": (
+        _surface([
+            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+        ]),
+        (1, 0, 0),
+    ),
+    "moebius": (_surface([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]), (1, 1, 0)),
+}
+
+
+def _triangles_per_link(K):
+    return np.abs(boundary_matrix(K, 2).toarray()).sum(axis=1)
+
+
+RANK_CASES = {
+    **HARD_COMPLEXES,
+    **{name: K for name, (K, _) in SURFACES.items()},
+    # flavors 0 and 1 put more than two triangles on a link: the Gram path
+    **{
+        f"ngf-flavor{flavor}-seed{seed}": ngf_generate(
+            NgfParams(target_nodes=40, flavor=flavor, seed=seed)
+        )
+        for flavor in (0, 1)
+        for seed in (0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_betti_hard_inputs_match_exact_ranks(name):
+    K = RANK_CASES[name]
+    r1 = exact_rank(boundary_matrix(K, 1))
+    r2 = exact_rank(boundary_matrix(K, 2))
+    assert triangle_rank(K) == r2
+    assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
+    if name.startswith("ngf"):
+        assert _triangles_per_link(K).max() > 2
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_surfaces_have_the_known_betti_numbers(name):
+    K, betti = SURFACES[name]
+    per_link = _triangles_per_link(K)
+    # every link of a closed surface bounds two triangles; the strip has a boundary
+    assert per_link.min() == (1 if name == "moebius" else 2) and per_link.max() == 2
+    assert betti_numbers(K) == betti
+
+
+def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
+    # a cutoff far above roundoff puts genuine eigenvalues between the two
+    # levels of the gap test, so the rank is undecided
+    K = RANK_CASES["ngf-flavor0-seed0"]
+    monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
+    with pytest.raises(EigensolveFailure, match="no clear gap"):
+        triangle_rank(K)
+    with pytest.raises(EigensolveFailure):
+        betti_numbers(K)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,9 +216,10 @@ def test_random_complex_invariants(seed):
     # Euler characteristic
     b0, b1, b2 = betti_numbers(K)
     assert b0 - b1 + b2 == K.euler_characteristic()
-    # SVD rank agrees with the exact rational rank
+    # the dense SVD rank and the library's rank of B2 agree with the exact rational rank
     assert matrix_rank(B1) == exact_rank(B1)
     assert matrix_rank(B2) == exact_rank(B2)
+    assert triangle_rank(K) == exact_rank(B2)
 
 
 @settings(max_examples=15, deadline=None)

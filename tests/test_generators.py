@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -74,6 +75,28 @@ def test_determinism():
     assert a == b
     c = ngf_generate(NgfParams(target_nodes=50, seed=1235))
     assert a != c
+
+
+# sha256 of repr((links, triangles)) as grown by the generator that called
+# rng.choice(p=...) once per step; the sampler must replay it exactly.
+PINNED = {
+    # (target_nodes, flavor, beta, seed)
+    (1000, -1, 0.0, 0): "534cfdfec0a9a294a3670a1f53d5d12beff140376d2218cbda95b2f287e73236",
+    (500, 0, 0.0, 3): "54f55c0b7a870a4e2d67d04a3658daed7781b9b43c4ddc7141081fe6ac7424e1",
+    (600, 1, 0.5, 2): "c41fe722599809b83e4abf86befdef5a9640c5b36c899cd1969f2d35f4aabd7d",
+    (300, -1, 1.0, 5): "e3778f2de9ba99e6aa894b6d63ca3df9efd4722e85060c5115a2134d949af09d",
+    (50, 0, 2.0, 9): "6ddfac2a5a8f9f76bb68ffdb68901a9bb8cb1e7bef87453edb4104e2646faa57",
+    (400, 1, 0.0, 11): "f6a8b554eb3923291c26e2d6e156d2a56baf577618c2092b1ae57fbc64e6436f",
+    (200, -1, 0.3, 1): "a9f7663f408ae9ce807b34f16f892741e3da814dcab714cffc553557563287a3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+def test_generator_output_is_pinned(case):
+    nodes, flavor, beta, seed = case
+    K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, beta=beta, seed=seed))
+    digest = hashlib.sha256(repr((K.links, K.triangles)).encode()).hexdigest()
+    assert digest == PINNED[case]
 
 
 def test_invalid_params():

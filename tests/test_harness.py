@@ -120,6 +120,16 @@ def test_heatmap_alpha_zero_row(tmp_path):
             assert float(r[2]) <= 1e-5
 
 
+def test_heatmap_rejects_more_than_one_m0(tmp_path, monkeypatch):
+    from diracsp import harness
+
+    plan = ff_plan(m0s=(0.5, 2.5), seeds=2)
+    monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
+    with pytest.raises(ValueError, match="heatmap takes one m0, got 2"):
+        cmd_heatmap(plan, tmp_path / "h.csv")
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_basin_rows(tmp_path):
     plan = ff_plan(alphas=(0.6,), taus=(7.0,), m0s=(0.5, 1.0, 2.0), seeds=3)
     out = cmd_basin(plan, tmp_path / "b.csv")

@@ -275,8 +275,8 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
 
 
 def test_wide_boundary_takes_the_dense_svd():
-    # complete graph on 90 nodes: B1 is 90 x 4005, wider than any former
-    # dense-SVD size limit; L0 = 90 I - J, so every nonzero sigma is sqrt(90)
+    # complete graph on 90 nodes: B1 is 90 x 4005, and its triplets come from
+    # the 90 x 90 Gram matrix L0 = 90 I - J, so every nonzero sigma is sqrt(90)
     nodes = 90
     K = build_complex(
         [(i, j) for i in range(nodes) for j in range(i + 1, nodes)], node_count=nodes

@@ -20,10 +20,11 @@ from diracsp import (
 )
 from diracsp import operators
 from diracsp.errors import DimensionMismatch
-from diracsp.operators import _mode_signs
+from diracsp.datasets import coastal_tessellation
+from diracsp.operators import _eigh_triplets, _gram_triplets, _mode_signs
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import brute_dirac, dense_spectral_basis, eigenbasis_projection
+from oracles import brute_dirac, dense_spectral_basis, eigenbasis_projection, exact_rank
 
 def _corpus():
     rng = np.random.default_rng(23)
@@ -102,6 +103,27 @@ def test_eigh_path_agrees_up_to_rotation(name, K, n):
         A, B = _columns(svd, idx), _columns(eigh, idx)
         assert np.abs(A @ A.T - B @ B.T).max() <= 1e-8
         start = stop
+
+
+GRAM_CASES = CASES + [("coastal", coastal_tessellation(), n) for n in (1, 2)]
+
+
+@pytest.mark.parametrize("name,K,n", GRAM_CASES, ids=[f"{c[0]}-n{c[2]}" for c in GRAM_CASES])
+def test_gram_triplets_agree_with_eigh_reference(name, K, n):
+    B = assemble_dirac(K).boundary(n)
+    r = exact_rank(B)
+    U0, sigma0, V0 = _eigh_triplets(B)
+    U, sigma, V = _gram_triplets(B, r)
+    assert sigma.size == sigma0.size == r
+    assert U.flags.c_contiguous and V.flags.c_contiguous
+    assert np.abs(sigma - sigma0).max(initial=0.0) <= 1e-12
+    eye = np.eye(r)
+    assert np.abs(U.T @ U - eye).max(initial=0.0) <= 1e-12
+    assert np.abs(V.T @ V - eye).max(initial=0.0) <= 1e-12
+    assert np.abs((U * sigma) @ V.T - B.toarray()).max(initial=0.0) <= 1e-12
+    # the same image and coimage as the reference
+    assert np.abs(U @ U.T - U0 @ U0.T).max(initial=0.0) <= 1e-12
+    assert np.abs(V @ V.T - V0 @ V0.T).max(initial=0.0) <= 1e-12
 
 
 def test_spinor_index_out_of_range(ff_basis):
