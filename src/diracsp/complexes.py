@@ -13,7 +13,7 @@ Instances are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,9 +32,10 @@ from .errors import (
 
 COMPLEX_FORMAT = "diracsp/complex/1"
 
-# Relative cutoff for ranking boundary matrices: a Gram eigenvalue (a squared
-# singular value) at or below RANK_RTOL * w_max counts as zero, and so does a
-# singular value at or below RANK_RTOL * sigma_max on the eigh reference path.
+# Relative cutoff of the gap test that ranks boundary matrices (gap_rank): a
+# Gram eigenvalue (a squared singular value) must sit at roundoff level or
+# above RANK_RTOL * w_max.  On the eigh reference path a singular value at or
+# below RANK_RTOL * sigma_max counts as zero.
 RANK_RTOL = 1e-10
 
 
@@ -45,14 +46,6 @@ class SimplicialComplex:
     node_count: int
     links: tuple[tuple[int, int], ...]
     triangles: tuple[tuple[int, int, int], ...] = ()
-    _link_index: dict[tuple[int, int], int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_link_index", {lk: i for i, lk in enumerate(self.links)}
-        )
 
     @property
     def n0(self) -> int:
@@ -85,11 +78,7 @@ class SimplicialComplex:
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering."""
-        key = (i, j) if i < j else (j, i)
-        try:
-            return self._link_index[key]
-        except KeyError:
-            raise MissingFace(f"link {key} is not part of the complex") from None
+        return int(_link_rows(self, np.array([min(i, j)]), np.array([max(i, j)]))[0])
 
     def euler_characteristic(self) -> int:
         return self.n0 - self.n1 + self.n2
@@ -179,6 +168,30 @@ def build_complex(
     return SimplicialComplex(node_count, tuple(lks), tuple(tris))
 
 
+def _array(simplices, width: int) -> np.ndarray:
+    return np.array(simplices, dtype=np.int64).reshape(-1, width)
+
+
+def _link_rows(K: SimplicialComplex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Positions in K.links of the links (lo[f], hi[f]), lo < hi.
+
+    Each link is coded as i * N0 + j and looked up in the argsorted codes of
+    K.links, so any link order works.  A link not in K raises
+    :class:`MissingFace` naming the first one.
+    """
+    ends = _array(K.links, 2)
+    codes = ends[:, 0] * K.n0 + ends[:, 1]
+    order = np.argsort(codes, kind="stable")
+    want = lo * K.n0 + hi
+    pos = np.searchsorted(codes, want, sorter=order)
+    found = pos < codes.size
+    found[found] = codes[order[pos[found]]] == want[found]
+    if not found.all():
+        f = int(np.argmin(found))
+        raise MissingFace(f"link {(int(lo[f]), int(hi[f]))} is not part of the complex")
+    return order[pos]
+
+
 def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     """Signed boundary matrix B_n as a sparse integer matrix.
 
@@ -188,32 +201,24 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     matrix.
     """
     if n == 1:
-        rows, cols, vals = [], [], []
-        for c, (i, j) in enumerate(K.links):
-            rows += [i, j]
-            cols += [c, c]
-            vals += [-1, 1]
-        return sp.csc_array(
-            (vals, (rows, cols)), shape=(K.n0, K.n1), dtype=np.int64
-        )
-    if n == 2:
-        rows, cols, vals = [], [], []
-        for c, tri in enumerate(K.triangles):
-            for face, sign in zip(triangle_faces(tri), (1, -1, 1)):
-                rows.append(K.link_index(*face))
-                cols.append(c)
-                vals.append(sign)
-        return sp.csc_array(
-            (vals, (rows, cols)), shape=(K.n1, K.n2), dtype=np.int64
-        )
-    raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
+        rows, signs, shape = _array(K.links, 2).ravel(), [-1, 1], (K.n0, K.n1)
+    elif n == 2:
+        tris = _array(K.triangles, 3)
+        a, b = tris[:, [0, 0, 1]].ravel(), tris[:, [1, 2, 2]].ravel()
+        rows = _link_rows(K, np.minimum(a, b), np.maximum(a, b))
+        signs, shape = [1, -1, 1], (K.n1, K.n2)
+    else:
+        raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
+    cols = np.repeat(np.arange(shape[1]), len(signs))
+    vals = np.tile(signs, shape[1])
+    return sp.csc_array((vals, (rows, cols)), shape=shape, dtype=np.int64)
 
 
 def graph_rank(K: SimplicialComplex) -> int:
     """Exact rank of B1: N0 minus the number of connected components."""
     if K.n0 == 0:
         return 0
-    ends = np.array(K.links, dtype=np.int64).reshape(-1, 2)
+    ends = _array(K.links, 2)
     adjacency = sp.coo_array(
         (np.ones(K.n1), (ends[:, 0], ends[:, 1])), shape=(K.n0, K.n0)
     )
@@ -221,20 +226,33 @@ def graph_rank(K: SimplicialComplex) -> int:
 
 
 def triangle_rank(K: SimplicialComplex) -> int:
-    """Rank of B2, exact whenever every link bounds at most two triangles.
+    """Rank of B2: exact where :func:`combinatorial_rank` decides it, else the
+    :func:`gap_rank` of the eigenvalues of B2's smaller Gram matrix.
+    """
+    B2 = boundary_matrix(K, 2)
+    r = combinatorial_rank(B2)
+    if r is None:
+        try:
+            w = np.linalg.eigvalsh(gram_matrix(B2)[0])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+        r = gap_rank(w, RANK_RTOL)
+    return r
+
+
+def combinatorial_rank(B2: sp.sparray) -> int | None:
+    """Exact rank of B2 when every link bounds at most two triangles, else None.
 
     Then ker(B2) has one dimension per triangle component (triangles joined
     by shared links) that is closed, with no link on a single triangle, and
-    orientable, so rank B2 = N2 minus their number.  Otherwise the rank
-    comes from the eigenvalues of B2's smaller Gram matrix, which must show
-    a clear gap (:func:`_gram_rank`).
+    orientable, so rank B2 = N2 minus their number.
     """
-    if K.n2 == 0:
+    if B2.shape[1] == 0:
         return 0
-    B2 = boundary_matrix(K, 2).tocsr()  # row per link: its triangles and signs
+    B2 = B2.tocsr()  # row per link: its triangles and signs
     if np.diff(B2.indptr).max() > 2:
-        return _gram_rank(B2)
-    return K.n2 - _closed_orientable_components(B2)
+        return None
+    return B2.shape[1] - _closed_orientable_components(B2)
 
 
 def _closed_orientable_components(B2: sp.csr_array) -> int:
@@ -288,24 +306,19 @@ def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
     return G.toarray().astype(float, copy=False), wide
 
 
-def _gram_rank(B: sp.sparray) -> int:
-    """rank B from the eigenvalues w of its smaller Gram matrix.
+def gap_rank(w: np.ndarray, rtol: float) -> int:
+    """Rank of a boundary matrix B from the ascending spectrum w of its Gram matrix.
 
     B is an integer matrix, so its Gram matrix is exact and the eigenvalues
     of its null space are pure roundoff, at most size * eps * w_max.  Every
-    eigenvalue must lie either at that level or above RANK_RTOL * w_max;
-    one in between leaves the rank undecided and raises
-    :class:`EigensolveFailure`.
+    eigenvalue must lie either at that level or above rtol * w_max; one in
+    between leaves the rank undecided and raises :class:`EigensolveFailure`.
     """
-    try:
-        w = np.linalg.eigvalsh(gram_matrix(B)[0])
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
     top = w[-1] if w.size else 0.0
     if top <= 0.0:
         return 0
     roundoff = w.size * np.finfo(float).eps * top
-    cutoff = RANK_RTOL * top
+    cutoff = rtol * top
     undecided = np.count_nonzero((np.abs(w) > roundoff) & (w <= cutoff))
     if undecided:
         raise EigensolveFailure(

@@ -114,6 +114,12 @@ def reconstruction_error(s_hat: TopologicalSpinor, s_true: TopologicalSpinor) ->
 error = reconstruction_error
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int; a bool does not count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FilterConfig:
     """Parameters of the adaptive filter loop."""
@@ -131,6 +137,7 @@ class FilterConfig:
             raise ValueError("eta must lie in (0, 1]")
         if not self.delta > 0:
             raise ValueError("delta must be > 0")
+        require_int("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if isinstance(self.m0, str):

@@ -34,6 +34,7 @@ from .filtering import (
     learn,
     rayleigh_m,
     reconstruction_error,
+    require_int,
 )
 from .generators import NgfParams, ngf_generate
 from .operators import DiracOperator, SpectralBasis, assemble_dirac, spectral_basis
@@ -81,6 +82,10 @@ class ExperimentPlan:
     runs: int = 20  # bench: timed runs per size
 
     def __post_init__(self):
+        for name in ("seeds", "seed", "max_iters", "runs"):
+            require_int(name, getattr(self, name))
+        for size in self.sizes:
+            require_int("every size", size)
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.runs < 1:
@@ -274,11 +279,15 @@ def _draws(plan: ExperimentPlan, setup: _Setup, alpha: float, cell_index: int):
             yield setup.s_true
 
 
+def _configs(plan: ExperimentPlan) -> dict:
+    """The filter setting of every (tau, m0) of a learning grid, checked up front."""
+    return {(tau, m0): plan.config(tau, m0) for tau, m0 in product(plan.taus, plan.m0s)}
+
+
 def _learn_cell(
-    plan: ExperimentPlan, setup: _Setup, tau: float, alpha: float, m0, cell_index: int
+    plan: ExperimentPlan, setup: _Setup, config: FilterConfig, alpha: float, cell_index: int
 ) -> list[RunTrace]:
     """One learning run per draw of a grid cell, in draw order."""
-    config = plan.config(tau, m0)
     return [
         learn(s_tilde, setup.Dop, setup.n, config, truth=setup.s_true, basis=setup.basis)[1]
         for s_tilde in _draws(plan, setup, alpha, cell_index)
@@ -329,10 +338,11 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
     A companion ``<out stem>.summary.csv`` holds one row per draw with the
     converged flag, final m and the error-reduction ratio vs the noisy input.
     """
+    configs = _configs(plan)
     setup = _prepare(plan)
     trace_rows, summary_rows = [], []
     for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        for k, tr in enumerate(_learn_cell(plan, setup, tau, alpha, m0, c)):
+        for k, tr in enumerate(_learn_cell(plan, setup, configs[tau, m0], alpha, c)):
             trace_rows.extend(
                 (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error) for r in tr.rows
             )
@@ -372,10 +382,11 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
     if len(plan.m0s) != 1:
         raise ValueError(f"heatmap takes one m0, got {len(plan.m0s)}: {list(plan.m0s)}")
     (m0,) = plan.m0s
+    configs = _configs(plan)
     setup = _prepare(plan)
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
-        traces = _learn_cell(plan, setup, tau, alpha, m0, c)
+        traces = _learn_cell(plan, setup, configs[tau, m0], alpha, c)
         rows.append((
             tau, alpha,
             *_mean_std([tr.rows[-1].delta_s for tr in traces]),
@@ -391,10 +402,11 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
 
 def cmd_basin(plan: ExperimentPlan, out) -> Path:
     """Convergence basin: |m_final - m_true| as a function of the initial guess."""
+    configs = _configs(plan)
     setup = _prepare(plan)
     rows = []
     for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        traces = _learn_cell(plan, setup, tau, alpha, m0, c)
+        traces = _learn_cell(plan, setup, configs[tau, m0], alpha, c)
         rows.append((
             tau, alpha, m0, setup.m_true,
             *_mean_std([abs(tr.final_m - setup.m_true) for tr in traces]),

@@ -29,9 +29,10 @@ from .complexes import (
     RANK_RTOL,
     SimplicialComplex,
     boundary_matrix,
+    combinatorial_rank,
+    gap_rank,
     graph_rank,
     gram_matrix,
-    triangle_rank,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor
@@ -104,7 +105,7 @@ class DiracOperator:
 
     @cached_property
     def _svd2(self):
-        return _gram_triplets(self.B2, triangle_rank(self.K))
+        return _gram_triplets(self.B2, combinatorial_rank(self.B2))
 
     @cached_property
     def _basis1(self):
@@ -199,15 +200,15 @@ def hodge_laplacian(
 # -- singular triplets --------------------------------------------------------
 
 
-def _gram_triplets(B: sp.sparray, r: int):
-    """(U, sigma, V) of the r nonzero singular triplets of B, sigma descending.
+def _gram_triplets(B: sp.sparray, r: int | None):
+    """(U, sigma, V) of the nonzero singular triplets of B, sigma descending.
 
     A dense eigh of the smaller Gram matrix (B B^T when B has no more rows
     than columns, else B^T B) gives sigma^2 and one factor; the other is
-    B^T U / sigma (or B V / sigma).  The rank r is exact (graph_rank,
-    triangle_rank); the count of Gram eigenvalues above RANK_RTOL * w_max
-    must agree with it, or the eigensolve is not trusted.  U and V are
-    C-contiguous, so products with them never copy.
+    B^T U / sigma (or B V / sigma).  The rank is the :func:`gap_rank` of
+    that one spectrum, which must equal the exact rank r when one is known
+    (graph_rank, combinatorial_rank), or the eigensolve is not trusted.  U
+    and V are C-contiguous, so products with them never copy.
     """
     m, n = B.shape
     if m == 0 or n == 0:
@@ -217,13 +218,13 @@ def _gram_triplets(B: sp.sparray, r: int):
         w, X = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
-    found = int(np.count_nonzero(w > RANK_RTOL * w[-1])) if w[-1] > 0.0 else 0
-    if found != r:
+    found = gap_rank(w, RANK_RTOL)
+    if r is not None and found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
-            f"the cutoff, but its exact rank is {r}"
+            f"the gap, but its exact rank is {r}"
         )
-    top = np.arange(w.size - 1, w.size - 1 - r, -1)
+    top = np.arange(w.size - 1, w.size - 1 - found, -1)
     sigma = np.sqrt(w[top])
     X = np.ascontiguousarray(X[:, top])
     Y = np.ascontiguousarray((B.T @ X if wide else B @ X) / sigma)

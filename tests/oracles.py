@@ -8,6 +8,7 @@ eigendecompositions of matrices assembled straight from the definitions.
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def exact_rank(M) -> int:
@@ -32,6 +33,24 @@ def exact_rank(M) -> int:
         if pivot_row == rows:
             break
     return rank
+
+
+def loop_boundary_matrix(K, n):
+    """B_n built one simplex at a time, each face found in a dict of link positions."""
+    rows, cols, vals = [], [], []
+    if n == 1:
+        for c, (i, j) in enumerate(K.links):
+            rows += [i, j]
+            cols += [c, c]
+            vals += [-1, 1]
+        return sp.csc_array((vals, (rows, cols)), shape=(K.n0, K.n1), dtype=np.int64)
+    link_pos = {lk: p for p, lk in enumerate(K.links)}
+    for c, (i, j, k) in enumerate(K.triangles):
+        for face, sign in zip(((i, j), (i, k), (j, k)), (1, -1, 1)):
+            rows.append(link_pos[tuple(sorted(face))])
+            cols.append(c)
+            vals.append(sign)
+    return sp.csc_array((vals, (rows, cols)), shape=(K.n1, K.n2), dtype=np.int64)
 
 
 def matrix_rank(B, rtol=1e-10) -> int:

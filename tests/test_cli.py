@@ -252,6 +252,28 @@ def test_plan_file_rejects_other_flags_and_another_seed(tmp_path):
     ]
 
 
+def test_plan_file_rejects_non_integer_counts(tmp_path):
+    plan = {
+        "dataset": {"kind": "file", "path": FF},
+        "signal": {"mode": "eigen", "n": 1},
+        "m0s": [1.5],
+        "seeds": 1,
+        "seed": 11,
+    }
+    pf = tmp_path / "plan.json"
+    out = tmp_path / "tr.csv"
+    for field, value in (
+        ("seeds", 2.5), ("seeds", True), ("seed", 11.0), ("max_iters", 2.5), ("runs", 2.5),
+    ):
+        pf.write_text(json.dumps({**plan, field: value}))
+        r = invoke("learn", "--plan", pf, "--seed", 11, "-o", out)
+        assert r.exit_code == 3, (field, value, r.output)
+        assert r.output.splitlines() == [
+            f"error=ParseError: malformed plan: {field} must be an integer, got {value!r}"
+        ]
+        assert not out.exists()
+
+
 def test_stochastic_commands_require_seed(tmp_path):
     for cmd in (
         ("sweep-m", "-i", FF, "-o", tmp_path / "x.csv"),

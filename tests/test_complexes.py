@@ -15,7 +15,7 @@ from diracsp import (
     ngf_generate,
 )
 from diracsp import complexes
-from diracsp.complexes import from_dict, triangle_rank
+from diracsp.complexes import SimplicialComplex, from_dict, triangle_rank
 from diracsp.errors import (
     DuplicateSimplex,
     EigensolveFailure,
@@ -26,7 +26,7 @@ from diracsp.errors import (
 )
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import exact_rank, matrix_rank
+from oracles import exact_rank, loop_boundary_matrix, matrix_rank
 
 
 def test_filled_triangle_is_valid(filled_triangle):
@@ -200,6 +200,42 @@ def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
         betti_numbers(K)
 
 
+def _matches_loop_reference(K):
+    """B1 and B2 equal the loop-built reference in shape, entries and int64 dtype."""
+    for n in (1, 2):
+        B, ref = boundary_matrix(K, n), loop_boundary_matrix(K, n)
+        if B.shape != ref.shape or B.dtype != np.int64:
+            return False
+        if not np.array_equal(B.toarray(), ref.toarray()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_boundary_matrix_matches_the_loop_reference(name):
+    assert _matches_loop_reference(RANK_CASES[name])
+
+
+def test_boundary_of_a_complex_missing_a_face_names_it():
+    K = SimplicialComplex(3, ((0, 1), (0, 2)), ((0, 1, 2),))
+    with pytest.raises(MissingFace, match=r"link \(1, 2\) is not part of the complex"):
+        boundary_matrix(K, 2)
+    with pytest.raises(MissingFace, match=r"link \(1, 2\)"):
+        K.link_index(2, 1)
+    assert K.link_index(2, 0) == 1
+
+
+def test_boundary_of_a_complex_with_links_out_of_order():
+    K = SURFACES["rp2"][0]
+    perm = np.random.default_rng(5).permutation(K.n1)
+    shuffled = SimplicialComplex(K.n0, tuple(K.links[p] for p in perm), K.triangles)
+    assert _matches_loop_reference(shuffled)
+    # row p of the shuffled B2 is row perm[p] of the canonical one
+    B2 = boundary_matrix(K, 2).toarray()
+    assert np.array_equal(boundary_matrix(shuffled, 2).toarray(), B2[perm])
+    assert [shuffled.link_index(*lk) for lk in K.links] == np.argsort(perm).tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_random_complex_invariants(seed):
@@ -220,6 +256,7 @@ def test_random_complex_invariants(seed):
     assert matrix_rank(B1) == exact_rank(B1)
     assert matrix_rank(B2) == exact_rank(B2)
     assert triangle_rank(K) == exact_rank(B2)
+    assert _matches_loop_reference(K)
 
 
 @settings(max_examples=15, deadline=None)

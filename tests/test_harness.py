@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diracsp import ExperimentPlan, SignalSpec
+from diracsp import ExperimentPlan, FilterConfig, SignalSpec
 from diracsp.datasets import dataset_path
 from diracsp.errors import ParseError
 from diracsp.harness import (
@@ -130,6 +130,23 @@ def test_heatmap_rejects_more_than_one_m0(tmp_path, monkeypatch):
     assert not (tmp_path / "h.csv").exists()
 
 
+@pytest.mark.parametrize("command", [cmd_learn, cmd_heatmap, cmd_basin])
+def test_learning_commands_check_filter_settings_before_set_up(command, tmp_path, monkeypatch):
+    from diracsp import harness
+
+    monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
+    for kw, match in (
+        ({"taus": (7.0, 0.0)}, "tau must be > 0"),
+        ({"eta": 1.5}, "eta must lie in"),
+        ({"delta": 0.0}, "delta must be > 0"),
+        ({"max_iters": 0}, "max_iters must be >= 1"),
+    ):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=match):
+            command(ff_plan(**kw), out)
+        assert not out.exists()
+
+
 def test_basin_rows(tmp_path):
     plan = ff_plan(alphas=(0.6,), taus=(7.0,), m0s=(0.5, 1.0, 2.0), seeds=3)
     out = cmd_basin(plan, tmp_path / "b.csv")
@@ -179,6 +196,27 @@ def test_plan_rejects_empty_m0s_and_zero_runs():
     for bad in ({"m0s": []}, {"runs": 0}, {"workers": 2}):
         with pytest.raises(ParseError):
             plan_from_dict({**data, **bad})
+
+
+def test_plan_requires_integer_counts():
+    bad = [
+        ({"seeds": 2.5}, "seeds must be an integer, got 2.5"),
+        ({"seeds": True}, "seeds must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"max_iters": 2.5}, "max_iters must be an integer"),
+        ({"runs": 2.5}, "runs must be an integer"),
+        ({"sizes": (20, 40.0)}, "every size must be an integer, got 40.0"),
+        ({"sizes": (True, 20)}, "every size must be an integer, got True"),
+    ]
+    data = ff_plan().to_dict()
+    for kw, match in bad:
+        with pytest.raises(ValueError, match=match):
+            ff_plan(**kw)
+        with pytest.raises(ParseError, match=match):
+            plan_from_dict({**data, **{k: list(v) if isinstance(v, tuple) else v for k, v in kw.items()}})
+    for max_iters in (2.5, False):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            FilterConfig(tau=1.0, max_iters=max_iters)
 
 
 def test_plan_rejects_bad_noise_tau_and_repeated_sizes():

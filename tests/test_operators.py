@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diracsp import (
+    NgfParams,
     TopologicalSpinor,
     assemble_dirac,
     betti_numbers,
@@ -11,9 +12,10 @@ from diracsp import (
     dirac_project,
     harmonic_project,
     hodge_laplacian,
+    ngf_generate,
     spectral_basis,
 )
-from diracsp import operators
+from diracsp import complexes, operators
 from diracsp.errors import EigensolveFailure, InvalidOrder
 from diracsp.complexes import graph_rank
 from diracsp.operators import export_spectrum, harmonic_basis
@@ -272,6 +274,31 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
     s = TopologicalSpinor.zeros(coastal)
     with pytest.raises(EigensolveFailure):
         dirac_project(s, D, 1)
+
+
+def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
+    # flavor 0 puts three or more triangles on some link, so rank B2 has no
+    # combinatorial answer and must come from the triplets' own eigensolve
+    K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
+    assert np.diff(assemble_dirac(K).B2.tocsr().indptr).max() > 2
+    rank2 = K.n2 - betti_numbers(K)[2]
+    original = complexes.gram_matrix
+    built = []
+
+    def counted(B):
+        built.append(B.shape)
+        return original(B)
+
+    for module in (complexes, operators):
+        monkeypatch.setattr(module, "gram_matrix", counted)
+    D = assemble_dirac(K)
+    D.singular_triplets(2)
+    assert len(built) == 1
+    assert D.rank(2) == rank2
+
+    monkeypatch.setattr(operators, "RANK_RTOL", 0.5)
+    with pytest.raises(EigensolveFailure, match="no clear gap"):
+        assemble_dirac(K).singular_triplets(2)
 
 
 def test_wide_boundary_takes_the_dense_svd():
