@@ -203,35 +203,16 @@ class RunTrace:
                 )
 
 
-def learn(
-    s_tilde_n: TopologicalSpinor,
-    Dop: DiracOperator,
-    n: int,
-    config: FilterConfig,
-    truth: TopologicalSpinor | None = None,
-    basis: SpectralBasis | None = None,
-    strict: bool = False,
-) -> tuple[TopologicalSpinor, RunTrace]:
-    """Unsupervised adaptive filtering: learn m, return (s_hat, trace).
+def _learn_coords(
+    lam: np.ndarray, c0: np.ndarray, c_true: np.ndarray | None, config: FilterConfig
+) -> tuple[np.ndarray, RunTrace]:
+    """The adaptive loop of :func:`learn` on coordinates: (final c_hat, trace).
 
-    Repeats filter-then-update until the m estimate moves less than delta:
-
-        s_hat       <- [I + tau (D_n - m_hat I)^2]^(-1) s_tilde_n
-        m_hat(t+1)  <- (1 - eta) m_hat(t) + eta * Rayleigh(s_hat)
-
-    ``m0="auto"`` starts from the Rayleigh quotient of the projected noisy
-    input.  The loop runs on coordinates in the spectral basis of D_n (the
-    one ``Dop`` keeps when no ``basis`` is given).  ``truth`` is measured by its
-    projection P_n truth onto im(D_n), as described in :class:`RunTrace`.
-    If max_iters is hit the partial trace is still returned with
-    ``converged=False`` (or raised inside :class:`NonConvergence` when
-    ``strict=True``).
+    ``lam`` holds the eigenvalues of the nonzero modes, ``c0`` the noisy
+    input's coordinates along them and ``c_true`` the truth's (None when no
+    truth is measured).  Nothing here needs the modes themselves.
     """
     tau = config.tau
-    basis = _basis_for(Dop, n, basis)
-    lam = basis.eigenvalues[basis.nonzero_indices]
-    c0 = basis.coefficients(s_tilde_n)
-    c_true = None if truth is None else basis.coefficients(truth)
 
     def filt(m):
         return c0 * _attenuation(lam, tau, m)
@@ -256,7 +237,7 @@ def learn(
         warnings.warn(
             "estimated snr < 1; convergence is sensitive to the initial m0",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of learn
         )
 
     if config.m0 == "auto":
@@ -265,7 +246,7 @@ def learn(
         m_hat = float(config.m0)
 
     trace = RunTrace()
-    if truth is not None:
+    if c_true is not None:
         trace.noisy_error = err(c0)
         trace.baseline_error = err(filt(0.0))
     trace.rows.append(
@@ -274,7 +255,7 @@ def learn(
             m_hat,
             trace.noisy_error,
             None
-            if truth is None or not trace.baseline_error
+            if c_true is None or not trace.baseline_error
             else trace.noisy_error / trace.baseline_error,
         )
     )
@@ -286,7 +267,7 @@ def learn(
         t += 1
         c_hat = filt(m_hat)
         m_new = (1.0 - config.eta) * m_hat + config.eta * ray(c_hat)
-        delta_s = err(c_hat) if truth is not None else None
+        delta_s = err(c_hat) if c_true is not None else None
         rel = (
             delta_s / trace.baseline_error
             if delta_s is not None and trace.baseline_error
@@ -302,9 +283,43 @@ def learn(
     trace.converged = converged
     trace.iterations = t
     trace.final_m = m_hat
+    return c_hat, trace
+
+
+def learn(
+    s_tilde_n: TopologicalSpinor,
+    Dop: DiracOperator,
+    n: int,
+    config: FilterConfig,
+    truth: TopologicalSpinor | None = None,
+    basis: SpectralBasis | None = None,
+    strict: bool = False,
+) -> tuple[TopologicalSpinor, RunTrace]:
+    """Unsupervised adaptive filtering: learn m, return (s_hat, trace).
+
+    Repeats filter-then-update until the m estimate moves less than delta:
+
+        s_hat       <- [I + tau (D_n - m_hat I)^2]^(-1) s_tilde_n
+        m_hat(t+1)  <- (1 - eta) m_hat(t) + eta * Rayleigh(s_hat)
+
+    ``m0="auto"`` starts from the Rayleigh quotient of the projected noisy
+    input.  The loop (:func:`_learn_coords`) runs on coordinates in the
+    spectral basis of D_n (the one ``Dop`` keeps when no ``basis`` is given).
+    ``truth`` is measured by its projection P_n truth onto im(D_n), as
+    described in :class:`RunTrace`.  If max_iters is hit the partial trace is
+    still returned with ``converged=False`` (or raised inside
+    :class:`NonConvergence` when ``strict=True``).
+    """
+    basis = _basis_for(Dop, n, basis)
+    c_hat, trace = _learn_coords(
+        basis.eigenvalues[basis.nonzero_indices],
+        basis.coefficients(s_tilde_n),
+        None if truth is None else basis.coefficients(truth),
+        config,
+    )
     result = (basis.synthesize(c_hat), trace)
-    if not converged and strict:
+    if not trace.converged and strict:
         raise NonConvergence(
-            f"m estimate still moving after {t} iterations", result=result
+            f"m estimate still moving after {trace.iterations} iterations", result=result
         )
     return result

@@ -6,6 +6,7 @@ eigendecompositions of matrices assembled straight from the definitions.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,3 +166,32 @@ def dense_spectral_basis(Dop, n):
     vals = np.concatenate([-sig, np.zeros(M - 2 * sig.size), sig[::-1]])
     vecs = fix_signs(np.hstack([minus, *kernel, plus[:, ::-1]]))
     return vals, vecs
+
+
+# -- sweep-m, one filter call per (draw, m) -------------------------------------
+
+
+def loop_sweep_errors(plan):
+    """sweep-m's error of every draw at every m, filtered one spinor at a time.
+
+    Returns (ms, {(tau, alpha): S x |ms| errors}) with ms in the column order
+    of ``cmd_sweep_m`` (the m = 0 baseline first unless the plan lists it).
+    Each entry is ``reconstruction_error(dirac_filter(draw, ..., tau, m), s_true)``
+    on the same draws, taken in spinor space.
+    """
+    from diracsp.filtering import dirac_filter, reconstruction_error
+    from diracsp.harness import _draws, _prepare
+
+    setup = _prepare(plan)
+    ms = list(plan.ms)
+    if 0.0 not in ms:
+        ms = [0.0] + ms
+    errors = {}
+    for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
+        errs = np.empty((plan.seeds, len(ms)))
+        for k, s_tilde in enumerate(_draws(plan, setup, alpha, c)):
+            for j, m in enumerate(ms):
+                s_hat = dirac_filter(s_tilde, setup.Dop, setup.n, tau, m, basis=setup.basis)
+                errs[k, j] = reconstruction_error(s_hat, setup.s_true)
+        errors[tau, alpha] = errs
+    return ms, errors

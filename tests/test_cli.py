@@ -274,6 +274,25 @@ def test_plan_file_rejects_non_integer_counts(tmp_path):
         assert not out.exists()
 
 
+def test_plan_file_rejects_non_integer_dataset_counts(tmp_path):
+    plan = {
+        "dataset": {"kind": "ngf", "target_nodes": 30.9, "flavor": -1, "beta": 0.0, "seed": 4},
+        "signal": {"mode": "eigen", "n": 1},
+        "m0s": [1.5],
+        "seeds": 1,
+        "seed": 11,
+    }
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    out = tmp_path / "tr.csv"
+    r = invoke("learn", "--plan", pf, "--seed", 11, "-o", out)
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == [
+        "error=ParseError: malformed dataset: target_nodes must be an integer, got 30.9"
+    ]
+    assert not out.exists()
+
+
 def test_stochastic_commands_require_seed(tmp_path):
     for cmd in (
         ("sweep-m", "-i", FF, "-o", tmp_path / "x.csv"),

@@ -7,6 +7,8 @@ from diracsp import ExperimentPlan, FilterConfig, SignalSpec
 from diracsp.datasets import dataset_path
 from diracsp.errors import ParseError
 from diracsp.harness import (
+    _mean_std,
+    _prepare,
     cmd_basin,
     cmd_bench,
     cmd_heatmap,
@@ -19,7 +21,11 @@ from diracsp.harness import (
     resolve_dataset,
 )
 
+from oracles import loop_sweep_errors
+
 FF = dataset_path("florentine_marriage.json")
+COASTAL = dataset_path("coastal_tessellation.json")
+FLOW = dataset_path("coastal_tessellation_flow.csv")
 
 
 def ff_plan(**kw):
@@ -46,6 +52,78 @@ def test_resolve_dataset_kinds():
     assert K2.counts == (12, 21, 10)
     with pytest.raises(ParseError):
         resolve_dataset(ff_plan(dataset={"kind": "nope"}))
+
+
+def test_resolve_dataset_rejects_non_integer_counts_and_bad_beta():
+    good = {"kind": "ngf", "target_nodes": 12, "flavor": 0, "beta": 0.5, "seed": 3}
+    bad = [
+        ({"target_nodes": 30.9}, "target_nodes must be an integer, got 30.9"),
+        ({"target_nodes": True}, "target_nodes must be an integer, got True"),
+        ({"flavor": 0.5}, "flavor must be an integer, got 0.5"),
+        ({"seed": 3.0}, "seed must be an integer, got 3.0"),
+        ({"beta": float("nan")}, "beta must be finite, got nan"),
+        ({"beta": float("inf")}, "beta must be finite, got inf"),
+    ]
+    for kw, match in bad:
+        with pytest.raises(ParseError, match=f"malformed dataset: {match}"):
+            resolve_dataset(ff_plan(dataset={**good, **kw}))
+    # without its own seed the dataset takes the plan's
+    no_seed = {k: v for k, v in good.items() if k != "seed"}
+    assert resolve_dataset(ff_plan(dataset=no_seed, seed=3)).to_dict() == resolve_dataset(
+        ff_plan(dataset=good)
+    ).to_dict()
+
+
+def _rows_from_errors(ms, errors):
+    """sweep-m's rows, aggregated from per-draw errors the way cmd_sweep_m does."""
+    rows = []
+    for (tau, alpha), errs in errors.items():
+        base = errs[:, ms.index(0.0)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
+        for j, m in enumerate(ms):
+            rows.append([tau, alpha, m, *_mean_std(rel[:, j]), *_mean_std(errs[:, j])])
+    return np.array(rows)
+
+
+SWEEP_CASES = {
+    "coastal-n1": dict(
+        dataset={"kind": "file", "path": COASTAL},
+        signal=SignalSpec(mode="eigen", n=1, selector="smallest_positive"),
+        alphas=(0.6,), taus=(10.0,),
+    ),
+    "coastal-n2": dict(
+        dataset={"kind": "file", "path": COASTAL},
+        signal=SignalSpec(mode="eigen", n=2, selector="largest_positive"),
+        alphas=(0.3,), taus=(2.0,),
+    ),
+    # flavor 0: links bound three or more triangles
+    "ngf300-flavor0": dict(
+        dataset={"kind": "ngf", "target_nodes": 300, "flavor": 0, "seed": 5},
+        signal=SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2),
+        alphas=(0.5,), taus=(7.0,),
+    ),
+    "ff-n1": dict(alphas=(0.0, 0.6), taus=(0.0, 10.0)),
+    # the lifted truth has a roundoff-level part outside im(D_n)
+    "coastal-lifted-n2": dict(
+        dataset={"kind": "file", "path": COASTAL},
+        signal=SignalSpec(mode="lifted", n=2, source=FLOW),
+        alphas=(0.6,), taus=(1.5,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_m_matches_the_per_draw_filter_loop(case, tmp_path):
+    plan = ff_plan(ms=(0.0, 0.3, 0.6, 1.0, 1.7, 2.5, 4.0), seeds=4, **SWEEP_CASES[case])
+    got = np.array(data_rows(cmd_sweep_m(plan, tmp_path / "s.csv")), dtype=float)
+    want = _rows_from_errors(*loop_sweep_errors(plan))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+    if case == "coastal-lifted-n2":
+        setup = _prepare(plan)
+        c_true = setup.basis.coefficients(setup.s_true)
+        rest = (setup.s_true - setup.basis.synthesize(c_true)).norm()
+        assert 0.0 < rest < 1e-10
 
 
 def test_sweep_m_single_point_is_baseline_only(tmp_path):
