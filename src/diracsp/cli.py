@@ -150,6 +150,8 @@ def info(path):
 def synth(path, alpha, seed, output, noisy_output, **signal):
     """Synthesize a true signal (optionally plus calibrated noise)."""
     def run():
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
         if alpha > 0 and seed is None:
             raise ValueError("--seed is required when --alpha > 0")
         spec = _signal_spec(**signal)

@@ -110,10 +110,6 @@ def reconstruction_error(s_hat: TopologicalSpinor, s_true: TopologicalSpinor) ->
     return (s_hat - s_true).norm()
 
 
-# spec name for the same operation
-error = reconstruction_error
-
-
 def require_int(name: str, value) -> None:
     """Raise ValueError unless value is an int; a bool does not count."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -145,15 +141,6 @@ class FilterConfig:
                 raise ValueError(f"m0 must be a number or 'auto', got {self.m0!r}")
         elif not math.isfinite(self.m0):
             raise ValueError(f"m0 must be finite, got {self.m0!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "m0": self.m0,
-            "eta": self.eta,
-            "delta": self.delta,
-            "max_iters": self.max_iters,
-        }
 
 
 @dataclass

@@ -25,12 +25,15 @@ each choice), a seed grows the same complex as a loop calling
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .complexes import SimplicialComplex, build_complex, load_complex
 from .errors import InvalidFlavor, ParseError
+from .filtering import require_int
 from .signals import load_signal, rng_stream
 from .spinors import TopologicalSpinor
 
@@ -52,10 +55,16 @@ class NgfParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("target_nodes", "flavor", "seed"):
+            require_int(name, getattr(self, name))
         if self.flavor not in (-1, 0, 1):
             raise InvalidFlavor(f"flavor must be -1, 0 or 1, got {self.flavor}")
         if self.target_nodes < 3:
             raise ValueError("target_nodes must be >= 3 (the seed triangle)")
+        if not isinstance(self.beta, Real) or isinstance(self.beta, bool):
+            raise ValueError(f"beta must be a number, got {self.beta!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
 

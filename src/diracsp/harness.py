@@ -133,9 +133,11 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from its JSON form (the `--plan` config file)."""
     try:
         sig = dict(data["signal"])
+        n = sig.pop("n", 1)
+        require_int("n", n)
         spec = SignalSpec(
             mode=sig.pop("mode"),
-            n=int(sig.pop("n", 1)),
+            n=n,
             selector=sig.pop("selector", "smallest_positive"),
             lambda_bar=float(sig.pop("lambda_bar", 1.0)),
             sigma_hat=float(sig.pop("sigma_hat", 0.2)),
@@ -163,20 +165,20 @@ def load_plan(path) -> ExperimentPlan:
 
 
 def _ngf_params(dataset: dict, target_nodes, seed) -> NgfParams:
-    """NgfParams from an ngf dataset's fields, checked as given, not coerced.
+    """NgfParams from an ngf dataset's fields, taken as given.
 
-    A count that is not an integer or a beta that is not finite is a ParseError.
+    A field that NgfParams rejects (a count that is not an integer, a beta
+    that is not a finite number >= 0) is a ParseError.
     """
-    flavor = dataset.get("flavor", -1)
     try:
-        for name, value in (("target_nodes", target_nodes), ("flavor", flavor), ("seed", seed)):
-            require_int(name, value)
-        beta = float(dataset.get("beta", 0.0))
-        if not math.isfinite(beta):
-            raise ValueError(f"beta must be finite, got {beta!r}")
-    except (TypeError, ValueError) as exc:
+        return NgfParams(
+            target_nodes=target_nodes,
+            flavor=dataset.get("flavor", -1),
+            beta=dataset.get("beta", 0.0),
+            seed=seed,
+        )
+    except ValueError as exc:
         raise ParseError(f"malformed dataset: {exc}") from exc
-    return NgfParams(target_nodes=target_nodes, flavor=flavor, beta=beta, seed=seed)
 
 
 def resolve_dataset(plan: ExperimentPlan) -> SimplicialComplex:

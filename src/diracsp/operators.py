@@ -13,6 +13,10 @@ eigenpairs of D_n come in chiral pairs (+lambda, -lambda) built from the
 singular triplets of B_n: if B_n v = sigma u, then (u, +/-v)/sqrt(2) padded
 with the zero block are unit eigenvectors of D_n with eigenvalues +/-sigma.
 
+A DiracOperator holds only B1 and B2.  D_n acts through B_n: on the blocks
+(a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse M x M
+block matrices of D1, D2 and D are built on first use only.
+
 All operators are immutable after assembly; projections are pure functions.
 """
 
@@ -40,54 +44,65 @@ from .spinors import TopologicalSpinor
 SQRT2 = np.sqrt(2.0)
 
 
-def _block_dirac(B1: sp.sparray, B2: sp.sparray, parts: str) -> sp.csr_array:
-    """Assemble the symmetric block operator from selected boundary parts."""
-    n0, n1 = B1.shape
-    n2 = B2.shape[1]
-    Z = lambda r, c: sp.csr_array((r, c))
-    b1 = B1 if "1" in parts else Z(n0, n1)
-    b2 = B2 if "2" in parts else Z(n1, n2)
-    rows = [
-        [Z(n0, n0), b1, Z(n0, n2)],
-        [b1.T, Z(n1, n1), b2],
-        [Z(n2, n0), b2.T, Z(n2, n2)],
-    ]
+def _order(n: int) -> int:
+    """n itself, if D_n exists (n = 1 or 2); InvalidOrder otherwise."""
+    if n not in (1, 2):
+        raise InvalidOrder(f"D_n exists for n in {{1, 2}}, got {n}")
+    return n
+
+
+def _block_matrix(Dop: DiracOperator, n: int) -> sp.csr_array:
+    """D_n as a sparse M x M matrix: B_n and B_n^T in the blocks it couples."""
+    B = Dop.boundary(n)
+    rows = [[sp.csr_array((r, c)) for c in Dop.K.counts] for r in Dop.K.counts]
+    rows[n - 1][n], rows[n][n - 1] = B, B.T
     return sp.block_array(rows, format="csr")
 
 
 @dataclass(frozen=True)
 class DiracOperator:
-    """Symmetric Dirac operator of a complex, with its parts D1 and D2."""
+    """Symmetric Dirac operator D = D1 + D2 of a complex, held as B1 and B2."""
 
     K: SimplicialComplex
     B1: sp.csc_array
     B2: sp.csc_array
-    full: sp.csr_array
-    part1: sp.csr_array
-    part2: sp.csr_array
 
     @property
     def dim(self) -> int:
         return self.K.spinor_dim
 
-    def part(self, n: int) -> sp.csr_array:
-        if n == 1:
-            return self.part1
-        if n == 2:
-            return self.part2
-        raise InvalidOrder(f"Dirac parts are n in {{1, 2}}, got {n}")
-
     def boundary(self, n: int) -> sp.csc_array:
-        if n == 1:
-            return self.B1
-        if n == 2:
-            return self.B2
-        raise InvalidOrder(f"boundary matrices are n in {{1, 2}}, got {n}")
+        return self.B1 if _order(n) == 1 else self.B2
+
+    # -- block matrices, built on first read ---------------------------------
+
+    @cached_property
+    def part1(self) -> sp.csr_array:
+        return _block_matrix(self, 1)
+
+    @cached_property
+    def part2(self) -> sp.csr_array:
+        return _block_matrix(self, 2)
+
+    @cached_property
+    def full(self) -> sp.csr_array:
+        return self.part1 + self.part2
+
+    def part(self, n: int) -> sp.csr_array:
+        return self.part1 if _order(n) == 1 else self.part2
 
     # -- Laplacians ---------------------------------------------------------
 
     def laplacian(self, n: int, which: str = "full") -> sp.csr_array:
-        return hodge_laplacian(self.K, n, which, _B=(self.B1, self.B2))
+        """L_n = B_n^T B_n + B_{n+1} B_{n+1}^T, or its up/down part alone."""
+        if n not in (0, 1, 2):
+            raise InvalidOrder(f"Hodge Laplacians exist for n in {{0, 1, 2}}, got {n}")
+        if which not in ("full", "up", "down"):
+            raise InvalidOrder(f"which must be full|up|down, got {which!r}")
+        zero = sp.csr_array((self.K.counts[n],) * 2)
+        down = zero if n == 0 or which == "up" else self.boundary(n).T @ self.boundary(n)
+        up = zero if n == 2 or which == "down" else self.boundary(n + 1) @ self.boundary(n + 1).T
+        return (down if which == "down" else up if which == "up" else down + up).tocsr()
 
     @cached_property
     def super_laplacian(self) -> sp.csr_array:
@@ -116,11 +131,7 @@ class DiracOperator:
         return _signed_basis(self, 2, *self._svd2)
 
     def singular_triplets(self, n: int):
-        if n == 1:
-            return self._svd1
-        if n == 2:
-            return self._svd2
-        raise InvalidOrder(f"n must be 1 or 2, got {n}")
+        return self._svd1 if _order(n) == 1 else self._svd2
 
     def rank(self, n: int) -> int:
         return self.singular_triplets(n)[1].size
@@ -136,19 +147,18 @@ class DiracOperator:
             )
 
     def apply(self, s: TopologicalSpinor, n: int | None = None) -> TopologicalSpinor:
-        """D s (n=None) or D_n s."""
+        """D s (n=None) or D_n s, as sparse products with B1 and B2."""
         self._check(s)
-        op = self.full if n is None else self.part(n)
-        return TopologicalSpinor.from_vector(self.K, op @ s.vector)
+        if n is None:
+            return self.apply(s, 1) + self.apply(s, 2)
+        left, right = _blocks_for(n, s)
+        B = self.boundary(n)
+        return _spinor_from_blocks(self.K, n, B @ right, B.T @ left)
 
 
 def _blocks_for(n: int, s: TopologicalSpinor):
     """(left-block, right-block) of the spinor that D_n actually touches."""
-    if n == 1:
-        return s.s0, s.s1
-    if n == 2:
-        return s.s1, s.s2
-    raise InvalidOrder(f"n must be 1 or 2, got {n}")
+    return s.blocks[_order(n) - 1], s.blocks[n]
 
 
 def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> TopologicalSpinor:
@@ -158,43 +168,15 @@ def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> Topologica
 
 
 def assemble_dirac(K: SimplicialComplex) -> DiracOperator:
-    """Build D, D1, D2 for a complex.  1-dimensional complexes get D2 = 0."""
-    B1 = boundary_matrix(K, 1).astype(float)
-    B2 = boundary_matrix(K, 2).astype(float)
+    """The Dirac operator of a complex.  1-dimensional complexes get D2 = 0."""
     return DiracOperator(
-        K=K,
-        B1=B1,
-        B2=B2,
-        full=_block_dirac(B1, B2, "12"),
-        part1=_block_dirac(B1, B2, "1"),
-        part2=_block_dirac(B1, B2, "2"),
+        K=K, B1=boundary_matrix(K, 1).astype(float), B2=boundary_matrix(K, 2).astype(float)
     )
 
 
-def hodge_laplacian(
-    K: SimplicialComplex, n: int, which: str = "full", _B=None
-) -> sp.csr_array:
-    """L_n = B_n^T B_n + B_{n+1} B_{n+1}^T, or its up/down part alone."""
-    if n not in (0, 1, 2):
-        raise InvalidOrder(f"Hodge Laplacians exist for n in {{0, 1, 2}}, got {n}")
-    if which not in ("full", "up", "down"):
-        raise InvalidOrder(f"which must be full|up|down, got {which!r}")
-    if _B is None:
-        _B = (boundary_matrix(K, 1).astype(float), boundary_matrix(K, 2).astype(float))
-    B1, B2 = _B
-
-    sizes = {0: K.n0, 1: K.n1, 2: K.n2}
-    down = {0: None, 1: lambda: B1.T @ B1, 2: lambda: B2.T @ B2}[n]
-    up = {0: lambda: B1 @ B1.T, 1: lambda: B2 @ B2.T, 2: None}[n]
-
-    zero = sp.csr_array((sizes[n], sizes[n]))
-    d = down().tocsr() if (down and which in ("full", "down")) else zero
-    u = up().tocsr() if (up and which in ("full", "up")) else zero
-    if which == "down":
-        return d
-    if which == "up":
-        return u
-    return (d + u).tocsr()
+def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr_array:
+    """L_n of K, or its up/down part alone: see :meth:`DiracOperator.laplacian`."""
+    return assemble_dirac(K).laplacian(n, which)
 
 
 # -- singular triplets --------------------------------------------------------
@@ -440,8 +422,7 @@ def spectral_basis(
     ``Dop`` keeps the svd basis, so every call for the same n returns the
     same object; the eigh basis is built anew on every call.
     """
-    if n not in (1, 2):
-        raise InvalidOrder(f"spectral bases exist for n in {{1, 2}}, got {n}")
+    _order(n)
     if method == "svd":
         return Dop._basis1 if n == 1 else Dop._basis2
     if method == "eigh":
@@ -503,11 +484,9 @@ def chirality_map(phi: TopologicalSpinor, n: int) -> TopologicalSpinor:
     with the matching D_n, so gamma_n maps the +lambda eigenspace onto the
     -lambda eigenspace.
     """
-    if n == 1:
+    if _order(n) == 1:
         return TopologicalSpinor(phi.s0, -phi.s1, np.zeros_like(phi.s2))
-    if n == 2:
-        return TopologicalSpinor(np.zeros_like(phi.s0), phi.s1, -phi.s2)
-    raise InvalidOrder(f"chirality matrices are n in {{1, 2}}, got {n}")
+    return TopologicalSpinor(np.zeros_like(phi.s0), phi.s1, -phi.s2)
 
 
 def dirac_project(s: TopologicalSpinor, Dop: DiracOperator, n: int) -> TopologicalSpinor:

@@ -13,6 +13,7 @@ bit-for-bit on any platform and draws can be evaluated in any order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,8 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
         return int(idxs[which])
 
     target = float(selector)
+    if not math.isfinite(target):
+        raise NoSuchEigenvalue(f"target eigenvalue must be finite, got {target}")
     scale = float(np.max(np.abs(vals[nz])))
     dists = np.abs(vals[nz] - target)
     best = int(nz[np.argmin(dists)])
@@ -154,8 +157,10 @@ def gaussian_mix_signal(
     (the "linear" convention); ``variance_convention="squared"`` divides by
     2 sigma_hat^2 instead.  The result is normalized to unit Euclidean norm.
     """
-    if sigma_hat <= 0:
-        raise ValueError("sigma_hat must be > 0")
+    if not math.isfinite(lambda_bar):
+        raise ValueError(f"lambda_bar must be finite, got {lambda_bar!r}")
+    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
+        raise ValueError(f"sigma_hat must be finite and > 0, got {sigma_hat!r}")
     if variance_convention not in ("linear", "squared"):
         raise ValueError(f"unknown variance convention {variance_convention!r}")
     nz = basis.nonzero_indices

@@ -99,9 +99,3 @@ class TopologicalSpinor:
 
     def __neg__(self) -> "TopologicalSpinor":
         return self * -1.0
-
-    def unit(self) -> "TopologicalSpinor":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero spinor")
-        return self / n

@@ -32,6 +32,15 @@ def test_generate_requires_seed(tmp_path):
     assert r.exit_code != 0
 
 
+def test_generate_rejects_non_finite_beta(tmp_path):
+    out = tmp_path / "g.json"
+    for beta in ("nan", "inf"):
+        r = invoke("generate", "--nodes", 30, "--beta", beta, "--seed", 1, "-o", out)
+        assert r.exit_code == 1, (beta, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: beta must be finite, got {beta}"]
+        assert not out.exists()
+
+
 def test_info_rejects_invalid_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"format": "diracsp/complex/1", "nodes": 2,
@@ -57,6 +66,43 @@ def test_synth_requires_seed_for_noise(tmp_path):
     r = invoke("synth", "-i", FF, "--alpha", "0.5", "-o", tmp_path / "s.csv")
     assert r.exit_code == 1
     assert "error=ValueError" in r.output
+
+
+def test_synth_rejects_bad_alpha(tmp_path):
+    out = tmp_path / "s.csv"
+    for alpha in ("-1", "nan"):
+        r = invoke("synth", "-i", FF, "--alpha", alpha, "--seed", 1, "-o", out)
+        assert r.exit_code == 1, (alpha, r.output)
+        assert r.output.splitlines() == [
+            f"error=ValueError: alpha must be finite and >= 0, got {float(alpha)!r}"
+        ]
+        assert not out.exists()
+        assert not (tmp_path / "s.noisy.csv").exists()
+
+
+def test_synth_rejects_non_finite_selector(tmp_path):
+    out = tmp_path / "s.csv"
+    r = invoke("synth", "-i", FF, "--selector", "nan", "-o", out)
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == [
+        "error=NoSuchEigenvalue: target eigenvalue must be finite, got nan"
+    ]
+    assert not out.exists()
+
+
+def test_gaussian_mix_commands_reject_non_finite_parameters(tmp_path):
+    out = tmp_path / "x.csv"
+    for cmd, flag, message in (
+        ("heatmap", "--sigma-hat", "sigma_hat must be finite and > 0, got nan"),
+        ("learn", "--lambda-bar", "lambda_bar must be finite, got nan"),
+    ):
+        r = invoke(
+            cmd, "-i", FF, "--mode", "gaussian_mix", flag, "nan",
+            "--alphas", "0.5", "--taus", "7", "--seeds", "1", "--seed", "1", "-o", out,
+        )
+        assert r.exit_code == 1, (cmd, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not out.exists()
 
 
 def test_synth_degenerate_selection_fails_cleanly(tmp_path):
@@ -289,6 +335,24 @@ def test_plan_file_rejects_non_integer_dataset_counts(tmp_path):
     assert r.exit_code == 3, r.output
     assert r.output.splitlines() == [
         "error=ParseError: malformed dataset: target_nodes must be an integer, got 30.9"
+    ]
+    assert not out.exists()
+
+
+def test_plan_file_rejects_non_integer_signal_order(tmp_path):
+    plan = {
+        "dataset": {"kind": "file", "path": FF},
+        "signal": {"mode": "eigen", "n": 1.5},
+        "seeds": 1,
+        "seed": 11,
+    }
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    out = tmp_path / "s.csv"
+    r = invoke("sweep-m", "--plan", pf, "--seed", 11, "-o", out)
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == [
+        "error=ParseError: malformed plan: n must be an integer, got 1.5"
     ]
     assert not out.exists()
 

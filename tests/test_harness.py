@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from diracsp import ExperimentPlan, FilterConfig, SignalSpec
+from diracsp import (
+    ExperimentPlan,
+    FilterConfig,
+    SignalSpec,
+    assemble_dirac,
+    gaussian_mix_signal,
+    learn,
+    operators,
+    spectral_basis,
+)
 from diracsp.datasets import dataset_path
 from diracsp.errors import ParseError
 from diracsp.harness import (
@@ -52,6 +61,36 @@ def test_resolve_dataset_kinds():
     assert K2.counts == (12, 21, 10)
     with pytest.raises(ParseError):
         resolve_dataset(ff_plan(dataset={"kind": "nope"}))
+
+
+def test_commands_never_build_a_block_matrix(tmp_path, monkeypatch):
+    def refuse(Dop, n):
+        raise AssertionError(f"the block matrix of D_{n} was built")
+
+    monkeypatch.setattr(operators, "_block_matrix", refuse)
+    coastal = {"kind": "file", "path": COASTAL}
+    # the gaussian signal's m_true is a Rayleigh quotient, so it goes through apply
+    cmd_learn(
+        ExperimentPlan(
+            dataset=coastal,
+            signal=SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2),
+            alphas=(0.5,), taus=(7.0,), m0s=(2.0,), seeds=2, seed=3,
+        ),
+        tmp_path / "learn.csv",
+    )
+    cmd_sweep_m(
+        ExperimentPlan(
+            dataset=coastal,
+            signal=SignalSpec(mode="eigen", n=2, selector="largest_positive"),
+            ms=(0.5, 1.0), seeds=2, seed=3,
+        ),
+        tmp_path / "sweep.csv",
+    )
+    D = assemble_dirac(resolve_dataset(ff_plan(dataset=coastal)))
+    basis = spectral_basis(D, 1)
+    s = gaussian_mix_signal(basis, 1.0, 0.2)
+    learn(s, D, 1, FilterConfig(tau=7.0), truth=s, basis=basis)
+    assert not {"full", "part1", "part2"} & D.__dict__.keys()
 
 
 def test_resolve_dataset_rejects_non_integer_counts_and_bad_beta():
@@ -295,6 +334,13 @@ def test_plan_requires_integer_counts():
     for max_iters in (2.5, False):
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             FilterConfig(tau=1.0, max_iters=max_iters)
+
+
+def test_plan_from_dict_rejects_non_integer_signal_order():
+    data = ff_plan().to_dict()
+    for n in (1.5, True, "2"):
+        with pytest.raises(ParseError, match=f"malformed plan: n must be an integer, got {n!r}"):
+            plan_from_dict({**data, "signal": {"mode": "eigen", "n": n}})
 
 
 def test_plan_rejects_bad_noise_tau_and_repeated_sizes():

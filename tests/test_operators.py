@@ -20,7 +20,7 @@ from diracsp.errors import EigensolveFailure, InvalidOrder
 from diracsp.complexes import graph_rank
 from diracsp.operators import export_spectrum, harmonic_basis
 
-from conftest import random_complex
+from conftest import HARD_COMPLEXES, random_complex
 from oracles import brute_dirac, dense_eigh, eig_multiset, eigenbasis_projection
 
 SQ2 = np.sqrt(2.0)
@@ -54,6 +54,29 @@ def test_dirac_matches_brute_force(two_triangles):
     assert np.array_equal(D.full.toarray(), full)
     assert np.array_equal(D.part1.toarray(), d1)
     assert np.array_equal(D.part2.toarray(), d2)
+
+
+def _apply_cases():
+    rng = np.random.default_rng(53)
+    named = [(f"random{i}", random_complex(rng)) for i in range(6)]
+    named += list(HARD_COMPLEXES.items())
+    return [(name, K, n) for name, K in named for n in (1, 2)]
+
+
+APPLY_CASES = _apply_cases()
+
+
+@pytest.mark.parametrize(
+    "name,K,n", APPLY_CASES, ids=[f"{name}-n{n}" for name, _, n in APPLY_CASES]
+)
+def test_apply_through_boundary_matches_block_matrix(name, K, n):
+    # D_n s is taken as (B_n b, B_n^T a) on the blocks (a, b) D_n couples;
+    # it must give the block matrix's product bit for bit
+    D = assemble_dirac(K)
+    rng = np.random.default_rng(len(name) + n)
+    s = TopologicalSpinor.from_vector(K, rng.standard_normal(D.dim))
+    assert np.array_equal(D.apply(s, n).vector, D.part(n) @ s.vector)
+    assert np.abs(D.apply(s).vector - D.full @ s.vector).max(initial=0.0) <= 1e-12
 
 
 def test_dirac_square_is_super_laplacian(two_triangles):
@@ -354,6 +377,12 @@ def test_order_validation_errors(filled_triangle):
         spectral_basis(D, 0)
     with pytest.raises(InvalidOrder):
         chirality_map(s, 3)
+    with pytest.raises(InvalidOrder):
+        D.singular_triplets(0)
+    with pytest.raises(InvalidOrder):
+        D.apply(s, 3)
+    with pytest.raises(InvalidOrder):
+        dirac_project(s, D, 0)
     with pytest.raises(ValueError):
         spectral_basis(D, 1, method="magic")
 

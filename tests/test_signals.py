@@ -58,6 +58,22 @@ def test_eigenmode_selector_errors(ff_basis):
         eigenmode_signal(ff_basis, "sideways_positive")
     with pytest.raises(NoSuchEigenvalue):
         eigenmode_signal(ff_basis, 10_000)
+    # every distance to a NaN target is NaN: unchecked, argmin picks the most negative mode
+    for target in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(NoSuchEigenvalue, match="target eigenvalue must be finite"):
+            eigenmode_signal(ff_basis, target)
+
+
+def test_gaussian_mix_rejects_non_finite_lambda_bar(ff_basis):
+    for lambda_bar in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lambda_bar must be finite"):
+            gaussian_mix_signal(ff_basis, lambda_bar, 0.2)
+
+
+def test_gaussian_mix_rejects_non_finite_or_non_positive_sigma_hat(ff_basis):
+    for sigma_hat in (float("nan"), float("inf"), 0.0, -0.2):
+        with pytest.raises(ValueError, match="sigma_hat must be finite and > 0"):
+            gaussian_mix_signal(ff_basis, 1.0, sigma_hat)
 
 
 def test_degenerate_selection_rejected(filled_triangle):
