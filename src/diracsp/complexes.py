@@ -7,6 +7,10 @@ the column of B2 for triangle (i, j, k) carries signs (+1, -1, +1) on its
 faces (i, j), (i, k), (j, k).  Any consistent convention would satisfy
 B1 @ B2 = 0; downstream results do not depend on this choice.
 
+Exact ranks are counts of connected components: of the graph for B1, and
+of the triangles' orientation double cover for B2 when every link bounds
+at most two triangles.
+
 Instances are immutable after construction and safe to share across threads.
 """
 
@@ -214,15 +218,16 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     return sp.csc_array((vals, (rows, cols)), shape=shape, dtype=np.int64)
 
 
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the components of the graph on range(size) with edges (a, b)."""
+    graph = sp.coo_array((np.ones(a.size), (a, b)), shape=(size, size))
+    return connected_components(graph, directed=False)
+
+
 def graph_rank(K: SimplicialComplex) -> int:
     """Exact rank of B1: N0 minus the number of connected components."""
-    if K.n0 == 0:
-        return 0
     ends = _array(K.links, 2)
-    adjacency = sp.coo_array(
-        (np.ones(K.n1), (ends[:, 0], ends[:, 1])), shape=(K.n0, K.n0)
-    )
-    return K.n0 - int(connected_components(adjacency, directed=False, return_labels=False))
+    return K.n0 - _components(K.n0, ends[:, 0], ends[:, 1])[0]
 
 
 def triangle_rank(K: SimplicialComplex) -> int:
@@ -259,41 +264,24 @@ def _closed_orientable_components(B2: sp.csr_array) -> int:
     """Number of triangle components of B2's complex that carry a 2-cycle.
 
     Each triangle t gets an orientation o_t = +/-1 so that every link shared
-    by t and u cancels in B2 o: o_u = -o_t * sign_t * sign_u.  One pass
-    propagates these signs over the triangles joined by shared links; a
-    component is a cycle when it has no free link (one triangle only) and
-    no shared link contradicts the signs.
+    by t and u cancels in B2 o: o_u = -o_t * sign_t * sign_u.  On the
+    orientation double cover node t stands for o_t = +1, node t + N2 for
+    o_t = -1, and each shared link joins the two node pairs its rule allows.
+    A component carries a cycle when the cover keeps t apart from t + N2
+    (orientable) and none of its triangles has a free link (closed); it then
+    lifts to two cover components, one per orientation.
     """
+    n2 = B2.shape[1]
     per_link = np.diff(B2.indptr)
     first = B2.indptr[:-1]
-    free = np.zeros(B2.shape[1], dtype=bool)
+    free = np.zeros(n2, dtype=bool)
     free[B2.indices[first[per_link == 1]]] = True
-    neighbours = [[] for _ in range(B2.shape[1])]
-    for row in first[per_link == 2].tolist():
-        t, u = B2.indices[row : row + 2].tolist()
-        flip = bool(B2.data[row] * B2.data[row + 1] > 0)
-        neighbours[t].append((u, flip))
-        neighbours[u].append((t, flip))
-
-    orientation = [0] * B2.shape[1]
-    cycles = 0
-    for root in range(B2.shape[1]):
-        if orientation[root]:
-            continue
-        orientation[root] = 1
-        stack, closed, orientable = [root], True, True
-        while stack:
-            t = stack.pop()
-            closed &= not free[t]
-            for u, flip in neighbours[t]:
-                want = -orientation[t] if flip else orientation[t]
-                if not orientation[u]:
-                    orientation[u] = want
-                    stack.append(u)
-                elif orientation[u] != want:
-                    orientable = False
-        cycles += closed and orientable
-    return cycles
+    shared = first[per_link == 2]
+    t, u = B2.indices[shared], B2.indices[shared + 1]
+    flip = np.where(B2.data[shared] * B2.data[shared + 1] > 0, n2, 0)
+    count, labels = _components(2 * n2, np.r_[t, t + n2], np.r_[u + flip, u + n2 - flip])
+    open_or_twisted = np.tile(free | (labels[:n2] == labels[n2:]), 2)
+    return (count - np.unique(labels[open_or_twisted]).size) // 2
 
 
 def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:

@@ -44,6 +44,11 @@ def _solve_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"filter system could not be solved: {exc}") from exc
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
+
+
 def hodge_filter(
     s_tilde: TopologicalSpinor, Dop: DiracOperator, tau: float
 ) -> TopologicalSpinor:
@@ -52,8 +57,7 @@ def hodge_filter(
     Harmonic components pass through unchanged; an eigenmode with eigenvalue
     mu is scaled by 1/(1 + tau mu).
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
     Dop._check(s_tilde)
     if tau == 0.0:
         return s_tilde
@@ -87,8 +91,9 @@ def dirac_filter(
     the output always lies in im(D_n): the part of the input outside it is
     dropped.  Without ``basis`` it uses the one ``Dop`` keeps for D_n.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    _check_tau(tau)
+    if not math.isfinite(m):
+        raise ValueError(f"m must be finite, got {m!r}")
     Dop._check(s_tilde_n)
     basis = _basis_for(Dop, n, basis)
     c = basis.coefficients(s_tilde_n)
@@ -127,8 +132,8 @@ class FilterConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be > 0 and finite, got {self.tau!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if not self.delta > 0:

@@ -15,7 +15,10 @@ with the zero block are unit eigenvectors of D_n with eigenvalues +/-sigma.
 
 A DiracOperator holds only B1 and B2.  D_n acts through B_n: on the blocks
 (a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse M x M
-block matrices of D1, D2 and D are built on first use only.
+block matrices of D1, D2 and D are built on first use only.  Everything
+spectral about D_n comes from one cached SpectralBasis per boundary matrix,
+the triplets of one Gram eigensolve checked against the exact rank: ranks,
+projections, kernels and harmonic bases all read it.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -27,6 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .complexes import (
@@ -115,26 +119,19 @@ class DiracOperator:
     # -- spectra of the parts -------------------------------------------------
 
     @cached_property
-    def _svd1(self):
-        return _gram_triplets(self.B1, graph_rank(self.K))
+    def _basis1(self) -> SpectralBasis:
+        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, graph_rank(self.K)))
 
     @cached_property
-    def _svd2(self):
-        return _gram_triplets(self.B2, combinatorial_rank(self.B2))
-
-    @cached_property
-    def _basis1(self):
-        return _signed_basis(self, 1, *self._svd1)
-
-    @cached_property
-    def _basis2(self):
-        return _signed_basis(self, 2, *self._svd2)
+    def _basis2(self) -> SpectralBasis:
+        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, combinatorial_rank(self.B2)))
 
     def singular_triplets(self, n: int):
-        return self._svd1 if _order(n) == 1 else self._svd2
+        basis = spectral_basis(self, n)
+        return basis.U, basis.sigma, basis.V
 
     def rank(self, n: int) -> int:
-        return self.singular_triplets(n)[1].size
+        return spectral_basis(self, n).rank
 
     def nonharmonic_dim(self, n: int) -> int:
         """dim im(D_n) = 2 rank(B_n)."""
@@ -193,8 +190,6 @@ def _gram_triplets(B: sp.sparray, r: int | None):
     and V are C-contiguous, so products with them never copy.
     """
     m, n = B.shape
-    if m == 0 or n == 0:
-        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
     G, wide = gram_matrix(B)
     try:
         w, X = np.linalg.eigh(G)
@@ -255,11 +250,13 @@ class SpectralBasis:
     """Eigenpairs of D_n, ascending, split into negative / harmonic / positive.
 
     The basis is factored: it holds the rank-truncated singular triplets
-    (U, sigma, V) of B_n, O((N_{n-1} + N_n) r) numbers, and one +/-1 sign per
-    nonzero mode.  Triplet j gives the modes sign * (u_j, -/+v_j)/sqrt(2) for
-    eigenvalues -/+sigma_j, padded with the zero block; the sign makes the
-    largest-magnitude entry positive (first on ties).  Eigenvalues ascend:
-    -sigma in triplet order, the harmonic zeros, then +sigma reversed.
+    (U, sigma, V) of B_n, O((N_{n-1} + N_n) r) numbers.  Triplet j gives the
+    modes sign * (u_j, -/+v_j)/sqrt(2) for eigenvalues -/+sigma_j, padded
+    with the zero block; the sign makes the largest-magnitude entry positive
+    (first on ties).  ``signs``, one per nonzero mode, is computed on first
+    use, so callers that read only the triplets never pay for it.
+    Eigenvalues ascend: -sigma in triplet order, the harmonic zeros, then
+    +sigma reversed.
 
     ``spinor(i)`` builds the unit eigenvector for ``eigenvalues[i]``;
     ``coefficients`` and ``synthesize`` map between spinors and coordinates
@@ -275,11 +272,16 @@ class SpectralBasis:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    signs: np.ndarray
 
     def __post_init__(self):
-        for name in ("U", "sigma", "V", "signs"):
+        for name in ("U", "sigma", "V"):
             getattr(self, name).flags.writeable = False
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        signs = _mode_signs(self.U, self.V)
+        signs.flags.writeable = False
+        return signs
 
     @property
     def rank(self) -> int:
@@ -416,9 +418,6 @@ def spectral_basis(
     cross-checks and as the unoptimized implementation the runtime
     benchmark times.
 
-    Either way the basis covers the whole spinor space: its kernel columns,
-    a basis of ker(D_n), are built only when ``spinor`` asks for one.
-
     ``Dop`` keeps the svd basis, so every call for the same n returns the
     same object; the eigh basis is built anew on every call.
     """
@@ -426,12 +425,8 @@ def spectral_basis(
     if method == "svd":
         return Dop._basis1 if n == 1 else Dop._basis2
     if method == "eigh":
-        return _signed_basis(Dop, n, *_eigh_triplets(Dop.boundary(n)))
+        return SpectralBasis(n, Dop.K, *_eigh_triplets(Dop.boundary(n)))
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
-
-
-def _signed_basis(Dop: DiracOperator, n: int, U, sig, V) -> SpectralBasis:
-    return SpectralBasis(order=n, K=Dop.K, U=U, sigma=sig, V=V, signs=_mode_signs(U, V))
 
 
 def _eigh_triplets(B: sp.sparray):
@@ -463,15 +458,7 @@ def harmonic_basis(Dop: DiracOperator) -> np.ndarray:
     """
     U1, _, V1 = Dop.singular_triplets(1)
     U2, _, V2 = Dop.singular_triplets(2)
-    blocks = (_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2))
-    out = np.zeros((Dop.dim, sum(b.shape[1] for b in blocks)))
-    row = col = 0
-    for block in blocks:
-        h, w = block.shape
-        out[row : row + h, col : col + w] = block
-        row += h
-        col += w
-    return out
+    return sla.block_diag(_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2))
 
 
 # -- chirality and projections ------------------------------------------------

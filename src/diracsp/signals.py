@@ -33,8 +33,6 @@ from .errors import (
 from .operators import DiracOperator, SpectralBasis, dirac_project
 from .spinors import TopologicalSpinor
 
-SIGNAL_FORMAT = "diracsp/signal/1"
-
 # Two eigenvalues closer than this (relative to the spectral radius) count
 # as degenerate for eigenmode selection.
 DEGENERACY_RTOL = 1e-8
@@ -201,6 +199,12 @@ class NoiseModel:
     alpha1: float = 0.0
     alpha2: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("alpha1", "alpha2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     def alpha(self, n: int) -> float:
         return self.alpha1 if n == 1 else self.alpha2

@@ -195,3 +195,27 @@ def loop_sweep_errors(plan):
                 errs[k, j] = reconstruction_error(s_hat, setup.s_true)
         errors[tau, alpha] = errs
     return ms, errors
+
+
+# -- learn, heatmap and basin, one learn call per draw ----------------------------
+
+
+def loop_learn_traces(plan):
+    """The learning commands' run of every draw, one ``learn`` call at a time.
+
+    Returns (m_true, {(tau, alpha, m0): [RunTrace of each draw]}) with cells
+    keyed and seeded in the order of ``cmd_learn`` and ``cmd_basin``; for a
+    plan with one m0 that is also the order of ``cmd_heatmap``.
+    """
+    from diracsp.filtering import learn
+    from diracsp.harness import _draws, _prepare
+
+    setup = _prepare(plan)
+    traces = {}
+    for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
+        config = plan.config(tau, m0)
+        traces[tau, alpha, m0] = [
+            learn(s_tilde, setup.Dop, setup.n, config, truth=setup.s_true, basis=setup.basis)[1]
+            for s_tilde in _draws(plan, setup, alpha, c)
+        ]
+    return setup.m_true, traces

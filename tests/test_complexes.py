@@ -130,6 +130,16 @@ def _surface(triangles):
 
 
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+RP2 = [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+]
+MOEBIUS = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
+
+
+def _shifted(triangles, by):
+    return [tuple(v + by for v in tri) for tri in triangles]
+
 
 # Closed surfaces and a surface with boundary, with their Betti numbers over Q
 # (the tetrahedron boundary itself is in HARD_COMPLEXES).
@@ -140,14 +150,18 @@ SURFACES = {
         (1, 0, 2),
     ),
     # the 6-vertex projective plane: closed but not orientable
-    "rp2": (
-        _surface([
-            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
-        ]),
-        (1, 0, 0),
+    "rp2": (_surface(RP2), (1, 0, 0)),
+    "moebius": (_surface(MOEBIUS), (1, 1, 0)),
+    # poles 0 and 1 over the equator 2-3-4-5
+    "octahedron": (
+        _surface([(p, a, b) for p in (0, 1) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]),
+        (1, 0, 1),
     ),
-    "moebius": (_surface([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]), (1, 1, 0)),
+    # one component of each kind: only the closed orientable one carries a 2-cycle
+    "tetrahedron+rp2+moebius": (
+        _surface(TETRAHEDRON + _shifted(RP2, 4) + _shifted(MOEBIUS, 10)),
+        (3, 1, 1),
+    ),
 }
 
 
@@ -185,7 +199,7 @@ def test_surfaces_have_the_known_betti_numbers(name):
     K, betti = SURFACES[name]
     per_link = _triangles_per_link(K)
     # every link of a closed surface bounds two triangles; the strip has a boundary
-    assert per_link.min() == (1 if name == "moebius" else 2) and per_link.max() == 2
+    assert per_link.min() == (1 if "moebius" in name else 2) and per_link.max() == 2
     assert betti_numbers(K) == betti
 
 

@@ -32,6 +32,13 @@ def test_hodge_tau_zero_is_identity(ff_dirac, ff_basis):
     assert np.array_equal(out.vector, s.vector)
 
 
+def test_hodge_filter_rejects_non_finite_tau(ff_dirac, ff_basis):
+    s = gaussian_mix_signal(ff_basis, 1.0, 0.2)
+    for tau in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            hodge_filter(s, ff_dirac, tau)
+
+
 def test_hodge_eigenmode_attenuation(two_triangles):
     D = assemble_dirac(two_triangles)
     L = D.super_laplacian.toarray()
@@ -59,6 +66,20 @@ def test_dirac_filter_diagonal_form(ff_dirac, ff_basis):
             out = dirac_filter(phi, ff_dirac, 1, tau, m, basis=use_basis)
             expected = phi / (1.0 + tau * (lam - m) ** 2)
             assert (out - expected).norm() <= 1e-8
+
+
+def test_dirac_filter_rejects_non_finite_settings(ff_dirac, ff_basis):
+    s = gaussian_mix_signal(ff_basis, 1.0, 0.2)
+    nan, inf = float("nan"), float("inf")
+    for tau, m, match in (
+        (nan, 2.0, "tau must be finite and >= 0, got nan"),
+        (inf, 2.0, "tau must be finite and >= 0, got inf"),
+        (-1.0, 2.0, "tau must be finite and >= 0, got -1.0"),
+        (1.0, nan, "m must be finite, got nan"),
+        (1.0, -inf, "m must be finite, got -inf"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            dirac_filter(s, ff_dirac, 1, tau, m)
 
 
 def test_dirac_filter_passes_matched_mode(ff_dirac, ff_basis):
@@ -153,6 +174,8 @@ def test_error_metric(ff_basis):
 def test_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(tau=0.0)
+    with pytest.raises(ValueError):
+        FilterConfig(tau=float("inf"))
     with pytest.raises(ValueError):
         FilterConfig(tau=1.0, eta=0.0)
     with pytest.raises(ValueError):

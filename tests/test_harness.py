@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from diracsp import (
 from diracsp.datasets import dataset_path
 from diracsp.errors import ParseError
 from diracsp.harness import (
+    _fmt,
     _mean_std,
     _prepare,
     cmd_basin,
@@ -30,7 +32,7 @@ from diracsp.harness import (
     resolve_dataset,
 )
 
-from oracles import loop_sweep_errors
+from oracles import loop_learn_traces, loop_sweep_errors
 
 FF = dataset_path("florentine_marriage.json")
 COASTAL = dataset_path("coastal_tessellation.json")
@@ -163,6 +165,71 @@ def test_sweep_m_matches_the_per_draw_filter_loop(case, tmp_path):
         c_true = setup.basis.coefficients(setup.s_true)
         rest = (setup.s_true - setup.basis.synthesize(c_true)).norm()
         assert 0.0 < rest < 1e-10
+
+
+LEARN_CASES = {
+    "coastal-n1-gaussian": dict(
+        dataset={"kind": "file", "path": COASTAL},
+        signal=SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2),
+    ),
+    "ff-n1": dict(),
+    "ngf300-flavor0-n2": dict(
+        dataset={"kind": "ngf", "target_nodes": 300, "flavor": 0, "seed": 5},
+        signal=SignalSpec(mode="eigen", n=2, selector="largest_positive"),
+    ),
+}
+# Columns that are counts, flags or plan values must match exactly.
+EXACT_COLUMNS = {"tau", "alpha", "m0", "draw", "t", "converged", "iterations"}
+
+
+def _assert_rows(path, want):
+    header, got = read_csv(path)
+    assert len(got) == len(want)
+    for name, got_col, want_col in zip(header, zip(*got), zip(*want)):
+        if name in EXACT_COLUMNS:
+            assert list(got_col) == [_fmt(x) for x in want_col], name
+        else:
+            np.testing.assert_allclose(
+                np.array(got_col, dtype=float), np.array(want_col, dtype=float),
+                rtol=1e-12, atol=1e-13, err_msg=name,
+            )
+
+
+@pytest.mark.parametrize("case", sorted(LEARN_CASES))
+def test_learning_commands_match_the_per_draw_learn_loop(case, tmp_path):
+    plan = ff_plan(alphas=(0.0, 0.5), taus=(2.0, 7.0), m0s=(1.5, "auto"), seeds=4, **LEARN_CASES[case])
+    m_true, traces = loop_learn_traces(plan)
+
+    out = cmd_learn(plan, tmp_path / "l.csv")
+    _assert_rows(out, [
+        (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error)
+        for (tau, alpha, m0), runs in traces.items()
+        for k, tr in enumerate(runs)
+        for r in tr.rows
+    ])
+    _assert_rows(tmp_path / "l.summary.csv", [
+        (
+            tau, alpha, m0, k, int(tr.converged), tr.iterations, tr.final_m, m_true,
+            tr.rows[-1].delta_s, tr.rows[-1].rel_error, tr.noisy_error,
+            1.0 - tr.rows[-1].delta_s / tr.noisy_error if tr.noisy_error else float("nan"),
+        )
+        for (tau, alpha, m0), runs in traces.items()
+        for k, tr in enumerate(runs)
+    ])
+    _assert_rows(cmd_basin(plan, tmp_path / "b.csv"), [
+        (tau, alpha, m0, m_true, *_mean_std([abs(tr.final_m - m_true) for tr in runs]))
+        for (tau, alpha, m0), runs in traces.items()
+    ])
+    # heatmap takes one m0, and numbers its cells over (tau, alpha) alone
+    for m0 in plan.m0s:
+        single = replace(plan, m0s=(m0,))
+        _assert_rows(cmd_heatmap(single, tmp_path / "h.csv"), [
+            (
+                tau, alpha, *_mean_std([tr.rows[-1].delta_s for tr in runs]),
+                float(np.mean([tr.converged for tr in runs])),
+            )
+            for (tau, alpha, _), runs in loop_learn_traces(single)[1].items()
+        ])
 
 
 def test_sweep_m_single_point_is_baseline_only(tmp_path):

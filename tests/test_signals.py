@@ -157,6 +157,14 @@ def test_noise_is_deterministic(ff_dirac):
     assert not np.array_equal(a.vector, c.vector)
 
 
+def test_noise_model_rejects_bad_amplitudes():
+    for name in ("alpha1", "alpha2"):
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value!r}"):
+                NoiseModel(**{name: value}, seed=1)
+    NoiseModel(alpha1=0.0, alpha2=0.5, seed=1)
+
+
 def test_noise_is_orthogonal_to_kernel(ff_dirac):
     model = NoiseModel(alpha1=0.6, seed=9)
     eps = sample_noise(model, ff_dirac, 1, 0)

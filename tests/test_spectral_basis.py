@@ -12,6 +12,7 @@ from diracsp import (
     TopologicalSpinor,
     assemble_dirac,
     dirac_filter,
+    dirac_project,
     gaussian_mix_signal,
     learn,
     ngf_generate,
@@ -21,7 +22,7 @@ from diracsp import (
 from diracsp import operators
 from diracsp.errors import DimensionMismatch
 from diracsp.datasets import coastal_tessellation
-from diracsp.operators import _eigh_triplets, _gram_triplets, _mode_signs
+from diracsp.operators import _eigh_triplets, _gram_triplets, _mode_signs, harmonic_basis
 
 from conftest import HARD_COMPLEXES, random_complex
 from oracles import brute_dirac, dense_spectral_basis, eigenbasis_projection, exact_rank
@@ -143,6 +144,12 @@ def test_operator_keeps_its_svd_basis(coastal, monkeypatch):
     signs = []
     monkeypatch.setattr(operators, "_mode_signs", lambda U, V: signs.append(1) or _mode_signs(U, V))
     s = sample_noise(NoiseModel(alpha1=0.5, seed=1), D, 1, 0)
+    # callers that need only the triplets never pay for the mode signs
+    dirac_project(s, D, 2)
+    harmonic_basis(D)
+    D.rank(1)
+    D.singular_triplets(2)
+    assert signs == []
     for _ in range(2):
         dirac_filter(s, D, 1, 2.0, 1.0)
         learn(s, D, 1, FilterConfig(tau=2.0, m0=1.0))
