@@ -14,8 +14,11 @@ stops moving.
 The Dirac filter and the learner act in the coordinates of the factored
 SpectralBasis of D_n, where the filter is diagonal: each learning
 iteration is O(dim im(D_n)).  Without a basis from the caller they build
-one from the operator's cached singular triplets.  The Hodge filter needs
-no spectrum and solves its SPD system by a sparse factorization.
+one from the operator's cached singular triplets.  The learner's loop,
+:func:`_learn_batch`, runs S draws at once on an S x r matrix of
+coordinates, each draw stopping at its own iteration; :func:`learn` is its
+one-draw case.  The Hodge filter needs no spectrum and solves its SPD
+system by a sparse factorization.
 """
 
 from __future__ import annotations
@@ -195,87 +198,154 @@ class RunTrace:
                 )
 
 
-def _learn_coords(
-    lam: np.ndarray, c0: np.ndarray, c_true: np.ndarray | None, config: FilterConfig
-) -> tuple[np.ndarray, RunTrace]:
-    """The adaptive loop of :func:`learn` on coordinates: (final c_hat, trace).
+def _low_snr(C0: np.ndarray) -> np.ndarray:
+    """Per row of input coordinates: does the observed power suggest snr < 1?
 
-    ``lam`` holds the eigenvalues of the nonzero modes, ``c0`` the noisy
-    input's coordinates along them and ``c_true`` the truth's (None when no
-    truth is measured).  Nothing here needs the modes themselves.
+    Rule of thumb: with unit-norm truth, ||s_tilde_n||^2 ~ 1 + alpha^2, so an
+    observed power above 2 suggests snr < 1, where the initial guess matters
+    a lot.
     """
-    tau = config.tau
+    return (C0 * C0).sum(axis=1) - 1.0 > 1.0
 
-    def filt(m):
-        return c0 * _attenuation(lam, tau, m)
 
-    def ray(c):
-        denom = c @ c
-        if denom <= 0.0:
-            raise ZeroSignal("filtered signal collapsed to zero")
-        return float((lam * c**2).sum() / denom)
+@dataclass(frozen=True)
+class LearnBatch:
+    """The adaptive loop's run of S draws at once, from :func:`_learn_batch`.
 
-    def err(c):
-        return float(np.linalg.norm(c - c_true))
+    Row t of ``m_hat`` and ``delta_s`` holds iteration t of every draw (t = 0
+    is the initial guess and the noisy input); draw k stopped after
+    ``iterations[k]`` iterations, and its entries past that row are NaN.
+    ``delta_s``, ``noisy_error`` and ``baseline_error`` are None when no
+    truth was measured.
+    """
 
-    norm_c0 = float(np.linalg.norm(c0))
-    if norm_c0 == 0.0:
+    coords: np.ndarray  # S x r final c_hat
+    m_hat: np.ndarray  # (T + 1) x S
+    delta_s: np.ndarray | None  # (T + 1) x S
+    iterations: np.ndarray  # S
+    converged: np.ndarray  # S, bool
+    noisy_error: np.ndarray | None  # S
+    baseline_error: np.ndarray | None  # S
+
+    def _final(self, per_iteration: np.ndarray) -> np.ndarray:
+        return per_iteration[self.iterations, np.arange(self.iterations.size)]
+
+    @property
+    def final_m(self) -> np.ndarray:
+        return self._final(self.m_hat)
+
+    @property
+    def final_delta_s(self) -> np.ndarray:
+        return self._final(self.delta_s)
+
+    def trace(self, k: int) -> RunTrace:
+        """Draw k's run as a :class:`RunTrace`."""
+        its = int(self.iterations[k])
+        trace = RunTrace(converged=bool(self.converged[k]), iterations=its)
+        trace.final_m = float(self.m_hat[its, k])
+        baseline = None
+        if self.delta_s is not None:
+            trace.noisy_error = float(self.noisy_error[k])
+            trace.baseline_error = baseline = float(self.baseline_error[k])
+        for t in range(its + 1):
+            delta_s = None if self.delta_s is None else float(self.delta_s[t, k])
+            rel = delta_s / baseline if delta_s is not None and baseline else None
+            trace.rows.append(TraceRow(t, float(self.m_hat[t, k]), delta_s, rel))
+        return trace
+
+
+def _learn_batch(
+    lam: np.ndarray, C0: np.ndarray, c_true: np.ndarray | None, config: FilterConfig
+) -> LearnBatch:
+    """The adaptive loop of :func:`learn` on an S x r matrix of coordinates.
+
+    ``lam`` holds the eigenvalues of the nonzero modes, row k of ``C0`` the
+    coordinates of draw k along them and ``c_true`` the truth's (None when
+    no truth is measured).  Every draw runs the filter-then-update loop on
+    its own and stops at the first iteration where its m estimate moves
+    less than delta; the draws still moving form the active rows of each
+    step.  A zero row, or a filtered row that collapses to zero, raises
+    :class:`ZeroSignal`.
+    """
+    C0 = np.asarray(C0, dtype=float)
+    S = C0.shape[0]
+    tau, eta = config.tau, config.eta
+    if ((C0 * C0).sum(axis=1) == 0.0).any():
         raise ZeroSignal("observed signal has no component in im(D_n)")
 
-    # Rule of thumb: with unit-norm truth, ||s_tilde_n||^2 ~ 1 + alpha^2, so
-    # an observed power above 2 suggests snr < 1, where the initial guess
-    # matters a lot.
-    if norm_c0**2 - 1.0 > 1.0:
-        warnings.warn(
-            "estimated snr < 1; convergence is sensitive to the initial m0",
-            RuntimeWarning,
-            stacklevel=3,  # the caller of learn
-        )
+    def filt(C, m):
+        # C * _attenuation(lam, tau, m) row by row, bit for bit, in one buffer
+        W = lam - m[:, None]
+        np.square(W, out=W)
+        W *= tau
+        W += 1.0
+        np.divide(1.0, W, out=W)
+        W *= C
+        return W
 
-    if config.m0 == "auto":
-        m_hat = ray(c0)
-    else:
-        m_hat = float(config.m0)
+    # Row sums, not BLAS products: a matrix-vector product rounds a row
+    # differently by its position and the batch size, and a draw's numbers
+    # must not depend on which other draws share its batch.
+    def ray(C):
+        Q = C * C
+        denom = Q.sum(axis=1)
+        if (denom <= 0.0).any():
+            raise ZeroSignal("filtered signal collapsed to zero")
+        Q *= lam
+        return Q.sum(axis=1) / denom
 
-    trace = RunTrace()
+    def err(C):
+        D = C - c_true
+        D *= D
+        return np.sqrt(D.sum(axis=1))
+
+    m = ray(C0) if config.m0 == "auto" else np.full(S, float(config.m0))
+    m_rows = [m]
+    noisy = baseline = None
     if c_true is not None:
-        trace.noisy_error = err(c0)
-        trace.baseline_error = err(filt(0.0))
-    trace.rows.append(
-        TraceRow(
-            0,
-            m_hat,
-            trace.noisy_error,
-            None
-            if c_true is None or not trace.baseline_error
-            else trace.noisy_error / trace.baseline_error,
-        )
-    )
+        noisy = err(C0)
+        baseline = err(filt(C0, np.zeros(S)))
+        delta_rows = [noisy]
 
-    c_hat = c0
-    converged = False
+    coords = np.empty_like(C0)
+    iterations = np.zeros(S, dtype=np.int64)
+    converged = np.zeros(S, dtype=bool)
+    # the draws still moving: their indices, input rows and current m
+    active, C = np.arange(S), C0
     t = 0
-    while t < config.max_iters:
+    while active.size and t < config.max_iters:
         t += 1
-        c_hat = filt(m_hat)
-        m_new = (1.0 - config.eta) * m_hat + config.eta * ray(c_hat)
-        delta_s = err(c_hat) if c_true is not None else None
-        rel = (
-            delta_s / trace.baseline_error
-            if delta_s is not None and trace.baseline_error
-            else None
-        )
-        trace.rows.append(TraceRow(t, m_new, delta_s, rel))
-        moved = abs(m_new - m_hat)
-        m_hat = m_new
-        if moved < config.delta:
-            converged = True
-            break
+        C_hat = filt(C, m)
+        m_new = (1.0 - eta) * m + eta * ray(C_hat)
+        row = np.full(S, np.nan)
+        row[active] = m_new
+        m_rows.append(row)
+        if c_true is not None:
+            row = np.full(S, np.nan)
+            row[active] = err(C_hat)
+            delta_rows.append(row)
+        done = np.abs(m_new - m) < config.delta
+        m = m_new
+        if done.any():
+            stopped = active[done]
+            coords[stopped] = C_hat[done]
+            iterations[stopped] = t
+            converged[stopped] = True
+            keep = ~done
+            active, C, C_hat, m = active[keep], C[keep], C_hat[keep], m[keep]
+    if active.size:  # max_iters reached
+        coords[active] = C_hat
+        iterations[active] = t
 
-    trace.converged = converged
-    trace.iterations = t
-    trace.final_m = m_hat
-    return c_hat, trace
+    return LearnBatch(
+        coords=coords,
+        m_hat=np.array(m_rows),
+        delta_s=None if c_true is None else np.array(delta_rows),
+        iterations=iterations,
+        converged=converged,
+        noisy_error=noisy,
+        baseline_error=baseline,
+    )
 
 
 def learn(
@@ -295,21 +365,29 @@ def learn(
         m_hat(t+1)  <- (1 - eta) m_hat(t) + eta * Rayleigh(s_hat)
 
     ``m0="auto"`` starts from the Rayleigh quotient of the projected noisy
-    input.  The loop (:func:`_learn_coords`) runs on coordinates in the
-    spectral basis of D_n (the one ``Dop`` keeps when no ``basis`` is given).
-    ``truth`` is measured by its projection P_n truth onto im(D_n), as
-    described in :class:`RunTrace`.  If max_iters is hit the partial trace is
-    still returned with ``converged=False`` (or raised inside
-    :class:`NonConvergence` when ``strict=True``).
+    input.  The loop runs on coordinates in the spectral basis of D_n (the
+    one ``Dop`` keeps when no ``basis`` is given), as the one-draw case of
+    :func:`_learn_batch`.  ``truth`` is measured by its projection P_n truth
+    onto im(D_n), as described in :class:`RunTrace`.  If max_iters is hit
+    the partial trace is still returned with ``converged=False`` (or raised
+    inside :class:`NonConvergence` when ``strict=True``).
     """
     basis = _basis_for(Dop, n, basis)
-    c_hat, trace = _learn_coords(
+    C0 = basis.coefficients(s_tilde_n)[None, :]
+    if _low_snr(C0)[0]:
+        warnings.warn(
+            "estimated snr < 1; convergence is sensitive to the initial m0",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    batch = _learn_batch(
         basis.eigenvalues[basis.nonzero_indices],
-        basis.coefficients(s_tilde_n),
+        C0,
         None if truth is None else basis.coefficients(truth),
         config,
     )
-    result = (basis.synthesize(c_hat), trace)
+    trace = batch.trace(0)
+    result = (basis.synthesize(batch.coords[0]), trace)
     if not trace.converged and strict:
         raise NonConvergence(
             f"m estimate still moving after {trace.iterations} iterations", result=result

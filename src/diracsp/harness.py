@@ -9,6 +9,14 @@ re-run with the same plan and seed reproduces the data rows byte for byte
 Randomness is fully keyed: the noise draw for grid cell c and repetition k
 uses the substream (plan.seed, cell_index=c, draw_index=k), so cells can be
 evaluated in any order without changing any number.
+
+The grid commands work in the coordinates of the spectral basis of D_n from
+draw to row.  A cell's S draws are one S x r matrix (:func:`_draw_coords`):
+the truth's coordinates plus those of each draw's noise, taken straight
+from the Philox vectors without projecting or forming a spinor.  sweep-m
+filters that matrix at every m; learn, heatmap and basin run it through the
+batched learner (:func:`diracsp.filtering._learn_batch`) and read their rows
+off its per-draw arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import json
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -25,13 +34,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__ as _version
+from . import filtering
 from .complexes import SimplicialComplex, load_complex
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
-    RunTrace,
+    LearnBatch,
     _attenuation,
-    learn,
+    _learn_batch,
+    _low_snr,
     rayleigh_m,
     require_int,
 )
@@ -47,6 +58,7 @@ from .signals import (
     gaussian_mix_signal,
     lift_signal,
     load_signal,
+    noise_coefficients,
     sample_noise,
     select_eigenvalue,
 )
@@ -221,13 +233,16 @@ def _cell_seed(plan: ExperimentPlan, cell_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _noise(plan, Dop, n, alpha, cell_index, draw_index) -> TopologicalSpinor:
-    model = NoiseModel(
+def _noise_model(plan: ExperimentPlan, n: int, alpha: float, cell_index: int) -> NoiseModel:
+    return NoiseModel(
         alpha1=alpha if n == 1 else 0.0,
         alpha2=alpha if n == 2 else 0.0,
         seed=_cell_seed(plan, cell_index),
     )
-    return sample_noise(model, Dop, n, draw_index)
+
+
+def _noise(plan, Dop, n, alpha, cell_index, draw_index) -> TopologicalSpinor:
+    return sample_noise(_noise_model(plan, n, alpha, cell_index), Dop, n, draw_index)
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -271,6 +286,7 @@ class _Setup(NamedTuple):
     basis: SpectralBasis
     s_true: TopologicalSpinor
     m_true: float
+    c_true: np.ndarray  # coordinates of s_true in basis
 
 
 def _prepare(plan: ExperimentPlan) -> _Setup:
@@ -279,20 +295,22 @@ def _prepare(plan: ExperimentPlan) -> _Setup:
     n = plan.signal.n
     basis = spectral_basis(Dop, n)
     s_true, m_true = make_signal(plan.signal, Dop, basis)
-    return _Setup(Dop, n, basis, s_true, m_true)
+    return _Setup(Dop, n, basis, s_true, m_true, basis.coefficients(s_true))
 
 
-def _draws(plan: ExperimentPlan, setup: _Setup, alpha: float, cell_index: int):
-    """Yield the plan.seeds noisy observations of grid cell `cell_index`.
+def _draw_coords(
+    plan: ExperimentPlan, setup: _Setup, alpha: float, cell_index: int
+) -> np.ndarray:
+    """The plan.seeds draws of grid cell `cell_index` as rows of basis coordinates.
 
-    Draw k carries the noise keyed by (plan.seed, cell_index, k); at
-    alpha = 0 every draw is the clean signal itself.
+    Row k is c_true + alpha / sqrt(dim im(D_n)) * coefficients(x_k), where
+    x_k is the Philox vector that :func:`_noise` projects for draw k; the
+    coordinates of P_n x_k are those of x_k.  At alpha = 0 every row is c_true.
     """
-    for k in range(plan.seeds):
-        if alpha > 0:
-            yield setup.s_true + _noise(plan, setup.Dop, setup.n, alpha, cell_index, k)
-        else:
-            yield setup.s_true
+    if alpha == 0:
+        return np.tile(setup.c_true, (plan.seeds, 1))
+    model = _noise_model(plan, setup.n, alpha, cell_index)
+    return setup.c_true + noise_coefficients(model, setup.basis, range(plan.seeds))
 
 
 def _configs(plan: ExperimentPlan) -> dict:
@@ -300,14 +318,26 @@ def _configs(plan: ExperimentPlan) -> dict:
     return {(tau, m0): plan.config(tau, m0) for tau, m0 in product(plan.taus, plan.m0s)}
 
 
-def _learn_cell(
+def _learn_draws(
     plan: ExperimentPlan, setup: _Setup, config: FilterConfig, alpha: float, cell_index: int
-) -> list[RunTrace]:
-    """One learning run per draw of a grid cell, in draw order."""
-    return [
-        learn(s_tilde, setup.Dop, setup.n, config, truth=setup.s_true, basis=setup.basis)[1]
-        for s_tilde in _draws(plan, setup, alpha, cell_index)
-    ]
+) -> LearnBatch:
+    """The learner's run of every draw of a grid cell, as one batch.
+
+    One RuntimeWarning names the cell when any of its draws looks like
+    snr < 1 (the rule of :func:`learn`'s warning).
+    """
+    C0 = _draw_coords(plan, setup, alpha, cell_index)
+    low = int(_low_snr(C0).sum())
+    if low:
+        warnings.warn(
+            f"estimated snr < 1 in {low} of {plan.seeds} draws of the cell "
+            f"tau={config.tau!r}, alpha={alpha!r}, m0={config.m0!r}; "
+            "convergence is sensitive to the initial m0",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of the command
+        )
+    basis = setup.basis
+    return _learn_batch(basis.eigenvalues[basis.nonzero_indices], C0, setup.c_true, config)
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -336,13 +366,13 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
         ms = [0.0] + ms
     basis = setup.basis
     lam = basis.eigenvalues[basis.nonzero_indices]
-    c_true = basis.coefficients(setup.s_true)
+    c_true = setup.c_true
     # taken directly: sqrt(||s_true||^2 - ||c_true||^2) reads ~1e-8 from cancellation alone
     rest2 = (setup.s_true - basis.synthesize(c_true)).norm() ** 2
 
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
-        C = np.array([basis.coefficients(s) for s in _draws(plan, setup, alpha, c)])
+        C = _draw_coords(plan, setup, alpha, c)
         errs = np.empty((plan.seeds, len(ms)))
         for j, m in enumerate(ms):
             diff = C * _attenuation(lam, tau, m) - c_true
@@ -368,7 +398,9 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
     setup = _prepare(plan)
     trace_rows, summary_rows = [], []
     for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        for k, tr in enumerate(_learn_cell(plan, setup, configs[tau, m0], alpha, c)):
+        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
+        for k in range(plan.seeds):
+            tr = batch.trace(k)
             trace_rows.extend(
                 (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error) for r in tr.rows
             )
@@ -412,11 +444,11 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
     setup = _prepare(plan)
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
-        traces = _learn_cell(plan, setup, configs[tau, m0], alpha, c)
+        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
         rows.append((
             tau, alpha,
-            *_mean_std([tr.rows[-1].delta_s for tr in traces]),
-            float(np.mean([tr.converged for tr in traces])),
+            *_mean_std(batch.final_delta_s),
+            float(np.mean(batch.converged)),
         ))
     write_csv(
         out, plan, "heatmap",
@@ -432,10 +464,10 @@ def cmd_basin(plan: ExperimentPlan, out) -> Path:
     setup = _prepare(plan)
     rows = []
     for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        traces = _learn_cell(plan, setup, configs[tau, m0], alpha, c)
+        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
         rows.append((
             tau, alpha, m0, setup.m_true,
-            *_mean_std([abs(tr.final_m - setup.m_true) for tr in traces]),
+            *_mean_std(np.abs(batch.final_m - setup.m_true)),
         ))
     write_csv(
         out, plan, "basin",
@@ -475,7 +507,10 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
             t0 = time.perf_counter()
             Dop = assemble_dirac(K)
             basis = spectral_basis(Dop, plan.signal.n, method="eigh")
-            learn(s_tilde, Dop, plan.signal.n, plan.config(tau, plan.m0s[0]), basis=basis)
+            # Called through the module: a `learn` bound here would have the
+            # benchmark's tracer (perfbench/tracing.py) count learn calls from
+            # the grid commands, which run the batched learner instead.
+            filtering.learn(s_tilde, Dop, plan.signal.n, plan.config(tau, plan.m0s[0]), basis=basis)
             dt = time.perf_counter() - t0
             if r > 0:
                 times.append(dt)

@@ -43,7 +43,7 @@ from .complexes import (
     gram_matrix,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
-from .spinors import TopologicalSpinor
+from .spinors import TopologicalSpinor, split_blocks
 
 SQRT2 = np.sqrt(2.0)
 
@@ -148,14 +148,14 @@ class DiracOperator:
         self._check(s)
         if n is None:
             return self.apply(s, 1) + self.apply(s, 2)
-        left, right = _blocks_for(n, s)
+        left, right = _blocks_for(n, s.blocks)
         B = self.boundary(n)
         return _spinor_from_blocks(self.K, n, B @ right, B.T @ left)
 
 
-def _blocks_for(n: int, s: TopologicalSpinor):
-    """(left-block, right-block) of the spinor that D_n actually touches."""
-    return s.blocks[_order(n) - 1], s.blocks[n]
+def _blocks_for(n: int, blocks):
+    """(left-block, right-block) of the (node, link, triangle) blocks that D_n touches."""
+    return blocks[_order(n) - 1], blocks[n]
 
 
 def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> TopologicalSpinor:
@@ -343,9 +343,24 @@ class SpectralBasis:
             raise DimensionMismatch(
                 f"spinor has length {len(s)}, basis needs {self.K.spinor_dim}"
             )
-        a, b = _blocks_for(self.order, s)
-        x, y = self.U.T @ a, self.V.T @ b
-        return np.concatenate([x - y, (x + y)[::-1]]) / SQRT2 * self.signs
+        a, b = _blocks_for(self.order, s.blocks)
+        return self._from_projections(self.U.T @ a, self.V.T @ b)
+
+    def coefficient_rows(self, X: np.ndarray) -> np.ndarray:
+        """Row k: the coefficients of the spinor whose vector is X[k].
+
+        One product per block for the whole S x M stack, in place of S calls
+        to :meth:`coefficients`.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DimensionMismatch(f"expected a stack of vectors, got shape {X.shape}")
+        A, B = _blocks_for(self.order, split_blocks(self.K, X))
+        return self._from_projections(A @ self.U, B @ self.V)
+
+    def _from_projections(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinates from x = U^T a and y = V^T b (last axis: triplets)."""
+        return np.concatenate([x - y, (x + y)[..., ::-1]], axis=-1) / SQRT2 * self.signs
 
     def synthesize(self, c: np.ndarray) -> TopologicalSpinor:
         """The spinor sum_i c[i] phi_i over the nonzero modes phi_i."""
@@ -484,7 +499,7 @@ def dirac_project(s: TopologicalSpinor, Dop: DiracOperator, n: int) -> Topologic
     """
     Dop._check(s)
     U, _, V = Dop.singular_triplets(n)
-    left, right = _blocks_for(n, s)
+    left, right = _blocks_for(n, s.blocks)
     return _spinor_from_blocks(Dop.K, n, U @ (U.T @ left), V @ (V.T @ right))
 
 

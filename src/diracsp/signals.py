@@ -218,13 +218,36 @@ def sample_noise(
     Deterministic given (seed, draw_index); distinct draw indices give
     independent vectors.
     """
-    dim_n = Dop.nonharmonic_dim(n)
+    scale = _noise_scale(model, n, Dop.nonharmonic_dim(n))
+    x = TopologicalSpinor.from_vector(Dop.K, _standard_draw(model, n, draw_index, Dop.dim))
+    return dirac_project(x, Dop, n) * scale
+
+
+def noise_coefficients(model: NoiseModel, basis: SpectralBasis, draw_indices) -> np.ndarray:
+    """Coordinates in ``basis`` of the sample_noise draws, one row per draw index.
+
+    Row k equals ``basis.coefficients(sample_noise(model, Dop, n, k))`` up to
+    roundoff: the coordinates of P_n x are those of x itself, so neither the
+    projection nor a spinor is formed.
+    """
+    n = basis.order
+    scale = _noise_scale(model, n, basis.nonharmonic_dim)
+    X = np.empty((len(draw_indices), basis.K.spinor_dim))
+    for row, k in zip(X, draw_indices):
+        row[:] = _standard_draw(model, n, k, X.shape[1])
+    return basis.coefficient_rows(X) * scale
+
+
+def _noise_scale(model: NoiseModel, n: int, dim_n: int) -> float:
+    """alpha_n / sqrt(dim im(D_n)), the factor that makes E||eps_n||^2 = alpha_n^2."""
     if dim_n == 0:
         raise EmptyImage(f"im(D_{n}) is trivial; cannot place noise there")
-    rng = rng_stream(model.seed, n, draw_index)
-    x = TopologicalSpinor.from_vector(Dop.K, rng.standard_normal(Dop.dim))
-    eps = dirac_project(x, Dop, n)
-    return eps * (model.alpha(n) / np.sqrt(dim_n))
+    return model.alpha(n) / np.sqrt(dim_n)
+
+
+def _standard_draw(model: NoiseModel, n: int, draw_index: int, dim: int) -> np.ndarray:
+    """The N(0, I) vector x behind draw ``draw_index`` of ``model``."""
+    return rng_stream(model.seed, n, draw_index).standard_normal(dim)
 
 
 def snr(s: TopologicalSpinor, eps: TopologicalSpinor) -> float:

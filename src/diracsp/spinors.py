@@ -21,6 +21,20 @@ def _frozen(x) -> np.ndarray:
     return a
 
 
+def split_blocks(K: SimplicialComplex, x: np.ndarray):
+    """(node, link, triangle) blocks of the last axis of x, as views.
+
+    The one place that knows the layout of a spinor's vector: x is one
+    vector of length N0 + N1 + N2, or a stack of them along the last axis.
+    """
+    if x.shape[-1] != K.spinor_dim:
+        raise DimensionMismatch(
+            f"vector has length {x.shape[-1]}, complex needs {K.spinor_dim}"
+        )
+    i, j = K.n0, K.n0 + K.n1
+    return x[..., :i], x[..., i:j], x[..., j:]
+
+
 @dataclass(frozen=True)
 class TopologicalSpinor:
     """Real signal vector over the space C0 + C1 + C2."""
@@ -40,12 +54,7 @@ class TopologicalSpinor:
 
     @classmethod
     def from_vector(cls, K: SimplicialComplex, vec) -> "TopologicalSpinor":
-        v = np.asarray(vec, dtype=float).reshape(-1)
-        if v.size != K.spinor_dim:
-            raise DimensionMismatch(
-                f"vector has length {v.size}, complex needs {K.spinor_dim}"
-            )
-        return cls(v[: K.n0], v[K.n0 : K.n0 + K.n1], v[K.n0 + K.n1 :])
+        return cls(*split_blocks(K, np.asarray(vec, dtype=float).reshape(-1)))
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -168,6 +168,25 @@ def dense_spectral_basis(Dop, n):
     return vals, vecs
 
 
+# -- the grid commands' draws, one spinor at a time -----------------------------
+
+
+def _draws(plan, setup, alpha, cell_index):
+    """Yield the plan.seeds noisy observations of grid cell `cell_index` as spinors.
+
+    Draw k is the truth plus the projected noise keyed by (plan.seed,
+    cell_index, k); at alpha = 0 every draw is the clean signal itself.  The
+    harness takes the same draws as basis coordinates (``_draw_coords``).
+    """
+    from diracsp.harness import _noise
+
+    for k in range(plan.seeds):
+        if alpha > 0:
+            yield setup.s_true + _noise(plan, setup.Dop, setup.n, alpha, cell_index, k)
+        else:
+            yield setup.s_true
+
+
 # -- sweep-m, one filter call per (draw, m) -------------------------------------
 
 
@@ -180,7 +199,7 @@ def loop_sweep_errors(plan):
     on the same draws, taken in spinor space.
     """
     from diracsp.filtering import dirac_filter, reconstruction_error
-    from diracsp.harness import _draws, _prepare
+    from diracsp.harness import _prepare
 
     setup = _prepare(plan)
     ms = list(plan.ms)
@@ -197,25 +216,120 @@ def loop_sweep_errors(plan):
     return ms, errors
 
 
-# -- learn, heatmap and basin, one learn call per draw ----------------------------
+# -- learn, heatmap and basin, one scalar loop per draw ---------------------------
+
+
+def _attenuation(lam, tau, m):
+    return 1.0 / (1.0 + tau * (lam - m) ** 2)
+
+
+def loop_learn_coords(lam, c0, c_true, config):
+    """The adaptive loop on one draw's coordinates: (final c_hat, RunTrace).
+
+    The scalar loop the library ran one draw at a time before its learner
+    was batched, kept as written: ``lam`` holds the eigenvalues of the
+    nonzero modes, ``c0`` the noisy input's coordinates along them and
+    ``c_true`` the truth's (None when no truth is measured).
+    """
+    import warnings
+
+    from diracsp.errors import ZeroSignal
+    from diracsp.filtering import RunTrace, TraceRow
+
+    tau = config.tau
+
+    def filt(m):
+        return c0 * _attenuation(lam, tau, m)
+
+    def ray(c):
+        denom = c @ c
+        if denom <= 0.0:
+            raise ZeroSignal("filtered signal collapsed to zero")
+        return float((lam * c**2).sum() / denom)
+
+    def err(c):
+        return float(np.linalg.norm(c - c_true))
+
+    norm_c0 = float(np.linalg.norm(c0))
+    if norm_c0 == 0.0:
+        raise ZeroSignal("observed signal has no component in im(D_n)")
+
+    # Rule of thumb: with unit-norm truth, ||s_tilde_n||^2 ~ 1 + alpha^2, so
+    # an observed power above 2 suggests snr < 1, where the initial guess
+    # matters a lot.
+    if norm_c0**2 - 1.0 > 1.0:
+        warnings.warn(
+            "estimated snr < 1; convergence is sensitive to the initial m0",
+            RuntimeWarning,
+            stacklevel=3,  # the caller of learn
+        )
+
+    if config.m0 == "auto":
+        m_hat = ray(c0)
+    else:
+        m_hat = float(config.m0)
+
+    trace = RunTrace()
+    if c_true is not None:
+        trace.noisy_error = err(c0)
+        trace.baseline_error = err(filt(0.0))
+    trace.rows.append(
+        TraceRow(
+            0,
+            m_hat,
+            trace.noisy_error,
+            None
+            if c_true is None or not trace.baseline_error
+            else trace.noisy_error / trace.baseline_error,
+        )
+    )
+
+    c_hat = c0
+    converged = False
+    t = 0
+    while t < config.max_iters:
+        t += 1
+        c_hat = filt(m_hat)
+        m_new = (1.0 - config.eta) * m_hat + config.eta * ray(c_hat)
+        delta_s = err(c_hat) if c_true is not None else None
+        rel = (
+            delta_s / trace.baseline_error
+            if delta_s is not None and trace.baseline_error
+            else None
+        )
+        trace.rows.append(TraceRow(t, m_new, delta_s, rel))
+        moved = abs(m_new - m_hat)
+        m_hat = m_new
+        if moved < config.delta:
+            converged = True
+            break
+
+    trace.converged = converged
+    trace.iterations = t
+    trace.final_m = m_hat
+    return c_hat, trace
 
 
 def loop_learn_traces(plan):
-    """The learning commands' run of every draw, one ``learn`` call at a time.
+    """The learning commands' run of every draw, one scalar loop at a time.
 
     Returns (m_true, {(tau, alpha, m0): [RunTrace of each draw]}) with cells
     keyed and seeded in the order of ``cmd_learn`` and ``cmd_basin``; for a
-    plan with one m0 that is also the order of ``cmd_heatmap``.
+    plan with one m0 that is also the order of ``cmd_heatmap``.  Each draw is
+    the spinor of :func:`_draws` (truth plus projected noise), taken to
+    coordinates on its own and run through :func:`loop_learn_coords`.
     """
-    from diracsp.filtering import learn
-    from diracsp.harness import _draws, _prepare
+    from diracsp.harness import _prepare
 
     setup = _prepare(plan)
+    basis = setup.basis
+    lam = basis.eigenvalues[basis.nonzero_indices]
+    c_true = basis.coefficients(setup.s_true)
     traces = {}
     for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
         config = plan.config(tau, m0)
         traces[tau, alpha, m0] = [
-            learn(s_tilde, setup.Dop, setup.n, config, truth=setup.s_true, basis=setup.basis)[1]
+            loop_learn_coords(lam, basis.coefficients(s_tilde), c_true, config)[1]
             for s_tilde in _draws(plan, setup, alpha, c)
         ]
     return setup.m_true, traces

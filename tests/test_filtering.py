@@ -20,10 +20,11 @@ from diracsp import (
     spectral_basis,
 )
 from diracsp.errors import DimensionMismatch, InvalidOrder, NonConvergence, ZeroSignal
+from diracsp.filtering import _learn_batch, _low_snr
 from diracsp.operators import harmonic_basis
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import brute_dirac, eigenbasis_projection
+from oracles import brute_dirac, eigenbasis_projection, loop_learn_coords
 
 
 def test_hodge_tau_zero_is_identity(ff_dirac, ff_basis):
@@ -381,3 +382,100 @@ def test_basis_of_another_complex_is_rejected(coastal_dirac, coastal, ff_basis):
         dirac_filter(s, coastal_dirac, 1, 10.0, 1.0, basis=ff_basis)
     with pytest.raises(DimensionMismatch):
         learn(s, coastal_dirac, 1, FilterConfig(tau=10.0), basis=ff_basis)
+
+
+# -- the batched learner against the scalar loop, draw by draw ------------------
+
+
+@pytest.fixture(scope="module")
+def coastal_draws(coastal_dirac):
+    """(lam, C0, c_true) on the coastal complex, n = 1, gaussian-mix truth.
+
+    Row 0 is the clean signal (alpha = 0); then four draws at alpha = 0.5
+    and four at alpha = 2.5, so the rows stop at different iterations.
+    """
+    basis = spectral_basis(coastal_dirac, 1)
+    s = gaussian_mix_signal(basis, 1.0, 0.2)
+    rows = [basis.coefficients(s)]
+    for alpha in (0.5, 2.5):
+        model = NoiseModel(alpha1=alpha, seed=11)
+        rows += [basis.coefficients(s + sample_noise(model, coastal_dirac, 1, k)) for k in range(4)]
+    return basis.eigenvalues[basis.nonzero_indices], np.array(rows), basis.coefficients(s)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("m0", [0.3, 1.5, "auto"])
+@pytest.mark.parametrize("measured", [True, False], ids=["truth", "no_truth"])
+def test_learn_batch_matches_the_scalar_loop(coastal_draws, m0, measured):
+    lam, C0, c_true = coastal_draws
+    if not measured:
+        c_true = None
+    config = FilterConfig(tau=2.0, m0=m0, max_iters=36)
+    batch = _learn_batch(lam, C0, c_true, config)
+    want = [loop_learn_coords(lam, c0, c_true, config) for c0 in C0]
+
+    iterations = [tr.iterations for _, tr in want]
+    assert batch.iterations.tolist() == iterations
+    assert batch.converged.tolist() == [tr.converged for _, tr in want]
+    # the rows stop at different iterations, and some hit max_iters
+    assert len(set(iterations)) > 1
+    assert not all(tr.converged for _, tr in want)
+
+    for k, (c_hat, tr) in enumerate(want):
+        got = batch.trace(k)
+        np.testing.assert_allclose(batch.coords[k], c_hat, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got.m_history, tr.m_history, rtol=1e-12, atol=0)
+        assert got.final_m == batch.final_m[k]
+        np.testing.assert_allclose(got.final_m, tr.final_m, rtol=1e-12, atol=0)
+        assert (got.iterations, got.converged) == (tr.iterations, tr.converged)
+        assert np.isnan(batch.m_hat[tr.iterations + 1 :, k]).all()
+        if c_true is None:
+            assert batch.delta_s is None and batch.noisy_error is None
+            assert all(r.delta_s is None and r.rel_error is None for r in got.rows)
+            continue
+        for name in ("delta_s", "rel_error"):
+            np.testing.assert_allclose(
+                [getattr(r, name) for r in got.rows], [getattr(r, name) for r in tr.rows],
+                rtol=1e-12, atol=0, err_msg=name,
+            )
+        np.testing.assert_allclose(
+            [got.noisy_error, got.baseline_error], [tr.noisy_error, tr.baseline_error],
+            rtol=1e-12, atol=0,
+        )
+    # the clean row has no noisy error to reduce
+    if c_true is not None:
+        assert batch.noisy_error[0] == 0.0
+
+
+@pytest.mark.parametrize("m0", [1.5, "auto"])
+def test_learn_batch_rows_do_not_depend_on_the_batch(coastal_draws, m0):
+    # each row is the one-draw run of that row, bit for bit, whatever else
+    # shares the batch and whenever the other rows stop
+    lam, C0, c_true = coastal_draws
+    config = FilterConfig(tau=2.0, m0=m0, max_iters=36)
+    batch = _learn_batch(lam, C0, c_true, config)
+    for k in range(C0.shape[0]):
+        one = _learn_batch(lam, C0[k : k + 1], c_true, config)
+        its = one.iterations[0]
+        assert batch.iterations[k] == its
+        assert np.array_equal(batch.coords[k], one.coords[0])
+        assert np.array_equal(batch.m_hat[: its + 1, k], one.m_hat[:, 0])
+        assert np.array_equal(batch.delta_s[: its + 1, k], one.delta_s[:, 0])
+        assert batch.baseline_error[k] == one.baseline_error[0]
+
+
+def test_learn_batch_rejects_a_zero_row(coastal_draws):
+    lam, C0, c_true = coastal_draws
+    C0 = C0.copy()
+    C0[3] = 0.0
+    for m0 in (1.5, "auto"):
+        with pytest.raises(ZeroSignal, match="no component in im"):
+            _learn_batch(lam, C0, c_true, FilterConfig(tau=2.0, m0=m0))
+        with pytest.raises(ZeroSignal, match="no component in im"):
+            loop_learn_coords(lam, C0[3], c_true, FilterConfig(tau=2.0, m0=m0))
+
+
+def test_low_snr_means_observed_power_above_two():
+    # unit truth plus noise of power alpha^2: above 2 the noise outweighs it
+    C = np.array([[1.0, 0.0], [1.0, 0.99], [1.0, 1.01], [0.0, 0.0]])
+    assert _low_snr(C).tolist() == [False, False, True, False]

@@ -7,18 +7,25 @@ import pytest
 from diracsp import (
     ExperimentPlan,
     FilterConfig,
+    NgfParams,
     SignalSpec,
+    TopologicalSpinor,
     assemble_dirac,
+    betti_numbers,
     gaussian_mix_signal,
     learn,
+    ngf_generate,
     operators,
     spectral_basis,
 )
-from diracsp.datasets import dataset_path
-from diracsp.errors import ParseError
+from diracsp.datasets import coastal_tessellation, dataset_path
+from diracsp.errors import EmptyImage, ParseError
 from diracsp.harness import (
+    _Setup,
+    _draw_coords,
     _fmt,
     _mean_std,
+    _noise,
     _prepare,
     cmd_basin,
     cmd_bench,
@@ -32,6 +39,7 @@ from diracsp.harness import (
     resolve_dataset,
 )
 
+from conftest import HARD_COMPLEXES
 from oracles import loop_learn_traces, loop_sweep_errors
 
 FF = dataset_path("florentine_marriage.json")
@@ -504,3 +512,59 @@ def test_learn_lifted_flow_improves_on_hodge(tmp_path):
         rel = np.array([float(r[9]) for r in rows])
         assert (np.array([int(r[4]) for r in rows]) == 1).all()
         assert rel.mean() < 1.0
+
+
+# -- draws as basis coordinates -------------------------------------------------
+
+DRAW_COMPLEXES = {
+    "coastal": coastal_tessellation,
+    "ngf60-flavor0": lambda: ngf_generate(NgfParams(target_nodes=60, flavor=0, seed=5)),
+    "tetrahedron": lambda: HARD_COMPLEXES["tetrahedron"],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", sorted(DRAW_COMPLEXES))
+def test_draw_coords_are_the_coordinates_of_the_spinor_draws(name, n):
+    K = DRAW_COMPLEXES[name]()
+    if name == "tetrahedron":
+        assert betti_numbers(K)[2] == 1
+    D = assemble_dirac(K)
+    basis = spectral_basis(D, n)
+    # any truth will do, also one with a part outside im(D_n)
+    s_true = TopologicalSpinor.from_vector(K, np.random.default_rng(1).standard_normal(D.dim))
+    setup = _Setup(D, n, basis, s_true, 0.0, basis.coefficients(s_true))
+    plan = ff_plan(seeds=6, seed=9)
+    for alpha in (0.3, 1.5):
+        got = _draw_coords(plan, setup, alpha, 2)
+        want = [basis.coefficients(s_true + _noise(plan, D, n, alpha, 2, k)) for k in range(6)]
+        assert got.shape == (6, basis.nonharmonic_dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert (_draw_coords(plan, setup, 0.0, 2) == setup.c_true).all()
+
+
+def test_draw_coords_need_an_image_for_noise():
+    K = HARD_COMPLEXES["nodes_only"]
+    D = assemble_dirac(K)
+    basis = spectral_basis(D, 1)
+    s = TopologicalSpinor.zeros(K)
+    setup = _Setup(D, 1, basis, s, 0.0, basis.coefficients(s))
+    with pytest.raises(EmptyImage):
+        _draw_coords(ff_plan(), setup, 0.5, 0)
+    with pytest.raises(EmptyImage):
+        _noise(ff_plan(), D, 1, 0.5, 0, 0)
+
+
+@pytest.mark.parametrize("command", [cmd_learn, cmd_heatmap, cmd_basin])
+def test_low_snr_warns_once_per_cell(command, tmp_path):
+    plan = ff_plan(alphas=(0.0, 2.5), taus=(2.0, 7.0), m0s=(1.5,), seeds=4)
+    with pytest.warns(RuntimeWarning) as record:
+        command(plan, tmp_path / "out.csv")
+    texts = [str(w.message) for w in record if "snr" in str(w.message)]
+    # every draw at alpha = 2.5 looks noisy, none at alpha = 0
+    assert texts == [
+        f"estimated snr < 1 in 4 of 4 draws of the cell tau={tau!r}, alpha=2.5, m0=1.5; "
+        "convergence is sensitive to the initial m0"
+        for tau in (2.0, 7.0)
+    ]
+

@@ -77,6 +77,20 @@ def test_coefficients_round_trip_is_the_image_projection(name, K, n):
 
 
 @pytest.mark.parametrize("name,K,n", CASES, ids=IDS)
+def test_coefficient_rows_are_the_coefficients_of_each_row(name, K, n):
+    D = assemble_dirac(K)
+    basis = spectral_basis(D, n)
+    X = np.random.default_rng(2).standard_normal((3, D.dim))
+    got = basis.coefficient_rows(X)
+    want = [basis.coefficients(TopologicalSpinor.from_vector(K, x)) for x in X]
+    assert got.shape == (3, basis.nonharmonic_dim)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for bad in (X[0], np.zeros((3, D.dim + 1))):
+        with pytest.raises(DimensionMismatch):
+            basis.coefficient_rows(bad)
+
+
+@pytest.mark.parametrize("name,K,n", CASES, ids=IDS)
 def test_harmonic_columns_span_kernel(name, K, n):
     D = assemble_dirac(K)
     basis = spectral_basis(D, n)
