@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
@@ -237,11 +238,7 @@ def triangle_rank(K: SimplicialComplex) -> int:
     B2 = boundary_matrix(K, 2)
     r = combinatorial_rank(B2)
     if r is None:
-        try:
-            w = np.linalg.eigvalsh(gram_matrix(B2)[0])
-        except np.linalg.LinAlgError as exc:
-            raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
-        r = gap_rank(w, RANK_RTOL)
+        r = gap_rank(gram_eigh(gram_matrix(B2)[0], vectors=False), RANK_RTOL)
     return r
 
 
@@ -285,13 +282,30 @@ def _closed_orientable_components(B2: sp.csr_array) -> int:
 
 
 def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
-    """The smaller Gram matrix of B, dense, and whether it is B B^T.
+    """The smaller Gram matrix of B, dense float64 in C order, and whether it is B B^T.
 
     (B B^T, True) when B has no more rows than columns, else (B^T B, False).
     """
     wide = B.shape[0] <= B.shape[1]
     G = B @ B.T if wide else B.T @ B
-    return G.toarray().astype(float, copy=False), wide
+    return G.astype(float, copy=False).toarray(), wide
+
+
+def gram_eigh(G: np.ndarray, *, vectors: bool = True):
+    """Ascending eigenvalues of the symmetric matrix G, and its eigenvectors if asked.
+
+    The solve happens in G's own buffer: LAPACK dsyevd runs on G.T, which is
+    G itself (G is symmetric) as an F-contiguous view, so nothing is copied,
+    and with ``vectors`` it writes the eigenvectors, one per column, over G.
+    Returns w, or (w, X) where X shares G's memory.  G holds garbage
+    afterwards either way.  A LAPACK failure raises :class:`EigensolveFailure`.
+    """
+    try:
+        return sla.eigh(
+            G.T, eigvals_only=not vectors, driver="evd", overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
 
 
 def gap_rank(w: np.ndarray, rtol: float) -> int:

@@ -40,12 +40,16 @@ from .complexes import (
     combinatorial_rank,
     gap_rank,
     graph_rank,
+    gram_eigh,
     gram_matrix,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor, split_blocks
 
 SQRT2 = np.sqrt(2.0)
+
+# Columns per block of the sign pass (_column_peaks).
+_PEAK_BLOCK = 64
 
 
 def _order(n: int) -> int:
@@ -180,31 +184,38 @@ def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr
 
 
 def _gram_triplets(B: sp.sparray, r: int | None):
-    """(U, sigma, V) of the nonzero singular triplets of B, sigma descending.
+    """(U, sigma, V) of the nonzero singular triplets of B, sigma descending
+    (to roundoff inside a cluster of equal values).
 
-    A dense eigh of the smaller Gram matrix (B B^T when B has no more rows
-    than columns, else B^T B) gives sigma^2 and one factor; the other is
-    B^T U / sigma (or B V / sigma).  The rank is the :func:`gap_rank` of
-    that one spectrum, which must equal the exact rank r when one is known
-    (graph_rank, combinatorial_rank), or the eigensolve is not trusted.  U
-    and V are C-contiguous, so products with them never copy.
+    One dense eigensolve of the smaller Gram matrix G (B B^T when B has no
+    more rows than columns, else B^T B), done in G's own buffer
+    (:func:`gram_eigh`), gives one factor: the eigenvectors X of the top
+    eigenvalues.  The rank is the :func:`gap_rank` of that spectrum, which
+    must equal the exact rank r when one is known (graph_rank,
+    combinatorial_rank), or the eigensolve is not trusted.  The top columns
+    of X are copied out and G is dropped before the other factor is built:
+    each column B^T x (or B x) is divided in place by its own norm, which is
+    its sigma.  That norm keeps the small singular values accurate to
+    roundoff relative to themselves, where sqrt of the Gram eigenvalue would
+    lose digits in proportion to (sigma_max / sigma)^2.  Peak memory stays
+    under G + the LAPACK workspace + U + V: G and the workspace during the
+    solve, G and the copied columns, then U and V.  U and V are
+    C-contiguous, so products with them never copy.
     """
     m, n = B.shape
     G, wide = gram_matrix(B)
-    try:
-        w, X = np.linalg.eigh(G)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+    w, X = gram_eigh(G)
+    del G
     found = gap_rank(w, RANK_RTOL)
     if r is not None and found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but its exact rank is {r}"
         )
-    top = np.arange(w.size - 1, w.size - 1 - found, -1)
-    sigma = np.sqrt(w[top])
-    X = np.ascontiguousarray(X[:, top])
-    Y = np.ascontiguousarray((B.T @ X if wide else B @ X) / sigma)
+    X = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
+    Y = B.T @ X if wide else B @ X
+    sigma = np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    Y /= sigma
     return (X, sigma, Y) if wide else (Y, sigma, X)
 
 
@@ -227,19 +238,39 @@ def _mode_signs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
     modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
     winning ties.  |u| and |v| are the same in both columns of a triplet, so
-    one argmax per block decides both.
+    one argmax per factor decides both.
     """
     r = U.shape[1]
     if r == 0:
         return np.zeros(0)
     cols = np.arange(r)
-    au, av = np.abs(U) / SQRT2, np.abs(V) / SQRT2
-    iu, iv = np.argmax(au, axis=0), np.argmax(av, axis=0)
-    from_u = au[iu, cols] >= av[iv, cols]
+    iu, au = _column_peaks(U)
+    iv, av = _column_peaks(V)
+    from_u = au >= av
     su, sv = np.sign(U[iu, cols]), np.sign(V[iv, cols])
     neg = np.where(from_u, su, -sv)
     pos = np.where(from_u, su, sv)
     return np.concatenate([neg, pos[::-1]])
+
+
+def _column_peaks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of A: the row of the largest |entry| / sqrt(2) (first on ties) and that value.
+
+    Columns are taken _PEAK_BLOCK at a time, transposed into one reused
+    buffer so that each argmax runs along contiguous memory; no array of
+    A's size is allocated.
+    """
+    rows, r = A.shape
+    index, peak = np.empty(r, dtype=np.intp), np.empty(r)
+    buf = np.empty((min(_PEAK_BLOCK, r), rows))
+    for start in range(0, r, _PEAK_BLOCK):
+        stop = min(start + _PEAK_BLOCK, r)
+        a = buf[: stop - start]
+        np.abs(A[:, start:stop].T, out=a)
+        a /= SQRT2
+        index[start:stop] = a.argmax(axis=1)
+        peak[start:stop] = a[np.arange(stop - start), index[start:stop]]
+    return index, peak
 
 
 # -- spectral basis -----------------------------------------------------------

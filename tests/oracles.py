@@ -134,6 +134,26 @@ def fix_signs(cols):
     return cols * signs
 
 
+def dense_mode_signs(U, V):
+    """+/-1 per nonzero mode from whole-array |U| and |V|: the sign pass as first written.
+
+    The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
+    modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
+    winning ties.
+    """
+    r = U.shape[1]
+    if r == 0:
+        return np.zeros(0)
+    cols = np.arange(r)
+    au, av = np.abs(U) / np.sqrt(2.0), np.abs(V) / np.sqrt(2.0)
+    iu, iv = np.argmax(au, axis=0), np.argmax(av, axis=0)
+    from_u = au[iu, cols] >= av[iv, cols]
+    su, sv = np.sign(U[iu, cols]), np.sign(V[iv, cols])
+    neg = np.where(from_u, su, -sv)
+    pos = np.where(from_u, su, sv)
+    return np.concatenate([neg, pos[::-1]])
+
+
 def dense_spectral_basis(Dop, n):
     """(eigenvalues, M x M eigenvectors) of D_n from Dop's singular triplets of B_n.
 

@@ -324,6 +324,22 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
         assemble_dirac(K).singular_triplets(2)
 
 
+def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
+    # both Gram eigensolves, the rank-only one of triangle_rank and the
+    # triplets', go through gram_eigh, which maps a LAPACK failure
+    K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(complexes.sla, "eigh", fail)
+    with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+        complexes.triangle_rank(K)
+    for n in (1, 2):
+        with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+            assemble_dirac(K).singular_triplets(n)
+
+
 def test_wide_boundary_takes_the_dense_svd():
     # complete graph on 90 nodes: B1 is 90 x 4005, and its triplets come from
     # the 90 x 90 Gram matrix L0 = 90 I - J, so every nonzero sigma is sqrt(90)

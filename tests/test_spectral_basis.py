@@ -11,6 +11,7 @@ from diracsp import (
     NoiseModel,
     TopologicalSpinor,
     assemble_dirac,
+    build_complex,
     dirac_filter,
     dirac_project,
     gaussian_mix_signal,
@@ -25,7 +26,13 @@ from diracsp.datasets import coastal_tessellation
 from diracsp.operators import _eigh_triplets, _gram_triplets, _mode_signs, harmonic_basis
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import brute_dirac, dense_spectral_basis, eigenbasis_projection, exact_rank
+from oracles import (
+    brute_dirac,
+    dense_mode_signs,
+    dense_spectral_basis,
+    eigenbasis_projection,
+    exact_rank,
+)
 
 def _corpus():
     rng = np.random.default_rng(23)
@@ -141,6 +148,63 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     assert np.abs(V @ V.T - V0 @ V0.T).max(initial=0.0) <= 1e-12
 
 
+def _path(N):
+    return build_complex([(i, i + 1) for i in range(N - 1)])
+
+
+def _cycle(N):
+    return build_complex([(i, i + 1) for i in range(N - 1)] + [(0, N - 1)])
+
+
+# closed forms, k = 1..N-1: P_N has sigma_k = 2 sin(pi k / 2N), C_N has
+# 2 |sin(pi k / N)|, evaluated as 2 sin(pi min(k, N - k) / N) because sin
+# near pi would lose the digits being checked
+CLOSED_FORMS = [
+    ("path1500", _path, 1500, lambda k, N: 2 * np.sin(np.pi * k / (2 * N))),
+    ("cycle500", _cycle, 500, lambda k, N: 2 * np.sin(np.pi * np.minimum(k, N - k) / N)),
+]
+
+
+@pytest.mark.parametrize("name,build,N,formula", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_small_singular_values_match_closed_forms(name, build, N, formula):
+    # sigma is the norm of the derived column, not sqrt of a Gram eigenvalue,
+    # whose absolute error eps * sigma_max^2 costs the smallest sigma 4e-11
+    # relative on P_1500 and 6e-13 on C_500
+    U, sigma, V = assemble_dirac(build(N)).singular_triplets(1)
+    exact = np.sort(formula(np.arange(1, N), N))[::-1]
+    assert sigma.shape == exact.shape
+    assert np.max(np.abs(sigma - exact) / exact) <= 1e-13
+    eye = np.eye(sigma.size)
+    assert np.abs(U.T @ U - eye).max() <= 1e-12
+    assert np.abs(V.T @ V - eye).max() <= 1e-12
+
+
+SIGN_CASES = GRAM_CASES + [
+    (f"ngf300-flavor{flavor}", ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0)), n)
+    for flavor in (0, 1)
+    for n in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name,K,n", SIGN_CASES, ids=[f"{c[0]}-n{c[2]}" for c in SIGN_CASES])
+def test_blocked_sign_pass_equals_the_whole_array_pass(name, K, n):
+    U, _, V = assemble_dirac(K).singular_triplets(n)
+    assert np.array_equal(_mode_signs(U, V), dense_mode_signs(U, V))
+
+
+def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
+    # the top mode of the 4-cycle, exact in binary: u = (1, -1, 1, -1)/2 and
+    # v = B1^T u / 2.  Every |entry| is 1/2, and u[0] = +1/2, v[0] = -1/2, so
+    # the signs come out (+1, +1) only if u wins the u/v tie (>=) and the
+    # first entry wins within each column
+    D = assemble_dirac(_cycle(4))
+    U = np.array([[0.5], [-0.5], [0.5], [-0.5]])
+    V = D.B1.T @ U / 2
+    assert np.abs(V).max() == np.abs(U).max() and V[0, 0] == -0.5
+    assert np.array_equal(_mode_signs(U, V), [1.0, 1.0])
+    assert np.array_equal(dense_mode_signs(U, V), [1.0, 1.0])
+
+
 def test_spinor_index_out_of_range(ff_basis):
     with pytest.raises(IndexError):
         ff_basis.spinor(ff_basis.eigenvalues.size)
@@ -189,3 +253,21 @@ def test_basis_and_learning_never_allocate_a_dense_basis():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes, f"peak {peak / 1e6:.1f} MB >= one M x M array {dense_bytes / 1e6:.1f} MB"
+
+
+def test_spectral_setup_holds_no_full_size_temporaries():
+    # the Gram matrix is solved in its own buffer, the derived factor is
+    # divided in place and the sign pass works in column blocks, so no step
+    # holds a second copy of U or V next to them: building the basis and its
+    # signs peaks below U + V plus two Gram-sized arrays
+    K = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0))
+    D = assemble_dirac(K)
+    tracemalloc.start()
+    try:
+        basis = spectral_basis(D, 1)
+        basis.signs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = basis.U.nbytes + basis.V.nbytes + 2 * 8 * min(D.B1.shape) ** 2
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
