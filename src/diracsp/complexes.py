@@ -5,7 +5,8 @@ every triangle a triple (i, j, k) with i < j < k, and both lists are sorted
 lexicographically.  Orientation is the one induced by ascending node labels;
 the column of B2 for triangle (i, j, k) carries signs (+1, -1, +1) on its
 faces (i, j), (i, k), (j, k).  Any consistent convention would satisfy
-B1 @ B2 = 0; downstream results do not depend on this choice.
+B1 @ B2 = 0; downstream results do not depend on this choice.  Construction
+works on int64 arrays, and open triangles are rejected, never filled in.
 
 Exact ranks are counts of connected components: of the graph for B1, and
 of the triangles' orientation double cover for B2 when every link bounds
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -83,7 +86,7 @@ class SimplicialComplex:
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering."""
-        return int(_link_rows(self, np.array([min(i, j)]), np.array([max(i, j)]))[0])
+        return int(_link_rows(_array(self.links, 2), self.n0, np.array([[i, j]]))[0])
 
     def euler_characteristic(self) -> int:
         return self.n0 - self.n1 + self.n2
@@ -100,94 +103,97 @@ class SimplicialComplex:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
 
 
-def _canonical_simplices(items: Iterable[Sequence[int]], size: int, node_count: int, kind: str):
-    """Sort vertices within each simplex, check ranges, reject duplicates."""
-    canon = []
-    for raw in items:
-        verts = tuple(int(v) for v in raw)
-        if len(verts) != size:
-            raise ParseError(f"{kind} {raw!r} must have {size} vertices")
-        if len(set(verts)) != size:
-            raise DuplicateSimplex(f"{kind} {raw!r} repeats a vertex")
-        for v in verts:
-            if not 0 <= v < node_count:
-                raise IndexOutOfRange(
-                    f"{kind} {raw!r} references node {v} outside range(0, {node_count})"
-                )
-        canon.append(tuple(sorted(verts)))
-    seen = set()
-    for s in canon:
-        if s in seen:
-            raise DuplicateSimplex(f"{kind} {s} appears more than once")
-        seen.add(s)
-    return sorted(canon)
+def require_int(name: str, value) -> int:
+    """value as an int; ValueError unless it is an integer (a numpy one counts, a bool not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def triangle_faces(tri: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The three links (i,j), (i,k), (j,k) of a triangle with i < j < k."""
-    i, j, k = tri
-    return ((i, j), (i, k), (j, k))
+INT64_MAX = np.iinfo(np.int64).max
+MAX_NODES = 3_037_000_499  # isqrt(INT64_MAX): link codes i * N0 + j (_link_rows) fit in int64
+
+
+def _simplex_array(items: Iterable[Sequence[int]], size: int, kind: str) -> np.ndarray:
+    """The simplices as an int64 (count, size) array; ParseError names the first bad one."""
+    rows = items if isinstance(items, np.ndarray) else list(items)
+    arr = _int_rows(rows, size)
+    if arr is None:
+        raw = next(s for s in rows if _int_rows([s], size) is None)
+        raise ParseError(f"{kind} {raw!r} must have {size} integer vertices within int64")
+    return arr
+
+
+def _int_rows(rows, size: int) -> np.ndarray | None:
+    """rows as an int64 (len(rows), size) array, or None unless every row has
+    ``size`` integer vertices within int64 (a bool is not one)."""
+    try:
+        arr = np.asarray(rows) if len(rows) else np.empty((0, size), dtype=np.int64)
+    except ValueError:  # rows of different lengths
+        return None
+    ok = arr.shape[1:] == (size,) and arr.dtype.kind in "iu" and arr.max(initial=0) <= INT64_MAX
+    listed = () if isinstance(rows, np.ndarray) else chain.from_iterable(rows)
+    ok = ok and {bool, np.bool_}.isdisjoint(map(type, listed))  # np.asarray reads True as 1
+    return arr.astype(np.int64, copy=False) if ok else None
+
+
+def _canonical_simplices(raw: np.ndarray, node_count: int, kind: str) -> np.ndarray:
+    """Sort vertices within each simplex, then the simplices; reject a repeated
+    vertex or simplex (DuplicateSimplex) and a node outside range(node_count)."""
+    arr = np.sort(raw, axis=1)
+    repeats = (arr[:, 1:] == arr[:, :-1]).any(axis=1)
+    bad = repeats | (arr[:, 0] < 0) | (arr[:, -1] >= node_count)
+    if bad.any():
+        simplex = tuple(raw[np.argmax(bad)].tolist())
+        if repeats[np.argmax(bad)]:
+            raise DuplicateSimplex(f"{kind} {simplex} repeats a vertex")
+        v = next(v for v in simplex if not 0 <= v < node_count)
+        raise IndexOutOfRange(f"{kind} {simplex} references node {v} outside range(0, {node_count})")
+    arr = arr[np.lexsort(arr.T[::-1])]
+    twice = (arr[1:] == arr[:-1]).all(axis=1)
+    if twice.any():
+        raise DuplicateSimplex(f"{kind} {tuple(arr[np.argmax(twice)].tolist())} appears twice")
+    return arr
 
 
 def build_complex(
     links: Iterable[Sequence[int]],
     triangles: Iterable[Sequence[int]] = (),
     node_count: int | None = None,
-    *,
-    fill_missing_faces: bool = False,
 ) -> SimplicialComplex:
     """Construct a validated, canonicalized complex.
 
-    Closure is enforced: every triangle's three faces must appear among the
-    links.  Missing faces raise :class:`MissingFace` unless
-    ``fill_missing_faces=True``, in which case they are inserted.
+    Vertices must be integers in range(node_count); no simplex may repeat a
+    vertex or appear twice.  Closure is enforced: the first triangle face
+    missing from the links raises :class:`MissingFace`; nothing is filled in.
     ``node_count`` defaults to 1 + the largest referenced index.
     """
-    links = [tuple(int(v) for v in lk) for lk in links]
-    triangles = [tuple(int(v) for v in tr) for tr in triangles]
+    tris = _simplex_array(triangles, 3, "triangle")
+    lks = _simplex_array(links, 2, "link")
     if node_count is None:
-        referenced = [v for s in links + triangles for v in s]
-        node_count = (max(referenced) + 1) if referenced else 0
-    node_count = int(node_count)
-    if node_count < 0:
-        raise IndexOutOfRange("node_count must be >= 0")
-
-    tris = _canonical_simplices(triangles, 3, node_count, "triangle")
-    lks = _canonical_simplices(links, 2, node_count, "link")
-
-    link_set = set(lks)
-    missing = []
-    for tri in tris:
-        for face in triangle_faces(tri):
-            if face not in link_set:
-                missing.append(face)
-    if missing:
-        if not fill_missing_faces:
-            raise MissingFace(
-                f"triangles reference {len(missing)} link(s) not in the complex, "
-                f"e.g. {missing[0]}; pass fill_missing_faces=True to insert them"
-            )
-        link_set.update(missing)
-        lks = sorted(link_set)
-
-    return SimplicialComplex(node_count, tuple(lks), tuple(tris))
+        node_count = 1 + int(max(tris.max(initial=-1), lks.max(initial=-1)))
+    node_count = require_int("node_count", node_count)
+    if not 0 <= node_count <= MAX_NODES:
+        raise IndexOutOfRange(f"node_count must lie in [0, {MAX_NODES}], got {node_count}")
+    tris = _canonical_simplices(tris, node_count, "triangle")
+    lks = _canonical_simplices(lks, node_count, "link")
+    _face_rows(lks, tris, node_count)  # closure
+    # zip over the columns makes the tuples in about half the time of map(tuple, rows)
+    return SimplicialComplex(node_count, *(tuple(zip(*a.T.tolist())) for a in (lks, tris)))
 
 
 def _array(simplices, width: int) -> np.ndarray:
     return np.array(simplices, dtype=np.int64).reshape(-1, width)
 
 
-def _link_rows(K: SimplicialComplex, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Positions in K.links of the links (lo[f], hi[f]), lo < hi.
-
-    Each link is coded as i * N0 + j and looked up in the argsorted codes of
-    K.links, so any link order works.  A link not in K raises
-    :class:`MissingFace` naming the first one.
-    """
-    ends = _array(K.links, 2)
-    codes = ends[:, 0] * K.n0 + ends[:, 1]
+def _link_rows(links: np.ndarray, n0: int, pairs: np.ndarray) -> np.ndarray:
+    """Positions in the (N1, 2) array ``links``, in any order, of the links pairs[f],
+    either way round, looked up by their codes i * N0 + j; a link not among them
+    raises :class:`MissingFace` naming the first one."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    codes = links[:, 0] * n0 + links[:, 1]
     order = np.argsort(codes, kind="stable")
-    want = lo * K.n0 + hi
+    want = lo * n0 + hi
     pos = np.searchsorted(codes, want, sorter=order)
     found = pos < codes.size
     found[found] = codes[order[pos[found]]] == want[found]
@@ -195,6 +201,11 @@ def _link_rows(K: SimplicialComplex, lo: np.ndarray, hi: np.ndarray) -> np.ndarr
         f = int(np.argmin(found))
         raise MissingFace(f"link {(int(lo[f]), int(hi[f]))} is not part of the complex")
     return order[pos]
+
+
+def _face_rows(links: np.ndarray, triangles: np.ndarray, n0: int) -> np.ndarray:
+    """:func:`_link_rows` of the faces (i, j), (i, k), (j, k), triangle by triangle."""
+    return _link_rows(links, n0, triangles[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2))
 
 
 def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
@@ -208,9 +219,7 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     if n == 1:
         rows, signs, shape = _array(K.links, 2).ravel(), [-1, 1], (K.n0, K.n1)
     elif n == 2:
-        tris = _array(K.triangles, 3)
-        a, b = tris[:, [0, 0, 1]].ravel(), tris[:, [1, 2, 2]].ravel()
-        rows = _link_rows(K, np.minimum(a, b), np.maximum(a, b))
+        rows = _face_rows(_array(K.links, 2), _array(K.triangles, 3), K.n0)
         signs, shape = [1, -1, 1], (K.n1, K.n2)
     else:
         raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
@@ -341,7 +350,7 @@ def betti_numbers(K: SimplicialComplex) -> tuple[int, int, int]:
     return (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
 
 
-def from_dict(data: dict, *, fill_missing_faces: bool = False) -> SimplicialComplex:
+def from_dict(data: dict) -> SimplicialComplex:
     """Build a complex from the documented dict/JSON form, canonicalizing."""
     if not isinstance(data, dict):
         raise ParseError("complex file must contain a JSON object")
@@ -352,20 +361,15 @@ def from_dict(data: dict, *, fill_missing_faces: bool = False) -> SimplicialComp
     if missing:
         raise ParseError(f"complex file is missing fields: {missing}")
     try:
-        return build_complex(
-            data["links"],
-            data.get("triangles", ()),
-            int(data["nodes"]),
-            fill_missing_faces=fill_missing_faces,
-        )
+        return build_complex(data["links"], data.get("triangles", ()), data["nodes"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed complex file: {exc}") from exc
 
 
-def load_complex(path, *, fill_missing_faces: bool = False) -> SimplicialComplex:
+def load_complex(path) -> SimplicialComplex:
     """Load a complex file, tolerating unsorted input; returns the canonical form."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return from_dict(data, fill_missing_faces=fill_missing_faces)
+    return from_dict(data)

@@ -33,6 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .complexes import require_int
 from .errors import NonConvergence, SolverFailure, ZeroSignal
 from .operators import DiracOperator, SpectralBasis, spectral_basis
 from .spinors import TopologicalSpinor
@@ -116,12 +117,6 @@ def rayleigh_m(s_n: TopologicalSpinor, Dop: DiracOperator, n: int) -> float:
 def reconstruction_error(s_hat: TopologicalSpinor, s_true: TopologicalSpinor) -> float:
     """Euclidean distance ||s_hat - s_true||_2."""
     return (s_hat - s_true).norm()
-
-
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless value is an int; a bool does not count."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

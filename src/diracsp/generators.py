@@ -31,9 +31,8 @@ from numbers import Real
 
 import numpy as np
 
-from .complexes import SimplicialComplex, build_complex, load_complex
+from .complexes import SimplicialComplex, build_complex, load_complex, require_int
 from .errors import InvalidFlavor, ParseError
-from .filtering import require_int
 from .signals import load_signal, rng_stream
 from .spinors import TopologicalSpinor
 
@@ -111,7 +110,7 @@ def ngf_generate(params: NgfParams) -> SimplicialComplex:
         decay[live : live + 2] = np.exp(-beta * rng.uniform(0.0, 1.0, size=2))
         triangles[new_node - 2] = (i, j, new_node)
 
-    return build_complex(ends.tolist(), triangles.tolist(), nodes)
+    return build_complex(ends, triangles, nodes)
 
 
 def load_flow(path, K: SimplicialComplex) -> TopologicalSpinor:

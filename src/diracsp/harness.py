@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import filtering
-from .complexes import SimplicialComplex, load_complex
+from .complexes import SimplicialComplex, load_complex, require_int
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
@@ -44,7 +44,6 @@ from .filtering import (
     _learn_batch,
     _low_snr,
     rayleigh_m,
-    require_int,
 )
 
 # Not called here; bound so the benchmark's tracer (perfbench/tracing.py) can wrap them by name.

@@ -276,8 +276,8 @@ def save_signal(s: TopologicalSpinor, path) -> None:
 def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
     """Read a (block, index, value) CSV into a spinor over K.
 
-    Rows may appear in any order; omitted entries are zero.  Indices outside
-    the complex raise :class:`DimensionMismatch`.
+    Rows may appear in any order; omitted entries are zero.  A non-finite value
+    raises :class:`ParseError`, an index outside the complex :class:`DimensionMismatch`.
     """
     sizes = {"node": K.n0, "link": K.n1, "triangle": K.n2}
     arrays = {name: np.zeros(sizes[name]) for name in _BLOCKS}
@@ -294,6 +294,8 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
                 block, idx, val = row[0].strip(), int(row[1]), float(row[2])
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed row {row!r}") from exc
+            if not math.isfinite(val):
+                raise ParseError(f"{path}:{lineno}: value {row[2].strip()!r} is not finite")
             if block not in sizes:
                 raise ParseError(f"{path}:{lineno}: unknown block {block!r}")
             if not 0 <= idx < sizes[block]:

@@ -11,6 +11,9 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
+from diracsp.complexes import SimplicialComplex
+from diracsp.errors import DuplicateSimplex, IndexOutOfRange, MissingFace, ParseError
+
 
 def exact_rank(M) -> int:
     """Rank over Q by Gaussian elimination with exact Fraction arithmetic."""
@@ -52,6 +55,46 @@ def loop_boundary_matrix(K, n):
             cols.append(c)
             vals.append(sign)
     return sp.csc_array((vals, (rows, cols)), shape=(K.n1, K.n2), dtype=np.int64)
+
+
+def _loop_canonical_simplices(items, size, node_count, kind):
+    """Sort vertices within each simplex, check ranges, reject duplicates."""
+    canon = []
+    for raw in items:
+        verts = tuple(int(v) for v in raw)
+        if len(verts) != size:
+            raise ParseError(f"{kind} {raw!r} must have {size} vertices")
+        if len(set(verts)) != size:
+            raise DuplicateSimplex(f"{kind} {raw!r} repeats a vertex")
+        for v in verts:
+            if not 0 <= v < node_count:
+                raise IndexOutOfRange(
+                    f"{kind} {raw!r} references node {v} outside range(0, {node_count})"
+                )
+        canon.append(tuple(sorted(verts)))
+    seen = set()
+    for s in canon:
+        if s in seen:
+            raise DuplicateSimplex(f"{kind} {s} appears more than once")
+        seen.add(s)
+    return sorted(canon)
+
+
+def loop_build_complex(links, triangles=(), node_count=None):
+    """build_complex one simplex at a time, closure checked in a set of links."""
+    links = [tuple(int(v) for v in lk) for lk in links]
+    triangles = [tuple(int(v) for v in tr) for tr in triangles]
+    if node_count is None:
+        referenced = [v for s in links + triangles for v in s]
+        node_count = (max(referenced) + 1) if referenced else 0
+    tris = _loop_canonical_simplices(triangles, 3, node_count, "triangle")
+    lks = _loop_canonical_simplices(links, 2, node_count, "link")
+    link_set = set(lks)
+    for i, j, k in tris:
+        for face in ((i, j), (i, k), (j, k)):
+            if face not in link_set:
+                raise MissingFace(f"link {face} is not part of the complex")
+    return SimplicialComplex(node_count, tuple(lks), tuple(tris))
 
 
 def matrix_rank(B, rtol=1e-10) -> int:

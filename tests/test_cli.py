@@ -50,6 +50,32 @@ def test_info_rejects_invalid_file(tmp_path):
     assert "error=IndexOutOfRange" in r.output or "error=MissingFace" in r.output
 
 
+def test_info_rejects_non_integer_entries(tmp_path):
+    bad = tmp_path / "bad.json"
+    for complex_, error in (
+        ({"nodes": 3.7, "links": [[0, 1]]}, "ParseError"),
+        ({"nodes": 3, "links": [[0, 1.5]]}, "ParseError"),
+        ({"nodes": 3, "links": [[0, True]]}, "ParseError"),
+        ({"nodes": 3, "links": [[0, 10**20]]}, "ParseError"),
+        ({"nodes": 10**20, "links": [[0, 1]]}, "IndexOutOfRange"),
+    ):
+        bad.write_text(json.dumps(complex_))
+        r = invoke("info", "-i", bad)
+        assert r.exit_code == 3, (complex_, r.output)
+        lines = r.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error={error}: "), r.output
+
+
+def test_synth_rejects_non_finite_source(tmp_path):
+    src = tmp_path / "src.csv"
+    src.write_text("block,index,value\nlink,0,1.0\nlink,1,nan\n")
+    out = tmp_path / "s.csv"
+    r = invoke("synth", "-i", FF, "--mode", "lifted", "--source", src, "-o", out)
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == [f"error=ParseError: {src}:3: value 'nan' is not finite"]
+    assert not out.exists()
+
+
 def test_synth_eigen_with_noise(tmp_path):
     sig = tmp_path / "sig.csv"
     r = invoke(

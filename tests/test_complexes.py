@@ -14,9 +14,10 @@ from diracsp import (
     load_complex,
     ngf_generate,
 )
-from diracsp import complexes
+from diracsp import complexes, generators
 from diracsp.complexes import SimplicialComplex, from_dict, triangle_rank
 from diracsp.errors import (
+    DiracSPError,
     DuplicateSimplex,
     EigensolveFailure,
     IndexOutOfRange,
@@ -26,7 +27,7 @@ from diracsp.errors import (
 )
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import exact_rank, loop_boundary_matrix, matrix_rank
+from oracles import exact_rank, loop_boundary_matrix, loop_build_complex, matrix_rank
 
 
 def test_filled_triangle_is_valid(filled_triangle):
@@ -37,11 +38,6 @@ def test_filled_triangle_is_valid(filled_triangle):
 def test_closure_violation_rejected():
     with pytest.raises(MissingFace):
         build_complex([(0, 1)], [(0, 1, 2)], 3)
-
-
-def test_closure_fill_flag():
-    K = build_complex([(0, 1)], [(0, 1, 2)], 3, fill_missing_faces=True)
-    assert K.counts == (3, 3, 1)
 
 
 def test_ff_scale_network(ff_network):
@@ -329,7 +325,111 @@ def test_loader_enforces_closure(tmp_path):
             }
         )
     )
-    with pytest.raises(MissingFace):
+    with pytest.raises(MissingFace, match=r"link \(0, 2\) is not part"):
         load_complex(p)
-    K = load_complex(p, fill_missing_faces=True)
-    assert K.counts == (3, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"nodes": 3.7, "links": [[0, 1]]},
+        {"nodes": "3", "links": [[0, 1]]},
+        {"nodes": True, "links": []},
+        {"nodes": 3, "links": [[0, 1.5]]},
+        {"nodes": 3, "links": [[0, 1.0]]},
+        {"nodes": 3, "links": [[0, True]]},
+        {"nodes": 3, "links": [[0, 1], [0, "2"]]},
+        {"nodes": 3, "links": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 1, 2.5]]},
+        {"nodes": 3, "links": [[0, 1], [0, 2], [1, 2]], "triangles": [[0, 2, True]]},
+    ],
+)
+def test_from_dict_rejects_non_integers(data):
+    with pytest.raises(ParseError):
+        from_dict(data)
+
+
+def test_an_index_beyond_int64_is_a_typed_error():
+    with pytest.raises(ParseError, match=r"link \[0, 100000000000000000000\] .* within int64"):
+        from_dict({"nodes": 3, "links": [[0, 10**20]]})
+    with pytest.raises(IndexOutOfRange, match="node_count"):
+        from_dict({"nodes": 10**20, "links": []})
+
+
+def test_node_count_may_be_a_numpy_integer_but_not_a_float():
+    K = build_complex([(0, 1)], (), np.int64(3))
+    assert K == build_complex([(0, 1)], (), 3) and type(K.node_count) is int
+    for bad in (3.7, 3.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match="node_count must be an integer"):
+            build_complex([(0, 1)], (), bad)
+        with pytest.raises(ParseError, match="node_count must be an integer"):
+            from_dict({"nodes": bad, "links": [[0, 1]]})
+
+
+def test_vertex_rule_is_the_same_for_lists_and_arrays():
+    # The smallest int64 passes the integer rule and fails the range check either way.
+    for links in ([(-(2**63), 0)], np.array([(-(2**63), 0)])):
+        with pytest.raises(IndexOutOfRange, match="-9223372036854775808"):
+            build_complex(links, (), 3)
+    with pytest.raises(ParseError, match=r"9223372036854775808\], dtype=uint64\) must have 2 integer"):
+        build_complex(np.array([(0, 1), (0, 2**63)], dtype=np.uint64), (), 3)
+    with pytest.raises(ParseError, match=r"link \[0, True\] must"):
+        build_complex([(0, 1), [0, True]], (), 3)
+
+
+def _shuffled(rng, simplices):
+    """The simplices in random order, each with its vertices in random order."""
+    return [tuple(rng.permutation(simplices[p]).tolist()) for p in rng.permutation(len(simplices))]
+
+
+def _with_fault(fault, links, triangles, n):
+    """A valid complex's lists with one fault put in."""
+    if fault == "missing face":
+        tri = triangles[0] if triangles else (0, 1, 2)
+        return [lk for lk in links if lk != tri[:2]], sorted({*triangles, tri})
+    if fault == "listed twice":
+        return list(links) + ([links[0][::-1]] if links else [(0, 1), (1, 0)]), list(triangles)
+    extra = {"wrong arity": (0, 1, 2), "repeated vertex": (n - 1, n - 1), "out of range": (0, n)}
+    return list(links) + [extra[fault]], list(triangles)
+
+
+FAULT_ERRORS = {
+    "wrong arity": ParseError,
+    "repeated vertex": DuplicateSimplex,
+    "out of range": IndexOutOfRange,
+    "listed twice": DuplicateSimplex,
+    "missing face": MissingFace,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(FAULT_ERRORS)))
+def test_build_complex_matches_the_loop_reference(seed, fault):
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng)
+    links, triangles = _shuffled(rng, K.links), _shuffled(rng, K.triangles)
+    assert build_complex(links, triangles, K.n0) == loop_build_complex(links, triangles, K.n0) == K
+    assert build_complex(links, triangles) == loop_build_complex(links, triangles)
+
+    links, triangles = _with_fault(fault, K.links, K.triangles, K.n0)
+    links, triangles = _shuffled(rng, links), _shuffled(rng, triangles)
+    raised = []
+    for build in (build_complex, loop_build_complex):
+        with pytest.raises(DiracSPError) as exc:
+            build(links, triangles, K.n0)
+        raised.append(type(exc.value))
+    assert raised == [FAULT_ERRORS[fault]] * 2
+
+
+@pytest.mark.parametrize("flavor", [-1, 0, 1])
+def test_ngf_complex_matches_the_loop_reference(flavor, monkeypatch):
+    raw = []
+
+    def recording_build(*args):
+        raw.append(args)
+        return build_complex(*args)
+
+    monkeypatch.setattr(generators, "build_complex", recording_build)
+    K = ngf_generate(NgfParams(1000, flavor, 0.0, 11))
+    [(links, triangles, n)] = raw
+    assert isinstance(links, np.ndarray) and isinstance(triangles, np.ndarray)
+    assert loop_build_complex(links.tolist(), triangles.tolist(), n) == K

@@ -24,6 +24,7 @@ from diracsp.errors import (
     DimensionMismatch,
     EmptyImage,
     NoSuchEigenvalue,
+    ParseError,
     ZeroAfterProjection,
     ZeroNoise,
 )
@@ -215,6 +216,14 @@ def test_signal_roundtrip(tmp_path, ff_basis, ff_network):
     save_signal(s, path)
     back = load_signal(path, ff_network)
     assert np.array_equal(back.vector, s.vector)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_signal_load_rejects_non_finite_values(tmp_path, ff_network, value):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"block,index,value\nlink,0,1.0\nlink,1,{value}\n")
+    with pytest.raises(ParseError, match=rf"sig.csv:3: value '{value}' is not finite"):
+        load_signal(path, ff_network)
 
 
 def test_signal_load_rejects_bad_index(tmp_path, ff_network):
