@@ -160,12 +160,7 @@ def synth(path, alpha, seed, output, noisy_output, **signal):
         save_signal(s, output)
         click.echo(f"wrote {output} (m_true={m_true:.6g})")
         if alpha > 0:
-            model = NoiseModel(
-                alpha1=alpha if spec.n == 1 else 0.0,
-                alpha2=alpha if spec.n == 2 else 0.0,
-                seed=seed,
-            )
-            eps = sample_noise(model, Dop, spec.n, 0)
+            eps = sample_noise(NoiseModel(alpha=alpha, seed=seed), Dop, spec.n, 0)
             noisy = s + eps
             target = noisy_output or str(Path(output).with_suffix(".noisy.csv"))
             save_signal(noisy, target)

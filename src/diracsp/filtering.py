@@ -14,11 +14,12 @@ stops moving.
 The Dirac filter and the learner act in the coordinates of the factored
 SpectralBasis of D_n, where the filter is diagonal: each learning
 iteration is O(dim im(D_n)).  Without a basis from the caller they build
-one from the operator's cached singular triplets.  The learner's loop,
-:func:`_learn_batch`, runs S draws at once on an S x r matrix of
-coordinates, each draw stopping at its own iteration; :func:`learn` is its
-one-draw case.  The Hodge filter needs no spectrum and solves its SPD
-system by a sparse factorization.
+one from the operator's cached singular triplets; with the harness's sweep
+they share one kernel, :func:`_filter_coords`, and one error, :func:`_delta_s`.
+The learner's loop, :func:`_learn_batch`, runs S draws at once on an S x r
+matrix of coordinates, each draw stopping at its own iteration;
+:func:`learn` is its one-draw case.  The Hodge filter needs no spectrum and
+solves its SPD system by a sparse factorization.
 """
 
 from __future__ import annotations
@@ -69,8 +70,28 @@ def hodge_filter(
     return TopologicalSpinor.from_vector(Dop.K, _solve_spd(A, s_tilde.vector))
 
 
-def _attenuation(lam: np.ndarray, tau: float, m: float) -> np.ndarray:
-    return 1.0 / (1.0 + tau * (lam - m) ** 2)
+def _filter_coords(lam: np.ndarray, C: np.ndarray, tau: float, m: np.ndarray) -> np.ndarray:
+    """The Dirac filter on S rows of coordinates: row k times 1/(1 + tau (lam - m[k])^2).
+
+    ``lam`` holds the eigenvalues of the modes; ``m`` one center per row, or
+    one center for every row.
+    """
+    W = lam - m[:, None]
+    np.square(W, out=W)
+    W *= tau
+    W += 1.0
+    np.divide(1.0, W, out=W)
+    return C * W
+
+
+def _delta_s(C: np.ndarray, c_true: np.ndarray) -> np.ndarray:
+    """delta_s = ||s_hat - P_n s_true|| for each row of coordinates, by row sums.
+
+    A BLAS product would round a row by its position and the batch size.
+    """
+    D = C - c_true
+    D *= D
+    return np.sqrt(D.sum(axis=1))
 
 
 def _basis_for(Dop: DiracOperator, n: int, basis: SpectralBasis | None) -> SpectralBasis:
@@ -100,9 +121,8 @@ def dirac_filter(
         raise ValueError(f"m must be finite, got {m!r}")
     Dop._check(s_tilde_n)
     basis = _basis_for(Dop, n, basis)
-    c = basis.coefficients(s_tilde_n)
-    c *= _attenuation(basis.eigenvalues[basis.nonzero_indices], tau, m)
-    return basis.synthesize(c)
+    lam, c = basis.eigenvalues[basis.nonzero_indices], basis.coefficients(s_tilde_n)
+    return basis.synthesize(_filter_coords(lam, c[None], tau, np.array([m]))[0])
 
 
 def rayleigh_m(s_n: TopologicalSpinor, Dop: DiracOperator, n: int) -> float:
@@ -268,19 +288,7 @@ def _learn_batch(
     if ((C0 * C0).sum(axis=1) == 0.0).any():
         raise ZeroSignal("observed signal has no component in im(D_n)")
 
-    def filt(C, m):
-        # C * _attenuation(lam, tau, m) row by row, bit for bit, in one buffer
-        W = lam - m[:, None]
-        np.square(W, out=W)
-        W *= tau
-        W += 1.0
-        np.divide(1.0, W, out=W)
-        W *= C
-        return W
-
-    # Row sums, not BLAS products: a matrix-vector product rounds a row
-    # differently by its position and the batch size, and a draw's numbers
-    # must not depend on which other draws share its batch.
+    # Row sums, not BLAS products, for the reason given in _delta_s.
     def ray(C):
         Q = C * C
         denom = Q.sum(axis=1)
@@ -289,17 +297,12 @@ def _learn_batch(
         Q *= lam
         return Q.sum(axis=1) / denom
 
-    def err(C):
-        D = C - c_true
-        D *= D
-        return np.sqrt(D.sum(axis=1))
-
     m = ray(C0) if config.m0 == "auto" else np.full(S, float(config.m0))
     m_rows = [m]
     noisy = baseline = None
     if c_true is not None:
-        noisy = err(C0)
-        baseline = err(filt(C0, np.zeros(S)))
+        noisy = _delta_s(C0, c_true)
+        baseline = _delta_s(_filter_coords(lam, C0, tau, np.zeros(1)), c_true)
         delta_rows = [noisy]
 
     coords = np.empty_like(C0)
@@ -310,14 +313,14 @@ def _learn_batch(
     t = 0
     while active.size and t < config.max_iters:
         t += 1
-        C_hat = filt(C, m)
+        C_hat = _filter_coords(lam, C, tau, m)
         m_new = (1.0 - eta) * m + eta * ray(C_hat)
         row = np.full(S, np.nan)
         row[active] = m_new
         m_rows.append(row)
         if c_true is not None:
             row = np.full(S, np.nan)
-            row[active] = err(C_hat)
+            row[active] = _delta_s(C_hat, c_true)
             delta_rows.append(row)
         done = np.abs(m_new - m) < config.delta
         m = m_new

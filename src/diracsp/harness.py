@@ -14,9 +14,10 @@ The grid commands work in the coordinates of the spectral basis of D_n from
 draw to row.  A cell's S draws are one S x r matrix (:func:`_draw_coords`):
 the truth's coordinates plus those of each draw's noise, taken straight
 from the Philox vectors without projecting or forming a spinor.  sweep-m
-filters that matrix at every m; learn, heatmap and basin run it through the
-batched learner (:func:`diracsp.filtering._learn_batch`) and read their rows
-off its per-draw arrays.
+filters that matrix at every m; learn, heatmap and basin take their cells
+from one iterator (:func:`_learning_cells`), which runs each matrix through
+the batched learner (:func:`diracsp.filtering._learn_batch`), and read their
+rows off its per-draw arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .errors import ParseError
 from .filtering import (
     FilterConfig,
     LearnBatch,
-    _attenuation,
+    _delta_s,
+    _filter_coords,
     _learn_batch,
     _low_snr,
     rayleigh_m,
@@ -232,16 +234,12 @@ def _cell_seed(plan: ExperimentPlan, cell_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _noise_model(plan: ExperimentPlan, n: int, alpha: float, cell_index: int) -> NoiseModel:
-    return NoiseModel(
-        alpha1=alpha if n == 1 else 0.0,
-        alpha2=alpha if n == 2 else 0.0,
-        seed=_cell_seed(plan, cell_index),
-    )
+def _noise_model(plan: ExperimentPlan, alpha: float, cell_index: int) -> NoiseModel:
+    return NoiseModel(alpha=alpha, seed=_cell_seed(plan, cell_index))
 
 
 def _noise(plan, Dop, n, alpha, cell_index, draw_index) -> TopologicalSpinor:
-    return sample_noise(_noise_model(plan, n, alpha, cell_index), Dop, n, draw_index)
+    return sample_noise(_noise_model(plan, alpha, cell_index), Dop, n, draw_index)
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -308,13 +306,8 @@ def _draw_coords(
     """
     if alpha == 0:
         return np.tile(setup.c_true, (plan.seeds, 1))
-    model = _noise_model(plan, setup.n, alpha, cell_index)
+    model = _noise_model(plan, alpha, cell_index)
     return setup.c_true + noise_coefficients(model, setup.basis, range(plan.seeds))
-
-
-def _configs(plan: ExperimentPlan) -> dict:
-    """The filter setting of every (tau, m0) of a learning grid, checked up front."""
-    return {(tau, m0): plan.config(tau, m0) for tau, m0 in product(plan.taus, plan.m0s)}
 
 
 def _learn_draws(
@@ -333,10 +326,25 @@ def _learn_draws(
             f"tau={config.tau!r}, alpha={alpha!r}, m0={config.m0!r}; "
             "convergence is sensitive to the initial m0",
             RuntimeWarning,
-            stacklevel=3,  # the caller of the command
+            stacklevel=4,  # the caller of the command, past _learning_cells' generator
         )
     basis = setup.basis
     return _learn_batch(basis.eigenvalues[basis.nonzero_indices], C0, setup.c_true, config)
+
+
+def _learning_cells(plan: ExperimentPlan) -> tuple[_Setup, Iterator[tuple]]:
+    """Set-up and cells (tau, alpha, m0, batch) of the learn, heatmap and basin grids.
+
+    Filter settings are checked before the set-up runs; cell c, drawing from
+    noise substream c, is learned only when the iterator reaches it.
+    """
+    configs = {(tau, m0): plan.config(tau, m0) for tau, m0 in product(plan.taus, plan.m0s)}
+    setup = _prepare(plan)
+    cells = (
+        (tau, alpha, m0, _learn_draws(plan, setup, configs[tau, m0], alpha, c))
+        for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s))
+    )
+    return setup, cells
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -354,28 +362,21 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
     The m = 0 Hodge baseline is always part of the grid; rel_error divides
     each draw's error by its own m = 0 error, then aggregates over draws.
 
-    The filter is diagonal in the spectral basis of D_n, so errors are taken
-    in its coordinates: the filtered draw lies in im(D_n) and the basis is
-    orthonormal, so ||s_hat - s_true||^2 is ||c_hat - c_true||^2 plus the
-    squared norm of the part of s_true outside im(D_n), computed once.
+    Each draw's error is delta_s = ||s_hat - P_n s_true||, as in
+    :class:`~diracsp.filtering.RunTrace`, taken in the coordinates of the
+    spectral basis of D_n, where the filter is diagonal.
     """
     setup = _prepare(plan)
     ms = list(plan.ms)
     if 0.0 not in ms:
         ms = [0.0] + ms
-    basis = setup.basis
-    lam = basis.eigenvalues[basis.nonzero_indices]
-    c_true = setup.c_true
-    # taken directly: sqrt(||s_true||^2 - ||c_true||^2) reads ~1e-8 from cancellation alone
-    rest2 = (setup.s_true - basis.synthesize(c_true)).norm() ** 2
-
+    lam = setup.basis.eigenvalues[setup.basis.nonzero_indices]
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
         C = _draw_coords(plan, setup, alpha, c)
         errs = np.empty((plan.seeds, len(ms)))
         for j, m in enumerate(ms):
-            diff = C * _attenuation(lam, tau, m) - c_true
-            errs[:, j] = np.sqrt(np.einsum("ij,ij->i", diff, diff) + rest2)
+            errs[:, j] = _delta_s(_filter_coords(lam, C, tau, np.array([m])), setup.c_true)
         base = errs[:, ms.index(0.0)]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
@@ -393,11 +394,9 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
     A companion ``<out stem>.summary.csv`` holds one row per draw with the
     converged flag, final m and the error-reduction ratio vs the noisy input.
     """
-    configs = _configs(plan)
-    setup = _prepare(plan)
+    setup, cells = _learning_cells(plan)
     trace_rows, summary_rows = [], []
-    for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
+    for tau, alpha, m0, batch in cells:
         for k in range(plan.seeds):
             tr = batch.trace(k)
             trace_rows.extend(
@@ -438,17 +437,10 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
     """
     if len(plan.m0s) != 1:
         raise ValueError(f"heatmap takes one m0, got {len(plan.m0s)}: {list(plan.m0s)}")
-    (m0,) = plan.m0s
-    configs = _configs(plan)
-    setup = _prepare(plan)
+    _, cells = _learning_cells(plan)
     rows = []
-    for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
-        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
-        rows.append((
-            tau, alpha,
-            *_mean_std(batch.final_delta_s),
-            float(np.mean(batch.converged)),
-        ))
+    for tau, alpha, _, batch in cells:
+        rows.append((tau, alpha, *_mean_std(batch.final_delta_s), float(np.mean(batch.converged))))
     write_csv(
         out, plan, "heatmap",
         ["tau", "alpha", "delta_s_mean", "delta_s_std", "converged_fraction"],
@@ -459,15 +451,10 @@ def cmd_heatmap(plan: ExperimentPlan, out) -> Path:
 
 def cmd_basin(plan: ExperimentPlan, out) -> Path:
     """Convergence basin: |m_final - m_true| as a function of the initial guess."""
-    configs = _configs(plan)
-    setup = _prepare(plan)
+    setup, cells = _learning_cells(plan)
     rows = []
-    for c, (tau, alpha, m0) in enumerate(product(plan.taus, plan.alphas, plan.m0s)):
-        batch = _learn_draws(plan, setup, configs[tau, m0], alpha, c)
-        rows.append((
-            tau, alpha, m0, setup.m_true,
-            *_mean_std(np.abs(batch.final_m - setup.m_true)),
-        ))
+    for tau, alpha, m0, batch in cells:
+        rows.append((tau, alpha, m0, setup.m_true, *_mean_std(np.abs(batch.final_m - setup.m_true))))
     write_csv(
         out, plan, "basin",
         ["tau", "alpha", "m0", "m_true", "abs_dm_mean", "abs_dm_std"],
@@ -538,6 +525,6 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
     )
     with open(out, "a") as fh:
         fh.write(
-            f"# fit: exponent={slope!r} stderr={stderr!r} low_confidence={low_confidence}\n"
+            f"# fit: exponent={float(slope)!r} stderr={stderr!r} low_confidence={low_confidence}\n"
         )
     return out, float(slope), stderr

@@ -17,8 +17,9 @@ A DiracOperator holds only B1 and B2.  D_n acts through B_n: on the blocks
 (a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse M x M
 block matrices of D1, D2 and D are built on first use only.  Everything
 spectral about D_n comes from one cached SpectralBasis per boundary matrix,
-the triplets of one Gram eigensolve checked against the exact rank: ranks,
-projections, kernels and harmonic bases all read it.
+the triplets of one Gram eigensolve checked against the exact rank:
+projections, kernels and harmonic bases read it, and ranks read it only
+where no exact count exists.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -122,20 +123,31 @@ class DiracOperator:
 
     # -- spectra of the parts -------------------------------------------------
 
+    # Exact ranks by counting; rank B2 is None where no count decides it.
+    @cached_property
+    def _rank1(self) -> int:
+        return graph_rank(self.K)
+
+    @cached_property
+    def _rank2(self) -> int | None:
+        return combinatorial_rank(self.B2)
+
     @cached_property
     def _basis1(self) -> SpectralBasis:
-        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, graph_rank(self.K)))
+        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, self._rank1))
 
     @cached_property
     def _basis2(self) -> SpectralBasis:
-        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, combinatorial_rank(self.B2)))
+        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, self._rank2))
 
     def singular_triplets(self, n: int):
         basis = spectral_basis(self, n)
         return basis.U, basis.sigma, basis.V
 
     def rank(self, n: int) -> int:
-        return spectral_basis(self, n).rank
+        """rank(B_n): the exact count where one exists, else the spectral basis's."""
+        r = self._rank1 if _order(n) == 1 else self._rank2
+        return spectral_basis(self, n).rank if r is None else r
 
     def nonharmonic_dim(self, n: int) -> int:
         """dim im(D_n) = 2 rank(B_n)."""

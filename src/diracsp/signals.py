@@ -5,7 +5,7 @@ D_n, Gaussian-weighted mixtures of its nonzero eigenmodes, or real data
 lifted across dimensions with s_n = c_n (sigma + D_n sigma).
 
 Noise is an i.i.d. standard normal vector projected onto im(D_n) and scaled
-so that E||eps_n||^2 = alpha_n^2.  Draws are keyed by (seed, draw_index)
+so that E||eps_n||^2 = alpha^2.  Draws are keyed by (seed, n, draw_index)
 through a counter-based Philox generator, so every draw is reproducible
 bit-for-bit on any platform and draws can be evaluated in any order.
 """
@@ -194,26 +194,20 @@ def lift_signal(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Gaussian noise confined to im(D_n), normalized so E||eps_n||^2 = alpha_n^2."""
+    """Gaussian noise confined to im(D_n), normalized so E||eps_n||^2 = alpha^2."""
 
-    alpha1: float = 0.0
-    alpha2: float = 0.0
+    alpha: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def alpha(self, n: int) -> float:
-        return self.alpha1 if n == 1 else self.alpha2
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
 
 
 def sample_noise(
     model: NoiseModel, Dop: DiracOperator, n: int, draw_index: int = 0
 ) -> TopologicalSpinor:
-    """One noise draw: eps_n = alpha_n P_n x / sqrt(dim im(D_n)), x ~ N(0, I).
+    """One noise draw: eps_n = alpha P_n x / sqrt(dim im(D_n)), x ~ N(0, I).
 
     Deterministic given (seed, draw_index); distinct draw indices give
     independent vectors.
@@ -239,10 +233,10 @@ def noise_coefficients(model: NoiseModel, basis: SpectralBasis, draw_indices) ->
 
 
 def _noise_scale(model: NoiseModel, n: int, dim_n: int) -> float:
-    """alpha_n / sqrt(dim im(D_n)), the factor that makes E||eps_n||^2 = alpha_n^2."""
+    """alpha / sqrt(dim im(D_n)), the factor that makes E||eps_n||^2 = alpha^2."""
     if dim_n == 0:
         raise EmptyImage(f"im(D_{n}) is trivial; cannot place noise there")
-    return model.alpha(n) / np.sqrt(dim_n)
+    return model.alpha / np.sqrt(dim_n)
 
 
 def _standard_draw(model: NoiseModel, n: int, draw_index: int, dim: int) -> np.ndarray:
@@ -277,10 +271,12 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
     """Read a (block, index, value) CSV into a spinor over K.
 
     Rows may appear in any order; omitted entries are zero.  A non-finite value
-    raises :class:`ParseError`, an index outside the complex :class:`DimensionMismatch`.
+    or a second row for the same entry raises :class:`ParseError`, an index
+    outside the complex :class:`DimensionMismatch`.
     """
     sizes = {"node": K.n0, "link": K.n1, "triangle": K.n2}
     arrays = {name: np.zeros(sizes[name]) for name in _BLOCKS}
+    seen = {}  # (block, index) -> line
     path = Path(path)
     with open(path, newline="") as fh:
         rows = csv.reader(row for row in fh if not row.startswith("#"))
@@ -303,5 +299,8 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
                     f"{path}:{lineno}: {block} index {idx} outside complex "
                     f"with {sizes[block]} {block}s"
                 )
+            first = seen.setdefault((block, idx), lineno)
+            if first != lineno:
+                raise ParseError(f"{path}:{lineno}: {block} {idx} was already given on line {first}")
             arrays[block][idx] = val
     return TopologicalSpinor(arrays["node"], arrays["link"], arrays["triangle"])

@@ -249,11 +249,7 @@ def test_criterion_07_noise_calibration():
         basis = spectral_basis(D, n)
         s = eigenmode_signal(basis, "smallest_positive")
         for alpha in (0.5, 0.6, 1.0):
-            model = NoiseModel(
-                alpha1=alpha if n == 1 else 0.0,
-                alpha2=alpha if n == 2 else 0.0,
-                seed=700 + n,
-            )
+            model = NoiseModel(alpha=alpha, seed=700 + n)
             sq = np.empty(draws)
             ratios = np.empty(draws)
             for k in range(draws):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diracsp import (
     NgfParams,
+    assemble_dirac,
     betti_numbers,
     boundary_matrix,
     build_complex,
@@ -15,7 +16,7 @@ from diracsp import (
     ngf_generate,
 )
 from diracsp import complexes, generators
-from diracsp.complexes import SimplicialComplex, from_dict, triangle_rank
+from diracsp.complexes import SimplicialComplex, combinatorial_rank, from_dict, triangle_rank
 from diracsp.errors import (
     DiracSPError,
     DuplicateSimplex,
@@ -188,6 +189,26 @@ def test_betti_hard_inputs_match_exact_ranks(name):
     assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
     if name.startswith("ngf"):
         assert _triangles_per_link(K).max() > 2
+
+
+# NGF flavor -1 puts at most two triangles on a link, so rank B2 is counted.
+COUNT_CASES = {
+    **RANK_CASES,
+    "ngf-flavor-1-seed0": ngf_generate(NgfParams(target_nodes=80, flavor=-1, seed=0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_operator_ranks_build_a_basis_only_without_an_exact_count(name):
+    K = COUNT_CASES[name]
+    D = assemble_dirac(K)
+    for n in (1, 2):
+        r = exact_rank(boundary_matrix(K, n))
+        assert D.rank(n) == r
+        assert D.nonharmonic_dim(n) == 2 * r
+    # rank B1 is always counted; rank B2 wherever combinatorial_rank decides it
+    assert "_basis1" not in D.__dict__
+    assert ("_basis2" in D.__dict__) == (combinatorial_rank(D.B2) is None)
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))

@@ -205,7 +205,7 @@ def test_learn_fixed_point_noiseless(ff_dirac, ff_basis):
 def test_learn_converges_to_true_eigenvalue(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
     lam = float(ff_basis.eigenvalues[ff_basis.pos_indices[0]])
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=21), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.5, seed=21), ff_dirac, 1, 0)
     cfg = FilterConfig(tau=7.0, m0=1.5, eta=0.3, delta=1e-4)
     s_hat, tr = learn(s + eps, ff_dirac, 1, cfg, truth=s, basis=ff_basis)
     assert tr.converged
@@ -222,7 +222,7 @@ def test_learn_converges_to_true_eigenvalue(ff_dirac, ff_basis):
 
 def test_learn_auto_m0(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=4), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.5, seed=4), ff_dirac, 1, 0)
     s_tilde = s + eps
     cfg = FilterConfig(tau=7.0, m0="auto")
     _, tr = learn(s_tilde, ff_dirac, 1, cfg, truth=s, basis=ff_basis)
@@ -234,7 +234,7 @@ def test_learn_auto_m0(ff_dirac, ff_basis):
 
 def test_learn_nonconvergence_returns_partial(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=2), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.5, seed=2), ff_dirac, 1, 0)
     cfg = FilterConfig(tau=7.0, m0=1.5, delta=1e-12, max_iters=3)
     _, tr = learn(s + eps, ff_dirac, 1, cfg, basis=ff_basis)
     assert not tr.converged
@@ -248,7 +248,7 @@ def test_learn_nonconvergence_returns_partial(ff_dirac, ff_basis):
 
 def test_learn_warns_at_low_snr(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=2.5, seed=3), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=2.5, seed=3), ff_dirac, 1, 0)
     with pytest.warns(RuntimeWarning, match="snr"):
         learn(s + eps, ff_dirac, 1, FilterConfig(tau=2.0, m0=1.0), basis=ff_basis)
 
@@ -257,7 +257,7 @@ def test_learn_warns_at_low_snr(ff_dirac, ff_basis):
 def test_learn_m_stays_in_spectral_hull(ff_dirac, ff_basis):
     lam = ff_basis.eigenvalues
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.8, seed=6), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.8, seed=6), ff_dirac, 1, 0)
     cfg = FilterConfig(tau=5.0, m0=float(lam.max()))
     _, tr = learn(s + eps, ff_dirac, 1, cfg, basis=ff_basis)
     assert (tr.m_history >= lam.min() - 1e-9).all()
@@ -266,7 +266,7 @@ def test_learn_m_stays_in_spectral_hull(ff_dirac, ff_basis):
 
 def test_trace_export(tmp_path, ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=1), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.5, seed=1), ff_dirac, 1, 0)
     _, tr = learn(
         s + eps, ff_dirac, 1, FilterConfig(tau=7.0, m0=1.5), truth=s, basis=ff_basis
     )
@@ -285,7 +285,7 @@ def test_learn_matches_dense_reference_loop(ff_dirac, ff_basis, with_basis):
     import numpy.linalg as la
 
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.5, seed=77), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.5, seed=77), ff_dirac, 1, 0)
     s_tilde = s + eps
     tau, eta, delta, m0 = 7.0, 0.3, 1e-4, 1.5
 
@@ -322,7 +322,7 @@ def test_learn_measures_truth_by_its_projection(coastal_dirac, coastal):
         np.zeros(coastal.n0), np.zeros(coastal.n1), 0.1 * rng.standard_normal(coastal.n2)
     )
     truth = s + off_image
-    s_tilde = s + sample_noise(NoiseModel(alpha1=0.5, seed=9), coastal_dirac, 1, 0)
+    s_tilde = s + sample_noise(NoiseModel(alpha=0.5, seed=9), coastal_dirac, 1, 0)
     D1 = brute_dirac(coastal)[1]
     p_truth = eigenbasis_projection(D1, truth.vector, lambda v: abs(v) > 1e-8)
     p_tilde = eigenbasis_projection(D1, s_tilde.vector, lambda v: abs(v) > 1e-8)
@@ -398,7 +398,7 @@ def coastal_draws(coastal_dirac):
     s = gaussian_mix_signal(basis, 1.0, 0.2)
     rows = [basis.coefficients(s)]
     for alpha in (0.5, 2.5):
-        model = NoiseModel(alpha1=alpha, seed=11)
+        model = NoiseModel(alpha=alpha, seed=11)
         rows += [basis.coefficients(s + sample_noise(model, coastal_dirac, 1, k)) for k in range(4)]
     return basis.eigenvalues[basis.nonzero_indices], np.array(rows), basis.coefficients(s)
 

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -485,7 +486,11 @@ def test_bench_two_sizes_low_confidence(tmp_path):
     out, exponent, stderr = cmd_bench(plan, tmp_path / "bench.csv")
     rows = data_rows(out)
     assert len(rows) == 2
-    assert out.read_text().strip().splitlines()[-1].startswith("# fit:")
+    footer = out.read_text().strip().splitlines()[-1]
+    match = re.fullmatch(r"# fit: exponent=(\S+) stderr=(\S+) low_confidence=(True|False)", footer)
+    assert match, footer
+    assert float(match[1]) == exponent and float(match[2]) == stderr
+    assert match[3] == "True"
     assert np.isfinite(exponent)
     with pytest.raises(ValueError):
         cmd_bench(ExperimentPlan(

@@ -150,7 +150,7 @@ def test_lift_harmonic_source_fails(ff_dirac, ff_network):
 
 
 def test_noise_is_deterministic(ff_dirac):
-    model = NoiseModel(alpha1=0.6, seed=123)
+    model = NoiseModel(alpha=0.6, seed=123)
     a = sample_noise(model, ff_dirac, 1, 5)
     b = sample_noise(model, ff_dirac, 1, 5)
     assert np.array_equal(a.vector, b.vector)
@@ -159,33 +159,32 @@ def test_noise_is_deterministic(ff_dirac):
 
 
 def test_noise_model_rejects_bad_amplitudes():
-    for name in ("alpha1", "alpha2"):
-        for value in (float("nan"), float("inf"), -1.0):
-            with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value!r}"):
-                NoiseModel(**{name: value}, seed=1)
-    NoiseModel(alpha1=0.0, alpha2=0.5, seed=1)
+    for value in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {value!r}"):
+            NoiseModel(alpha=value, seed=1)
+    NoiseModel(alpha=0.0, seed=1)
 
 
 def test_noise_is_orthogonal_to_kernel(ff_dirac):
-    model = NoiseModel(alpha1=0.6, seed=9)
+    model = NoiseModel(alpha=0.6, seed=9)
     eps = sample_noise(model, ff_dirac, 1, 0)
     assert (dirac_project(eps, ff_dirac, 1) - eps).norm() <= 1e-8
 
 
 def test_noise_requires_image(ff_dirac):
     with pytest.raises(EmptyImage):
-        sample_noise(NoiseModel(alpha2=1.0, seed=1), ff_dirac, 2, 0)
+        sample_noise(NoiseModel(alpha=1.0, seed=1), ff_dirac, 2, 0)
 
 
 def test_noise_calibration(ff_dirac):
     # mean ||eps||^2 over many draws approaches alpha^2
-    model = NoiseModel(alpha1=0.6, seed=77)
+    model = NoiseModel(alpha=0.6, seed=77)
     sq = [sample_noise(model, ff_dirac, 1, k).norm() ** 2 for k in range(2000)]
     assert abs(np.mean(sq) - 0.36) <= 0.05 * 0.36
 
 
 def test_noise_draws_uncorrelated(ff_dirac):
-    model = NoiseModel(alpha1=1.0, seed=31)
+    model = NoiseModel(alpha=1.0, seed=31)
     draws = np.array(
         [sample_noise(model, ff_dirac, 1, k).vector for k in range(400)]
     )
@@ -196,7 +195,7 @@ def test_noise_draws_uncorrelated(ff_dirac):
 
 def test_snr_basics(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    eps = sample_noise(NoiseModel(alpha1=0.6, seed=5), ff_dirac, 1, 0)
+    eps = sample_noise(NoiseModel(alpha=0.6, seed=5), ff_dirac, 1, 0)
     assert snr(s, eps) > 0
     assert snr(s, s) == pytest.approx(1.0)
     with pytest.raises(ZeroNoise):
@@ -205,7 +204,7 @@ def test_snr_basics(ff_dirac, ff_basis):
 
 def test_snr_expectation(ff_dirac, ff_basis):
     s = eigenmode_signal(ff_basis, "smallest_positive")
-    model = NoiseModel(alpha1=0.6, seed=13)
+    model = NoiseModel(alpha=0.6, seed=13)
     vals = [snr(s, sample_noise(model, ff_dirac, 1, k)) for k in range(2000)]
     assert np.mean(vals) == pytest.approx(1 / 0.36, rel=0.1)
 
@@ -223,6 +222,13 @@ def test_signal_load_rejects_non_finite_values(tmp_path, ff_network, value):
     path = tmp_path / "sig.csv"
     path.write_text(f"block,index,value\nlink,0,1.0\nlink,1,{value}\n")
     with pytest.raises(ParseError, match=rf"sig.csv:3: value '{value}' is not finite"):
+        load_signal(path, ff_network)
+
+
+def test_signal_load_rejects_a_repeated_entry(tmp_path, ff_network):
+    path = tmp_path / "sig.csv"
+    path.write_text("block,index,value\nlink,0,1.0\nnode,0,2.0\nlink,0,5.0\n")
+    with pytest.raises(ParseError, match=r"sig.csv:4: link 0 was already given on line 2"):
         load_signal(path, ff_network)
 
 

@@ -221,7 +221,7 @@ def test_operator_keeps_its_svd_basis(coastal, monkeypatch):
     D = assemble_dirac(coastal)
     signs = []
     monkeypatch.setattr(operators, "_mode_signs", lambda U, V: signs.append(1) or _mode_signs(U, V))
-    s = sample_noise(NoiseModel(alpha1=0.5, seed=1), D, 1, 0)
+    s = sample_noise(NoiseModel(alpha=0.5, seed=1), D, 1, 0)
     # callers that need only the triplets never pay for the mode signs
     dirac_project(s, D, 2)
     harmonic_basis(D)
@@ -247,7 +247,7 @@ def test_basis_and_learning_never_allocate_a_dense_basis():
         basis = spectral_basis(D, 1)
         s_true = gaussian_mix_signal(basis, 1.0, 0.2)
         for k in range(3):
-            noise = sample_noise(NoiseModel(alpha1=0.5, seed=3), D, 1, k)
+            noise = sample_noise(NoiseModel(alpha=0.5, seed=3), D, 1, k)
             learn(s_true + noise, D, 1, config, truth=s_true, basis=basis)
         _, peak = tracemalloc.get_traced_memory()
     finally:
