@@ -297,7 +297,8 @@ def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
     """
     wide = B.shape[0] <= B.shape[1]
     G = B @ B.T if wide else B.T @ B
-    return G.astype(float, copy=False).toarray(), wide
+    # B @ B.T of a csc array is csc, whose toarray() would be F-ordered
+    return G.astype(float, copy=False).toarray(order="C"), wide
 
 
 def gram_eigh(G: np.ndarray, *, vectors: bool = True):

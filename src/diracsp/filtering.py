@@ -15,10 +15,10 @@ The Dirac filter and the learner act in the coordinates of the factored
 SpectralBasis of D_n, where the filter is diagonal: each learning
 iteration is O(dim im(D_n)).  Without a basis from the caller they build
 one from the operator's cached singular triplets; with the harness's sweep
-they share one kernel, :func:`_filter_coords`, and one error, :func:`_delta_s`.
-The learner's loop, :func:`_learn_batch`, runs S draws at once on an S x r
-matrix of coordinates, each draw stopping at its own iteration;
-:func:`learn` is its one-draw case.  The Hodge filter needs no spectrum and
+they share one set of weights, :func:`_filter_weights`, and one error,
+:func:`_squared_delta_s`.  The learner's loop, :func:`_learn_batch`, runs S
+draws at once on an S x r matrix of coordinates, each draw stopping at its
+own iteration; :func:`learn` is its one-draw case.  The Hodge filter needs no spectrum and
 solves its SPD system by a sparse factorization.
 """
 
@@ -70,28 +70,41 @@ def hodge_filter(
     return TopologicalSpinor.from_vector(Dop.K, _solve_spd(A, s_tilde.vector))
 
 
+def _filter_weights(lam: np.ndarray, tau: float, m: np.ndarray) -> np.ndarray:
+    """The Dirac filter's weights 1/(1 + tau (lam - m[k])^2): one row per center in ``m``."""
+    W = lam - m[:, None]
+    np.square(W, out=W)
+    W *= tau
+    W += 1.0
+    return np.divide(1.0, W, out=W)
+
+
 def _filter_coords(lam: np.ndarray, C: np.ndarray, tau: float, m: np.ndarray) -> np.ndarray:
     """The Dirac filter on S rows of coordinates: row k times 1/(1 + tau (lam - m[k])^2).
 
     ``lam`` holds the eigenvalues of the modes; ``m`` one center per row, or
     one center for every row.
     """
-    W = lam - m[:, None]
-    np.square(W, out=W)
-    W *= tau
-    W += 1.0
-    np.divide(1.0, W, out=W)
-    return C * W
+    return C * _filter_weights(lam, tau, m)
+
+
+def _squared_delta_s(
+    C: np.ndarray, c_true: np.ndarray, buf: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """delta_s^2 for each row of coordinates, by row sums.
+
+    The differences are formed in ``buf`` (shaped like C; it may be C
+    itself), or in a new array, and the sums written to ``out`` if given.
+    A BLAS product would round a row by its position and the batch size.
+    """
+    D = np.subtract(C, c_true, out=buf)
+    D *= D
+    return D.sum(axis=1, out=out)
 
 
 def _delta_s(C: np.ndarray, c_true: np.ndarray) -> np.ndarray:
-    """delta_s = ||s_hat - P_n s_true|| for each row of coordinates, by row sums.
-
-    A BLAS product would round a row by its position and the batch size.
-    """
-    D = C - c_true
-    D *= D
-    return np.sqrt(D.sum(axis=1))
+    """delta_s = ||s_hat - P_n s_true|| for each row of coordinates."""
+    return np.sqrt(_squared_delta_s(C, c_true))
 
 
 def _basis_for(Dop: DiracOperator, n: int, basis: SpectralBasis | None) -> SpectralBasis:
@@ -288,7 +301,7 @@ def _learn_batch(
     if ((C0 * C0).sum(axis=1) == 0.0).any():
         raise ZeroSignal("observed signal has no component in im(D_n)")
 
-    # Row sums, not BLAS products, for the reason given in _delta_s.
+    # Row sums, not BLAS products, for the reason given in _squared_delta_s.
     def ray(C):
         Q = C * C
         denom = Q.sum(axis=1)

@@ -28,7 +28,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -41,10 +41,10 @@ from .errors import ParseError
 from .filtering import (
     FilterConfig,
     LearnBatch,
-    _delta_s,
-    _filter_coords,
+    _filter_weights,
     _learn_batch,
     _low_snr,
+    _squared_delta_s,
     rayleigh_m,
 )
 
@@ -347,10 +347,20 @@ def _learning_cells(plan: ExperimentPlan) -> tuple[_Setup, Iterator[tuple]]:
     return setup, cells
 
 
+def _row_mean_std(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample standard deviation of each row of X (std 0 for a single column).
+
+    A reduction along the contiguous last axis sums each row as the same
+    call on that row alone would.
+    """
+    std = X.std(axis=1, ddof=1) if X.shape[1] > 1 else np.zeros(X.shape[0])
+    return X.mean(axis=1), std
+
+
 def _mean_std(values) -> tuple[float, float]:
     """Mean and sample standard deviation (0 for a single value)."""
-    x = np.asarray(values)
-    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
+    mean, std = _row_mean_std(np.asarray(values)[None])
+    return float(mean[0]), float(std[0])
 
 
 # -- commands -----------------------------------------------------------------
@@ -364,24 +374,28 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
 
     Each draw's error is delta_s = ||s_hat - P_n s_true||, as in
     :class:`~diracsp.filtering.RunTrace`, taken in the coordinates of the
-    spectral basis of D_n, where the filter is diagonal.
+    spectral basis of D_n, where the filter is diagonal.  A cell takes the
+    filter's weights at every m as one |ms| x r matrix and fills its
+    |ms| x S errors through one S x r buffer, one m at a time.
     """
     setup = _prepare(plan)
     ms = list(plan.ms)
     if 0.0 not in ms:
         ms = [0.0] + ms
+    base_row = ms.index(0.0)
     lam = setup.basis.eigenvalues[setup.basis.nonzero_indices]
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
         C = _draw_coords(plan, setup, alpha, c)
-        errs = np.empty((plan.seeds, len(ms)))
-        for j, m in enumerate(ms):
-            errs[:, j] = _delta_s(_filter_coords(lam, C, tau, np.array([m])), setup.c_true)
-        base = errs[:, ms.index(0.0)]
+        buf = np.empty_like(C)
+        errs = np.empty((len(ms), plan.seeds))
+        for w, err in zip(_filter_weights(lam, tau, np.array(ms)), errs):
+            _squared_delta_s(np.multiply(C, w, out=buf), setup.c_true, buf, err)
+        np.sqrt(errs, out=errs)
+        base = errs[base_row]
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
-        for j, m in enumerate(ms):
-            rows.append((tau, alpha, m, *_mean_std(rel[:, j]), *_mean_std(errs[:, j])))
+            rel = np.where(base > 0, errs / base, 1.0)
+        rows.extend(zip(repeat(tau), repeat(alpha), ms, *_row_mean_std(rel), *_row_mean_std(errs)))
 
     header = ["tau", "alpha", "m", "rel_error_mean", "rel_error_std", "delta_s_mean", "delta_s_std"]
     write_csv(out, plan, "sweep-m", header, rows)

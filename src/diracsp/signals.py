@@ -279,13 +279,16 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
     seen = {}  # (block, index) -> line
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = csv.reader(row for row in fh if not row.startswith("#"))
+        # every line that is not a comment, with its number in the file
+        numbered = [(i, line) for i, line in enumerate(fh, start=1) if not line.startswith("#")]
+        rows = csv.reader(line for _, line in numbered)
         header = next(rows, None)
         if header is None or [h.strip() for h in header[:3]] != ["block", "index", "value"]:
             raise ParseError(f"{path}: expected header 'block,index,value'")
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row:
                 continue
+            lineno = numbered[rows.line_num - 1][0]
             try:
                 block, idx, val = row[0].strip(), int(row[1]), float(row[2])
             except (IndexError, ValueError) as exc:

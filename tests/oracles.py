@@ -279,6 +279,40 @@ def loop_sweep_errors(plan):
     return ms, errors
 
 
+def _mean_std(x):
+    return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
+
+
+def loop_sweep_rows(plan):
+    """sweep-m's data rows as CSV strings, from one filter and one error call per m.
+
+    The loop ``cmd_sweep_m`` ran before it took a cell's whole m grid at
+    once, kept as written: an S x |ms| error matrix filled one column at a
+    time, then a mean and standard deviation per column.
+    """
+    from diracsp.filtering import _delta_s, _filter_coords
+    from diracsp.harness import _draw_coords, _fmt, _prepare
+
+    setup = _prepare(plan)
+    ms = list(plan.ms)
+    if 0.0 not in ms:
+        ms = [0.0] + ms
+    lam = setup.basis.eigenvalues[setup.basis.nonzero_indices]
+    rows = []
+    for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
+        C = _draw_coords(plan, setup, alpha, c)
+        errs = np.empty((plan.seeds, len(ms)))
+        for j, m in enumerate(ms):
+            errs[:, j] = _delta_s(_filter_coords(lam, C, tau, np.array([m])), setup.c_true)
+        base = errs[:, ms.index(0.0)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
+        for j, m in enumerate(ms):
+            row = (tau, alpha, m, *_mean_std(rel[:, j]), *_mean_std(errs[:, j]))
+            rows.append([_fmt(x) for x in row])
+    return rows
+
+
 # -- learn, heatmap and basin, one scalar loop per draw ---------------------------
 
 

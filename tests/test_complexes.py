@@ -231,6 +231,16 @@ def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
         betti_numbers(K)
 
 
+@pytest.mark.parametrize("name", ["coastal", "ngf-120"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_matrix_is_c_ordered_and_solved_in_place(name, n, coastal):
+    K = coastal if name == "coastal" else ngf_generate(NgfParams(target_nodes=120, seed=4))
+    G, _ = complexes.gram_matrix(boundary_matrix(K, n))
+    assert G.flags.c_contiguous
+    _, X = complexes.gram_eigh(G)
+    assert np.shares_memory(X, G)
+
+
 def _matches_loop_reference(K):
     """B1 and B2 equal the loop-built reference in shape, entries and int64 dtype."""
     for n in (1, 2):

@@ -41,7 +41,7 @@ from diracsp.harness import (
 )
 
 from conftest import HARD_COMPLEXES
-from oracles import loop_learn_traces, loop_sweep_errors
+from oracles import loop_learn_traces, loop_sweep_errors, loop_sweep_rows
 
 FF = dataset_path("florentine_marriage.json")
 COASTAL = dataset_path("coastal_tessellation.json")
@@ -174,6 +174,27 @@ def test_sweep_m_matches_the_per_draw_filter_loop(case, tmp_path):
         c_true = setup.basis.coefficients(setup.s_true)
         rest = (setup.s_true - setup.basis.synthesize(c_true)).norm()
         assert 0.0 < rest < 1e-10
+
+
+@pytest.mark.parametrize("ms", [(0.0, 0.3, 0.6, 1.0, 1.7, 2.5, 4.0), (0.45, 1.2, 3.0)])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_m_rows_are_those_of_the_per_m_loop(case, ms, tmp_path):
+    # as strings: the grid at once rounds every row as the loop over m did
+    plan = ff_plan(ms=ms, seeds=6, **SWEEP_CASES[case])
+    assert data_rows(cmd_sweep_m(plan, tmp_path / "s.csv")) == loop_sweep_rows(plan)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_m_edge_cells(tmp_path):
+    plan = ff_plan(alphas=(0.0, 0.6), taus=(0.0, 10.0), ms=(0.5, 1.5), seeds=1)
+    rows = data_rows(cmd_sweep_m(plan, tmp_path / "s.csv"))
+    assert rows == loop_sweep_rows(plan)
+    # one draw: both standard deviations are exactly zero
+    assert {r[4] for r in rows} == {r[6] for r in rows} == {"0.0"}
+    # tau = 0 and alpha = 0: the baseline error is zero, and rel_error reads one
+    clean = [r for r in rows if r[:2] == ["0.0", "0.0"]]
+    assert len(clean) == 3
+    assert all(r[3] == "1.0" and r[5] == "0.0" for r in clean)
 
 
 LEARN_CASES = {

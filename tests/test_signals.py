@@ -232,6 +232,17 @@ def test_signal_load_rejects_a_repeated_entry(tmp_path, ff_network):
         load_signal(path, ff_network)
 
 
+def test_signal_load_errors_name_the_line_of_the_file(tmp_path, coastal):
+    # comment lines count toward the line numbers
+    path = tmp_path / "cm.csv"
+    path.write_text("block,index,value\n# note\nlink,0,1.0\nlink,99999,5.0\n")
+    with pytest.raises(DimensionMismatch, match=r"cm.csv:4: link index 99999 outside complex"):
+        load_signal(path, coastal)
+    path.write_text("# note\nblock,index,value\nlink,0,1.0\n# note\nlink,0,5.0\n")
+    with pytest.raises(ParseError, match=r"cm.csv:5: link 0 was already given on line 3"):
+        load_signal(path, coastal)
+
+
 def test_signal_load_rejects_bad_index(tmp_path, ff_network):
     path = tmp_path / "sig.csv"
     path.write_text("block,index,value\nlink,999,1.0\n")
