@@ -232,16 +232,11 @@ def _m_grid(m_max: float, m_step: float) -> tuple[float, ...]:
 
 def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
                sigma_hat, variance_convention, source, seed, m_max=None, m_step=None, **kw):
-    if preset is not None:
-        p = SIGNAL_PRESETS[preset]
-        mode = p["mode"]
-        selector = p.get("selector", selector)
-        lambda_bar = p.get("lambda_bar", lambda_bar)
-        sigma_hat = p.get("sigma_hat", sigma_hat)
-        if kw.get("m0s") is None:
-            kw["m0s"] = (p["m0"],)
+    p = SIGNAL_PRESETS.get(preset, {})
+    mode, selector = p.get("mode", mode), p.get("selector", selector)
+    lambda_bar, sigma_hat = p.get("lambda_bar", lambda_bar), p.get("sigma_hat", sigma_hat)
     if kw.get("m0s") is None:
-        kw["m0s"] = ("auto",)
+        kw["m0s"] = (p.get("m0", "auto"),)
     if m_step is not None and not kw["ms"]:
         kw["ms"] = _m_grid(m_max, m_step)
     dataset = (
@@ -318,11 +313,10 @@ for _name, _entry in _EXPERIMENTS.items():
 def bench(sizes, runs, alpha, tau, eta, delta, flavor, seed, output):
     """Wall-time scaling of the adaptive filter vs problem size."""
     def run():
-        spec = SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2)
         plan = ExperimentPlan(
             dataset={"kind": "ngf", "flavor": int(flavor), "beta": 0.0},
-            signal=spec,
-            alphas=(alpha,), taus=(tau,), m0s=("auto",),
+            signal=SignalSpec(mode="gaussian_mix"),
+            alphas=(alpha,), taus=(tau,),
             eta=eta, delta=delta,
             sizes=tuple(int(s) for s in sizes.split(",")),
             runs=runs, seed=seed,

@@ -86,6 +86,9 @@ class SimplicialComplex:
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering."""
+        for node in (i, j):
+            if not 0 <= node < self.n0:
+                raise IndexOutOfRange(f"link ({i}, {j}) names node {node} outside range(0, {self.n0})")
         return int(_link_rows(_array(self.links, 2), self.n0, np.array([[i, j]]))[0])
 
     def euler_characteristic(self) -> int:

@@ -32,8 +32,8 @@ from numbers import Real
 import numpy as np
 
 from .complexes import SimplicialComplex, build_complex, load_complex, require_int
-from .errors import InvalidFlavor, ParseError
-from .signals import load_signal, rng_stream
+from .errors import InvalidFlavor
+from .signals import _read_signal, rng_stream
 from .spinors import TopologicalSpinor
 
 __all__ = [
@@ -117,10 +117,8 @@ def load_flow(path, K: SimplicialComplex) -> TopologicalSpinor:
     """Load a link flow aligned to K's canonical link ordering.
 
     The file uses the signal CSV format; only ``link`` rows are allowed,
-    since a flow lives purely on links.  A row indexing a link outside K
-    raises :class:`DimensionMismatch`.
+    since a flow lives purely on links: a ``node`` or ``triangle`` row, zero
+    or not, raises :class:`ParseError` naming its line.  A row indexing a
+    link outside K raises :class:`DimensionMismatch`.
     """
-    s = load_signal(path, K)
-    if np.any(s.s0) or np.any(s.s2):
-        raise ParseError("flow files may only contain 'link' rows")
-    return TopologicalSpinor(np.zeros(K.n0), s.s1, np.zeros(K.n2))
+    return _read_signal(path, K, ("link",))

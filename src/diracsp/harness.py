@@ -27,7 +27,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -82,7 +82,7 @@ BASIN_ALPHAS = (0.6, 1.5)
 class ExperimentPlan:
     """Fully resolved description of one harness run."""
 
-    dataset: dict  # {"kind": "ngf", ...} or {"kind": "file", "path": ...}
+    dataset: dict  # {"kind": "ngf", ...} or {"kind": "file", "path": ...}; see resolve_dataset
     signal: SignalSpec
     alphas: tuple[float, ...] = (0.6,)
     taus: tuple[float, ...] = (10.0,)
@@ -143,26 +143,10 @@ class ExperimentPlan:
 
 
 def plan_from_dict(data: dict) -> ExperimentPlan:
-    """Build a plan from its JSON form (the `--plan` config file)."""
+    """Build a plan from its JSON form (the `--plan` config file); SignalSpec reads the signal."""
     try:
-        sig = dict(data["signal"])
-        n = sig.pop("n", 1)
-        require_int("n", n)
-        spec = SignalSpec(
-            mode=sig.pop("mode"),
-            n=n,
-            selector=sig.pop("selector", "smallest_positive"),
-            lambda_bar=float(sig.pop("lambda_bar", 1.0)),
-            sigma_hat=float(sig.pop("sigma_hat", 0.2)),
-            source=sig.pop("source", None),
-            variance_convention=sig.pop("variance_convention", "linear"),
-        )
-        kwargs = {
-            k: tuple(v) if isinstance(v, list) else v
-            for k, v in data.items()
-            if k not in ("signal",)
-        }
-        return ExperimentPlan(signal=spec, **kwargs)
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k != "signal"}
+        return ExperimentPlan(signal=SignalSpec(**data["signal"]), **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed plan: {exc}") from exc
 
@@ -177,31 +161,30 @@ def load_plan(path) -> ExperimentPlan:
 # -- dataset and signal resolution -------------------------------------------
 
 
-def _ngf_params(dataset: dict, target_nodes, seed) -> NgfParams:
-    """NgfParams from an ngf dataset's fields, taken as given.
-
-    A field that NgfParams rejects (a count that is not an integer, a beta
-    that is not a finite number >= 0) is a ParseError.
-    """
-    try:
-        return NgfParams(
-            target_nodes=target_nodes,
-            flavor=dataset.get("flavor", -1),
-            beta=dataset.get("beta", 0.0),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ParseError(f"malformed dataset: {exc}") from exc
-
-
 def resolve_dataset(plan: ExperimentPlan) -> SimplicialComplex:
-    kind = plan.dataset.get("kind")
-    if kind == "ngf":
-        data = plan.dataset
-        return ngf_generate(_ngf_params(data, data.get("target_nodes"), data.get("seed", plan.seed)))
-    if kind == "file":
-        return load_complex(plan.dataset["path"])
-    raise ParseError(f"unknown dataset kind {kind!r}")
+    """The plan's complex, from the one place that reads its dataset.
+
+    The dataset is an object of one of two kinds: ``{"kind": "ngf",
+    "target_nodes", "flavor", "beta", "seed"}``, the fields of
+    :class:`NgfParams` (seed defaults to the plan's), or ``{"kind": "file",
+    "path"}`` with a string path to a complex file.  Any other shape, kind or
+    field, or a value NgfParams rejects, is a ParseError.
+    """
+    data = plan.dataset
+    if not isinstance(data, dict):
+        raise ParseError(f"malformed dataset: expected an object, got {data!r}")
+    fields = {k: v for k, v in data.items() if k != "kind"}
+    if data.get("kind") == "file":
+        if fields.keys() != {"path"} or not isinstance(fields["path"], str):
+            raise ParseError(f"malformed dataset: a file dataset takes one string path, got {fields!r}")
+        return load_complex(fields["path"])
+    if data.get("kind") != "ngf":
+        raise ParseError(f"unknown dataset kind {data.get('kind')!r}")
+    try:
+        params = NgfParams(**{"seed": plan.seed, **fields})
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"malformed dataset: {exc}") from exc
+    return ngf_generate(params)
 
 
 def make_signal(
@@ -276,7 +259,7 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 class _Setup(NamedTuple):
-    """What every grid command computes once before its first draw."""
+    """What every grid command computes once before its first draw (bench: once per size)."""
 
     Dop: DiracOperator
     n: int
@@ -480,11 +463,12 @@ def cmd_basin(plan: ExperimentPlan, out) -> Path:
 def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
     """Wall-time scaling of one full adaptive run vs problem size N + L.
 
-    Per size: an NGF complex is grown, the Gaussian-mixture signal prepared,
-    and `runs` adaptive runs are timed on a monotonic clock (one untimed
-    warm-up first).  Each timed run is the plain implementation end to end:
-    assemble the operator, diagonalize D_n densely (method="eigh", the cost
-    that dominates), then run the adaptive loop in the eigenbasis.  Returns
+    Per size: :func:`_prepare` grows the plan's ngf dataset to that size
+    and makes its signal, and `runs` adaptive runs are timed on a monotonic
+    clock (one untimed warm-up first).  Each timed run is the plain
+    implementation end to end: assemble the operator, diagonalize D_n
+    densely (method="eigh", the cost that dominates), then run the adaptive
+    loop in the eigenbasis.  Returns
     (path, exponent, stderr) of the log-log least-squares fit of the median
     run time vs N + L (the median resists scheduler noise; per-size means
     are reported alongside).  With only two sizes the fit is flagged
@@ -492,25 +476,26 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
     """
     if len(plan.sizes) < 2:
         raise ValueError("bench needs at least two sizes")
+    if not isinstance(plan.dataset, dict) or plan.dataset.get("kind") != "ngf":
+        raise ParseError(f"bench grows NGF complexes; its dataset must be of kind 'ngf', got {plan.dataset!r}")
     tau = plan.taus[0]
     alpha = plan.alphas[0]
 
     rows = []
     for si, nodes in enumerate(plan.sizes):
-        K = ngf_generate(_ngf_params(plan.dataset, nodes, _cell_seed(plan, si)))
-        prep = assemble_dirac(K)
-        prep_basis = spectral_basis(prep, plan.signal.n)
-        s_true, _ = make_signal(plan.signal, prep, prep_basis)
+        dataset = {**plan.dataset, "target_nodes": nodes, "seed": _cell_seed(plan, si)}
+        setup = _prepare(replace(plan, dataset=dataset))
+        K = setup.Dop.K
         times = []
         for r in range(plan.runs + 1):  # +1 warm-up
-            s_tilde = s_true + _noise(plan, prep, plan.signal.n, alpha, si, r)
+            s_tilde = setup.s_true + _noise(plan, setup.Dop, setup.n, alpha, si, r)
             t0 = time.perf_counter()
             Dop = assemble_dirac(K)
-            basis = spectral_basis(Dop, plan.signal.n, method="eigh")
+            basis = spectral_basis(Dop, setup.n, method="eigh")
             # Called through the module: a `learn` bound here would have the
             # benchmark's tracer (perfbench/tracing.py) count learn calls from
             # the grid commands, which run the batched learner instead.
-            filtering.learn(s_tilde, Dop, plan.signal.n, plan.config(tau, plan.m0s[0]), basis=basis)
+            filtering.learn(s_tilde, Dop, setup.n, plan.config(tau, plan.m0s[0]), basis=basis)
             dt = time.perf_counter() - t0
             if r > 0:
                 times.append(dt)

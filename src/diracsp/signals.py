@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, require_int
 from .errors import (
     DegenerateSelection,
     DimensionMismatch,
@@ -50,7 +52,10 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for a true signal on im(D_n)."""
+    """Recipe for a true signal on im(D_n); make_signal rejects an unknown mode.
+
+    A field of the wrong type, or a lifted signal without a source, is a ValueError.
+    """
 
     mode: str  # "eigen" | "gaussian_mix" | "lifted"
     n: int = 1
@@ -60,14 +65,25 @@ class SignalSpec:
     source: object = None  # lifted only: TopologicalSpinor or path
     variance_convention: str = "linear"  # "linear": exp(-d^2/(2*sigma)); "squared": /(2*sigma^2)
 
+    def __post_init__(self):
+        require_int("n", self.n)
+        if isinstance(self.selector, bool) or not isinstance(self.selector, (str, Real)):
+            raise ValueError(f"selector must be a name or a number, got {self.selector!r}")
+        for name in ("lambda_bar", "sigma_hat"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.mode == "lifted" and not isinstance(self.source, (TopologicalSpinor, str, os.PathLike)):
+            raise ValueError(f"a lifted signal needs a source, a spinor or a path; got {self.source!r}")
+
     def to_dict(self) -> dict:
         d = {"mode": self.mode, "n": self.n}
         if self.mode == "eigen":
             d["selector"] = self.selector
         elif self.mode == "gaussian_mix":
             d.update(
-                lambda_bar=self.lambda_bar,
-                sigma_hat=self.sigma_hat,
+                lambda_bar=float(self.lambda_bar),
+                sigma_hat=float(self.sigma_hat),
                 variance_convention=self.variance_convention,
             )
         elif self.mode == "lifted":
@@ -274,8 +290,12 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
     or a second row for the same entry raises :class:`ParseError`, an index
     outside the complex :class:`DimensionMismatch`.
     """
-    sizes = {"node": K.n0, "link": K.n1, "triangle": K.n2}
-    arrays = {name: np.zeros(sizes[name]) for name in _BLOCKS}
+    return _read_signal(path, K, _BLOCKS)
+
+
+def _read_signal(path, K: SimplicialComplex, blocks: tuple[str, ...]) -> TopologicalSpinor:
+    """:func:`load_signal`, with a row of any block outside ``blocks`` a ParseError."""
+    arrays = {name: np.zeros(size) for name, size in zip(_BLOCKS, K.counts)}
     seen = {}  # (block, index) -> line
     path = Path(path)
     with open(path, newline="") as fh:
@@ -295,15 +315,15 @@ def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:
                 raise ParseError(f"{path}:{lineno}: malformed row {row!r}") from exc
             if not math.isfinite(val):
                 raise ParseError(f"{path}:{lineno}: value {row[2].strip()!r} is not finite")
-            if block not in sizes:
-                raise ParseError(f"{path}:{lineno}: unknown block {block!r}")
-            if not 0 <= idx < sizes[block]:
+            if block not in blocks:
+                raise ParseError(f"{path}:{lineno}: block {block!r} is not one of {', '.join(blocks)}")
+            if not 0 <= idx < arrays[block].size:
                 raise DimensionMismatch(
                     f"{path}:{lineno}: {block} index {idx} outside complex "
-                    f"with {sizes[block]} {block}s"
+                    f"with {arrays[block].size} {block}s"
                 )
             first = seen.setdefault((block, idx), lineno)
             if first != lineno:
                 raise ParseError(f"{path}:{lineno}: {block} {idx} was already given on line {first}")
             arrays[block][idx] = val
-    return TopologicalSpinor(arrays["node"], arrays["link"], arrays["triangle"])
+    return TopologicalSpinor(*arrays.values())

@@ -1,10 +1,13 @@
 import json
 from itertools import product
 
+import click
+import pytest
 from click.testing import CliRunner
 
-from diracsp.cli import main
+from diracsp.cli import _guard, main
 from diracsp.datasets import dataset_path
+from diracsp.harness import cmd_bench, load_plan
 
 FF = dataset_path("florentine_marriage.json")
 
@@ -380,6 +383,77 @@ def test_plan_file_rejects_non_integer_signal_order(tmp_path):
     assert r.output.splitlines() == [
         "error=ParseError: malformed plan: n must be an integer, got 1.5"
     ]
+    assert not out.exists()
+
+
+@click.command()
+@click.option("--plan", "plan_file")
+@click.option("--seed", type=int)
+@click.option("--output", "-o")
+def _bench_from_plan(plan_file, seed, output):
+    """cmd_bench on a plan file, behind the CLI's error guard (bench takes no --plan)."""
+    _guard(lambda: cmd_bench(load_plan(plan_file), output))
+
+
+# (command, plan fields over _PLAN or flags, exit code, start of the error line)
+_MALFORMED_INPUTS = {
+    "dataset-not-an-object": (
+        "sweep-m", {"dataset": ["ngf"]}, 3, "ParseError: malformed dataset: expected an object"),
+    "file-dataset-without-path": (
+        "sweep-m", {"dataset": {"kind": "file"}}, 3, "ParseError: malformed dataset: a file dataset"),
+    "file-dataset-path-not-a-string": (
+        "sweep-m", {"dataset": {"kind": "file", "path": 5}}, 3,
+        "ParseError: malformed dataset: a file dataset"),
+    "unknown-ngf-field": (
+        "sweep-m", {"dataset": {"kind": "ngf", "target_nodes": 20, "flavr": 1}}, 3,
+        "ParseError: malformed dataset: "),
+    "unknown-signal-field": (
+        "sweep-m", {"signal": {"mode": "eigen", "selecter": "largest_positive"}}, 3,
+        "ParseError: malformed plan: "),
+    "null-selector": (
+        "sweep-m", {"signal": {"mode": "eigen", "selector": None}}, 3,
+        "ParseError: malformed plan: selector must be a name or a number, got None"),
+    "string-lambda-bar": (
+        "sweep-m", {"signal": {"mode": "gaussian_mix", "lambda_bar": "1.0"}}, 3,
+        "ParseError: malformed plan: lambda_bar must be a number, got '1.0'"),
+    "bench-file-dataset": (
+        _bench_from_plan, {"sizes": [15, 30], "runs": 1}, 3,
+        "ParseError: bench grows NGF complexes"),
+    **{
+        f"{cmd}-lifted-without-source": (
+            cmd, ("-i", FF, "--mode", "lifted", "--seed", 1), 1,
+            "ValueError: a lifted signal needs a source")
+        for cmd in ("synth", "sweep-m", "learn", "heatmap", "basin")
+    },
+}
+_PLAN = {
+    "dataset": {"kind": "file", "path": FF},
+    "signal": {"mode": "eigen", "n": 1},
+    "ms": [0.5],
+    "seeds": 1,
+    "seed": 11,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_malformed_inputs_fail_with_one_error_line(tmp_path, case):
+    command, given, code, error = _MALFORMED_INPUTS[case]
+    out = tmp_path / "out.csv"
+    if isinstance(given, dict):
+        pf = tmp_path / "plan.json"
+        pf.write_text(json.dumps({**_PLAN, **given}))
+        args = ["--plan", pf, "--seed", 11, "-o", out]
+    else:
+        args = [*given, "-o", out]
+    if isinstance(command, str):
+        r = invoke(command, *args)
+    else:
+        r = CliRunner().invoke(command, [str(a) for a in args])
+    assert isinstance(r.exception, SystemExit), r.exc_info
+    assert r.exit_code == code, r.output
+    assert "Traceback" not in r.output
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error=" + error), r.stderr
     assert not out.exists()
 
 

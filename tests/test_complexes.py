@@ -266,6 +266,16 @@ def test_boundary_of_a_complex_missing_a_face_names_it():
     assert K.link_index(2, 0) == 1
 
 
+def test_link_index_rejects_nodes_outside_the_complex():
+    # the codes i * N0 + j of (0, 7) and (-1, 12) on five nodes are that of (1, 2)
+    K = build_complex([(0, 1), (1, 2), (2, 3), (3, 4)], node_count=5)
+    assert K.link_index(1, 2) == 1
+    with pytest.raises(IndexOutOfRange, match=r"node 7 outside range\(0, 5\)"):
+        K.link_index(0, 7)
+    with pytest.raises(IndexOutOfRange, match=r"node -1 outside range\(0, 5\)"):
+        K.link_index(-1, 12)
+
+
 def test_boundary_of_a_complex_with_links_out_of_order():
     K = SURFACES["rp2"][0]
     perm = np.random.default_rng(5).permutation(K.n1)

@@ -153,3 +153,11 @@ def test_load_flow_rejects_non_link_rows(tmp_path, ff_network):
     p.write_text("block,index,value\nnode,0,1.0\nlink,1,2.0\n")
     with pytest.raises(ParseError):
         load_flow(p, ff_network)
+
+
+@pytest.mark.parametrize("row", ["node,0,0.0", "triangle,3,0", "node,0,1.0"])
+def test_load_flow_rejects_non_link_rows_whatever_their_value(tmp_path, coastal, row):
+    p = tmp_path / "flow.csv"
+    p.write_text(f"block,index,value\n# a comment\nlink,1,2.0\n{row}\n")
+    with pytest.raises(ParseError, match=r"flow.csv:4: block '(node|triangle)' is not one of link"):
+        load_flow(p, coastal)
