@@ -150,8 +150,7 @@ def info(path):
 def synth(path, alpha, seed, output, noisy_output, **signal):
     """Synthesize a true signal (optionally plus calibrated noise)."""
     def run():
-        if not (math.isfinite(alpha) and alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
+        noise = NoiseModel(alpha=alpha, seed=0 if seed is None else seed)
         if alpha > 0 and seed is None:
             raise ValueError("--seed is required when --alpha > 0")
         spec = _signal_spec(**signal)
@@ -160,7 +159,7 @@ def synth(path, alpha, seed, output, noisy_output, **signal):
         save_signal(s, output)
         click.echo(f"wrote {output} (m_true={m_true:.6g})")
         if alpha > 0:
-            eps = sample_noise(NoiseModel(alpha=alpha, seed=seed), Dop, spec.n, 0)
+            eps = sample_noise(noise, Dop, spec.n, 0)
             noisy = s + eps
             target = noisy_output or str(Path(output).with_suffix(".noisy.csv"))
             save_signal(noisy, target)

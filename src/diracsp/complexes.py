@@ -18,9 +18,10 @@ Instances are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -106,11 +107,29 @@ class SimplicialComplex:
         Path(path).write_text(json.dumps(self.to_dict(), indent=1) + "\n")
 
 
-def require_int(name: str, value) -> int:
-    """value as an int; ValueError unless it is an integer (a numpy one counts, a bool not)."""
+def require_int(name: str, value, low: int | None = None) -> int:
+    """value as an int; ValueError unless it is an integer (a numpy one counts, a bool not) >= low."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
     return int(value)
+
+
+def is_finite_real(value) -> bool:
+    """Is value a finite real number (a numpy one counts, a bool, a string or None not)?"""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def require_real(name: str, value, low: float | None = None, *, strict: bool = False) -> float:
+    """value as a float; ValueError unless it is a finite real number (a bool is not one)
+    at or above ``low``, or above it when ``strict``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value) or low is not None and (value <= low if strict else value < low):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
 
 
 INT64_MAX = np.iinfo(np.int64).max

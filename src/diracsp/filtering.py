@@ -25,7 +25,6 @@ solves its SPD system by a sparse factorization.
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .complexes import require_int
+from .complexes import require_int, require_real
 from .errors import NonConvergence, SolverFailure, ZeroSignal
 from .operators import DiracOperator, SpectralBasis, spectral_basis
 from .spinors import TopologicalSpinor
@@ -49,11 +48,6 @@ def _solve_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"filter system could not be solved: {exc}") from exc
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
-
-
 def hodge_filter(
     s_tilde: TopologicalSpinor, Dop: DiracOperator, tau: float
 ) -> TopologicalSpinor:
@@ -62,7 +56,7 @@ def hodge_filter(
     Harmonic components pass through unchanged; an eigenmode with eigenvalue
     mu is scaled by 1/(1 + tau mu).
     """
-    _check_tau(tau)
+    require_real("tau", tau, 0)
     Dop._check(s_tilde)
     if tau == 0.0:
         return s_tilde
@@ -129,9 +123,8 @@ def dirac_filter(
     the output always lies in im(D_n): the part of the input outside it is
     dropped.  Without ``basis`` it uses the one ``Dop`` keeps for D_n.
     """
-    _check_tau(tau)
-    if not math.isfinite(m):
-        raise ValueError(f"m must be finite, got {m!r}")
+    require_real("tau", tau, 0)
+    require_real("m", m)
     Dop._check(s_tilde_n)
     basis = _basis_for(Dop, n, basis)
     lam, c = basis.eigenvalues[basis.nonzero_indices], basis.coefficients(s_tilde_n)
@@ -163,20 +156,15 @@ class FilterConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be > 0 and finite, got {self.tau!r}")
-        if not 0.0 < self.eta <= 1.0:
+        if not require_real("tau", self.tau) > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau!r}")
+        if not 0.0 < require_real("eta", self.eta) <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if not self.delta > 0:
+        if not require_real("delta", self.delta) > 0:
             raise ValueError("delta must be > 0")
-        require_int("max_iters", self.max_iters)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if isinstance(self.m0, str):
-            if self.m0 != "auto":
-                raise ValueError(f"m0 must be a number or 'auto', got {self.m0!r}")
-        elif not math.isfinite(self.m0):
-            raise ValueError(f"m0 must be finite, got {self.m0!r}")
+        require_int("max_iters", self.max_iters, 1)
+        if self.m0 != "auto":
+            require_real("m0", self.m0)
 
 
 @dataclass

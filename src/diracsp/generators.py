@@ -25,13 +25,11 @@ each choice), a seed grows the same complex as a loop calling
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .complexes import SimplicialComplex, build_complex, load_complex, require_int
+from .complexes import SimplicialComplex, build_complex, load_complex, require_int, require_real
 from .errors import InvalidFlavor
 from .signals import _read_signal, rng_stream
 from .spinors import TopologicalSpinor
@@ -54,17 +52,12 @@ class NgfParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("target_nodes", "flavor", "seed"):
-            require_int(name, getattr(self, name))
+        require_int("target_nodes", self.target_nodes, 3)  # the seed triangle
+        require_int("flavor", self.flavor)
+        require_int("seed", self.seed)
         if self.flavor not in (-1, 0, 1):
             raise InvalidFlavor(f"flavor must be -1, 0 or 1, got {self.flavor}")
-        if self.target_nodes < 3:
-            raise ValueError("target_nodes must be >= 3 (the seed triangle)")
-        if not isinstance(self.beta, Real) or isinstance(self.beta, bool):
-            raise ValueError(f"beta must be a number, got {self.beta!r}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta!r}")
-        if self.beta < 0:
+        if require_real("beta", self.beta) < 0:
             raise ValueError("beta must be >= 0")
 
     def to_dict(self) -> dict:
@@ -96,8 +89,8 @@ def ngf_generate(params: NgfParams) -> SimplicialComplex:
         w = (1.0 + s * hits[:live]) * decay[:live]
         total = w.sum()
         if total <= 0.0:
-            # cannot happen for s in {-1,0,1}: fresh links always have weight > 0
-            raise InvalidFlavor("no attachable link left; invalid flavor dynamics")
+            # every flavor gives a fresh link the weight exp(-beta * eps), 0 only by underflow
+            raise ValueError(f"beta={beta!r} leaves every link weight at 0 (exp(-beta * eps) underflows)")
         # rng.choice(live, p=w / total), step for step
         cdf = np.cumsum(w / total)
         cdf /= cdf[-1]

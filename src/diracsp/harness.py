@@ -3,8 +3,8 @@
 Every command consumes an :class:`ExperimentPlan` and writes plot-ready CSV.
 Output files start with comment lines carrying a format tag and the full
 resolved plan as canonical JSON, so a result file is self-describing and a
-re-run with the same plan and seed reproduces the data rows byte for byte
-(benchmark wall-times excepted).
+re-run with the same plan, seed and BLAS library and thread count reproduces
+the data rows byte for byte (benchmark wall-times excepted).
 
 Randomness is fully keyed: the noise draw for grid cell c and repetition k
 uses the substream (plan.seed, cell_index=c, draw_index=k), so cells can be
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import filtering
-from .complexes import SimplicialComplex, load_complex, require_int
+from .complexes import SimplicialComplex, is_finite_real, load_complex, require_int
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
@@ -80,7 +79,7 @@ BASIN_ALPHAS = (0.6, 1.5)
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Fully resolved description of one harness run."""
+    """Fully resolved description of one harness run; a bad setting is a ValueError naming it."""
 
     dataset: dict  # {"kind": "ngf", ...} or {"kind": "file", "path": ...}; see resolve_dataset
     signal: SignalSpec
@@ -97,24 +96,22 @@ class ExperimentPlan:
     runs: int = 20  # bench: timed runs per size
 
     def __post_init__(self):
-        for name in ("seeds", "seed", "max_iters", "runs"):
-            require_int(name, getattr(self, name))
+        require_int("seeds", self.seeds, 1)
+        require_int("seed", self.seed)
+        require_int("runs", self.runs, 1)
         for size in self.sizes:
             require_int("every size", size)
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        self.config(1.0)  # FilterConfig's eta, delta and max_iters rules; sweep-m takes tau = 0
         if not self.alphas or not self.taus:
             raise ValueError("alpha and tau grids must be non-empty")
         for name in ("alphas", "taus"):
-            if not all(math.isfinite(x) and x >= 0 for x in getattr(self, name)):
+            if not all(is_finite_real(x) and x >= 0 for x in getattr(self, name)):
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not all(math.isfinite(m) for m in self.ms):
+        if not all(is_finite_real(m) for m in self.ms):
             raise ValueError("ms must be finite")
         if not self.m0s:
             raise ValueError("m0s must be non-empty")
-        if not all(m0 == "auto" if isinstance(m0, str) else math.isfinite(m0) for m0 in self.m0s):
+        if not all(m0 == "auto" if isinstance(m0, str) else is_finite_real(m0) for m0 in self.m0s):
             raise ValueError("m0s must be finite numbers or 'auto'")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import SimplicialComplex, require_int
+from .complexes import SimplicialComplex, require_int, require_real
 from .errors import (
     DegenerateSelection,
     DimensionMismatch,
@@ -54,7 +54,7 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
 class SignalSpec:
     """Recipe for a true signal on im(D_n); make_signal rejects an unknown mode.
 
-    A field of the wrong type, or a lifted signal without a source, is a ValueError.
+    A field of the wrong type or range (in any mode), or a lifted signal without a source, is a ValueError.
     """
 
     mode: str  # "eigen" | "gaussian_mix" | "lifted"
@@ -69,10 +69,7 @@ class SignalSpec:
         require_int("n", self.n)
         if isinstance(self.selector, bool) or not isinstance(self.selector, (str, Real)):
             raise ValueError(f"selector must be a name or a number, got {self.selector!r}")
-        for name in ("lambda_bar", "sigma_hat"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        _gaussian_parameters(self.lambda_bar, self.sigma_hat, self.variance_convention)
         if self.mode == "lifted" and not isinstance(self.source, (TopologicalSpinor, str, os.PathLike)):
             raise ValueError(f"a lifted signal needs a source, a spinor or a path; got {self.source!r}")
 
@@ -158,6 +155,15 @@ def eigenmode_signal(basis: SpectralBasis, selector) -> TopologicalSpinor:
     return basis.spinor(i)
 
 
+def _gaussian_parameters(lambda_bar, sigma_hat, variance_convention) -> None:
+    """ValueError, naming the field, unless lambda_bar is a finite number,
+    sigma_hat a finite number > 0 and the convention "linear" or "squared"."""
+    require_real("lambda_bar", lambda_bar)
+    require_real("sigma_hat", sigma_hat, 0, strict=True)
+    if variance_convention not in ("linear", "squared"):
+        raise ValueError(f"variance_convention must be 'linear' or 'squared', got {variance_convention!r}")
+
+
 def gaussian_mix_signal(
     basis: SpectralBasis,
     lambda_bar: float,
@@ -171,12 +177,7 @@ def gaussian_mix_signal(
     (the "linear" convention); ``variance_convention="squared"`` divides by
     2 sigma_hat^2 instead.  The result is normalized to unit Euclidean norm.
     """
-    if not math.isfinite(lambda_bar):
-        raise ValueError(f"lambda_bar must be finite, got {lambda_bar!r}")
-    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
-        raise ValueError(f"sigma_hat must be finite and > 0, got {sigma_hat!r}")
-    if variance_convention not in ("linear", "squared"):
-        raise ValueError(f"unknown variance convention {variance_convention!r}")
+    _gaussian_parameters(lambda_bar, sigma_hat, variance_convention)
     nz = basis.nonzero_indices
     if nz.size == 0:
         raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
@@ -216,8 +217,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha!r}")
+        require_real("alpha", self.alpha, 0)
+        require_int("seed", self.seed)
 
 
 def sample_noise(

@@ -1,10 +1,17 @@
+import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import diracsp
 from diracsp.cli import _guard, main
 from diracsp.datasets import dataset_path
 from diracsp.harness import cmd_bench, load_plan
@@ -42,6 +49,16 @@ def test_generate_rejects_non_finite_beta(tmp_path):
         assert r.exit_code == 1, (beta, r.output)
         assert r.output.splitlines() == [f"error=ValueError: beta must be finite, got {beta}"]
         assert not out.exists()
+
+
+def test_generate_blames_an_underflowing_beta(tmp_path):
+    out = tmp_path / "g.json"
+    r = invoke("generate", "--nodes", 50, "--flavor", 0, "--beta", "1e6", "--seed", 0, "-o", out)
+    assert r.exit_code == 1, r.output
+    assert r.output.splitlines() == [
+        "error=ValueError: beta=1000000.0 leaves every link weight at 0 (exp(-beta * eps) underflows)"
+    ]
+    assert not out.exists()
 
 
 def test_info_rejects_invalid_file(tmp_path):
@@ -455,6 +472,98 @@ def test_malformed_inputs_fail_with_one_error_line(tmp_path, case):
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error=" + error), r.stderr
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def florentine_plan(tmp_path_factory):
+    """The plan that `learn --seeds 2 --seed 7` records on the Florentine network."""
+    out = tmp_path_factory.mktemp("plan") / "learn.csv"
+    r = invoke("learn", "-i", FF, "--seeds", 2, "--seed", 7, "-o", out)
+    assert r.exit_code == 0, r.output
+    return json.loads(out.read_text().splitlines()[1].removeprefix("# plan: "))
+
+
+# One-field changes of a valid plan (signal fields merge into its signal),
+# and the field each one's error must name.
+_PLAN_FAULTS = {
+    "eta-string": ({"eta": "0.3"}, "eta"),
+    "eta-list": ({"eta": [0.3]}, "eta"),
+    "delta-null": ({"delta": None}, "delta"),
+    "eta-true": ({"eta": True}, "eta"),
+    "taus-true": ({"taus": [True]}, "taus"),
+    "alphas-true": ({"alphas": [True]}, "alphas"),
+    "m0s-true": ({"m0s": [True]}, "m0s"),
+    "eta-above-one": ({"eta": 5}, "eta"),
+    "max-iters-zero": ({"max_iters": 0}, "max_iters"),
+    "alphas-string": ({"alphas": ["0.5"]}, "alphas"),
+    "ms-null": ({"ms": [None]}, "ms"),
+    "seeds-zero": ({"seeds": 0}, "seeds"),
+    "delta-negative": ({"delta": -1}, "delta"),
+    "signal-sigma-hat-negative": ({"signal": {"sigma_hat": -1}}, "sigma_hat"),
+    "signal-variance-convention": ({"signal": {"variance_convention": "cubed"}}, "variance_convention"),
+    "signal-lambda-bar-nan": ({"signal": {"lambda_bar": float("nan")}}, "lambda_bar"),
+    "dataset-beta-negative": (
+        {"dataset": {"kind": "ngf", "target_nodes": 30, "flavor": -1, "beta": -1}}, "beta"),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep-m", "learn", "heatmap", "basin"])
+@pytest.mark.parametrize("case", sorted(_PLAN_FAULTS))
+def test_plan_faults_are_one_parse_error_in_every_grid_command(tmp_path, florentine_plan, case, command):
+    change, field = _PLAN_FAULTS[case]
+    plan = {**florentine_plan, **change}
+    if "signal" in change:
+        plan["signal"] = {**florentine_plan["signal"], **change["signal"]}
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    r = invoke(command, "--plan", pf, "--seed", 7, "-o", tmp_path / "out.csv")
+    assert r.exit_code == 3, r.output
+    assert "Traceback" not in r.output
+    lines = r.output.splitlines()
+    assert len(lines) == 1 and re.match(rf"error=ParseError: malformed (plan|dataset): {field} must ", lines[0]), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
+
+def _learn_ngf600(tmp_path, name: str, threads: int) -> tuple[str, str]:
+    """learn on NGF-600 in a fresh interpreter with ``threads`` BLAS threads: (traces, summary)."""
+    out = tmp_path / f"{name}.csv"
+    src = str(Path(diracsp.__file__).parents[1])
+    env = {
+        **os.environ,
+        **{var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run(
+        [sys.executable, "-m", "diracsp.cli", "learn", "--nodes", "600", "--flavor", "-1",
+         "--preset", "gaussian", "--seeds", "5", "--seed", "3", "-o", str(out)],
+        env=env, check=True, capture_output=True,
+    )
+    return out.read_text(), out.with_name(f"{name}.summary.csv").read_text()
+
+
+def test_learn_bytes_repeat_per_blas_thread_count(tmp_path):
+    # The bytes are reproducible for one BLAS library and thread count; another
+    # thread count may round the dense set-up differently in the last bits.
+    runs = {
+        threads: [_learn_ngf600(tmp_path, f"t{threads}r{k}", threads) for k in range(2)]
+        for threads in (1, 2)
+    }
+    for first, second in runs.values():
+        assert first == second
+    exact = {"tau", "alpha", "m0", "draw", "t", "converged", "iterations"}
+    for one, two in zip(runs[1][0], runs[2][0]):
+        assert [x for x in one.splitlines() if x.startswith("#")] == [
+            x for x in two.splitlines() if x.startswith("#")
+        ]
+        (header, *rows_one), (header_two, *rows_two) = (
+            list(csv.reader(x for x in text.splitlines() if not x.startswith("#"))) for text in (one, two)
+        )
+        assert header == header_two and len(rows_one) == len(rows_two)
+        for row_one, row_two in zip(rows_one, rows_two):
+            for column, a, b in zip(header, row_one, row_two):
+                if a != b:
+                    assert column not in exact, (column, a, b)
+                    assert float(a) == pytest.approx(float(b), rel=1e-10, abs=0), (column, a, b)
 
 
 def test_stochastic_commands_require_seed(tmp_path):

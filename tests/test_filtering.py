@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,26 @@ def test_dirac_filter_rejects_non_finite_settings(ff_dirac, ff_basis):
     ):
         with pytest.raises(ValueError, match=match):
             dirac_filter(s, ff_dirac, 1, tau, m)
+
+
+@pytest.mark.parametrize("value", (True, "1", None))
+def test_filters_and_config_reject_non_numbers_by_name(ff_dirac, ff_basis, value):
+    s = gaussian_mix_signal(ff_basis, 1.0, 0.2)
+    calls = {
+        "tau": [
+            lambda: hodge_filter(s, ff_dirac, value),
+            lambda: dirac_filter(s, ff_dirac, 1, value, 1.0),
+            lambda: FilterConfig(tau=value),
+        ],
+        "m": [lambda: dirac_filter(s, ff_dirac, 1, 1.0, value)],
+        "eta": [lambda: FilterConfig(tau=1.0, eta=value)],
+        "delta": [lambda: FilterConfig(tau=1.0, delta=value)],
+        "m0": [lambda: FilterConfig(tau=1.0, m0=value)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+                fn()
 
 
 def test_dirac_filter_passes_matched_mode(ff_dirac, ff_basis):

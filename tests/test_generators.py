@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -116,6 +117,19 @@ def test_invalid_params():
     ):
         with pytest.raises(ValueError, match=match):
             NgfParams(**{"target_nodes": 10, **kw})
+
+
+@pytest.mark.parametrize("value", (True, "1", None))
+def test_params_reject_non_numeric_beta_by_name(value):
+    with pytest.raises(ValueError, match=re.escape(f"beta must be a number, got {value!r}")):
+        NgfParams(target_nodes=10, beta=value)
+
+
+@pytest.mark.parametrize("beta, seed", [(1e6, 0), (1e6, 1), (1e6, 2), (1e9, 0)])
+def test_underflowed_link_weights_blame_beta_not_the_flavor(beta, seed):
+    # every exp(-beta * eps) is 0.0 in float64 unless eps < ~745 / beta
+    with pytest.raises(ValueError, match=re.escape(f"beta={beta!r} leaves every link weight at 0")):
+        ngf_generate(NgfParams(target_nodes=50, flavor=0, beta=beta, seed=seed))
 
 
 def test_bundled_florentine():

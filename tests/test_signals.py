@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from diracsp import (
     NoiseModel,
+    SignalSpec,
     TopologicalSpinor,
     assemble_dirac,
     build_complex,
@@ -163,6 +166,35 @@ def test_noise_model_rejects_bad_amplitudes():
         with pytest.raises(ValueError, match=f"alpha must be finite and >= 0, got {value!r}"):
             NoiseModel(alpha=value, seed=1)
     NoiseModel(alpha=0.0, seed=1)
+
+
+@pytest.mark.parametrize("value", (True, "1", None))
+def test_noise_model_and_signal_spec_reject_non_numbers_by_name(value):
+    for name, make in (
+        ("alpha", lambda: NoiseModel(alpha=value, seed=1)),
+        ("lambda_bar", lambda: SignalSpec(mode="gaussian_mix", lambda_bar=value)),
+        ("sigma_hat", lambda: SignalSpec(mode="gaussian_mix", sigma_hat=value)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+            make()
+
+
+def test_noise_model_rejects_a_seed_that_is_not_an_integer():
+    # rng_stream would read 1.5 and True as seed 1
+    for seed in (1.5, True, None):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            NoiseModel(alpha=0.5, seed=seed)
+
+
+def test_signal_spec_checks_gaussian_parameters_in_any_mode():
+    for mode in ("gaussian_mix", "eigen"):
+        for kw, match in (
+            ({"sigma_hat": -1.0}, "sigma_hat must be finite and > 0, got -1.0"),
+            ({"lambda_bar": float("nan")}, "lambda_bar must be finite, got nan"),
+            ({"variance_convention": "cubed"}, "variance_convention must be 'linear' or 'squared', got 'cubed'"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(match)):
+                SignalSpec(mode=mode, **kw)
 
 
 def test_noise_is_orthogonal_to_kernel(ff_dirac):
