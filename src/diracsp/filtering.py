@@ -203,15 +203,7 @@ class RunTrace:
             fh.write(f"# converged={self.converged} iterations={self.iterations} final_m={self.final_m!r}\n")
             w = csv.writer(fh)
             w.writerow(["t", "m_hat", "delta_s", "rel_error"])
-            for r in self.rows:
-                w.writerow(
-                    [
-                        r.t,
-                        repr(r.m_hat),
-                        "" if r.delta_s is None else repr(r.delta_s),
-                        "" if r.rel_error is None else repr(r.rel_error),
-                    ]
-                )
+            w.writerows((r.t, r.m_hat, r.delta_s, r.rel_error) for r in self.rows)
 
 
 def _low_snr(C0: np.ndarray) -> np.ndarray:

@@ -99,6 +99,12 @@ class ExperimentPlan:
         require_int("seeds", self.seeds, 1)
         require_int("seed", self.seed)
         require_int("runs", self.runs, 1)
+        for name in ("alphas", "taus", "ms", "m0s", "sizes"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            # numpy scalars become Python ones, which csv writes as plain numbers
+            object.__setattr__(self, name, tuple(v.item() if isinstance(v, np.generic) else v for v in values))
         for size in self.sizes:
             require_int("every size", size)
         self.config(1.0)  # FilterConfig's eta, delta and max_iters rules; sweep-m takes tau = 0
@@ -200,13 +206,12 @@ def make_signal(
             variance_convention=spec.variance_convention,
         )
         return s, rayleigh_m(s, Dop, spec.n)
-    if spec.mode == "lifted":
-        src = spec.source
-        if not isinstance(src, TopologicalSpinor):
-            src = load_signal(src, Dop.K)
-        s = lift_signal(src, Dop, spec.n)
-        return s, rayleigh_m(s, Dop, spec.n)
-    raise ParseError(f"unknown signal mode {spec.mode!r}")
+    # "lifted", the one mode left: SignalSpec admits no other
+    src = spec.source
+    if not isinstance(src, TopologicalSpinor):
+        src = load_signal(src, Dop.K)
+    s = lift_signal(src, Dop, spec.n)
+    return s, rayleigh_m(s, Dop, spec.n)
 
 
 def _cell_seed(plan: ExperimentPlan, cell_index: int) -> int:
@@ -225,15 +230,8 @@ def _noise(plan, Dop, n, alpha, cell_index, draw_index) -> TopologicalSpinor:
 # -- CSV output ---------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
-
-
 def write_csv(path, plan: ExperimentPlan, command: str, header: list[str], rows) -> None:
+    """Write rows of Python scalars (numpy values leave through ``.tolist()``) under the headers."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -241,8 +239,7 @@ def write_csv(path, plan: ExperimentPlan, command: str, header: list[str], rows)
         fh.write("# plan: " + json.dumps(plan.to_dict(), sort_keys=True) + "\n")
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -375,7 +372,8 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
         base = errs[base_row]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(base > 0, errs / base, 1.0)
-        rows.extend(zip(repeat(tau), repeat(alpha), ms, *_row_mean_std(rel), *_row_mean_std(errs)))
+        stats = (*_row_mean_std(rel), *_row_mean_std(errs))
+        rows.extend(zip(repeat(tau), repeat(alpha), ms, *(x.tolist() for x in stats)))
 
     header = ["tau", "alpha", "m", "rel_error_mean", "rel_error_std", "delta_s_mean", "delta_s_std"]
     write_csv(out, plan, "sweep-m", header, rows)
@@ -391,22 +389,23 @@ def cmd_learn(plan: ExperimentPlan, out) -> Path:
     setup, cells = _learning_cells(plan)
     trace_rows, summary_rows = [], []
     for tau, alpha, m0, batch in cells:
-        for k in range(plan.seeds):
-            tr = batch.trace(k)
-            trace_rows.extend(
-                (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error) for r in tr.rows
-            )
-            final = tr.rows[-1]
-            reduction = (
-                1.0 - final.delta_s / tr.noisy_error if tr.noisy_error else float("nan")
-            )
-            summary_rows.append(
-                (
-                    tau, alpha, m0, k,
-                    int(tr.converged), tr.iterations, tr.final_m, setup.m_true,
-                    final.delta_s, final.rel_error, tr.noisy_error, reduction,
-                )
-            )
+        # the iterations each draw recorded, draw by draw
+        draw, t = np.nonzero(np.arange(len(batch.m_hat)) <= batch.iterations[:, None])
+        delta_s = batch.delta_s.T[draw, t]
+        trace_rows.extend(zip(
+            repeat(tau), repeat(alpha), repeat(m0), draw.tolist(), t.tolist(),
+            batch.m_hat.T[draw, t].tolist(), delta_s.tolist(),
+            (delta_s / batch.baseline_error[draw]).tolist(),
+        ))
+        final, noisy = batch.final_delta_s, batch.noisy_error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduction = np.where(noisy > 0, 1.0 - final / noisy, np.nan)  # nan for a noiseless draw
+        summary_rows.extend(zip(
+            repeat(tau), repeat(alpha), repeat(m0), range(plan.seeds),
+            batch.converged.astype(int).tolist(), batch.iterations.tolist(),
+            batch.final_m.tolist(), repeat(setup.m_true), final.tolist(),
+            (final / batch.baseline_error).tolist(), noisy.tolist(), reduction.tolist(),
+        ))
 
     out = Path(out)
     write_csv(

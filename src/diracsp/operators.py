@@ -564,6 +564,6 @@ def export_spectrum(bases, path) -> None:
     """Write eigenvalues as CSV rows (order, index, eigenvalue, class)."""
     lines = ["order,index,eigenvalue,class"]
     for basis in bases:
-        for i, lam in enumerate(basis.eigenvalues):
+        for i, lam in enumerate(basis.eigenvalues.tolist()):
             lines.append(f"{basis.order},{i},{lam!r},{basis.classify(i)}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Real
 from pathlib import Path
 
@@ -50,14 +51,18 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+_MODES = ("eigen", "gaussian_mix", "lifted")
+
+
 @dataclass(frozen=True)
 class SignalSpec:
-    """Recipe for a true signal on im(D_n); make_signal rejects an unknown mode.
+    """Recipe for a true signal on im(D_n).
 
-    A field of the wrong type or range (in any mode), or a lifted signal without a source, is a ValueError.
+    An unknown mode, a field of the wrong type or range (in any mode), or a
+    lifted signal without a source, is a ValueError.
     """
 
-    mode: str  # "eigen" | "gaussian_mix" | "lifted"
+    mode: str  # one of _MODES
     n: int = 1
     selector: object = "smallest_positive"  # eigen mode only
     lambda_bar: float = 1.0  # gaussian_mix only
@@ -66,6 +71,8 @@ class SignalSpec:
     variance_convention: str = "linear"  # "linear": exp(-d^2/(2*sigma)); "squared": /(2*sigma^2)
 
     def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {', '.join(_MODES)}, got {self.mode!r}")
         require_int("n", self.n)
         if isinstance(self.selector, bool) or not isinstance(self.selector, (str, Real)):
             raise ValueError(f"selector must be a name or a number, got {self.selector!r}")
@@ -279,9 +286,8 @@ def save_signal(s: TopologicalSpinor, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["block", "index", "value"])
-        for name, arr in zip(_BLOCKS, s.blocks):
-            for i, v in enumerate(arr):
-                w.writerow([name, i, repr(float(v))])
+        for name, block in zip(_BLOCKS, s.blocks):
+            w.writerows(zip(repeat(name), range(block.size), block.tolist()))
 
 
 def load_signal(path, K: SimplicialComplex) -> TopologicalSpinor:

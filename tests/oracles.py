@@ -283,6 +283,20 @@ def _mean_std(x):
     return float(x.mean()), float(x.std(ddof=1)) if x.size > 1 else 0.0
 
 
+def fmt_cell(x) -> str:
+    """One CSV cell formatted by hand: the reference for the harness's rows.
+
+    The harness hands Python scalars to ``csv.writer``; this formats each
+    value on its own: ``repr`` of a float (a numpy float too), ``str`` of an
+    int (a numpy int too, or a bool as 0 or 1) and the text of anything else.
+    """
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
 def loop_sweep_rows(plan):
     """sweep-m's data rows as CSV strings, from one filter and one error call per m.
 
@@ -291,7 +305,7 @@ def loop_sweep_rows(plan):
     time, then a mean and standard deviation per column.
     """
     from diracsp.filtering import _delta_s, _filter_coords
-    from diracsp.harness import _draw_coords, _fmt, _prepare
+    from diracsp.harness import _draw_coords, _prepare
 
     setup = _prepare(plan)
     ms = list(plan.ms)
@@ -309,8 +323,43 @@ def loop_sweep_rows(plan):
             rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)
         for j, m in enumerate(ms):
             row = (tau, alpha, m, *_mean_std(rel[:, j]), *_mean_std(errs[:, j]))
-            rows.append([_fmt(x) for x in row])
+            rows.append([fmt_cell(x) for x in row])
     return rows
+
+
+def loop_learn_rows(plan):
+    """learn's trace and summary rows as CSV strings, one draw's RunTrace at a time.
+
+    The loop ``cmd_learn`` ran before it read its rows off each cell's
+    LearnBatch, kept as written: ``batch.trace(k)`` per draw, one row per
+    TraceRow and one summary row per trace, each cell through
+    :func:`fmt_cell`.  Returns (trace rows, summary rows).
+    """
+    from diracsp.harness import _learning_cells
+
+    setup, cells = _learning_cells(plan)
+    trace_rows, summary_rows = [], []
+    for tau, alpha, m0, batch in cells:
+        for k in range(plan.seeds):
+            tr = batch.trace(k)
+            trace_rows.extend(
+                (tau, alpha, m0, k, r.t, r.m_hat, r.delta_s, r.rel_error) for r in tr.rows
+            )
+            final = tr.rows[-1]
+            reduction = (
+                1.0 - final.delta_s / tr.noisy_error if tr.noisy_error else float("nan")
+            )
+            summary_rows.append(
+                (
+                    tau, alpha, m0, k,
+                    int(tr.converged), tr.iterations, tr.final_m, setup.m_true,
+                    final.delta_s, final.rel_error, tr.noisy_error, reduction,
+                )
+            )
+    return (
+        [[fmt_cell(x) for x in row] for row in trace_rows],
+        [[fmt_cell(x) for x in row] for row in summary_rows],
+    )
 
 
 # -- learn, heatmap and basin, one scalar loop per draw ---------------------------

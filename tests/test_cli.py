@@ -504,6 +504,12 @@ _PLAN_FAULTS = {
     "signal-lambda-bar-nan": ({"signal": {"lambda_bar": float("nan")}}, "lambda_bar"),
     "dataset-beta-negative": (
         {"dataset": {"kind": "ngf", "target_nodes": 30, "flavor": -1, "beta": -1}}, "beta"),
+    "taus-number": ({"taus": 5}, "taus"),
+    "alphas-number": ({"alphas": 0.5}, "alphas"),
+    "m0s-number": ({"m0s": 2.0}, "m0s"),
+    "sizes-number": ({"sizes": 3}, "sizes"),
+    "ms-string": ({"ms": "abc"}, "ms"),
+    "signal-mode-unknown": ({"signal": {"mode": "telepathy"}}, "mode"),
 }
 
 
@@ -521,6 +527,22 @@ def test_plan_faults_are_one_parse_error_in_every_grid_command(tmp_path, florent
     assert "Traceback" not in r.output
     lines = r.output.splitlines()
     assert len(lines) == 1 and re.match(rf"error=ParseError: malformed (plan|dataset): {field} must ", lines[0]), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
+
+@pytest.mark.parametrize("command", ["sweep-m", "learn", "heatmap", "basin"])
+@pytest.mark.parametrize("key", ["bogus", "dataset"], ids=["unknown", "missing"])
+def test_an_unknown_or_missing_plan_key_is_one_parse_error(tmp_path, florentine_plan, key, command):
+    # the key is dropped from the plan if it has it, else added
+    plan = {k: v for k, v in florentine_plan.items() if k != key}
+    if key not in florentine_plan:
+        plan[key] = 1
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    r = invoke(command, "--plan", pf, "--seed", 7, "-o", tmp_path / "out.csv")
+    assert r.exit_code == 3, r.output
+    lines = r.output.splitlines()
+    assert len(lines) == 1 and re.match(rf"error=ParseError: malformed plan: .*'{key}'", lines[0]), lines
     assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
 

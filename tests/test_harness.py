@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,6 @@ from diracsp.errors import EmptyImage, ParseError
 from diracsp.harness import (
     _Setup,
     _draw_coords,
-    _fmt,
     _mean_std,
     _noise,
     _prepare,
@@ -41,7 +41,7 @@ from diracsp.harness import (
 )
 
 from conftest import HARD_COMPLEXES
-from oracles import loop_learn_traces, loop_sweep_errors, loop_sweep_rows
+from oracles import fmt_cell, loop_learn_rows, loop_learn_traces, loop_sweep_errors, loop_sweep_rows
 
 FF = dataset_path("florentine_marriage.json")
 COASTAL = dataset_path("coastal_tessellation.json")
@@ -217,7 +217,7 @@ def _assert_rows(path, want):
     assert len(got) == len(want)
     for name, got_col, want_col in zip(header, zip(*got), zip(*want)):
         if name in EXACT_COLUMNS:
-            assert list(got_col) == [_fmt(x) for x in want_col], name
+            assert list(got_col) == [fmt_cell(x) for x in want_col], name
         else:
             np.testing.assert_allclose(
                 np.array(got_col, dtype=float), np.array(want_col, dtype=float),
@@ -260,6 +260,25 @@ def test_learning_commands_match_the_per_draw_learn_loop(case, tmp_path):
             )
             for (tau, alpha, _), runs in loop_learn_traces(single)[1].items()
         ])
+
+
+def test_learn_rows_are_those_of_the_per_draw_trace_loop(tmp_path):
+    # alpha = 0 makes the noisy error 0, so its summary rows read reduction nan
+    plan = ff_plan(alphas=(0.0, 0.5), taus=(2.0, 7.0), m0s=(1.5, "auto"), seeds=3)
+    trace_rows, summary_rows = loop_learn_rows(plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = cmd_learn(plan, tmp_path / "l.csv")
+    assert data_rows(out) == trace_rows
+    summary = data_rows(tmp_path / "l.summary.csv")
+    assert summary == summary_rows
+    assert [row[-1] for row in summary if row[1] == "0.0"] == ["nan"] * 2 * 2 * 3
+
+
+def test_grid_values_given_as_numpy_scalars_are_written_as_numbers(tmp_path):
+    plan = ff_plan(taus=(np.float64(7.0),), alphas=(np.float64(0.5),), m0s=(np.float64(1.5),), seeds=2)
+    assert plan == ff_plan(taus=(7.0,), alphas=(0.5,), m0s=(1.5,), seeds=2)
+    assert [row[:3] for row in data_rows(cmd_basin(plan, tmp_path / "b.csv"))] == [["7.0", "0.5", "1.5"]]
 
 
 def test_sweep_m_single_point_is_baseline_only(tmp_path):
@@ -490,8 +509,9 @@ def test_make_signal_modes(tmp_path):
     assert m == pytest.approx(0.5881523311806464)
     s2, m2 = make_signal(SignalSpec(mode="gaussian_mix", lambda_bar=1.0, sigma_hat=0.2), Dop, basis)
     assert 0.8 < m2 < 1.2
-    with pytest.raises(ParseError):
-        make_signal(SignalSpec(mode="telepathy"), Dop, basis)
+    # an unknown mode never reaches make_signal: SignalSpec rejects it when it is built
+    with pytest.raises(ValueError, match="mode"):
+        SignalSpec(mode="telepathy")
 
 
 def test_bench_two_sizes_low_confidence(tmp_path):

@@ -367,6 +367,14 @@ def test_export_spectrum(tmp_path, ff_dirac):
     assert classes == {"pos", "neg", "harm"}
 
 
+def test_export_spectrum_writes_plain_numbers(tmp_path, ff_dirac):
+    basis = spectral_basis(ff_dirac, 1)
+    path = tmp_path / "spectrum.csv"
+    export_spectrum([basis], path)
+    cells = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
+    assert [float(x) for x in cells] == basis.eigenvalues.tolist()
+
+
 def test_chirality_maps_degenerate_eigenspaces(filled_triangle):
     # +sqrt(3) has multiplicity 3 for D_1 here; pairing must hold at the
     # subspace level even if individual vectors rotate within the cluster
