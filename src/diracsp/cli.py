@@ -230,8 +230,9 @@ def _m_grid(m_max: float, m_step: float) -> tuple[float, ...]:
 
 
 def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
-               sigma_hat, variance_convention, source, seed, m_max=None, m_step=None, **kw):
-    p = SIGNAL_PRESETS.get(preset, {})
+               sigma_hat, variance_convention, source, seed, given=(), m_max=None, m_step=None, **kw):
+    """The plan of the flags; a preset fills only the settings not in ``given``, those set on the command line."""
+    p = {k: v for k, v in SIGNAL_PRESETS.get(preset, {}).items() if k not in given}
     mode, selector = p.get("mode", mode), p.get("selector", selector)
     lambda_bar, sigma_hat = p.get("lambda_bar", lambda_bar), p.get("sigma_hat", sigma_hat)
     if kw.get("m0s") is None:
@@ -250,21 +251,23 @@ def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
 
 def _run_experiment(command, echo, plan_file, seed, output, opts):
     """Build or load the plan, run the harness command, report what it wrote."""
+    ctx = click.get_current_context()
+    given = [
+        p for p in ctx.command.params
+        if p.name not in ("plan_file", "seed", "output")
+        and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE
+    ]
     if plan_file:
-        ctx = click.get_current_context()
-        given = [
-            p.opts[0] for p in ctx.command.params
-            if p.name not in ("plan_file", "seed", "output")
-            and ctx.get_parameter_source(p.name) is ParameterSource.COMMANDLINE
-        ]
         if given:
-            raise ValueError(f"--plan takes every setting from the plan file; drop {', '.join(given)}")
+            raise ValueError(
+                f"--plan takes every setting from the plan file; drop {', '.join(p.opts[0] for p in given)}"
+            )
         plan = load_plan(plan_file)
         if plan.seed != seed:
             raise ValueError(f"--seed {seed} differs from the plan's seed {plan.seed}")
     else:
         lists = {k: _LISTS[k](v) for k, v in opts.items() if k in _LISTS and v is not None}
-        plan = _make_plan(seed=seed, **{**opts, **lists})
+        plan = _make_plan(seed=seed, given={p.name for p in given}, **{**opts, **lists})
     out = command(plan, output)
     click.echo(echo.format(out=out, summary=out.with_name(out.stem + ".summary.csv")))
 
@@ -277,7 +280,7 @@ def _register(name, command, doc, alphas, taus, seeds, options, echo="wrote {out
         _flavor_opt,
         click.option("--beta", type=float, default=0.0, show_default=True),
         click.option("--preset", type=click.Choice(sorted(SIGNAL_PRESETS)), default=None,
-                     help="Named signal preset (sets mode/selector/m0)."),
+                     help="Named signal preset (sets mode/selector/m0 where no flag does)."),
         *_signal_opts,
         click.option("--alphas", default=alphas, show_default=True, help="Comma-separated noise amplitudes."),
         click.option("--taus", default=taus, show_default=True, help="Comma-separated filter strengths."),

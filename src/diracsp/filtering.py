@@ -156,15 +156,18 @@ class FilterConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        if not require_real("tau", self.tau) > 0:
+        object.__setattr__(self, "tau", require_real("tau", self.tau))
+        if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        if not 0.0 < require_real("eta", self.eta) <= 1.0:
+        object.__setattr__(self, "eta", require_real("eta", self.eta))
+        if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
-        if not require_real("delta", self.delta) > 0:
+        object.__setattr__(self, "delta", require_real("delta", self.delta))
+        if not self.delta > 0:
             raise ValueError("delta must be > 0")
-        require_int("max_iters", self.max_iters, 1)
+        object.__setattr__(self, "max_iters", require_int("max_iters", self.max_iters, 1))
         if self.m0 != "auto":
-            require_real("m0", self.m0)
+            object.__setattr__(self, "m0", require_real("m0", self.m0))
 
 
 @dataclass

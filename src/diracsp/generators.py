@@ -25,7 +25,7 @@ each choice), a seed grows the same complex as a loop calling
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,21 +52,16 @@ class NgfParams:
     seed: int = 0
 
     def __post_init__(self):
-        require_int("target_nodes", self.target_nodes, 3)  # the seed triangle
-        require_int("flavor", self.flavor)
-        require_int("seed", self.seed)
+        for name, low in (("target_nodes", 3), ("flavor", None), ("seed", None)):  # 3: the seed triangle
+            object.__setattr__(self, name, require_int(name, getattr(self, name), low))
         if self.flavor not in (-1, 0, 1):
             raise InvalidFlavor(f"flavor must be -1, 0 or 1, got {self.flavor}")
-        if require_real("beta", self.beta) < 0:
+        object.__setattr__(self, "beta", require_real("beta", self.beta))
+        if self.beta < 0:
             raise ValueError("beta must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "target_nodes": self.target_nodes,
-            "flavor": self.flavor,
-            "beta": self.beta,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def ngf_generate(params: NgfParams) -> SimplicialComplex:

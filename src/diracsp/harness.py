@@ -26,7 +26,7 @@ import csv
 import json
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -79,7 +79,12 @@ BASIN_ALPHAS = (0.6, 1.5)
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Fully resolved description of one harness run; a bad setting is a ValueError naming it."""
+    """Fully resolved description of one harness run; a bad setting is a ValueError naming it.
+
+    Each setting is kept in the form its check returns: counts as ints, other
+    numbers (grid entries too) as floats, "auto" as it is.  So ``to_dict``
+    writes the fields as they are, and a plan JSON cannot hold is refused here.
+    """
 
     dataset: dict  # {"kind": "ngf", ...} or {"kind": "file", "path": ...}; see resolve_dataset
     signal: SignalSpec
@@ -96,18 +101,16 @@ class ExperimentPlan:
     runs: int = 20  # bench: timed runs per size
 
     def __post_init__(self):
-        require_int("seeds", self.seeds, 1)
-        require_int("seed", self.seed)
-        require_int("runs", self.runs, 1)
+        for name, low in (("seeds", 1), ("seed", None), ("runs", 1)):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), low))
         for name in ("alphas", "taus", "ms", "m0s", "sizes"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {values!r}")
-            # numpy scalars become Python ones, which csv writes as plain numbers
-            object.__setattr__(self, name, tuple(v.item() if isinstance(v, np.generic) else v for v in values))
-        for size in self.sizes:
-            require_int("every size", size)
-        self.config(1.0)  # FilterConfig's eta, delta and max_iters rules; sweep-m takes tau = 0
+        object.__setattr__(self, "sizes", tuple(require_int("every size", size) for size in self.sizes))
+        config = self.config(1.0)  # FilterConfig's eta, delta and max_iters rules; sweep-m takes tau = 0
+        for name in ("eta", "delta", "max_iters"):
+            object.__setattr__(self, name, getattr(config, name))
         if not self.alphas or not self.taus:
             raise ValueError("alpha and tau grids must be non-empty")
         for name in ("alphas", "taus"):
@@ -121,23 +124,18 @@ class ExperimentPlan:
             raise ValueError("m0s must be finite numbers or 'auto'")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
+        for name in ("alphas", "taus", "ms"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        object.__setattr__(self, "m0s", tuple(m0 if isinstance(m0, str) else float(m0) for m0 in self.m0s))
+        try:  # the one check of the dataset object before resolve_dataset reads it
+            json.dumps(self.to_dict(), sort_keys=True)
+        except TypeError as exc:
+            raise ValueError(f"plan cannot be written as JSON: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "signal": self.signal.to_dict(),
-            "alphas": [float(a) for a in self.alphas],
-            "taus": [float(t) for t in self.taus],
-            "ms": [float(m) for m in self.ms],
-            "m0s": [m0 if isinstance(m0, str) else float(m0) for m0 in self.m0s],
-            "eta": self.eta,
-            "delta": self.delta,
-            "max_iters": self.max_iters,
-            "seeds": self.seeds,
-            "seed": self.seed,
-            "sizes": [int(s) for s in self.sizes],
-            "runs": self.runs,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["signal"] = self.signal.to_dict()
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
     def config(self, tau: float, m0="auto") -> FilterConfig:
         return FilterConfig(
@@ -148,7 +146,7 @@ class ExperimentPlan:
 def plan_from_dict(data: dict) -> ExperimentPlan:
     """Build a plan from its JSON form (the `--plan` config file); SignalSpec reads the signal."""
     try:
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k != "signal"}
+        kwargs = {k: v for k, v in data.items() if k != "signal"}
         return ExperimentPlan(signal=SignalSpec(**data["signal"]), **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed plan: {exc}") from exc
@@ -498,7 +496,7 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
         times = np.array(times)
         rows.append(
             (
-                int(nodes), K.n0 + K.n1, len(times),
+                nodes, K.n0 + K.n1, len(times),
                 float(times.mean()), float(np.median(times)),
                 float(times.std(ddof=1)) if len(times) > 1 else 0.0,
             )

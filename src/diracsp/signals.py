@@ -53,13 +53,23 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
 
 _MODES = ("eigen", "gaussian_mix", "lifted")
 
+# Each selector name: the SpectralBasis index array it picks from, and which
+# end of it (negatives are stored ascending, i.e. most negative first).
+_SELECTORS = {
+    "smallest_positive": ("pos_indices", 0),
+    "largest_positive": ("pos_indices", -1),
+    "smallest_negative": ("neg_indices", -1),
+    "largest_negative": ("neg_indices", 0),
+}
+
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Recipe for a true signal on im(D_n).
 
-    An unknown mode, a field of the wrong type or range (in any mode), or a
-    lifted signal without a source, is a ValueError.
+    An unknown mode, a field of the wrong type or range (in any mode), an
+    order other than 1 or 2, an unknown selector name, or a lifted signal
+    without a source, is a ValueError.
     """
 
     mode: str  # one of _MODES
@@ -73,10 +83,18 @@ class SignalSpec:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {', '.join(_MODES)}, got {self.mode!r}")
-        require_int("n", self.n)
+        object.__setattr__(self, "n", require_int("n", self.n))
+        if self.n not in (1, 2):
+            raise ValueError(f"n must be 1 or 2, got {self.n!r}")
         if isinstance(self.selector, bool) or not isinstance(self.selector, (str, Real)):
             raise ValueError(f"selector must be a name or a number, got {self.selector!r}")
-        _gaussian_parameters(self.lambda_bar, self.sigma_hat, self.variance_convention)
+        if isinstance(self.selector, str) and self.selector not in _SELECTORS:
+            raise ValueError(f"selector must be a number or one of {', '.join(_SELECTORS)}, got {self.selector!r}")
+        if isinstance(self.selector, np.generic):
+            object.__setattr__(self, "selector", self.selector.item())
+        checked = _gaussian_parameters(self.lambda_bar, self.sigma_hat, self.variance_convention)
+        for name, value in zip(("lambda_bar", "sigma_hat"), checked):
+            object.__setattr__(self, name, value)
         if self.mode == "lifted" and not isinstance(self.source, (TopologicalSpinor, str, os.PathLike)):
             raise ValueError(f"a lifted signal needs a source, a spinor or a path; got {self.source!r}")
 
@@ -86,8 +104,8 @@ class SignalSpec:
             d["selector"] = self.selector
         elif self.mode == "gaussian_mix":
             d.update(
-                lambda_bar=float(self.lambda_bar),
-                sigma_hat=float(self.sigma_hat),
+                lambda_bar=self.lambda_bar,
+                sigma_hat=self.sigma_hat,
                 variance_convention=self.variance_convention,
             )
         elif self.mode == "lifted":
@@ -115,17 +133,10 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
         return i
 
     if isinstance(selector, str):
-        pos, neg = basis.pos_indices, basis.neg_indices
-        table = {
-            "smallest_positive": (pos, 0),
-            "largest_positive": (pos, -1),
-            # negatives are stored ascending, i.e. most negative first
-            "smallest_negative": (neg, -1),
-            "largest_negative": (neg, 0),
-        }
-        if selector not in table:
+        if selector not in _SELECTORS:
             raise NoSuchEigenvalue(f"unknown selector {selector!r}")
-        idxs, which = table[selector]
+        indices, which = _SELECTORS[selector]
+        idxs = getattr(basis, indices)
         if idxs.size == 0:
             raise NoSuchEigenvalue(f"no eigenvalues match {selector!r}")
         return int(idxs[which])
@@ -162,13 +173,14 @@ def eigenmode_signal(basis: SpectralBasis, selector) -> TopologicalSpinor:
     return basis.spinor(i)
 
 
-def _gaussian_parameters(lambda_bar, sigma_hat, variance_convention) -> None:
-    """ValueError, naming the field, unless lambda_bar is a finite number,
-    sigma_hat a finite number > 0 and the convention "linear" or "squared"."""
-    require_real("lambda_bar", lambda_bar)
-    require_real("sigma_hat", sigma_hat, 0, strict=True)
+def _gaussian_parameters(lambda_bar, sigma_hat, variance_convention) -> tuple[float, float]:
+    """(lambda_bar, sigma_hat) as floats; ValueError, naming the field, unless
+    lambda_bar is a finite number, sigma_hat a finite number > 0 and the
+    convention "linear" or "squared"."""
+    checked = require_real("lambda_bar", lambda_bar), require_real("sigma_hat", sigma_hat, 0, strict=True)
     if variance_convention not in ("linear", "squared"):
         raise ValueError(f"variance_convention must be 'linear' or 'squared', got {variance_convention!r}")
+    return checked
 
 
 def gaussian_mix_signal(
@@ -184,7 +196,7 @@ def gaussian_mix_signal(
     (the "linear" convention); ``variance_convention="squared"`` divides by
     2 sigma_hat^2 instead.  The result is normalized to unit Euclidean norm.
     """
-    _gaussian_parameters(lambda_bar, sigma_hat, variance_convention)
+    lambda_bar, sigma_hat = _gaussian_parameters(lambda_bar, sigma_hat, variance_convention)
     nz = basis.nonzero_indices
     if nz.size == 0:
         raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
@@ -224,8 +236,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        require_real("alpha", self.alpha, 0)
-        require_int("seed", self.seed)
+        object.__setattr__(self, "alpha", require_real("alpha", self.alpha, 0))
+        object.__setattr__(self, "seed", require_int("seed", self.seed))
 
 
 def sample_noise(

@@ -211,6 +211,18 @@ def test_heatmap_cli_preset(tmp_path):
     assert '"m0s": [1.0]' in lines[1]
 
 
+def test_explicit_signal_flags_win_over_the_preset(tmp_path):
+    out = tmp_path / "learn.csv"
+    r = invoke(
+        "learn", "-i", FF, "--preset", "gaussian", "--mode", "eigen", "--selector", "largest_positive",
+        "--seeds", 2, "--seed", 7, "-o", out,
+    )
+    assert r.exit_code == 0, r.output
+    plan = json.loads(out.read_text().splitlines()[1].removeprefix("# plan: "))
+    assert plan["signal"] == {"mode": "eigen", "n": 1, "selector": "largest_positive"}
+    assert plan["m0s"] == [2.0]
+
+
 def test_basin_cli(tmp_path):
     r = invoke(
         "basin", "-i", FF, "--alphas", "0.6", "--taus", "7",
@@ -442,6 +454,9 @@ _MALFORMED_INPUTS = {
             "ValueError: a lifted signal needs a source")
         for cmd in ("synth", "sweep-m", "learn", "heatmap", "basin")
     },
+    "unknown-selector-flag": (
+        "sweep-m", ("-i", FF, "--selector", "middle", "--seed", 1), 1,
+        "ValueError: selector must be a number or one of smallest_positive, "),
 }
 _PLAN = {
     "dataset": {"kind": "file", "path": FF},
@@ -510,6 +525,8 @@ _PLAN_FAULTS = {
     "sizes-number": ({"sizes": 3}, "sizes"),
     "ms-string": ({"ms": "abc"}, "ms"),
     "signal-mode-unknown": ({"signal": {"mode": "telepathy"}}, "mode"),
+    "signal-n-three": ({"signal": {"n": 3}}, "n"),
+    "signal-selector-unknown": ({"signal": {"selector": "middle"}}, "selector"),
 }
 
 
@@ -544,6 +561,21 @@ def test_an_unknown_or_missing_plan_key_is_one_parse_error(tmp_path, florentine_
     lines = r.output.splitlines()
     assert len(lines) == 1 and re.match(rf"error=ParseError: malformed plan: .*'{key}'", lines[0]), lines
     assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
+
+@pytest.mark.parametrize("command", ["learn", "basin"])
+def test_a_plan_with_integer_grid_values_replays_from_its_header(tmp_path, florentine_plan, command):
+    plan, header = tmp_path / "plan.json", tmp_path / "header.json"
+    first, replay = tmp_path / "first.csv", tmp_path / "replay.csv"
+    plan.write_text(json.dumps({**florentine_plan, "taus": [7], "alphas": [1], "m0s": [2]}))
+    r = invoke(command, "--plan", plan, "--seed", 7, "-o", first)
+    assert r.exit_code == 0, r.output
+    header.write_text(first.read_text().splitlines()[1].removeprefix("# plan: "))
+    r = invoke(command, "--plan", header, "--seed", 7, "-o", replay)
+    assert r.exit_code == 0, r.output
+    assert first.read_bytes() == replay.read_bytes()
+    if command == "learn":
+        assert (tmp_path / "first.summary.csv").read_bytes() == (tmp_path / "replay.summary.csv").read_bytes()
 
 
 def _learn_ngf600(tmp_path, name: str, threads: int) -> tuple[str, str]:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsp import (
     ExperimentPlan,
@@ -614,3 +616,80 @@ def test_low_snr_warns_once_per_cell(command, tmp_path):
         for tau in (2.0, 7.0)
     ]
 
+
+
+# -- plans keep the form their checks return -------------------------------------
+
+
+def _ints(low, high):
+    """An integer in [low, high] as a Python int or a numpy integer."""
+    ints = st.integers(low, high)
+    return st.one_of(ints, ints.map(np.int64), ints.map(np.int32))
+
+
+def _reals(low, high, exclude_min=False):
+    """A real in [low, high] (above low with exclude_min) as a Python int or float or a numpy scalar."""
+    ints = st.integers(low + 1 if exclude_min else low, high)
+    floats = st.floats(low, high, exclude_min=exclude_min)
+    return st.one_of(
+        ints, ints.map(np.int64), floats, floats.map(np.float64),
+        st.floats(low, high, exclude_min=exclude_min, width=32).map(np.float32),
+    )
+
+
+def _grid(values, **kw):
+    """A grid as a list or a tuple."""
+    lists = st.lists(values, max_size=3, **kw)
+    return st.one_of(lists, lists.map(tuple))
+
+
+_SIGNALS = st.one_of(
+    st.builds(
+        SignalSpec, mode=st.just("eigen"), n=_ints(1, 2),
+        selector=st.one_of(st.just("largest_negative"), _ints(0, 30), _reals(-3, 3)),
+    ),
+    st.builds(
+        SignalSpec, mode=st.just("gaussian_mix"), n=_ints(1, 2),
+        lambda_bar=_reals(-3, 3), sigma_hat=_reals(0, 2, exclude_min=True),
+    ),
+)
+
+_PLANS = st.builds(
+    ExperimentPlan,
+    dataset=st.just({"kind": "file", "path": FF}),
+    signal=_SIGNALS,
+    alphas=_grid(_reals(0, 5), min_size=1),
+    taus=_grid(_reals(0, 50), min_size=1),
+    ms=_grid(_reals(-3, 3)),
+    m0s=_grid(st.one_of(st.just("auto"), _reals(-3, 3)), min_size=1),
+    eta=_reals(0, 1, exclude_min=True),
+    delta=_reals(0, 2, exclude_min=True),
+    max_iters=_ints(1, 1000),
+    seeds=_ints(1, 100),
+    seed=_ints(0, 2**31 - 1),
+    sizes=_grid(_ints(3, 5000), unique_by=int),
+    runs=_ints(1, 50),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan=_PLANS)
+def test_a_plan_replays_from_its_json_to_the_same_plan(plan):
+    text = json.dumps(plan.to_dict(), sort_keys=True)
+    again = plan_from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+    for name in ("alphas", "taus", "ms", "m0s", "seeds", "seed"):
+        assert repr(getattr(again, name)) == repr(getattr(plan, name)), name
+
+
+def test_numpy_scalars_in_plan_fields_reach_the_header(tmp_path):
+    plan = ff_plan(seeds=np.int64(3), signal=SignalSpec(mode="eigen", selector=np.int64(0)))
+    out = cmd_sweep_m(plan, tmp_path / "s.csv")
+    embedded = json.loads(out.read_text().splitlines()[1].removeprefix("# plan: "))
+    assert embedded["seeds"] == 3 and embedded["signal"]["selector"] == 0
+    assert len(data_rows(out)) == 1
+
+
+def test_a_dataset_json_cannot_hold_is_refused_when_the_plan_is_built():
+    with pytest.raises(ValueError, match="plan cannot be written as JSON: Object of type int64"):
+        ff_plan(dataset={"kind": "ngf", "target_nodes": np.int64(30), "flavor": -1})
