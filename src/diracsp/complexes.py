@@ -312,12 +312,21 @@ def _closed_orientable_components(B2: sp.csr_array) -> int:
     return (count - np.unique(labels[open_or_twisted]).size) // 2
 
 
+def is_wide(B: sp.sparray) -> bool:
+    """Whether B has no more rows than columns, so that B B^T is its smaller Gram matrix.
+
+    The one rule for which Gram matrix :func:`gram_matrix` builds, and so for
+    which singular factor of B a spectral basis stores.
+    """
+    return B.shape[0] <= B.shape[1]
+
+
 def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
     """The smaller Gram matrix of B, dense float64 in C order, and whether it is B B^T.
 
-    (B B^T, True) when B has no more rows than columns, else (B^T B, False).
+    (B B^T, True) when B is :func:`is_wide`, else (B^T B, False).
     """
-    wide = B.shape[0] <= B.shape[1]
+    wide = is_wide(B)
     G = B @ B.T if wide else B.T @ B
     # B @ B.T of a csc array is csc, whose toarray() would be F-ordered
     return G.astype(float, copy=False).toarray(order="C"), wide

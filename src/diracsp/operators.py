@@ -19,7 +19,11 @@ block matrices of D1, D2 and D are built on first use only.  Everything
 spectral about D_n comes from one cached SpectralBasis per boundary matrix,
 the triplets of one Gram eigensolve checked against the exact rank:
 projections, kernels and harmonic bases read it, and ranks read it only
-where no exact count exists.
+where no exact count exists.  The basis stores one factor of the triplets,
+the Gram eigenvectors, with sigma and B_n; the other factor (v = B_n^T u /
+sigma, or u = B_n v / sigma) is reached through one sparse product with
+B_n.  Reading ``U``, ``V`` or ``singular_triplets`` builds that factor
+whole, O(N_n r) numbers per read; the grid commands never do.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -43,14 +47,15 @@ from .complexes import (
     graph_rank,
     gram_eigh,
     gram_matrix,
+    is_wide,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor, split_blocks
 
 SQRT2 = np.sqrt(2.0)
 
-# Columns per block of the sign pass (_column_peaks).
-_PEAK_BLOCK = 64
+# Columns per block in which the factor a basis does not store is derived.
+_BLOCK = 64
 
 
 def _order(n: int) -> int:
@@ -134,13 +139,18 @@ class DiracOperator:
 
     @cached_property
     def _basis1(self) -> SpectralBasis:
-        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, self._rank1))
+        return SpectralBasis(1, self.K, self.B1, *_gram_triplets(self.B1, self._rank1))
 
     @cached_property
     def _basis2(self) -> SpectralBasis:
-        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, self._rank2))
+        return SpectralBasis(2, self.K, self.B2, *_gram_triplets(self.B2, self._rank2))
 
     def singular_triplets(self, n: int):
+        """(U, sigma, V) of B_n's nonzero triplets, sigma descending.
+
+        The cached basis stores one factor; each call builds the other whole,
+        O(N_n r) numbers.  The grid commands never call it.
+        """
         basis = spectral_basis(self, n)
         return basis.U, basis.sigma, basis.V
 
@@ -195,27 +205,50 @@ def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr
 # -- singular triplets --------------------------------------------------------
 
 
+def _derived_map(B: sp.sparray) -> sp.sparray:
+    """The map from the side of B's stored factor onto the other side.
+
+    A basis of B stores the eigenvectors of the smaller Gram matrix: U when
+    B :func:`is_wide`, and then the map is B^T; else V, and the map is B.
+    """
+    return B.T if is_wide(B) else B
+
+
+def _derived_block(F: sp.sparray, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
+    """Columns start .. start + _BLOCK - 1 of F Q, divided by sigma[blk] when sigma is given.
+
+    Q is the stored factor of B and F = :func:`_derived_map` of B, so the
+    block is part of the factor the basis does not store.  Every reader of
+    that factor takes it through here in blocks that start at multiples of
+    _BLOCK, so a column has the same bits wherever it is read.
+    """
+    stop = min(start + _BLOCK, Q.shape[1])
+    Y = F @ Q[:, start:stop]
+    if sigma is not None:
+        Y /= sigma[start:stop]
+    return Y
+
+
 def _gram_triplets(B: sp.sparray, r: int | None):
-    """(U, sigma, V) of the nonzero singular triplets of B, sigma descending
-    (to roundoff inside a cluster of equal values).
+    """(Q, sigma): the stored factor of B's nonzero singular triplets and sigma,
+    descending (to roundoff inside a cluster of equal values).
 
     One dense eigensolve of the smaller Gram matrix G (B B^T when B has no
     more rows than columns, else B^T B), done in G's own buffer
-    (:func:`gram_eigh`), gives one factor: the eigenvectors X of the top
-    eigenvalues.  The rank is the :func:`gap_rank` of that spectrum, which
-    must equal the exact rank r when one is known (graph_rank,
-    combinatorial_rank), or the eigensolve is not trusted.  The top columns
-    of X are copied out and G is dropped before the other factor is built:
-    each column B^T x (or B x) is divided in place by its own norm, which is
-    its sigma.  That norm keeps the small singular values accurate to
-    roundoff relative to themselves, where sqrt of the Gram eigenvalue would
-    lose digits in proportion to (sigma_max / sigma)^2.  Peak memory stays
-    under G + the LAPACK workspace + U + V: G and the workspace during the
-    solve, G and the copied columns, then U and V.  U and V are
-    C-contiguous, so products with them never copy.
+    (:func:`gram_eigh`), gives Q: the eigenvectors of the top eigenvalues,
+    U for B B^T and V for B^T B.  The rank is the :func:`gap_rank` of that
+    spectrum, which must equal the exact rank r when one is known
+    (graph_rank, combinatorial_rank), or the eigensolve is not trusted.  The
+    top columns are copied out C-contiguous and G is dropped; then each
+    sigma_j is the norm of B^T q_j (or B q_j), taken a block of columns at a
+    time (:func:`_derived_block`).  That norm keeps the small singular values
+    accurate to roundoff relative to themselves, where sqrt of the Gram
+    eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
+    Peak memory is G + the LAPACK workspace during the solve, then G + Q; the
+    other factor is never built.
     """
     m, n = B.shape
-    G, wide = gram_matrix(B)
+    G, _ = gram_matrix(B)
     w, X = gram_eigh(G)
     del G
     found = gap_rank(w, RANK_RTOL)
@@ -224,11 +257,14 @@ def _gram_triplets(B: sp.sparray, r: int | None):
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but its exact rank is {r}"
         )
-    X = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
-    Y = B.T @ X if wide else B @ X
-    sigma = np.sqrt(np.einsum("ij,ij->j", Y, Y))
-    Y /= sigma
-    return (X, sigma, Y) if wide else (Y, sigma, X)
+    Q = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
+    del X
+    F = _derived_map(B)
+    sigma = np.empty(found)
+    for start in range(0, found, _BLOCK):
+        Y = _derived_block(F, Q, start)
+        sigma[start : start + Y.shape[1]] = np.sqrt(np.einsum("ij,ij->j", Y, Y))
+    return Q, sigma
 
 
 def _complement(A: np.ndarray) -> np.ndarray:
@@ -244,45 +280,42 @@ def _fix_sign(col: np.ndarray) -> np.ndarray:
     return -col if col[np.argmax(np.abs(col))] < 0 else col
 
 
-def _mode_signs(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _mode_signs(F: sp.sparray, Q: np.ndarray, sigma: np.ndarray, left: bool) -> np.ndarray:
     """+/-1 per nonzero mode, in ``SpectralBasis.nonzero_indices`` order.
+
+    Q is the stored factor (U when ``left``, else V), F = :func:`_derived_map`
+    of B_n and sigma the singular values.
 
     The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
     modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
     winning ties.  |u| and |v| are the same in both columns of a triplet, so
-    one argmax per factor decides both.
+    one argmax per factor decides both.  The derived factor is visited one
+    block at a time and never built whole.
     """
-    r = U.shape[1]
-    if r == 0:
-        return np.zeros(0)
-    cols = np.arange(r)
-    iu, au = _column_peaks(U)
-    iv, av = _column_peaks(V)
+    r = sigma.size
+    au, su, av, sv = (np.empty(r) for _ in range(4))
+    for start in range(0, r, _BLOCK):
+        blk = slice(start, min(start + _BLOCK, r))
+        q, y = Q[:, blk], _derived_block(F, Q, start, sigma)
+        u, v = (q, y) if left else (y, q)
+        au[blk], su[blk] = _column_peaks(u)
+        av[blk], sv[blk] = _column_peaks(v)
     from_u = au >= av
-    su, sv = np.sign(U[iu, cols]), np.sign(V[iv, cols])
     neg = np.where(from_u, su, -sv)
     pos = np.where(from_u, su, sv)
     return np.concatenate([neg, pos[::-1]])
 
 
 def _column_peaks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of A: the row of the largest |entry| / sqrt(2) (first on ties) and that value.
+    """Per column of A: its largest |entry| / sqrt(2) and the sign of that entry (first on ties).
 
-    Columns are taken _PEAK_BLOCK at a time, transposed into one reused
-    buffer so that each argmax runs along contiguous memory; no array of
-    A's size is allocated.
+    |A| is taken transposed, so that each argmax runs along contiguous memory.
     """
-    rows, r = A.shape
-    index, peak = np.empty(r, dtype=np.intp), np.empty(r)
-    buf = np.empty((min(_PEAK_BLOCK, r), rows))
-    for start in range(0, r, _PEAK_BLOCK):
-        stop = min(start + _PEAK_BLOCK, r)
-        a = buf[: stop - start]
-        np.abs(A[:, start:stop].T, out=a)
-        a /= SQRT2
-        index[start:stop] = a.argmax(axis=1)
-        peak[start:stop] = a[np.arange(stop - start), index[start:stop]]
-    return index, peak
+    a = np.abs(A.T, order="C")
+    a /= SQRT2
+    cols = np.arange(A.shape[1])
+    index = a.argmax(axis=1)
+    return a[cols, index], np.sign(A[index, cols])
 
 
 # -- spectral basis -----------------------------------------------------------
@@ -292,37 +325,77 @@ def _column_peaks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SpectralBasis:
     """Eigenpairs of D_n, ascending, split into negative / harmonic / positive.
 
-    The basis is factored: it holds the rank-truncated singular triplets
-    (U, sigma, V) of B_n, O((N_{n-1} + N_n) r) numbers.  Triplet j gives the
-    modes sign * (u_j, -/+v_j)/sqrt(2) for eigenvalues -/+sigma_j, padded
-    with the zero block; the sign makes the largest-magnitude entry positive
-    (first on ties).  ``signs``, one per nonzero mode, is computed on first
-    use, so callers that read only the triplets never pay for it.
-    Eigenvalues ascend: -sigma in triplet order, the harmonic zeros, then
-    +sigma reversed.
+    The basis is factored over the rank-truncated singular triplets
+    (U, sigma, V) of B_n, and it stores one factor of them: ``B`` (B_n
+    itself, shared with the operator), ``sigma`` and ``Q``, the top
+    eigenvectors of the smaller Gram matrix (U when N_{n-1} <= N_n, as for
+    B1; else V).  That is O(min(N_{n-1}, N_n) r) numbers.  The other factor
+    follows from Q through one sparse product with B_n: v = B_n^T u / sigma,
+    or u = B_n v / sigma.  Reading ``U`` or ``V`` builds the derived one
+    whole, O(N_n r) numbers per read; the products below and the grid
+    commands never do.
+
+    Triplet j gives the modes sign * (u_j, -/+v_j)/sqrt(2) for eigenvalues
+    -/+sigma_j, padded with the zero block; the sign makes the
+    largest-magnitude entry positive (first on ties).  ``signs``, one per
+    nonzero mode, is computed on first use, so callers that read only the
+    triplets never pay for it.  Eigenvalues ascend: -sigma in triplet order,
+    the harmonic zeros, then +sigma reversed.
 
     ``spinor(i)`` builds the unit eigenvector for ``eigenvalues[i]``;
     ``coefficients`` and ``synthesize`` map between spinors and coordinates
-    along the nonzero modes (in ``nonzero_indices`` order) through U and V,
-    so no dense basis is ever formed.  ``harm_indices`` span ker(D_n), of
-    dimension ``kernel_dim``; their columns come from the orthogonal
+    along the nonzero modes (in ``nonzero_indices`` order) through Q and
+    B_n, so no dense basis is ever formed.  ``harm_indices`` span ker(D_n),
+    of dimension ``kernel_dim``; their columns come from the orthogonal
     complements of U and V, computed on first use.  Together the modes form
     an orthonormal basis of the whole spinor space.
     """
 
     order: int
     K: SimplicialComplex
-    U: np.ndarray
+    B: sp.csc_array
+    Q: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray
 
     def __post_init__(self):
-        for name in ("U", "sigma", "V"):
+        for name in ("Q", "sigma"):
             getattr(self, name).flags.writeable = False
+
+    @property
+    def U(self) -> np.ndarray:
+        """The left singular vectors: Q itself, or built from it on each read."""
+        return self.Q if self._left else self._derived()
+
+    @property
+    def V(self) -> np.ndarray:
+        """The right singular vectors: Q itself, or built from it on each read."""
+        return self._derived() if self._left else self.Q
+
+    def _derived(self) -> np.ndarray:
+        """The factor Q does not hold, built whole from its blocks."""
+        out = np.empty((self._to_derived.shape[0], self.rank))
+        for start in range(0, self.rank, _BLOCK):
+            out[:, start : start + _BLOCK] = _derived_block(self._to_derived, self.Q, start, self.sigma)
+        return out
+
+    @cached_property
+    def _left(self) -> bool:
+        """Whether Q is U (B_n is wide) rather than V."""
+        return is_wide(self.B)
+
+    # B_n and B_n^T, named by the side each maps onto; a transposed view is
+    # made once per basis, not on every product
+    @cached_property
+    def _to_derived(self) -> sp.sparray:
+        return _derived_map(self.B)
+
+    @cached_property
+    def _to_stored(self) -> sp.sparray:
+        return self._to_derived.T
 
     @cached_property
     def signs(self) -> np.ndarray:
-        signs = _mode_signs(self.U, self.V)
+        signs = _mode_signs(self._to_derived, self.Q, self.sigma, self._left)
         signs.flags.writeable = False
         return signs
 
@@ -369,12 +442,21 @@ class SpectralBasis:
         return "pos"
 
     def check(self, Dop: DiracOperator, n: int) -> None:
-        """Refuse to act for D_n of ``Dop`` unless this basis was built for it."""
+        """Refuse to act for D_n of ``Dop`` unless this basis was built for it:
+        the same order, the same simplex counts and the same B_n, entry for entry."""
         if self.order != n:
             raise InvalidOrder(f"basis is for D_{self.order}, filter asks for D_{n}")
         if self.K.counts != Dop.K.counts:
             raise DimensionMismatch(
                 f"basis is for a complex of size {self.K.counts}, operator has {Dop.K.counts}"
+            )
+        B = Dop.boundary(n)
+        same = self.B is B or (self.B.shape == B.shape and all(
+            np.array_equal(getattr(self.B, f), getattr(B, f)) for f in ("indptr", "indices", "data")
+        ))
+        if not same:
+            raise DimensionMismatch(
+                f"basis is for B_{n} of another complex with the same counts {self.K.counts}"
             )
 
     def coefficients(self, s: TopologicalSpinor) -> np.ndarray:
@@ -386,8 +468,7 @@ class SpectralBasis:
             raise DimensionMismatch(
                 f"spinor has length {len(s)}, basis needs {self.K.spinor_dim}"
             )
-        a, b = _blocks_for(self.order, s.blocks)
-        return self._from_projections(self.U.T @ a, self.V.T @ b)
+        return self._from_projections(*self._project(*_blocks_for(self.order, s.blocks)))
 
     def coefficient_rows(self, X: np.ndarray) -> np.ndarray:
         """Row k: the coefficients of the spinor whose vector is X[k].
@@ -398,8 +479,29 @@ class SpectralBasis:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DimensionMismatch(f"expected a stack of vectors, got shape {X.shape}")
-        A, B = _blocks_for(self.order, split_blocks(self.K, X))
-        return self._from_projections(A @ self.U, B @ self.V)
+        return self._from_projections(*self._project(*_blocks_for(self.order, split_blocks(self.K, X))))
+
+    def _project(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a U, b V) for the blocks (a, b) that D_n couples: vectors, or stacks of rows.
+
+        The derived factor enters through B_n: b V = (B_n b^T)^T Q / sigma
+        for a stored U, a U = (B_n^T a^T)^T Q / sigma for a stored V.
+        """
+        q, d = (a, b) if self._left else (b, a)
+        xq = q @ self.Q
+        xd = (self._to_stored @ d.T).T @ self.Q / self.sigma
+        return (xq, xd) if self._left else (xd, xq)
+
+    def _lift(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(U x, V y) for coordinate vectors x and y along the triplets.
+
+        The derived factor enters through B_n: V y = B_n^T (Q (y / sigma))
+        for a stored U, U x = B_n (Q (x / sigma)) for a stored V.
+        """
+        q, d = (x, y) if self._left else (y, x)
+        lq = self.Q @ q
+        ld = self._to_derived @ (self.Q @ (d / self.sigma))
+        return (lq, ld) if self._left else (ld, lq)
 
     def _from_projections(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates from x = U^T a and y = V^T b (last axis: triplets)."""
@@ -415,8 +517,7 @@ class SpectralBasis:
         c = c * self.signs
         r = self.rank
         neg, pos = c[:r], c[r:][::-1]
-        left = self.U @ (pos + neg) / SQRT2
-        right = self.V @ (pos - neg) / SQRT2
+        left, right = self._lift((pos + neg) / SQRT2, (pos - neg) / SQRT2)
         return _spinor_from_blocks(self.K, self.order, left, right)
 
     def spinor(self, i: int) -> TopologicalSpinor:
@@ -429,8 +530,11 @@ class SpectralBasis:
         positive = i >= r + k
         j = 2 * r + k - 1 - i if positive else i  # triplet index
         sign = self.signs[i - k if positive else i]
-        left = self.U[:, j] / SQRT2 * sign
-        right = self.V[:, j] / SQRT2 * (sign if positive else -sign)
+        start = j - j % _BLOCK  # the derived column, from the block that holds it
+        q, d = self.Q[:, j], _derived_block(self._to_derived, self.Q, start, self.sigma)[:, j - start]
+        u, v = (q, d) if self._left else (d, q)
+        left = u / SQRT2 * sign
+        right = v / SQRT2 * (sign if positive else -sign)
         return _spinor_from_blocks(self.K, self.order, left, right)
 
     @cached_property
@@ -483,7 +587,9 @@ def spectral_basis(
     if method == "svd":
         return Dop._basis1 if n == 1 else Dop._basis2
     if method == "eigh":
-        return SpectralBasis(n, Dop.K, *_eigh_triplets(Dop.boundary(n)))
+        B = Dop.boundary(n)
+        U, sigma, V = _eigh_triplets(B)
+        return SpectralBasis(n, Dop.K, B, U if is_wide(B) else V, sigma)
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 
@@ -537,13 +643,13 @@ def chirality_map(phi: TopologicalSpinor, n: int) -> TopologicalSpinor:
 def dirac_project(s: TopologicalSpinor, Dop: DiracOperator, n: int) -> TopologicalSpinor:
     """Project onto im(D_n): the component s_n = D_n D_n^+ s.
 
-    Computed blockwise from the singular triplets of B_n, so the projector is
-    exactly idempotent up to roundoff.
+    Computed blockwise from the singular triplets of B_n, U U^T and V V^T
+    through the basis's stored factor and B_n, so the projector is exactly
+    idempotent up to roundoff.
     """
     Dop._check(s)
-    U, _, V = Dop.singular_triplets(n)
-    left, right = _blocks_for(n, s.blocks)
-    return _spinor_from_blocks(Dop.K, n, U @ (U.T @ left), V @ (V.T @ right))
+    basis = spectral_basis(Dop, n)
+    return _spinor_from_blocks(Dop.K, n, *basis._lift(*basis._project(*_blocks_for(n, s.blocks))))
 
 
 def harmonic_project(s: TopologicalSpinor, Dop: DiracOperator) -> TopologicalSpinor:

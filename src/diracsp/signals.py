@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import repeat
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +68,8 @@ class SignalSpec:
     """Recipe for a true signal on im(D_n).
 
     An unknown mode, a field of the wrong type or range (in any mode), an
-    order other than 1 or 2, an unknown selector name, or a lifted signal
-    without a source, is a ValueError.
+    order other than 1 or 2, an unknown selector name or a non-finite
+    numeric one, or a lifted signal without a source, is a ValueError.
     """
 
     mode: str  # one of _MODES
@@ -92,6 +92,9 @@ class SignalSpec:
             raise ValueError(f"selector must be a number or one of {', '.join(_SELECTORS)}, got {self.selector!r}")
         if isinstance(self.selector, np.generic):
             object.__setattr__(self, "selector", self.selector.item())
+        if isinstance(self.selector, Real) and not isinstance(self.selector, Integral):
+            # an integer is an index; any other number a target eigenvalue
+            object.__setattr__(self, "selector", require_real("selector", self.selector))
         checked = _gaussian_parameters(self.lambda_bar, self.sigma_hat, self.variance_convention)
         for name, value in zip(("lambda_bar", "sigma_hat"), checked):
             object.__setattr__(self, name, value)

@@ -231,6 +231,49 @@ def dense_spectral_basis(Dop, n):
     return vals, vecs
 
 
+# -- the factored basis with both factors stored --------------------------------
+# The products the basis made when it kept U and V whole, taking U, V and the
+# mode signs as arrays: coordinates sign * (U^T a -/+ V^T b)/sqrt(2), the
+# synthesis U (pos + neg)/sqrt(2), V (pos - neg)/sqrt(2), and the projection
+# U (U^T a), V (V^T b).
+
+
+def _stored_coordinates(x, y, signs):
+    """Coordinates from x = U^T a and y = V^T b (last axis: triplets)."""
+    return np.concatenate([x - y, (x + y)[..., ::-1]], axis=-1) / np.sqrt(2.0) * signs
+
+
+def stored_coefficients(U, V, signs, a, b):
+    """Coordinates of the spinor with blocks (a, b) along the nonzero modes."""
+    return _stored_coordinates(U.T @ a, V.T @ b, signs)
+
+
+def stored_coefficient_rows(U, V, signs, A, B):
+    """Row k: the coordinates of the spinor with blocks (A[k], B[k])."""
+    return _stored_coordinates(A @ U, B @ V, signs)
+
+
+def stored_synthesis(U, V, signs, c):
+    """The blocks (left, right) of sum_i c[i] phi_i over the nonzero modes."""
+    c = c * signs
+    r = U.shape[1]
+    neg, pos = c[:r], c[r:][::-1]
+    return U @ (pos + neg) / np.sqrt(2.0), V @ (pos - neg) / np.sqrt(2.0)
+
+
+def stored_mode(U, V, signs, i):
+    """The blocks (left, right) of nonzero mode i, in ``nonzero_indices`` order."""
+    r = U.shape[1]
+    j = 2 * r - 1 - i if i >= r else i  # triplet index
+    right = V[:, j] if i >= r else -V[:, j]
+    return U[:, j] / np.sqrt(2.0) * signs[i], right / np.sqrt(2.0) * signs[i]
+
+
+def stored_projection(U, V, a, b):
+    """The blocks of the projection onto im(D_n) of the spinor with blocks (a, b)."""
+    return U @ (U.T @ a), V @ (V.T @ b)
+
+
 # -- the grid commands' draws, one spinor at a time -----------------------------
 
 

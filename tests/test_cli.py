@@ -129,9 +129,9 @@ def test_synth_rejects_bad_alpha(tmp_path):
 def test_synth_rejects_non_finite_selector(tmp_path):
     out = tmp_path / "s.csv"
     r = invoke("synth", "-i", FF, "--selector", "nan", "-o", out)
-    assert r.exit_code == 3, r.output
+    assert r.exit_code == 1, r.output
     assert r.output.splitlines() == [
-        "error=NoSuchEigenvalue: target eigenvalue must be finite, got nan"
+        "error=ValueError: selector must be finite, got nan"
     ]
     assert not out.exists()
 
@@ -517,6 +517,8 @@ _PLAN_FAULTS = {
     "signal-sigma-hat-negative": ({"signal": {"sigma_hat": -1}}, "sigma_hat"),
     "signal-variance-convention": ({"signal": {"variance_convention": "cubed"}}, "variance_convention"),
     "signal-lambda-bar-nan": ({"signal": {"lambda_bar": float("nan")}}, "lambda_bar"),
+    "signal-selector-nan": ({"signal": {"selector": float("nan")}}, "selector"),
+    "signal-selector-inf": ({"signal": {"selector": float("inf")}}, "selector"),
     "dataset-beta-negative": (
         {"dataset": {"kind": "ngf", "target_nodes": 30, "flavor": -1, "beta": -1}}, "beta"),
     "taus-number": ({"taus": 5}, "taus"),

@@ -21,9 +21,19 @@ from diracsp import (
     spectral_basis,
 )
 from diracsp import operators
+from diracsp.complexes import gram_eigh, gram_matrix
 from diracsp.errors import DimensionMismatch
 from diracsp.datasets import coastal_tessellation
-from diracsp.operators import _eigh_triplets, _gram_triplets, _mode_signs, harmonic_basis
+from diracsp.filtering import _learn_batch
+from diracsp.operators import (
+    SpectralBasis,
+    _eigh_triplets,
+    _gram_triplets,
+    _mode_signs,
+    harmonic_basis,
+)
+from diracsp.signals import noise_coefficients
+from diracsp.spinors import split_blocks
 
 from conftest import HARD_COMPLEXES, random_complex
 from oracles import (
@@ -32,7 +42,13 @@ from oracles import (
     dense_spectral_basis,
     eigenbasis_projection,
     exact_rank,
+    stored_coefficient_rows,
+    stored_coefficients,
+    stored_mode,
+    stored_projection,
+    stored_synthesis,
 )
+from test_complexes import SURFACES
 
 def _corpus():
     rng = np.random.default_rng(23)
@@ -115,6 +131,11 @@ def test_eigh_path_agrees_up_to_rotation(name, K, n):
     svd = spectral_basis(D, n)
     eigh = spectral_basis(D, n, method="eigh")
     assert np.abs(svd.eigenvalues - eigh.eigenvalues).max(initial=0.0) <= 1e-10
+    # the eigh basis stores one factor of the dense solve and derives the
+    # other through B_n; both must match the solve's own pair
+    U0, _, V0 = _eigh_triplets(D.boundary(n))
+    assert np.abs(eigh.U - U0).max(initial=0.0) <= 1e-10
+    assert np.abs(eigh.V - V0).max(initial=0.0) <= 1e-10
     # compare the projector onto each cluster of equal eigenvalues
     vals = svd.eigenvalues
     start = 0
@@ -135,7 +156,8 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     B = assemble_dirac(K).boundary(n)
     r = exact_rank(B)
     U0, sigma0, V0 = _eigh_triplets(B)
-    U, sigma, V = _gram_triplets(B, r)
+    basis = SpectralBasis(n, K, B, *_gram_triplets(B, r))
+    U, sigma, V = basis.U, basis.sigma, basis.V
     assert sigma.size == sigma0.size == r
     assert U.flags.c_contiguous and V.flags.c_contiguous
     assert np.abs(sigma - sigma0).max(initial=0.0) <= 1e-12
@@ -179,17 +201,21 @@ def test_small_singular_values_match_closed_forms(name, build, N, formula):
     assert np.abs(V.T @ V - eye).max() <= 1e-12
 
 
-SIGN_CASES = GRAM_CASES + [
+NGF300 = [
     (f"ngf300-flavor{flavor}", ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0)), n)
     for flavor in (0, 1)
     for n in (1, 2)
 ]
+SURFACE_CASES = [(name, K, n) for name, (K, _) in SURFACES.items() for n in (1, 2)]
+SIGN_CASES = GRAM_CASES + NGF300 + SURFACE_CASES
 
 
 @pytest.mark.parametrize("name,K,n", SIGN_CASES, ids=[f"{c[0]}-n{c[2]}" for c in SIGN_CASES])
 def test_blocked_sign_pass_equals_the_whole_array_pass(name, K, n):
-    U, _, V = assemble_dirac(K).singular_triplets(n)
-    assert np.array_equal(_mode_signs(U, V), dense_mode_signs(U, V))
+    # the sign pass derives the factor the basis does not store one block of
+    # columns at a time; reading basis.U and basis.V builds it whole
+    basis = spectral_basis(assemble_dirac(K), n)
+    assert np.array_equal(basis.signs, dense_mode_signs(basis.U, basis.V))
 
 
 def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
@@ -201,8 +227,44 @@ def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
     U = np.array([[0.5], [-0.5], [0.5], [-0.5]])
     V = D.B1.T @ U / 2
     assert np.abs(V).max() == np.abs(U).max() and V[0, 0] == -0.5
-    assert np.array_equal(_mode_signs(U, V), [1.0, 1.0])
+    assert np.array_equal(_mode_signs(D.B1.T, U, np.array([2.0]), True), [1.0, 1.0])
     assert np.array_equal(dense_mode_signs(U, V), [1.0, 1.0])
+
+
+ORACLE_CASES = (
+    [(name, K, n) for name, K in HARD_COMPLEXES.items() for n in (1, 2)]
+    + SURFACE_CASES
+    + [("coastal", coastal_tessellation(), n) for n in (1, 2)]
+    + NGF300
+)
+
+
+def _close(got, want):
+    assert np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name,K,n", ORACLE_CASES, ids=[f"{c[0]}-n{c[2]}" for c in ORACLE_CASES])
+def test_products_through_b_match_the_stored_factor_formulas(name, K, n):
+    # the basis stores one factor and reaches the other through B_n; every
+    # product must agree with the formulas that used both factors whole
+    D = assemble_dirac(K)
+    basis = spectral_basis(D, n)
+    U, V, signs = basis.U, basis.V, basis.signs
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, D.dim))
+    s = TopologicalSpinor.from_vector(K, X[0])
+    a, b = s.blocks[n - 1], s.blocks[n]
+    _close(basis.coefficients(s), stored_coefficients(U, V, signs, a, b))
+    A, B = split_blocks(K, X)[n - 1 : n + 1]
+    _close(basis.coefficient_rows(X), stored_coefficient_rows(U, V, signs, A, B))
+    c = rng.standard_normal(basis.nonharmonic_dim)
+    got = basis.synthesize(c)
+    _close(np.concatenate([got.blocks[n - 1], got.blocks[n]]), np.concatenate(stored_synthesis(U, V, signs, c)))
+    for k, i in enumerate(basis.nonzero_indices):
+        got = basis.spinor(int(i))
+        _close(np.concatenate([got.blocks[n - 1], got.blocks[n]]), np.concatenate(stored_mode(U, V, signs, k)))
+    got = dirac_project(s, D, n)
+    _close(np.concatenate([got.blocks[n - 1], got.blocks[n]]), np.concatenate(stored_projection(U, V, a, b)))
 
 
 def test_spinor_index_out_of_range(ff_basis):
@@ -217,10 +279,26 @@ def test_foreign_spinor_and_coefficients_rejected(ff_basis, filled_triangle):
         ff_basis.synthesize(np.zeros(ff_basis.nonharmonic_dim + 1))
 
 
+def test_a_basis_of_another_complex_with_the_same_counts_is_refused():
+    K0, K1 = (ngf_generate(NgfParams(target_nodes=60, seed=seed)) for seed in (0, 1))
+    assert K0.counts == K1.counts == (60, 117, 58)
+    D1 = assemble_dirac(K1)
+    s = TopologicalSpinor.from_vector(K1, np.full(D1.dim, 1 / np.sqrt(D1.dim)))
+    for call in (
+        lambda basis: dirac_filter(s, D1, 1, 2.0, 1.0, basis=basis),
+        lambda basis: learn(s, D1, 1, FilterConfig(tau=2.0, m0=1.0), basis=basis),
+    ):
+        with pytest.raises(DimensionMismatch, match="another complex"):
+            call(spectral_basis(assemble_dirac(K0), 1))
+    # a basis of another operator over the same complex holds an equal B_n
+    got = dirac_filter(s, D1, 1, 2.0, 1.0, basis=spectral_basis(assemble_dirac(K1), 1))
+    assert np.array_equal(got.vector, dirac_filter(s, D1, 1, 2.0, 1.0).vector)
+
+
 def test_operator_keeps_its_svd_basis(coastal, monkeypatch):
     D = assemble_dirac(coastal)
     signs = []
-    monkeypatch.setattr(operators, "_mode_signs", lambda U, V: signs.append(1) or _mode_signs(U, V))
+    monkeypatch.setattr(operators, "_mode_signs", lambda *args: signs.append(1) or _mode_signs(*args))
     s = sample_noise(NoiseModel(alpha=0.5, seed=1), D, 1, 0)
     # callers that need only the triplets never pay for the mode signs
     dirac_project(s, D, 2)
@@ -271,3 +349,36 @@ def test_spectral_setup_holds_no_full_size_temporaries():
         tracemalloc.stop()
     bound = basis.U.nbytes + basis.V.nbytes + 2 * 8 * min(D.B1.shape) ** 2
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
+
+
+def test_set_up_keeps_one_factor_and_peaks_in_the_eigensolve():
+    # the basis stores the Gram-side factor Q and derives the other one, N1 x r
+    # here, a block of columns at a time: after the basis and its signs only Q
+    # stays live, and no step from the basis through the learner climbs more
+    # than one derived block above the eigensolve's own peak (G and the 2n^2
+    # LAPACK workspace, which tracemalloc sees)
+    K = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0))
+    D = assemble_dirac(K)
+    block = K.n1 * operators._BLOCK * 8
+    tracemalloc.start()
+    try:
+        gram_eigh(gram_matrix(D.B1)[0])
+        _, eigensolve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        basis = spectral_basis(D, 1)
+        basis.signs
+        live, _ = tracemalloc.get_traced_memory()
+        lam = basis.eigenvalues[basis.nonzero_indices]
+        c_true = basis.coefficients(gaussian_mix_signal(basis, 1.0, 0.2))
+        C0 = c_true + noise_coefficients(NoiseModel(alpha=0.5, seed=3), basis, range(20))
+        _learn_batch(lam, C0, c_true, FilterConfig(tau=7.0, m0=2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < basis.Q.nbytes + block, f"live {live / 1e6:.2f} MB after the basis and its signs"
+    assert peak <= eigensolve_peak + block, (
+        f"peak {peak / 1e6:.2f} MB > eigensolve {eigensolve_peak / 1e6:.2f} MB + one block {block / 1e6:.2f} MB"
+    )
