@@ -8,11 +8,16 @@ faces (i, j), (i, k), (j, k).  Any consistent convention would satisfy
 B1 @ B2 = 0; downstream results do not depend on this choice.  Construction
 works on int64 arrays, and open triangles are rejected, never filled in.
 
-Exact ranks are counts of connected components: of the graph for B1, and
-of the triangles' orientation double cover for B2 when every link bounds
-at most two triangles.
+A complex builds B1, B2 and their ranks on first read and keeps them,
+outside ``==``, ``hash`` and ``to_dict``.  Exact ranks are counts of
+connected components: of the graph for B1, and of the triangles'
+orientation double cover for B2 when every link bounds at most two
+triangles.  Elsewhere rank B2 is the gap rank of one Gram solve: a
+spectral basis's own, if one of B2 is built first, else eigenvalues only.
 
-Instances are immutable after construction and safe to share across threads.
+Instances are immutable after construction and safe to share across
+threads; two threads that first read a kept item at once may each build
+it, which is harmless: the two are equal.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
@@ -85,12 +91,71 @@ class SimplicialComplex:
             return 1
         return 0
 
+    # -- boundary matrices and ranks, each built on first read and kept -----
+
+    @cached_property
+    def link_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _link_codes(_array(self.links, 2), self.n0)
+
+    @cached_property
+    def B1(self) -> sp.csc_array:
+        return boundary_matrix(self, 1).astype(float)
+
+    @cached_property
+    def B2(self) -> sp.csc_array:
+        return boundary_matrix(self, 2).astype(float)
+
+    def boundary(self, n: int) -> sp.csc_array:
+        """B_n as float64 csc, for n = 1 or 2 (the caller checks n)."""
+        return self.B1 if n == 1 else self.B2
+
+    @cached_property
+    def _transposes(self) -> tuple[sp.csr_array, sp.csr_array]:
+        return self.B1.T, self.B2.T
+
+    def transposed(self, n: int) -> sp.csr_array:
+        """B_n^T, a csr view of :meth:`boundary` made once, for n = 1 or 2."""
+        return self._transposes[n - 1]
+
+    @cached_property
+    def rank1(self) -> int:
+        """Exact rank of B1: N0 minus the number of connected components."""
+        return self.n0 - _components(self.n0, *_array(self.links, 2).T)[0]
+
+    @cached_property
+    def rank2(self) -> int:
+        """Rank of B2: :meth:`known_rank2`, else the :func:`gap_rank` of B2's
+        Gram spectrum from one eigenvalues-only solve."""
+        r = self.known_rank2()
+        return gap_rank(gram_eigh(gram_matrix(self.B2)[0], vectors=False), RANK_RTOL) if r is None else r
+
+    def known_rank2(self) -> int | None:
+        """rank B2 if it is known without a new Gram solve, else None.
+
+        It is known once read or kept (:meth:`keep_rank2`), and exactly when
+        every link bounds at most two triangles: then ker(B2) has one
+        dimension per triangle component (triangles joined by shared links)
+        that is closed, with no link on a single triangle, and orientable,
+        so rank B2 = N2 minus their number.
+        """
+        if "rank2" in self.__dict__:
+            return self.rank2
+        rows = self.B2.tocsr()  # row per link: its triangles and signs
+        if np.diff(rows.indptr).max(initial=0) > 2:
+            return None
+        return self.n2 - _closed_orientable_components(rows)
+
+    def keep_rank2(self, found: int) -> None:
+        """Keep ``found``, the gap rank of a spectral basis's Gram solve of B2,
+        as :attr:`rank2` unless that is known already."""
+        self.__dict__.setdefault("rank2", found)
+
     def link_index(self, i: int, j: int) -> int:
-        """Position of link (i, j) in the canonical ordering."""
+        """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
         for node in (i, j):
             if not 0 <= node < self.n0:
                 raise IndexOutOfRange(f"link ({i}, {j}) names node {node} outside range(0, {self.n0})")
-        return int(_link_rows(_array(self.links, 2), self.n0, np.array([[i, j]]))[0])
+        return int(_link_rows(*self.link_codes, self.n0, np.array([[i, j]]))[0])
 
     def euler_characteristic(self) -> int:
         return self.n0 - self.n1 + self.n2
@@ -133,7 +198,7 @@ def require_real(name: str, value, low: float | None = None, *, strict: bool = F
 
 
 INT64_MAX = np.iinfo(np.int64).max
-MAX_NODES = 3_037_000_499  # isqrt(INT64_MAX): link codes i * N0 + j (_link_rows) fit in int64
+MAX_NODES = 3_037_000_499  # isqrt(INT64_MAX): link codes i * N0 + j (_link_codes) fit in int64
 
 
 def _simplex_array(items: Iterable[Sequence[int]], size: int, kind: str) -> np.ndarray:
@@ -199,7 +264,7 @@ def build_complex(
         raise IndexOutOfRange(f"node_count must lie in [0, {MAX_NODES}], got {node_count}")
     tris = _canonical_simplices(tris, node_count, "triangle")
     lks = _canonical_simplices(lks, node_count, "link")
-    _face_rows(lks, tris, node_count)  # closure
+    _link_rows(*_link_codes(lks, node_count), node_count, _faces(tris))  # closure
     # zip over the columns makes the tuples in about half the time of map(tuple, rows)
     return SimplicialComplex(node_count, *(tuple(zip(*a.T.tolist())) for a in (lks, tris)))
 
@@ -208,26 +273,32 @@ def _array(simplices, width: int) -> np.ndarray:
     return np.array(simplices, dtype=np.int64).reshape(-1, width)
 
 
-def _link_rows(links: np.ndarray, n0: int, pairs: np.ndarray) -> np.ndarray:
-    """Positions in the (N1, 2) array ``links``, in any order, of the links pairs[f],
-    either way round, looked up by their codes i * N0 + j; a link not among them
-    raises :class:`MissingFace` naming the first one."""
-    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+def _link_codes(links: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, order): the codes i * N0 + j of the (N1, 2) array ``links``, in any
+    order, sorted ascending, and the rows of ``links`` in that sorted order."""
     codes = links[:, 0] * n0 + links[:, 1]
     order = np.argsort(codes, kind="stable")
+    return codes[order], order
+
+
+def _link_rows(codes: np.ndarray, order: np.ndarray, n0: int, pairs: np.ndarray) -> np.ndarray:
+    """Rows of the links pairs[f], either way round, found by one search in their
+    :func:`_link_codes` (codes, order); a link not among them raises
+    :class:`MissingFace` naming the first one."""
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     want = lo * n0 + hi
-    pos = np.searchsorted(codes, want, sorter=order)
+    pos = np.searchsorted(codes, want)
     found = pos < codes.size
-    found[found] = codes[order[pos[found]]] == want[found]
+    found[found] = codes[pos[found]] == want[found]
     if not found.all():
         f = int(np.argmin(found))
         raise MissingFace(f"link {(int(lo[f]), int(hi[f]))} is not part of the complex")
     return order[pos]
 
 
-def _face_rows(links: np.ndarray, triangles: np.ndarray, n0: int) -> np.ndarray:
-    """:func:`_link_rows` of the faces (i, j), (i, k), (j, k), triangle by triangle."""
-    return _link_rows(links, n0, triangles[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2))
+def _faces(triangles: np.ndarray) -> np.ndarray:
+    """The faces (i, j), (i, k), (j, k) of each triangle (i, j, k), in that order, as rows."""
+    return triangles[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
 
 
 def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
@@ -241,7 +312,7 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     if n == 1:
         rows, signs, shape = _array(K.links, 2).ravel(), [-1, 1], (K.n0, K.n1)
     elif n == 2:
-        rows = _face_rows(_array(K.links, 2), _array(K.triangles, 3), K.n0)
+        rows = _link_rows(*K.link_codes, K.n0, _faces(_array(K.triangles, 3)))
         signs, shape = [1, -1, 1], (K.n1, K.n2)
     else:
         raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
@@ -254,38 +325,6 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarra
     """(count, labels) of the components of the graph on range(size) with edges (a, b)."""
     graph = sp.coo_array((np.ones(a.size), (a, b)), shape=(size, size))
     return connected_components(graph, directed=False)
-
-
-def graph_rank(K: SimplicialComplex) -> int:
-    """Exact rank of B1: N0 minus the number of connected components."""
-    ends = _array(K.links, 2)
-    return K.n0 - _components(K.n0, ends[:, 0], ends[:, 1])[0]
-
-
-def triangle_rank(K: SimplicialComplex) -> int:
-    """Rank of B2: exact where :func:`combinatorial_rank` decides it, else the
-    :func:`gap_rank` of the eigenvalues of B2's smaller Gram matrix.
-    """
-    B2 = boundary_matrix(K, 2)
-    r = combinatorial_rank(B2)
-    if r is None:
-        r = gap_rank(gram_eigh(gram_matrix(B2)[0], vectors=False), RANK_RTOL)
-    return r
-
-
-def combinatorial_rank(B2: sp.sparray) -> int | None:
-    """Exact rank of B2 when every link bounds at most two triangles, else None.
-
-    Then ker(B2) has one dimension per triangle component (triangles joined
-    by shared links) that is closed, with no link on a single triangle, and
-    orientable, so rank B2 = N2 minus their number.
-    """
-    if B2.shape[1] == 0:
-        return 0
-    B2 = B2.tocsr()  # row per link: its triangles and signs
-    if np.diff(B2.indptr).max() > 2:
-        return None
-    return B2.shape[1] - _closed_orientable_components(B2)
 
 
 def _closed_orientable_components(B2: sp.csr_array) -> int:
@@ -374,11 +413,10 @@ def gap_rank(w: np.ndarray, rtol: float) -> int:
 def betti_numbers(K: SimplicialComplex) -> tuple[int, int, int]:
     """(beta_0, beta_1, beta_2) from the ranks of the boundary matrices.
 
-    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}), with rank(B1)
-    from :func:`graph_rank` and rank(B2) from :func:`triangle_rank`.
+    beta_n = dim ker(L_n) = N_n - rank(B_n) - rank(B_{n+1}), with both ranks
+    read from the complex (:attr:`SimplicialComplex.rank1`, ``rank2``).
     """
-    r1 = graph_rank(K)
-    r2 = triangle_rank(K)
+    r1, r2 = K.rank1, K.rank2
     return (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
 
 

@@ -13,17 +13,20 @@ eigenpairs of D_n come in chiral pairs (+lambda, -lambda) built from the
 singular triplets of B_n: if B_n v = sigma u, then (u, +/-v)/sqrt(2) padded
 with the zero block are unit eigenvectors of D_n with eigenvalues +/-sigma.
 
-A DiracOperator holds only B1 and B2.  D_n acts through B_n: on the blocks
-(a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse M x M
-block matrices of D1, D2 and D are built on first use only.  Everything
-spectral about D_n comes from one cached SpectralBasis per boundary matrix,
-the triplets of one Gram eigensolve checked against the exact rank:
-projections, kernels and harmonic bases read it, and ranks read it only
-where no exact count exists.  The basis stores one factor of the triplets,
-the Gram eigenvectors, with sigma and B_n; the other factor (v = B_n^T u /
-sigma, or u = B_n v / sigma) is reached through one sparse product with
-B_n.  Reading ``U``, ``V`` or ``singular_triplets`` builds that factor
-whole, O(N_n r) numbers per read; the grid commands never do.
+A DiracOperator holds only its complex, which builds and keeps B1, B2,
+their transposed views and both ranks.  D_n acts through B_n: on the
+blocks (a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse
+M x M block matrices of D1, D2 and D are built on first use only.
+Everything spectral about D_n comes from one cached SpectralBasis per
+boundary matrix, the triplets of one Gram eigensolve checked against the
+complex's rank where it is known: projections, kernels and harmonic bases
+read it, and ranks never build it.  Where no count decides rank B2 and
+none is known yet, the basis's own gap rank becomes the complex's.  The
+basis stores one factor of the triplets, the Gram eigenvectors, with
+sigma; the other factor (v = B_n^T u / sigma, or u = B_n v / sigma) is
+reached through one sparse product with B_n.  Reading ``U``, ``V`` or
+``singular_triplets`` builds that factor whole, O(N_n r) numbers per read;
+the grid commands never do.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -41,10 +44,7 @@ import scipy.sparse as sp
 from .complexes import (
     RANK_RTOL,
     SimplicialComplex,
-    boundary_matrix,
-    combinatorial_rank,
     gap_rank,
-    graph_rank,
     gram_eigh,
     gram_matrix,
     is_wide,
@@ -73,20 +73,27 @@ def _block_matrix(Dop: DiracOperator, n: int) -> sp.csr_array:
     return sp.block_array(rows, format="csr")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiracOperator:
-    """Symmetric Dirac operator D = D1 + D2 of a complex, held as B1 and B2."""
+    """Symmetric Dirac operator D = D1 + D2 of a complex, acting through the
+    complex's B1 and B2; it compares and hashes by identity."""
 
     K: SimplicialComplex
-    B1: sp.csc_array
-    B2: sp.csc_array
 
     @property
     def dim(self) -> int:
         return self.K.spinor_dim
 
+    @property
+    def B1(self) -> sp.csc_array:
+        return self.K.B1
+
+    @property
+    def B2(self) -> sp.csc_array:
+        return self.K.B2
+
     def boundary(self, n: int) -> sp.csc_array:
-        return self.B1 if _order(n) == 1 else self.B2
+        return self.K.boundary(_order(n))
 
     # -- block matrices, built on first read ---------------------------------
 
@@ -128,22 +135,15 @@ class DiracOperator:
 
     # -- spectra of the parts -------------------------------------------------
 
-    # Exact ranks by counting; rank B2 is None where no count decides it.
-    @cached_property
-    def _rank1(self) -> int:
-        return graph_rank(self.K)
-
-    @cached_property
-    def _rank2(self) -> int | None:
-        return combinatorial_rank(self.B2)
-
     @cached_property
     def _basis1(self) -> SpectralBasis:
-        return SpectralBasis(1, self.K, self.B1, *_gram_triplets(self.B1, self._rank1))
+        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, self.K.rank1))
 
     @cached_property
     def _basis2(self) -> SpectralBasis:
-        return SpectralBasis(2, self.K, self.B2, *_gram_triplets(self.B2, self._rank2))
+        basis = SpectralBasis(2, self.K, *_gram_triplets(self.B2, self.K.known_rank2()))
+        self.K.keep_rank2(basis.rank)
+        return basis
 
     def singular_triplets(self, n: int):
         """(U, sigma, V) of B_n's nonzero triplets, sigma descending.
@@ -155,9 +155,8 @@ class DiracOperator:
         return basis.U, basis.sigma, basis.V
 
     def rank(self, n: int) -> int:
-        """rank(B_n): the exact count where one exists, else the spectral basis's."""
-        r = self._rank1 if _order(n) == 1 else self._rank2
-        return spectral_basis(self, n).rank if r is None else r
+        """rank(B_n), read from the complex; no spectral basis is built."""
+        return self.K.rank1 if _order(n) == 1 else self.K.rank2
 
     def nonharmonic_dim(self, n: int) -> int:
         """dim im(D_n) = 2 rank(B_n)."""
@@ -175,8 +174,7 @@ class DiracOperator:
         if n is None:
             return self.apply(s, 1) + self.apply(s, 2)
         left, right = _blocks_for(n, s.blocks)
-        B = self.boundary(n)
-        return _spinor_from_blocks(self.K, n, B @ right, B.T @ left)
+        return _spinor_from_blocks(self.K, n, self.boundary(n) @ right, self.K.transposed(n) @ left)
 
 
 def _blocks_for(n: int, blocks):
@@ -192,9 +190,7 @@ def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> Topologica
 
 def assemble_dirac(K: SimplicialComplex) -> DiracOperator:
     """The Dirac operator of a complex.  1-dimensional complexes get D2 = 0."""
-    return DiracOperator(
-        K=K, B1=boundary_matrix(K, 1).astype(float), B2=boundary_matrix(K, 2).astype(float)
-    )
+    return DiracOperator(K)
 
 
 def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr_array:
@@ -205,20 +201,12 @@ def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr
 # -- singular triplets --------------------------------------------------------
 
 
-def _derived_map(B: sp.sparray) -> sp.sparray:
-    """The map from the side of B's stored factor onto the other side.
-
-    A basis of B stores the eigenvectors of the smaller Gram matrix: U when
-    B :func:`is_wide`, and then the map is B^T; else V, and the map is B.
-    """
-    return B.T if is_wide(B) else B
-
-
 def _derived_block(F: sp.sparray, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
     """Columns start .. start + _BLOCK - 1 of F Q, divided by sigma[blk] when sigma is given.
 
-    Q is the stored factor of B and F = :func:`_derived_map` of B, so the
-    block is part of the factor the basis does not store.  Every reader of
+    Q is the stored factor of B and F maps its side onto the other one (B^T
+    for a stored U, B for a stored V), so the block is part of the factor
+    the basis does not store.  Every reader of
     that factor takes it through here in blocks that start at multiples of
     _BLOCK, so a column has the same bits wherever it is read.
     """
@@ -237,13 +225,13 @@ def _gram_triplets(B: sp.sparray, r: int | None):
     more rows than columns, else B^T B), done in G's own buffer
     (:func:`gram_eigh`), gives Q: the eigenvectors of the top eigenvalues,
     U for B B^T and V for B^T B.  The rank is the :func:`gap_rank` of that
-    spectrum, which must equal the exact rank r when one is known
-    (graph_rank, combinatorial_rank), or the eigensolve is not trusted.  The
-    top columns are copied out C-contiguous and G is dropped; then each
-    sigma_j is the norm of B^T q_j (or B q_j), taken a block of columns at a
-    time (:func:`_derived_block`).  That norm keeps the small singular values
-    accurate to roundoff relative to themselves, where sqrt of the Gram
-    eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
+    spectrum, which must equal the complex's rank r when one is known, or
+    the eigensolve is not trusted.  The top columns are copied out
+    C-contiguous and G is dropped; then each sigma_j is the norm of B^T q_j
+    (or B q_j), taken a block of columns at a time (:func:`_derived_block`).
+    That norm keeps the small singular values accurate to roundoff relative
+    to themselves, where sqrt of the Gram eigenvalue would lose digits in
+    proportion to (sigma_max / sigma)^2.
     Peak memory is G + the LAPACK workspace during the solve, then G + Q; the
     other factor is never built.
     """
@@ -255,11 +243,11 @@ def _gram_triplets(B: sp.sparray, r: int | None):
     if r is not None and found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
-            f"the gap, but its exact rank is {r}"
+            f"the gap, but the complex's rank of it is {r}"
         )
     Q = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
     del X
-    F = _derived_map(B)
+    F = B.T if is_wide(B) else B  # onto the side of the factor not stored
     sigma = np.empty(found)
     for start in range(0, found, _BLOCK):
         Y = _derived_block(F, Q, start)
@@ -283,8 +271,9 @@ def _fix_sign(col: np.ndarray) -> np.ndarray:
 def _mode_signs(F: sp.sparray, Q: np.ndarray, sigma: np.ndarray, left: bool) -> np.ndarray:
     """+/-1 per nonzero mode, in ``SpectralBasis.nonzero_indices`` order.
 
-    Q is the stored factor (U when ``left``, else V), F = :func:`_derived_map`
-    of B_n and sigma the singular values.
+    Q is the stored factor (U when ``left``, else V), F maps its side onto
+    the other one (B_n^T when ``left``, else B_n) and sigma holds the
+    singular values.
 
     The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
     modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
@@ -321,19 +310,20 @@ def _column_peaks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- spectral basis -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Eigenpairs of D_n, ascending, split into negative / harmonic / positive.
 
     The basis is factored over the rank-truncated singular triplets
-    (U, sigma, V) of B_n, and it stores one factor of them: ``B`` (B_n
-    itself, shared with the operator), ``sigma`` and ``Q``, the top
-    eigenvectors of the smaller Gram matrix (U when N_{n-1} <= N_n, as for
-    B1; else V).  That is O(min(N_{n-1}, N_n) r) numbers.  The other factor
-    follows from Q through one sparse product with B_n: v = B_n^T u / sigma,
-    or u = B_n v / sigma.  Reading ``U`` or ``V`` builds the derived one
-    whole, O(N_n r) numbers per read; the products below and the grid
-    commands never do.
+    (U, sigma, V) of B_n, and it stores one factor of them: ``sigma`` and
+    ``Q``, the top eigenvectors of the smaller Gram matrix (U when
+    N_{n-1} <= N_n, as for B1; else V).  That is O(min(N_{n-1}, N_n) r)
+    numbers.  The other factor follows from Q through one sparse product
+    with ``B``, the B_n that ``K`` keeps (shared with the operator, as is
+    its transposed view): v = B_n^T u / sigma, or u = B_n v / sigma.
+    Reading ``U`` or ``V`` builds the derived one whole, O(N_n r) numbers
+    per read; the products below and the grid commands never do.  Bases
+    compare and hash by identity.
 
     Triplet j gives the modes sign * (u_j, -/+v_j)/sqrt(2) for eigenvalues
     -/+sigma_j, padded with the zero block; the sign makes the
@@ -353,7 +343,6 @@ class SpectralBasis:
 
     order: int
     K: SimplicialComplex
-    B: sp.csc_array
     Q: np.ndarray
     sigma: np.ndarray
 
@@ -378,20 +367,23 @@ class SpectralBasis:
             out[:, start : start + _BLOCK] = _derived_block(self._to_derived, self.Q, start, self.sigma)
         return out
 
+    @property
+    def B(self) -> sp.csc_array:
+        return self.K.boundary(self.order)
+
     @cached_property
     def _left(self) -> bool:
         """Whether Q is U (B_n is wide) rather than V."""
         return is_wide(self.B)
 
-    # B_n and B_n^T, named by the side each maps onto; a transposed view is
-    # made once per basis, not on every product
-    @cached_property
+    # B_n and the complex's B_n^T, named by the side each maps onto
+    @property
     def _to_derived(self) -> sp.sparray:
-        return _derived_map(self.B)
+        return self.K.transposed(self.order) if self._left else self.B
 
-    @cached_property
+    @property
     def _to_stored(self) -> sp.sparray:
-        return self._to_derived.T
+        return self.B if self._left else self.K.transposed(self.order)
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -589,7 +581,7 @@ def spectral_basis(
     if method == "eigh":
         B = Dop.boundary(n)
         U, sigma, V = _eigh_triplets(B)
-        return SpectralBasis(n, Dop.K, B, U if is_wide(B) else V, sigma)
+        return SpectralBasis(n, Dop.K, U if is_wide(B) else V, sigma)
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -8,15 +10,17 @@ from hypothesis import strategies as st
 
 from diracsp import (
     NgfParams,
+    TopologicalSpinor,
     assemble_dirac,
     betti_numbers,
     boundary_matrix,
     build_complex,
     load_complex,
     ngf_generate,
+    spectral_basis,
 )
-from diracsp import complexes, generators
-from diracsp.complexes import SimplicialComplex, combinatorial_rank, from_dict, triangle_rank
+from diracsp import complexes, generators, operators
+from diracsp.complexes import SimplicialComplex, from_dict
 from diracsp.errors import (
     DiracSPError,
     DuplicateSimplex,
@@ -185,7 +189,7 @@ def test_betti_hard_inputs_match_exact_ranks(name):
     K = RANK_CASES[name]
     r1 = exact_rank(boundary_matrix(K, 1))
     r2 = exact_rank(boundary_matrix(K, 2))
-    assert triangle_rank(K) == r2
+    assert (K.rank1, K.rank2) == (r1, r2)
     assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
     if name.startswith("ngf"):
         assert _triangles_per_link(K).max() > 2
@@ -206,9 +210,94 @@ def test_operator_ranks_build_a_basis_only_without_an_exact_count(name):
         r = exact_rank(boundary_matrix(K, n))
         assert D.rank(n) == r
         assert D.nonharmonic_dim(n) == 2 * r
-    # rank B1 is always counted; rank B2 wherever combinatorial_rank decides it
+    # rank(n) and nonharmonic_dim(n) never build a basis: both ranks come
+    # from the complex, rank B2 numerically where a link bounds three or
+    # more triangles
     assert "_basis1" not in D.__dict__
-    assert ("_basis2" in D.__dict__) == (combinatorial_rank(D.B2) is None)
+    assert "_basis2" not in D.__dict__
+
+
+def _spy_rank_work(monkeypatch) -> list[str]:
+    """Record each boundary build, component count and Gram solve, in order."""
+    calls = []
+
+    def spy(module, name, tag):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(tag(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(complexes, "boundary_matrix", lambda K, n: f"B{n}")
+    spy(complexes, "_components", lambda *args: "count")
+    for module in (complexes, operators):
+        spy(module, "gram_eigh", lambda G, vectors=True: "eigh" if vectors else "eigvalsh")
+    return calls
+
+
+@pytest.mark.parametrize("flavor", [-1, 0, 1])
+def test_one_boundary_build_and_one_rank_per_complex(flavor, monkeypatch):
+    # across betti_numbers, assembly, both ranks and the B2 basis, the
+    # complex builds each boundary matrix once and finds each rank once:
+    # rank B1 by one component count; rank B2 by one count on the
+    # orientation double cover (flavor -1, at most two triangles per link)
+    # or else by one eigenvalues-only Gram solve.  The basis adds its own
+    # solve with vectors; no step needs B1 itself.
+    K = ngf_generate(NgfParams(target_nodes=40, flavor=flavor, seed=0))
+    counted = flavor == -1
+    assert (_triangles_per_link(K).max() <= 2) == counted
+    calls = _spy_rank_work(monkeypatch)
+    betti = betti_numbers(K)
+    D = assemble_dirac(K)
+    r1, r2 = D.rank(1), D.rank(2)
+    assert D.nonharmonic_dim(2) == 2 * r2
+    assert spectral_basis(D, 2).rank == r2
+    assert betti == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2) == (1, 0, 0)
+    expected = ["B2", "count", "eigh", "count" if counted else "eigvalsh"]
+    assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("flavor", [0, 1])
+def test_a_basis_built_first_gives_the_rank_of_b2(flavor, monkeypatch):
+    # where no count decides rank B2, a basis of B2 built before any rank is
+    # read keeps the gap rank of its own Gram solve as the complex's rank, so
+    # nonharmonic_dim and betti_numbers add no eigenvalues-only solve
+    K = ngf_generate(NgfParams(target_nodes=40, flavor=flavor, seed=0))
+    calls = _spy_rank_work(monkeypatch)
+    D = assemble_dirac(K)
+    r2 = spectral_basis(D, 2).rank
+    assert D.nonharmonic_dim(2) == 2 * r2 and r2 == exact_rank(boundary_matrix(K, 2))
+    assert betti_numbers(K) == (1, 0, 0)
+    assert calls.count("eigh") == 1 and "eigvalsh" not in calls
+
+
+@pytest.mark.parametrize("name", ["ngf-300", "ff_network", "coastal"])
+def test_link_index_finds_every_link_either_way_round(name, request, monkeypatch):
+    if name == "ngf-300":
+        K = ngf_generate(NgfParams(target_nodes=300, seed=0))
+    else:
+        K = from_dict(request.getfixturevalue(name).to_dict())  # nothing kept yet
+    assert [K.link_index(i, j) for i, j in K.links] == list(range(K.n1))
+    # the codes are sorted once, on the first lookup; later ones only search
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(complexes.np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    assert [K.link_index(j, i) for i, j in K.links] == list(range(K.n1))
+    assert sorts == []
+
+
+def test_a_complex_pickles_and_copies_with_what_it_keeps(coastal):
+    K = from_dict(coastal.to_dict())
+    betti = betti_numbers(K)
+    assemble_dirac(K).apply(TopologicalSpinor.zeros(K), 2)
+    for twin in (pickle.loads(pickle.dumps(assemble_dirac(K))).K, copy.deepcopy(K)):
+        assert twin == K and hash(twin) == hash(K) and twin.to_dict() == K.to_dict()
+        assert betti_numbers(twin) == betti
+        assert (twin.B2 != K.B2).nnz == 0 and twin.transposed(2).shape == (186, 322)
+        i, j = K.links[-1]
+        assert twin.link_index(j, i) == K.link_index(i, j) == K.n1 - 1
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -222,11 +311,12 @@ def test_surfaces_have_the_known_betti_numbers(name):
 
 def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
     # a cutoff far above roundoff puts genuine eigenvalues between the two
-    # levels of the gap test, so the rank is undecided
-    K = RANK_CASES["ngf-flavor0-seed0"]
+    # levels of the gap test, so the rank is undecided; a copy of the case
+    # has kept no rank yet, so its rank is found anew
+    K = from_dict(RANK_CASES["ngf-flavor0-seed0"].to_dict())
     monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
     with pytest.raises(EigensolveFailure, match="no clear gap"):
-        triangle_rank(K)
+        K.rank2
     with pytest.raises(EigensolveFailure):
         betti_numbers(K)
 
@@ -306,7 +396,7 @@ def test_random_complex_invariants(seed):
     # the dense SVD rank and the library's rank of B2 agree with the exact rational rank
     assert matrix_rank(B1) == exact_rank(B1)
     assert matrix_rank(B2) == exact_rank(B2)
-    assert triangle_rank(K) == exact_rank(B2)
+    assert K.rank2 == exact_rank(B2)
     assert _matches_loop_reference(K)
 
 

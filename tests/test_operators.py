@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diracsp import (
     NgfParams,
@@ -17,7 +20,6 @@ from diracsp import (
 )
 from diracsp import complexes, operators
 from diracsp.errors import EigensolveFailure, InvalidOrder
-from diracsp.complexes import graph_rank
 from diracsp.operators import export_spectrum, harmonic_basis
 
 from conftest import HARD_COMPLEXES, random_complex
@@ -300,8 +302,9 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
 
 
 def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
-    # flavor 0 puts three or more triangles on some link, so rank B2 has no
-    # combinatorial answer and must come from the triplets' own eigensolve
+    # flavor 0 puts three or more triangles on some link, so rank B2 comes
+    # from the complex's eigenvalues-only solve, which betti_numbers
+    # runs; the triplets' eigensolve is then the only one that builds G
     K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
     assert np.diff(assemble_dirac(K).B2.tocsr().indptr).max() > 2
     rank2 = K.n2 - betti_numbers(K)[2]
@@ -325,8 +328,8 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
 
 
 def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
-    # both Gram eigensolves, the rank-only one of triangle_rank and the
-    # triplets', go through gram_eigh, which maps a LAPACK failure
+    # both Gram eigensolves, the rank-only one of the complex and
+    # the triplets', go through gram_eigh, which maps a LAPACK failure
     K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
 
     def fail(*args, **kwargs):
@@ -334,10 +337,42 @@ def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
 
     monkeypatch.setattr(complexes.sla, "eigh", fail)
     with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
-        complexes.triangle_rank(K)
+        K.rank2
     for n in (1, 2):
         with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
             assemble_dirac(K).singular_triplets(n)
+
+
+def test_operators_and_bases_compare_and_hash_by_identity(ff_network):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D, other = assemble_dirac(ff_network), assemble_dirac(ff_network)
+        basis = spectral_basis(D, 1)
+        assert D == D and D != other
+        assert basis == basis and basis != spectral_basis(D, 1, method="eigh")
+        assert len({D, other, basis}) == 3
+    # every operator of a complex acts through the B1 and B2 it keeps
+    assert other.B1 is D.B1 is ff_network.B1
+    assert other.B2 is D.B2 is ff_network.B2
+
+
+def test_apply_builds_no_transpose_per_call(coastal, coastal_dirac, monkeypatch):
+    D = coastal_dirac
+    s = TopologicalSpinor.from_vector(coastal, np.random.default_rng(3).standard_normal(D.dim))
+    first = [D.apply(s, n).vector for n in (1, 2, None)]
+    made = []
+    for cls in (sp.csc_array, sp.csr_array):
+        original = cls.transpose
+        monkeypatch.setattr(
+            cls, "transpose", lambda self, *a, _f=original, **k: made.append(cls) or _f(self, *a, **k)
+        )
+    for _ in range(3):
+        for n, want in zip((1, 2, None), first):
+            assert np.array_equal(D.apply(s, n).vector, want)
+    assert made == []
+    # the spy sees a transpose when one is made
+    D.B2.T
+    assert made
 
 
 def test_wide_boundary_takes_the_dense_svd():
@@ -350,7 +385,7 @@ def test_wide_boundary_takes_the_dense_svd():
     D = assemble_dirac(K)
     assert D.B1.shape == (90, 4005)
     U, sigma, V = D.singular_triplets(1)
-    assert D.rank(1) == graph_rank(K) == 89
+    assert D.rank(1) == K.rank1 == 89
     assert np.abs(sigma - np.sqrt(90.0)).max() <= 1e-12
     assert np.abs(U @ np.diag(sigma) @ V.T - D.B1.toarray()).max() <= 1e-12
     assert spectral_basis(D, 1).nonharmonic_dim == 2 * 89

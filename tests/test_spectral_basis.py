@@ -156,7 +156,7 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     B = assemble_dirac(K).boundary(n)
     r = exact_rank(B)
     U0, sigma0, V0 = _eigh_triplets(B)
-    basis = SpectralBasis(n, K, B, *_gram_triplets(B, r))
+    basis = SpectralBasis(n, K, *_gram_triplets(B, r))
     U, sigma, V = basis.U, basis.sigma, basis.V
     assert sigma.size == sigma0.size == r
     assert U.flags.c_contiguous and V.flags.c_contiguous
