@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicateSimplex,
@@ -322,9 +321,34 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """(count, labels) of the components of the graph on range(size) with edges (a, b)."""
-    graph = sp.coo_array((np.ones(a.size), (a, b)), shape=(size, size))
-    return connected_components(graph, directed=False)
+    """(count, labels) of the components of the graph on range(size) with edges (a, b).
+
+    Hook and shortcut (Shiloach and Vishkin, J. Algorithms 3, 1982) on a
+    forest ``parent`` with parent[x] <= x, whose roots are the smallest node
+    of their tree.  Each round drops the edges inside one tree, hooks every
+    root that an edge joins to a smaller root onto the smallest such root,
+    and then jumps pointers until every node points at its root.  Hooks only
+    go from a root to a smaller root, so no cycle forms; each round with an
+    edge left hooks at least one root, so the loop ends; when no edge joins
+    two trees, the trees are the components.  Hooking onto the smallest root
+    (not any one of them) also bounds the rounds by about 2 log2(size): a
+    root that a round leaves alone had only larger roots next to it, and
+    each of those hooked elsewhere, onto a smaller root, so the next round
+    hooks it.  Labels number the components by their smallest node.
+    """
+    parent = np.arange(size)
+    while True:
+        pa, pb = parent[a], parent[b]
+        cross = pa != pb
+        if not cross.any():
+            break
+        a, b, pa, pb = a[cross], b[cross], pa[cross], pb[cross]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        grand = parent[parent]
+        while (grand != parent).any():
+            parent, grand = grand, grand[grand]
+    roots = parent == np.arange(size)
+    return int(roots.sum()), np.cumsum(roots)[parent] - 1
 
 
 def _closed_orientable_components(B2: sp.csr_array) -> int:

@@ -29,9 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .complexes import require_int, require_real
 from .errors import NonConvergence, SolverFailure, ZeroSignal
@@ -41,10 +39,13 @@ from .spinors import TopologicalSpinor
 
 def _solve_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
     # scipy has no sparse Cholesky; LU on an SPD matrix is stable and keeps
-    # one code path across problem sizes.
+    # one code path across problem sizes.  Imported here, its only use, so
+    # that importing the package does not load all of scipy.sparse.linalg.
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(A.tocsc()).solve(b)
-    except (np.linalg.LinAlgError, sla.LinAlgError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         raise SolverFailure(f"filter system could not be solved: {exc}") from exc
 
 

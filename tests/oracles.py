@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from diracsp.complexes import SimplicialComplex
 from diracsp.errors import DuplicateSimplex, IndexOutOfRange, MissingFace, ParseError
@@ -37,6 +38,12 @@ def exact_rank(M) -> int:
         if pivot_row == rows:
             break
     return rank
+
+
+def csgraph_components(size, a, b):
+    """(count, labels) of the components of the graph on range(size) with edges (a, b), by scipy's graph search."""
+    graph = sp.coo_array((np.ones(len(a)), (a, b)), shape=(size, size))
+    return connected_components(graph, directed=False)
 
 
 def loop_boundary_matrix(K, n):

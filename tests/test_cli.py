@@ -743,3 +743,37 @@ def test_option_surface_is_unchanged():
         return rows
 
     assert {name: surface(cmd) for name, cmd in main.commands.items()} == OPTION_SURFACE
+
+
+IMPORT_GUARD = """
+import json, sys
+import numpy, scipy.sparse, scipy.linalg
+before = set(sys.modules)
+import diracsp, diracsp.cli
+added = sorted(set(sys.modules) - before)
+from diracsp.datasets import florentine_marriage
+K = florentine_marriage()
+D = diracsp.assemble_dirac(K)
+s = numpy.random.default_rng(0).standard_normal(K.spinor_dim)
+out = diracsp.hodge_filter(diracsp.TopologicalSpinor.from_vector(K, s), D, 2.0).vector
+want = numpy.linalg.solve(numpy.eye(K.spinor_dim) + 2.0 * D.super_laplacian.toarray(), s)
+loaded = "scipy.sparse.linalg" in sys.modules
+print(json.dumps({"added": added, "error": float(abs(out - want).max()), "loaded": loaded}))
+"""
+
+
+def test_the_package_imports_no_graph_or_sparse_solver_module():
+    # importing the package and its CLI loads nothing of scipy.sparse.csgraph
+    # or scipy.sparse.linalg beyond what numpy, scipy.sparse and scipy.linalg
+    # already loaded (older scipy may load csgraph from scipy.sparse itself);
+    # hodge_filter loads its sparse LU on first use
+    src = str(Path(diracsp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD], env=env, check=True, capture_output=True, text=True
+    )
+    found = json.loads(done.stdout)
+    heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
+    assert [name for name in found["added"] if name.startswith(heavy)] == []
+    assert found["error"] <= 1e-12
+    assert found["loaded"]

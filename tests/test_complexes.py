@@ -32,7 +32,7 @@ from diracsp.errors import (
 )
 
 from conftest import HARD_COMPLEXES, random_complex
-from oracles import exact_rank, loop_boundary_matrix, loop_build_complex, matrix_rank
+from oracles import csgraph_components, exact_rank, loop_boundary_matrix, loop_build_complex, matrix_rank
 
 
 def test_filled_triangle_is_valid(filled_triangle):
@@ -307,6 +307,130 @@ def test_surfaces_have_the_known_betti_numbers(name):
     # every link of a closed surface bounds two triangles; the strip has a boundary
     assert per_link.min() == (1 if "moebius" in name else 2) and per_link.max() == 2
     assert betti_numbers(K) == betti
+
+
+def _same_partition(labels, reference, count):
+    # as many labels as components on each side, and each label of one side
+    # pairs with exactly one of the other
+    pairs = set(zip(labels.tolist(), reference.tolist()))
+    assert len(pairs) == len(set(labels.tolist())) == len(set(reference.tolist())) == count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=60)
+            if size
+            else st.just([]),
+        )
+    ),
+    st.sampled_from([np.int32, np.int64]),
+)
+def test_components_match_the_csgraph_reference(graph, dtype):
+    size, edges = graph
+    edges = edges + edges[: len(edges) // 2]  # some edges twice
+    a, b = np.array(edges, dtype=dtype).reshape(-1, 2).T
+    count, labels = complexes._components(size, a, b)
+    ref_count, reference = csgraph_components(size, a, b)
+    assert count == ref_count
+    _same_partition(labels, reference, count)
+
+
+def _bit_reversed(bits: int) -> np.ndarray:
+    order = np.zeros(1, dtype=np.int64)
+    for _ in range(bits):
+        order = np.r_[2 * order, 2 * order + 1]
+    return order
+
+
+LARGE_GRAPHS = {
+    # a path of 2^15 nodes in three label orders, from many rounds to one
+    **{
+        f"path-{name}": (order[:-1], order[1:])
+        for name, order in (
+            ("bit-reversed", _bit_reversed(15)),
+            ("random", np.random.default_rng(0).permutation(2**15)),
+            ("reversed", np.arange(2**15)[::-1]),
+        )
+    },
+    # the largest label at the centre and its links in ascending order:
+    # hooking the centre onto whichever leaf writes last, not the smallest,
+    # would merge one leaf per round
+    "star": (np.arange(2**15 - 1), np.full(2**15 - 1, 2**15 - 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GRAPHS))
+def test_components_of_large_graphs_match_the_csgraph_reference(name):
+    a, b = LARGE_GRAPHS[name]
+    size = 2**15 + 1  # one isolated node
+    count, labels = complexes._components(size, a, b)
+    assert count == 2
+    _same_partition(labels, csgraph_components(size, a, b)[1], count)
+
+
+@pytest.mark.parametrize("name", sorted({**HARD_COMPLEXES, **SURFACES}))
+def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeypatch):
+    # both counts a complex makes, of its graph and of its triangles'
+    # orientation double cover (which passes B2's int32 indices)
+    K = HARD_COMPLEXES[name] if name in HARD_COMPLEXES else SURFACES[name][0]
+    K = from_dict(K.to_dict())  # nothing kept yet
+    components, checked = complexes._components, []
+
+    def checking(size, a, b):
+        count, labels = components(size, a, b)
+        ref_count, reference = csgraph_components(size, a, b)
+        assert count == ref_count
+        _same_partition(labels, reference, count)
+        checked.append(size)
+        return count, labels
+
+    monkeypatch.setattr(complexes, "_components", checking)
+    assert K.known_rank2() is not None and K.rank1 >= 0
+    assert checked == [2 * K.n2, K.n0]
+
+
+def _relabelled(K: SimplicialComplex, perm: np.ndarray) -> SimplicialComplex:
+    """K with node v renamed perm[v], built anew."""
+    return build_complex(perm[complexes._array(K.links, 2)], perm[complexes._array(K.triangles, 3)], K.n0)
+
+
+RELABEL_CASES = {
+    **HARD_COMPLEXES,
+    **{name: K for name, (K, _) in SURFACES.items()},
+    **{
+        f"ngf200-flavor{flavor}": ngf_generate(NgfParams(target_nodes=200, flavor=flavor, seed=0))
+        for flavor in (-1, 0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABEL_CASES))
+def test_relabelling_nodes_leaves_ranks_and_partitions_alone(name, monkeypatch):
+    # the component kernel's rounds depend on the node labels; the ranks,
+    # Betti numbers, every component count and the partition must not
+    K = from_dict(RELABEL_CASES[name].to_dict())
+    perm = np.random.default_rng(0).permutation(K.n0)
+    moved = _relabelled(K, perm)
+    components, counts = complexes._components, []
+
+    def counting(*args):
+        found = components(*args)
+        counts.append(found[0])
+        return found
+
+    monkeypatch.setattr(complexes, "_components", counting)
+
+    def facts(L):
+        counts.clear()
+        return L.rank1, L.rank2, betti_numbers(L), list(counts)
+
+    assert facts(K) == facts(moved)
+    count, labels = components(K.n0, *complexes._array(K.links, 2).T)
+    moved_labels = components(K.n0, *complexes._array(moved.links, 2).T)[1]
+    _same_partition(labels, moved_labels[perm], count)
 
 
 def test_gram_rank_without_a_clear_gap_fails(monkeypatch):

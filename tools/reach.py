@@ -10,9 +10,12 @@ thread.  That process runs, through the CLI entry point, the flow of the
 benchmark's ngf1000-learn workload at N nodes: `diracsp generate --nodes N
 --flavor -1 --seed 0`, `diracsp info` on that file, then `diracsp learn`
 with the gaussian preset (tau 7, alpha 0.5, m0 2, 20 draws, noise seed 3).
-It prints one line per size: N, wall_s (generate through learn; interpreter
-start and imports excluded) and the process's peak RSS in MB, read by the
-process itself with getrusage(RUSAGE_SELF) at the end.
+It prints one line per size: N; the import floor, import_s (the time of
+`from diracsp.cli import main`) and import_rss_mb (the process's peak RSS
+right after that import); then wall_s (generate through learn; interpreter
+start and imports excluded) and peak_rss_mb, the process's peak RSS at the
+end.  The process reads both RSS figures itself, in MB, with
+getrusage(RUSAGE_SELF).
 """
 
 import os
@@ -26,7 +29,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = """
 import resource, sys, time
 from pathlib import Path
+
+def rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+start = time.perf_counter()
 from diracsp.cli import main
+imported, import_rss = time.perf_counter() - start, rss_mb()
 
 nodes, out = sys.argv[1], Path(sys.argv[2])
 complex_file, learn_file = str(out / "complex.json"), str(out / "learn.csv")
@@ -39,12 +48,12 @@ for args in (
 ):
     main(args, standalone_mode=False)
 wall = time.perf_counter() - start
-print(f"{wall:.3f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f}")
 """
 
 
-def measure(nodes: int) -> tuple[float, float]:
-    """(wall_s, peak RSS in MB) of the flow at NGF-`nodes`, in a fresh process."""
+def measure(nodes: int) -> tuple[float, float, float, float]:
+    """(import_s, import RSS in MB, wall_s, peak RSS in MB) of the flow at NGF-`nodes`, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -53,18 +62,17 @@ def measure(nodes: int) -> tuple[float, float]:
             [sys.executable, "-c", CHILD, str(nodes), out],
             env=env, capture_output=True, text=True, check=True,
         )
-    wall, rss = done.stdout.split()[-2:]
-    return float(wall), float(rss)
+    return tuple(float(value) for value in done.stdout.split()[-4:])
 
 
 def main(argv: list[str]) -> None:
     if not argv:
         sys.exit("usage: python tools/reach.py N [N ...]")
     sizes = [int(arg) for arg in argv]
-    print("nodes wall_s peak_rss_mb")
+    print("nodes import_s import_rss_mb wall_s peak_rss_mb")
     for nodes in sizes:
-        wall, rss = measure(nodes)
-        print(f"{nodes} {wall:.3f} {rss:.1f}", flush=True)
+        imported, import_rss, wall, rss = measure(nodes)
+        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f}", flush=True)
 
 
 if __name__ == "__main__":
