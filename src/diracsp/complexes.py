@@ -9,11 +9,12 @@ B1 @ B2 = 0; downstream results do not depend on this choice.  Construction
 works on int64 arrays, and open triangles are rejected, never filled in.
 
 A complex builds B1, B2 and their ranks on first read and keeps them,
-outside ``==``, ``hash`` and ``to_dict``.  Exact ranks are counts of
-connected components: of the graph for B1, and of the triangles'
-orientation double cover for B2 when every link bounds at most two
-triangles.  Elsewhere rank B2 is the gap rank of one Gram solve: a
-spectral basis's own, if one of B2 is built first, else eigenvalues only.
+outside ``==``, ``hash`` and ``to_dict``; each rank is a function of its
+boundary matrix alone, and no other module writes one.  Rank B1 is a count
+of the graph's connected components.  Rank B2 is, in this order: a count of
+components of the triangles' orientation double cover, when every link
+bounds at most two triangles; N2, when elementary collapses remove every
+triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
 
 Instances are immutable after construction and safe to share across
 threads; two threads that first read a kept item at once may each build
@@ -123,31 +124,22 @@ class SimplicialComplex:
 
     @cached_property
     def rank2(self) -> int:
-        """Rank of B2: :meth:`known_rank2`, else the :func:`gap_rank` of B2's
-        Gram spectrum from one eigenvalues-only solve."""
-        r = self.known_rank2()
-        return gap_rank(gram_eigh(gram_matrix(self.B2)[0], vectors=False), RANK_RTOL) if r is None else r
+        """Rank of B2, from B2 alone: a count, a collapse, or one Gram solve.
 
-    def known_rank2(self) -> int | None:
-        """rank B2 if it is known without a new Gram solve, else None.
-
-        It is known once read or kept (:meth:`keep_rank2`), and exactly when
-        every link bounds at most two triangles: then ker(B2) has one
+        Where every link bounds at most two triangles, ker(B2) has one
         dimension per triangle component (triangles joined by shared links)
         that is closed, with no link on a single triangle, and orientable,
-        so rank B2 = N2 minus their number.
+        so rank B2 = N2 minus their number.  Elsewhere rank B2 = N2 when
+        elementary collapses remove every triangle (:func:`_collapses`);
+        only a complex that does neither pays the :func:`gap_rank` of B2's
+        Gram spectrum from one eigenvalues-only solve.
         """
-        if "rank2" in self.__dict__:
-            return self.rank2
         rows = self.B2.tocsr()  # row per link: its triangles and signs
-        if np.diff(rows.indptr).max(initial=0) > 2:
-            return None
-        return self.n2 - _closed_orientable_components(rows)
-
-    def keep_rank2(self, found: int) -> None:
-        """Keep ``found``, the gap rank of a spectral basis's Gram solve of B2,
-        as :attr:`rank2` unless that is known already."""
-        self.__dict__.setdefault("rank2", found)
+        if np.diff(rows.indptr).max(initial=0) <= 2:
+            return self.n2 - _closed_orientable_components(rows)
+        if _collapses(self.B2.indices.reshape(-1, 3), self.n1):
+            return self.n2
+        return gap_rank(gram_eigh(gram_matrix(self.B2)[0], vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -373,6 +365,30 @@ def _closed_orientable_components(B2: sp.csr_array) -> int:
     count, labels = _components(2 * n2, np.r_[t, t + n2], np.r_[u + flip, u + n2 - flip])
     open_or_twisted = np.tile(free | (labels[:n2] == labels[n2:]), 2)
     return (count - np.unique(labels[open_or_twisted]).size) // 2
+
+
+def _collapses(faces: np.ndarray, n1: int) -> bool:
+    """Whether elementary collapses remove every triangle; row t of ``faces``
+    holds the rows, among ``n1`` links, of triangle t's three faces.
+
+    A link is free when it bounds exactly one live triangle.  Each round
+    removes every live triangle that has a free link (Whitehead's elementary
+    collapse of the pair; Kaczynski, Mischaikow and Mrozek, Computational
+    Homology, 2004), until a round removes none.  A free link belongs to one
+    live triangle only, so each removed triangle owns a free link of its
+    own, and every triangle removed in the same round or later was live
+    then and so is zero on it.  Ordered by removal, the owned links' rows of
+    B2 therefore form a triangular N2 x N2 block with +/-1 on its diagonal:
+    when no triangle is left, rank B2 = N2.  Every round but the last
+    removes a triangle, so there are at most N2 + 1 rounds, each O(N1 + N2).
+    """
+    live = np.ones(len(faces), dtype=bool)
+    while True:
+        count = np.bincount(faces[live].ravel(), minlength=n1)
+        free = live & (count[faces] == 1).any(axis=1)
+        if not free.any():
+            return not live.any()
+        live &= ~free
 
 
 def is_wide(B: sp.sparray) -> bool:

@@ -83,7 +83,8 @@ class ExperimentPlan:
 
     Each setting is kept in the form its check returns: counts as ints, other
     numbers (grid entries too) as floats, "auto" as it is.  So ``to_dict``
-    writes the fields as they are, and a plan JSON cannot hold is refused here.
+    writes the fields as they are, and a plan JSON cannot hold, or whose
+    lifted signal's source is a spinor rather than a path, is refused here.
     """
 
     dataset: dict  # {"kind": "ngf", ...} or {"kind": "file", "path": ...}; see resolve_dataset
@@ -127,6 +128,9 @@ class ExperimentPlan:
         for name in ("alphas", "taus", "ms"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         object.__setattr__(self, "m0s", tuple(m0 if isinstance(m0, str) else float(m0) for m0 in self.m0s))
+        if self.signal.mode == "lifted" and isinstance(self.signal.source, TopologicalSpinor):
+            # the header would hold the spinor's repr, which no replay can read
+            raise ValueError("signal.source must be a path for a plan to name it, got a spinor")
         try:  # the one check of the dataset object before resolve_dataset reads it
             json.dumps(self.to_dict(), sort_keys=True)
         except TypeError as exc:
@@ -174,18 +178,23 @@ def resolve_dataset(plan: ExperimentPlan) -> SimplicialComplex:
     data = plan.dataset
     if not isinstance(data, dict):
         raise ParseError(f"malformed dataset: expected an object, got {data!r}")
-    fields = {k: v for k, v in data.items() if k != "kind"}
     if data.get("kind") == "file":
-        if fields.keys() != {"path"} or not isinstance(fields["path"], str):
-            raise ParseError(f"malformed dataset: a file dataset takes one string path, got {fields!r}")
-        return load_complex(fields["path"])
+        if data.keys() != {"kind", "path"} or not isinstance(data["path"], str):
+            raise ParseError(f"malformed dataset: a file dataset takes one string path, got {data!r}")
+        return load_complex(data["path"])
     if data.get("kind") != "ngf":
         raise ParseError(f"unknown dataset kind {data.get('kind')!r}")
+    return ngf_generate(_ngf_params(data, plan.seed))
+
+
+def _ngf_params(data: dict, seed: int) -> NgfParams:
+    """NgfParams from the fields of the ngf dataset ``data``, its seed
+    defaulting to ``seed``; a field or value NgfParams rejects is a ParseError."""
+    fields = {k: v for k, v in data.items() if k != "kind"}
     try:
-        params = NgfParams(**{"seed": plan.seed, **fields})
+        return NgfParams(**{"seed": seed, **fields})
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed dataset: {exc}") from exc
-    return ngf_generate(params)
 
 
 def make_signal(
@@ -475,9 +484,14 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
     tau = plan.taus[0]
     alpha = plan.alphas[0]
 
+    datasets = [
+        {**plan.dataset, "target_nodes": nodes, "seed": _cell_seed(plan, si)}
+        for si, nodes in enumerate(plan.sizes)
+    ]
+    for dataset in datasets:  # every size is checked before the first set-up
+        _ngf_params(dataset, plan.seed)
     rows = []
-    for si, nodes in enumerate(plan.sizes):
-        dataset = {**plan.dataset, "target_nodes": nodes, "seed": _cell_seed(plan, si)}
+    for si, (nodes, dataset) in enumerate(zip(plan.sizes, datasets)):
         setup = _prepare(replace(plan, dataset=dataset))
         K = setup.Dop.K
         times = []

@@ -19,12 +19,11 @@ blocks (a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse
 M x M block matrices of D1, D2 and D are built on first use only.
 Everything spectral about D_n comes from one cached SpectralBasis per
 boundary matrix, the triplets of one Gram eigensolve checked against the
-complex's rank where it is known: projections, kernels and harmonic bases
-read it, and ranks never build it.  Where no count decides rank B2 and
-none is known yet, the basis's own gap rank becomes the complex's.  The
-basis stores one factor of the triplets, the Gram eigenvectors, with
-sigma; the other factor (v = B_n^T u / sigma, or u = B_n v / sigma) is
-reached through one sparse product with B_n.  Reading ``U``, ``V`` or
+rank the complex decides: projections, kernels and harmonic bases read it,
+ranks never build it, and it writes nothing to the complex.  The basis
+stores one factor of the triplets, the Gram eigenvectors, with sigma; the
+other factor (v = B_n^T u / sigma, or u = B_n v / sigma) is reached
+through one sparse product with B_n.  Reading ``U``, ``V`` or
 ``singular_triplets`` builds that factor whole, O(N_n r) numbers per read;
 the grid commands never do.
 
@@ -141,9 +140,7 @@ class DiracOperator:
 
     @cached_property
     def _basis2(self) -> SpectralBasis:
-        basis = SpectralBasis(2, self.K, *_gram_triplets(self.B2, self.K.known_rank2()))
-        self.K.keep_rank2(basis.rank)
-        return basis
+        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, self.K.rank2))
 
     def singular_triplets(self, n: int):
         """(U, sigma, V) of B_n's nonzero triplets, sigma descending.
@@ -217,7 +214,7 @@ def _derived_block(F: sp.sparray, Q: np.ndarray, start: int, sigma=None) -> np.n
     return Y
 
 
-def _gram_triplets(B: sp.sparray, r: int | None):
+def _gram_triplets(B: sp.sparray, r: int):
     """(Q, sigma): the stored factor of B's nonzero singular triplets and sigma,
     descending (to roundoff inside a cluster of equal values).
 
@@ -225,8 +222,8 @@ def _gram_triplets(B: sp.sparray, r: int | None):
     more rows than columns, else B^T B), done in G's own buffer
     (:func:`gram_eigh`), gives Q: the eigenvectors of the top eigenvalues,
     U for B B^T and V for B^T B.  The rank is the :func:`gap_rank` of that
-    spectrum, which must equal the complex's rank r when one is known, or
-    the eigensolve is not trusted.  The top columns are copied out
+    spectrum, which must equal the complex's rank r, or the eigensolve is
+    not trusted.  The top columns are copied out
     C-contiguous and G is dropped; then each sigma_j is the norm of B^T q_j
     (or B q_j), taken a block of columns at a time (:func:`_derived_block`).
     That norm keeps the small singular values accurate to roundoff relative
@@ -240,7 +237,7 @@ def _gram_triplets(B: sp.sparray, r: int | None):
     w, X = gram_eigh(G)
     del G
     found = gap_rank(w, RANK_RTOL)
-    if r is not None and found != r:
+    if found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but the complex's rank of it is {r}"

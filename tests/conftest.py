@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,24 @@ def coastal():
 @pytest.fixture(scope="session")
 def coastal_dirac(coastal):
     return assemble_dirac(coastal)
+
+
+def torus_with_fin(size: int = 6):
+    """A size x size triangulated torus plus a fin, one triangle on link (0, 1), built anew.
+
+    Link (0, 1) bounds three triangles.  Collapsing the fin leaves the torus,
+    which has no free link, so only a Gram solve ranks B2; beta = (1, 2, 1).
+    """
+    def node(i, j):
+        return size * (i % size) + j % size
+
+    torus = [
+        (node(i, j), node(i + 1, j + d), node(i + 1 - d, j + 1))
+        for i in range(size) for j in range(size) for d in (0, 1)
+    ]
+    triangles = torus + [(0, 1, size * size)]
+    links = {face for tri in triangles for face in combinations(sorted(tri), 2)}
+    return build_complex(sorted(links), triangles)
 
 
 def random_complex(rng: np.random.Generator, max_nodes: int = 12):

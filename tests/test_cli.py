@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import diracsp
+from diracsp import complexes, harness
 from diracsp.cli import _guard, main
 from diracsp.datasets import dataset_path
 from diracsp.harness import cmd_bench, load_plan
@@ -35,6 +36,22 @@ def test_generate_and_info(tmp_path):
     assert r.exit_code == 0
     assert "nodes=25 links=47 triangles=23" in r.output
     assert "betti=(1, 0, 0)" in r.output
+
+
+@pytest.mark.parametrize("flavor", [0, 1])
+def test_info_ranks_ngf_with_no_gram_solve(flavor, tmp_path, monkeypatch):
+    # flavors 0 and 1 put three or more triangles on a link; the complex
+    # collapses, so rank B2 = N2 is found without an eigensolve
+    out = tmp_path / "k.json"
+    assert invoke("generate", "--nodes", 300, "--flavor", flavor, "--seed", 0, "-o", out).exit_code == 0
+    solves, gram_eigh = [], complexes.gram_eigh
+    monkeypatch.setattr(complexes, "gram_eigh", lambda *a, **k: solves.append(1) or gram_eigh(*a, **k))
+    r = invoke("info", "-i", out)
+    assert r.exit_code == 0, r.output
+    assert r.output.splitlines() == [
+        "nodes=300 links=597 triangles=298 dimension=2", "betti=(1, 0, 0) euler=1",
+    ]
+    assert solves == []
 
 
 def test_generate_requires_seed(tmp_path):
@@ -284,6 +301,17 @@ def test_bench_cli_rejects_repeated_sizes(tmp_path):
     assert r.exit_code == 1
     assert r.output.splitlines() == ["error=ValueError: sizes must be distinct"]
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_cli_checks_every_size_before_the_first_set_up(tmp_path, monkeypatch):
+    prepared = []
+    monkeypatch.setattr(harness, "_prepare", lambda plan: prepared.append(plan))
+    r = invoke("bench", "--sizes", "68,2", "--seed", "0", "-o", tmp_path / "x.csv")
+    assert isinstance(r.exception, SystemExit)
+    assert r.exit_code == 3
+    assert r.output.splitlines() == ["error=ParseError: malformed dataset: target_nodes must be >= 3"]
+    assert prepared == []
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_m_cli_rejects_bad_alphas_and_taus(tmp_path):

@@ -31,7 +31,7 @@ from diracsp.errors import (
     ParseError,
 )
 
-from conftest import HARD_COMPLEXES, random_complex
+from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
 from oracles import csgraph_components, exact_rank, loop_boundary_matrix, loop_build_complex, matrix_rank
 
 
@@ -173,7 +173,15 @@ def _triangles_per_link(K):
 RANK_CASES = {
     **HARD_COMPLEXES,
     **{name: K for name, (K, _) in SURFACES.items()},
-    # flavors 0 and 1 put more than two triangles on a link: the Gram path
+    # a link on three triangles, and elementary collapses leave triangles:
+    # the Gram path
+    "torus+fin": torus_with_fin(),
+    # poles 3 and 4 over the equator triangle: three discs on one circle
+    "capped-triangle": _surface(
+        [(0, 1, 2)] + [(p, a, b) for p in (3, 4) for a, b in ((0, 1), (1, 2), (0, 2))]
+    ),
+    # flavors 0 and 1 put more than two triangles on a link, and every NGF
+    # complex collapses: rank B2 = N2 with no solve
     **{
         f"ngf-flavor{flavor}-seed{seed}": ngf_generate(
             NgfParams(target_nodes=40, flavor=flavor, seed=seed)
@@ -193,6 +201,24 @@ def test_betti_hard_inputs_match_exact_ranks(name):
     assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
     if name.startswith("ngf"):
         assert _triangles_per_link(K).max() > 2
+    if name in ("torus+fin", "capped-triangle"):  # the Gram path
+        assert _triangles_per_link(K).max() == 3
+        assert not complexes._collapses(K.B2.indices.reshape(-1, 3), K.n1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(3, 300),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_ngf_complex_collapses(nodes, flavor, beta, seed):
+    # each NGF step glues a triangle with a new node onto one link, so the
+    # steps reversed are elementary collapses to a point, whatever the flavor
+    K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, beta=beta, seed=seed))
+    assert complexes._collapses(K.B2.indices.reshape(-1, 3), K.n1)
+    assert K.rank2 == K.n2 == exact_rank(K.B2)
 
 
 # NGF flavor -1 puts at most two triangles on a link, so rank B2 is counted.
@@ -211,8 +237,8 @@ def test_operator_ranks_build_a_basis_only_without_an_exact_count(name):
         assert D.rank(n) == r
         assert D.nonharmonic_dim(n) == 2 * r
     # rank(n) and nonharmonic_dim(n) never build a basis: both ranks come
-    # from the complex, rank B2 numerically where a link bounds three or
-    # more triangles
+    # from the complex, rank B2 numerically only where a link bounds three
+    # or more triangles and collapses leave some
     assert "_basis1" not in D.__dict__
     assert "_basis2" not in D.__dict__
 
@@ -243,8 +269,8 @@ def test_one_boundary_build_and_one_rank_per_complex(flavor, monkeypatch):
     # complex builds each boundary matrix once and finds each rank once:
     # rank B1 by one component count; rank B2 by one count on the
     # orientation double cover (flavor -1, at most two triangles per link)
-    # or else by one eigenvalues-only Gram solve.  The basis adds its own
-    # solve with vectors; no step needs B1 itself.
+    # or else by the collapse, which solves nothing.  The basis adds the
+    # one solve, with vectors; no step needs B1 itself.
     K = ngf_generate(NgfParams(target_nodes=40, flavor=flavor, seed=0))
     counted = flavor == -1
     assert (_triangles_per_link(K).max() <= 2) == counted
@@ -255,15 +281,16 @@ def test_one_boundary_build_and_one_rank_per_complex(flavor, monkeypatch):
     assert D.nonharmonic_dim(2) == 2 * r2
     assert spectral_basis(D, 2).rank == r2
     assert betti == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2) == (1, 0, 0)
-    expected = ["B2", "count", "eigh", "count" if counted else "eigvalsh"]
+    expected = ["B2", "count", "eigh", "count"] if counted else ["B2", "count", "eigh"]
     assert sorted(calls) == sorted(expected)
 
 
 @pytest.mark.parametrize("flavor", [0, 1])
 def test_a_basis_built_first_gives_the_rank_of_b2(flavor, monkeypatch):
     # where no count decides rank B2, a basis of B2 built before any rank is
-    # read keeps the gap rank of its own Gram solve as the complex's rank, so
-    # nonharmonic_dim and betti_numbers add no eigenvalues-only solve
+    # read checks its gap rank against the one the collapse finds, so the
+    # basis's solve is the only one, and nonharmonic_dim and betti_numbers
+    # add none
     K = ngf_generate(NgfParams(target_nodes=40, flavor=flavor, seed=0))
     calls = _spy_rank_work(monkeypatch)
     D = assemble_dirac(K)
@@ -388,7 +415,7 @@ def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeyp
         return count, labels
 
     monkeypatch.setattr(complexes, "_components", checking)
-    assert K.known_rank2() is not None and K.rank1 >= 0
+    assert K.rank2 >= 0 and K.rank1 >= 0
     assert checked == [2 * K.n2, K.n0]
 
 
@@ -435,9 +462,9 @@ def test_relabelling_nodes_leaves_ranks_and_partitions_alone(name, monkeypatch):
 
 def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
     # a cutoff far above roundoff puts genuine eigenvalues between the two
-    # levels of the gap test, so the rank is undecided; a copy of the case
-    # has kept no rank yet, so its rank is found anew
-    K = from_dict(RANK_CASES["ngf-flavor0-seed0"].to_dict())
+    # levels of the gap test, so the rank is undecided; a new complex has
+    # kept no rank yet, so its rank is found anew
+    K = torus_with_fin()
     monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
     with pytest.raises(EigensolveFailure, match="no clear gap"):
         K.rank2

@@ -482,6 +482,18 @@ def test_plan_rejects_bad_noise_tau_and_repeated_sizes():
     ff_plan(alphas=(0.0,), taus=(0.0,), sizes=(20, 40))
 
 
+def test_plan_refuses_a_lifted_source_that_is_not_a_path():
+    # a header would hold the spinor's repr, which numpy cuts short with
+    # "..." past 1000 entries and which --plan would read as a file name
+    spinor = TopologicalSpinor.zeros(resolve_dataset(ff_plan()))
+    with pytest.raises(ValueError, match="signal.source must be a path"):
+        ff_plan(signal=SignalSpec(mode="lifted", source=spinor))
+    data = ff_plan().to_dict()
+    with pytest.raises(ParseError, match="malformed plan: signal.source must be a path"):
+        plan_from_dict({**data, "signal": {"mode": "lifted", "n": 1, "source": spinor}})
+    ff_plan(signal=SignalSpec(mode="lifted", source=dataset_path("coastal_tessellation_flow.csv")))
+
+
 def test_header_embeds_plan(tmp_path):
     plan = ff_plan(ms=(0.0,))
     out = cmd_sweep_m(plan, tmp_path / "s.csv")

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from diracsp import (
-    NgfParams,
     TopologicalSpinor,
     assemble_dirac,
     betti_numbers,
@@ -15,14 +14,13 @@ from diracsp import (
     dirac_project,
     harmonic_project,
     hodge_laplacian,
-    ngf_generate,
     spectral_basis,
 )
 from diracsp import complexes, operators
 from diracsp.errors import EigensolveFailure, InvalidOrder
 from diracsp.operators import export_spectrum, harmonic_basis
 
-from conftest import HARD_COMPLEXES, random_complex
+from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
 from oracles import brute_dirac, dense_eigh, eig_multiset, eigenbasis_projection
 
 SQ2 = np.sqrt(2.0)
@@ -302,10 +300,11 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
 
 
 def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
-    # flavor 0 puts three or more triangles on some link, so rank B2 comes
-    # from the complex's eigenvalues-only solve, which betti_numbers
-    # runs; the triplets' eigensolve is then the only one that builds G
-    K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
+    # the fin puts three triangles on a link and the torus does not
+    # collapse, so rank B2 comes from the complex's eigenvalues-only solve,
+    # which betti_numbers runs; the triplets' eigensolve is then the only
+    # one that builds G
+    K = torus_with_fin()
     assert np.diff(assemble_dirac(K).B2.tocsr().indptr).max() > 2
     rank2 = K.n2 - betti_numbers(K)[2]
     original = complexes.gram_matrix
@@ -330,7 +329,7 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
 def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
     # both Gram eigensolves, the rank-only one of the complex and
     # the triplets', go through gram_eigh, which maps a LAPACK failure
-    K = ngf_generate(NgfParams(target_nodes=40, flavor=0, seed=0))
+    K = torus_with_fin()
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
