@@ -7,11 +7,15 @@ the column of B2 for triangle (i, j, k) carries signs (+1, -1, +1) on its
 faces (i, j), (i, k), (j, k).  Any consistent convention would satisfy
 B1 @ B2 = 0; downstream results do not depend on this choice.  Construction
 works on int64 arrays, and open triangles are rejected, never filled in.
+The complex keeps those arrays: ``links`` and ``triangles`` are read-only
+int64 arrays of shape (N1, 2) and (N2, 3).
 
-A complex builds B1, B2 and their ranks on first read and keeps them,
-outside ``==``, ``hash`` and ``to_dict``; each rank is a function of its
-boundary matrix alone, and no other module writes one.  Rank B1 is a count
-of the graph's connected components.  Rank B2 is, in this order: a count of
+A complex builds its face rows (the link row of each triangle face), B1,
+B2, their transposes and their ranks on first read and keeps them, outside
+``==``, ``hash`` and ``to_dict``; each rank is a function of its boundary
+matrix alone, and no other module writes one.  B1 and B2 are read straight
+off ``links`` and the face rows into csc form.  Rank B1 is a count of the
+graph's connected components.  Rank B2 is, in this order: a count of
 components of the triangles' orientation double cover, when every link
 bounds at most two triangles; N2, when elementary collapses remove every
 triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
@@ -54,13 +58,42 @@ COMPLEX_FORMAT = "diracsp/complex/1"
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
-    """Canonical node/link/triangle lists; source of all operators."""
+    """Canonical node/link/triangle arrays; source of all operators.
+
+    Built directly, it takes ``links`` and ``triangles`` as any integer
+    sequences of pairs and triples, stores them as read-only int64 arrays in
+    the order given, and checks nothing: :func:`build_complex` validates and
+    canonicalizes.
+    """
 
     node_count: int
-    links: tuple[tuple[int, int], ...]
-    triangles: tuple[tuple[int, int, int], ...] = ()
+    links: np.ndarray
+    triangles: np.ndarray = ()
+
+    def __post_init__(self):
+        for name, width in (("links", 2), ("triangles", 3)):
+            arr = np.array(getattr(self, name), dtype=np.int64).reshape(-1, width)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __setstate__(self, state: dict) -> None:
+        # a copy or an unpickled complex keeps its simplices read-only
+        self.__dict__.update(state)
+        self.links.flags.writeable = self.triangles.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimplicialComplex):
+            return NotImplemented
+        return (
+            self.node_count == other.node_count
+            and np.array_equal(self.links, other.links)
+            and np.array_equal(self.triangles, other.triangles)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, self.links.tobytes(), self.triangles.tobytes()))
 
     @property
     def n0(self) -> int:
@@ -95,7 +128,14 @@ class SimplicialComplex:
 
     @cached_property
     def link_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        return _link_codes(_array(self.links, 2), self.n0)
+        return _link_codes(self.links, self.n0)
+
+    @cached_property
+    def face_rows(self) -> np.ndarray:
+        """(N2, 3) int64: row t holds the link rows of triangle t's faces
+        (i, j), (i, k), (j, k); a face missing from the links raises
+        :class:`MissingFace` naming the first one."""
+        return _link_rows(*self.link_codes, self.n0, _faces(self.triangles)).reshape(-1, 3)
 
     @cached_property
     def B1(self) -> sp.csc_array:
@@ -110,17 +150,21 @@ class SimplicialComplex:
         return self.B1 if n == 1 else self.B2
 
     @cached_property
-    def _transposes(self) -> tuple[sp.csr_array, sp.csr_array]:
-        return self.B1.T, self.B2.T
+    def _B1T(self) -> sp.csr_array:
+        return self.B1.T
+
+    @cached_property
+    def _B2T(self) -> sp.csr_array:
+        return self.B2.T
 
     def transposed(self, n: int) -> sp.csr_array:
         """B_n^T, a csr view of :meth:`boundary` made once, for n = 1 or 2."""
-        return self._transposes[n - 1]
+        return self._B1T if n == 1 else self._B2T
 
     @cached_property
     def rank1(self) -> int:
         """Exact rank of B1: N0 minus the number of connected components."""
-        return self.n0 - _components(self.n0, *_array(self.links, 2).T)[0]
+        return self.n0 - _components(self.n0, *self.links.T)[0]
 
     @cached_property
     def rank2(self) -> int:
@@ -137,14 +181,14 @@ class SimplicialComplex:
         rows = self.B2.tocsr()  # row per link: its triangles and signs
         if np.diff(rows.indptr).max(initial=0) <= 2:
             return self.n2 - _closed_orientable_components(rows)
-        if _collapses(self.B2.indices.reshape(-1, 3), self.n1):
+        if _collapses(self.face_rows, self.n1):
             return self.n2
         return gap_rank(gram_eigh(gram_matrix(self.B2)[0], vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
         for node in (i, j):
-            if not 0 <= node < self.n0:
+            if not 0 <= require_int("node", node) < self.n0:
                 raise IndexOutOfRange(f"link ({i}, {j}) names node {node} outside range(0, {self.n0})")
         return int(_link_rows(*self.link_codes, self.n0, np.array([[i, j]]))[0])
 
@@ -155,8 +199,8 @@ class SimplicialComplex:
         return {
             "format": COMPLEX_FORMAT,
             "nodes": self.node_count,
-            "links": [list(lk) for lk in self.links],
-            "triangles": [list(tr) for tr in self.triangles],
+            "links": self.links.tolist(),
+            "triangles": self.triangles.tolist(),
         }
 
     def save(self, path) -> None:
@@ -254,14 +298,9 @@ def build_complex(
     if not 0 <= node_count <= MAX_NODES:
         raise IndexOutOfRange(f"node_count must lie in [0, {MAX_NODES}], got {node_count}")
     tris = _canonical_simplices(tris, node_count, "triangle")
-    lks = _canonical_simplices(lks, node_count, "link")
-    _link_rows(*_link_codes(lks, node_count), node_count, _faces(tris))  # closure
-    # zip over the columns makes the tuples in about half the time of map(tuple, rows)
-    return SimplicialComplex(node_count, *(tuple(zip(*a.T.tolist())) for a in (lks, tris)))
-
-
-def _array(simplices, width: int) -> np.ndarray:
-    return np.array(simplices, dtype=np.int64).reshape(-1, width)
+    K = SimplicialComplex(node_count, _canonical_simplices(lks, node_count, "link"), tris)
+    K.face_rows  # closure: the rows it finds are kept for B2 and rank B2
+    return K
 
 
 def _link_codes(links: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,15 +340,16 @@ def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     matrix.
     """
     if n == 1:
-        rows, signs, shape = _array(K.links, 2).ravel(), [-1, 1], (K.n0, K.n1)
+        rows, signs, shape = K.links, [-1, 1], (K.n0, K.n1)
     elif n == 2:
-        rows = _link_rows(*K.link_codes, K.n0, _faces(_array(K.triangles, 3)))
-        signs, shape = [1, -1, 1], (K.n1, K.n2)
+        rows, signs, shape = K.face_rows, [1, -1, 1], (K.n1, K.n2)
     else:
         raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
-    cols = np.repeat(np.arange(shape[1]), len(signs))
-    vals = np.tile(signs, shape[1])
-    return sp.csc_array((vals, (rows, cols)), shape=shape, dtype=np.int64)
+    # column c holds row c of ``rows``, ascending in a canonical complex
+    width = len(signs)
+    indptr = np.arange(0, width * shape[1] + 1, width)
+    vals = np.tile(np.array(signs, dtype=np.int64), shape[1])
+    return sp.csc_array((vals, rows.flatten(), indptr), shape=shape)
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:

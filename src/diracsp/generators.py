@@ -15,12 +15,15 @@ triangles.  Flavor -1 gives saturated links (n_ell = 1) zero weight, which
 keeps every link on at most two triangles: the complex is a discrete
 manifold.
 
-The link weights live in arrays preallocated for all 2N-3 links, and each
-step replays ``numpy.random.Generator.choice(p=...)`` exactly: p = w/total,
-cdf = cumsum(p), cdf /= cdf[-1], then ``searchsorted(rng.random(), "right")``.
-With the energies drawn in the same order (three at the start, two after
-each choice), a seed grows the same complex as a loop calling
-``rng.choice``.
+The generator draws its whole stream in one ``rng.random(3 + 3(N - 3))``
+call: three link energies, then per step one choice and two energies
+(``Generator.uniform(0, 1)`` returns the same doubles as ``random()``).  The
+energies are exponentiated once, and the link weights live in one array
+preallocated for all 2N-3 links, of which a step updates only the chosen
+link.  Each step replays ``numpy.random.Generator.choice(p=...)`` exactly:
+p = w/total, cdf = cumsum(p), cdf /= cdf[-1], then ``searchsorted(u,
+"right")``.  So a seed grows the same complex as a loop calling
+``rng.uniform`` for the energies and ``rng.choice`` per step.
 """
 
 from __future__ import annotations
@@ -66,22 +69,24 @@ class NgfParams:
 
 def ngf_generate(params: NgfParams) -> SimplicialComplex:
     """Grow a complex to ``target_nodes`` nodes; deterministic per seed."""
-    rng = rng_stream(params.seed)
     s, beta = params.flavor, params.beta
     nodes = params.target_nodes
     size = 2 * nodes - 3  # links of the grown complex
+
+    draws = rng_stream(params.seed).random(3 * nodes - 6)
+    steps = draws[3:].reshape(-1, 3)  # per step: the choice, then the two new links' energies
+    decay = np.exp(-beta * np.concatenate([draws[:3], steps[:, 1:].ravel()]))  # exp(-beta * eps_ell)
+    weight = decay.copy()  # (1 + s * n_ell) * exp(-beta * eps_ell), n_ell = 0 at birth
+    hits = np.zeros(size)  # n_ell: times each link has been chosen
 
     ends = np.empty((size, 2), dtype=np.int64)
     ends[:3] = [(0, 1), (0, 2), (1, 2)]
     triangles = np.empty((nodes - 2, 3), dtype=np.int64)
     triangles[0] = (0, 1, 2)
-    hits = np.zeros(size)  # n_ell: times each link has been chosen
-    decay = np.empty(size)  # exp(-beta * eps_ell)
-    decay[:3] = np.exp(-beta * rng.uniform(0.0, 1.0, size=3))
 
-    for new_node in range(3, nodes):
+    for new_node, u in enumerate(steps[:, 0].tolist(), start=3):
         live = 2 * new_node - 3
-        w = (1.0 + s * hits[:live]) * decay[:live]
+        w = weight[:live]
         total = w.sum()
         if total <= 0.0:
             # every flavor gives a fresh link the weight exp(-beta * eps), 0 only by underflow
@@ -89,13 +94,13 @@ def ngf_generate(params: NgfParams) -> SimplicialComplex:
         # rng.choice(live, p=w / total), step for step
         cdf = np.cumsum(w / total)
         cdf /= cdf[-1]
-        choice = int(cdf.searchsorted(rng.random(), side="right"))
+        choice = int(cdf.searchsorted(u, side="right"))
         hits[choice] += 1
+        weight[choice] = (1.0 + s * hits[choice]) * decay[choice]
         i, j = ends[choice]
 
         ends[live] = (i, new_node)
         ends[live + 1] = (j, new_node)
-        decay[live : live + 2] = np.exp(-beta * rng.uniform(0.0, 1.0, size=2))
         triangles[new_node - 2] = (i, j, new_node)
 
     return build_complex(ends, triangles, nodes)

@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from diracsp.complexes import SimplicialComplex
+from diracsp.complexes import SimplicialComplex, build_complex
 from diracsp.errors import DuplicateSimplex, IndexOutOfRange, MissingFace, ParseError
+from diracsp.signals import rng_stream
 
 
 def exact_rank(M) -> int:
@@ -50,13 +51,13 @@ def loop_boundary_matrix(K, n):
     """B_n built one simplex at a time, each face found in a dict of link positions."""
     rows, cols, vals = [], [], []
     if n == 1:
-        for c, (i, j) in enumerate(K.links):
+        for c, (i, j) in enumerate(K.links.tolist()):
             rows += [i, j]
             cols += [c, c]
             vals += [-1, 1]
         return sp.csc_array((vals, (rows, cols)), shape=(K.n0, K.n1), dtype=np.int64)
-    link_pos = {lk: p for p, lk in enumerate(K.links)}
-    for c, (i, j, k) in enumerate(K.triangles):
+    link_pos = {tuple(lk): p for p, lk in enumerate(K.links.tolist())}
+    for c, (i, j, k) in enumerate(K.triangles.tolist()):
         for face, sign in zip(((i, j), (i, k), (j, k)), (1, -1, 1)):
             rows.append(link_pos[tuple(sorted(face))])
             cols.append(c)
@@ -104,6 +105,42 @@ def loop_build_complex(links, triangles=(), node_count=None):
     return SimplicialComplex(node_count, tuple(lks), tuple(tris))
 
 
+def loop_ngf_generate(params):
+    """ngf_generate as a loop that recomputes every link weight and calls
+    rng.uniform for each link's energy as the link is made."""
+    rng = rng_stream(params.seed)
+    s, beta = params.flavor, params.beta
+    nodes = params.target_nodes
+    size = 2 * nodes - 3
+
+    ends = np.empty((size, 2), dtype=np.int64)
+    ends[:3] = [(0, 1), (0, 2), (1, 2)]
+    triangles = np.empty((nodes - 2, 3), dtype=np.int64)
+    triangles[0] = (0, 1, 2)
+    hits = np.zeros(size)
+    decay = np.empty(size)
+    decay[:3] = np.exp(-beta * rng.uniform(0.0, 1.0, size=3))
+
+    for new_node in range(3, nodes):
+        live = 2 * new_node - 3
+        w = (1.0 + s * hits[:live]) * decay[:live]
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError(f"beta={beta!r} leaves every link weight at 0 (exp(-beta * eps) underflows)")
+        # rng.choice(live, p=w / total), step for step
+        cdf = np.cumsum(w / total)
+        cdf /= cdf[-1]
+        choice = int(cdf.searchsorted(rng.random(), side="right"))
+        hits[choice] += 1
+        i, j = ends[choice]
+        ends[live] = (i, new_node)
+        ends[live + 1] = (j, new_node)
+        decay[live : live + 2] = np.exp(-beta * rng.uniform(0.0, 1.0, size=2))
+        triangles[new_node - 2] = (i, j, new_node)
+
+    return build_complex(ends, triangles, nodes)
+
+
 def matrix_rank(B, rtol=1e-10) -> int:
     """Numerical rank from a dense SVD: singular values above rtol * sigma_max."""
     A = B.toarray() if hasattr(B, "toarray") else np.asarray(B)
@@ -132,12 +169,12 @@ def brute_dirac(K):
     n0, n1, n2 = K.n0, K.n1, K.n2
     M = n0 + n1 + n2
     B1 = np.zeros((n0, n1))
-    for c, (i, j) in enumerate(K.links):
+    for c, (i, j) in enumerate(K.links.tolist()):
         B1[i, c] = -1.0
         B1[j, c] = 1.0
     B2 = np.zeros((n1, n2))
-    link_pos = {lk: p for p, lk in enumerate(K.links)}
-    for c, (i, j, k) in enumerate(K.triangles):
+    link_pos = {tuple(lk): p for p, lk in enumerate(K.links.tolist())}
+    for c, (i, j, k) in enumerate(K.triangles.tolist()):
         B2[link_pos[(i, j)], c] = 1.0
         B2[link_pos[(i, k)], c] = -1.0
         B2[link_pos[(j, k)], c] = 1.0

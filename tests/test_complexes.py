@@ -52,8 +52,8 @@ def test_ff_scale_network(ff_network):
 
 def test_canonicalization_sorts_everything():
     K = build_complex([(2, 1), (1, 0), (2, 0)], [(2, 0, 1)], 3)
-    assert K.links == ((0, 1), (0, 2), (1, 2))
-    assert K.triangles == ((0, 1, 2),)
+    assert K.links.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert K.triangles.tolist() == [[0, 1, 2]]
 
 
 def test_duplicate_link_rejected():
@@ -306,12 +306,12 @@ def test_link_index_finds_every_link_either_way_round(name, request, monkeypatch
         K = ngf_generate(NgfParams(target_nodes=300, seed=0))
     else:
         K = from_dict(request.getfixturevalue(name).to_dict())  # nothing kept yet
-    assert [K.link_index(i, j) for i, j in K.links] == list(range(K.n1))
+    assert [K.link_index(i, j) for i, j in K.links.tolist()] == list(range(K.n1))
     # the codes are sorted once, on the first lookup; later ones only search
     sorts = []
     argsort = np.argsort
     monkeypatch.setattr(complexes.np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
-    assert [K.link_index(j, i) for i, j in K.links] == list(range(K.n1))
+    assert [K.link_index(j, i) for i, j in K.links.tolist()] == list(range(K.n1))
     assert sorts == []
 
 
@@ -323,8 +323,23 @@ def test_a_complex_pickles_and_copies_with_what_it_keeps(coastal):
         assert twin == K and hash(twin) == hash(K) and twin.to_dict() == K.to_dict()
         assert betti_numbers(twin) == betti
         assert (twin.B2 != K.B2).nnz == 0 and twin.transposed(2).shape == (186, 322)
-        i, j = K.links[-1]
+        i, j = K.links[-1].tolist()
         assert twin.link_index(j, i) == K.link_index(i, j) == K.n1 - 1
+
+
+def test_a_complex_holds_its_simplices_as_read_only_int64_arrays():
+    links = np.array([(0, 1), (0, 2), (1, 2)])
+    K = SimplicialComplex(3, links, [[0, 1, 2]])
+    links[0] = (1, 2)  # the complex took a copy
+    built = build_complex([(1, 2), (0, 1), (0, 2)], [(2, 1, 0)])
+    for twin in (K, built, copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
+        assert twin == built and hash(twin) == hash(built)
+        for arr, width in ((twin.links, 2), (twin.triangles, 3)):
+            assert arr.dtype == np.int64 and arr.shape[1] == width and not arr.flags.writeable
+    assert K.links.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert SimplicialComplex(3, K.links).triangles.shape == (0, 3)
+    assert K != SimplicialComplex(4, K.links, K.triangles) and K != SimplicialComplex(3, K.links)
+    assert K != K.to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(SURFACES))
@@ -421,7 +436,7 @@ def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeyp
 
 def _relabelled(K: SimplicialComplex, perm: np.ndarray) -> SimplicialComplex:
     """K with node v renamed perm[v], built anew."""
-    return build_complex(perm[complexes._array(K.links, 2)], perm[complexes._array(K.triangles, 3)], K.n0)
+    return build_complex(perm[K.links], perm[K.triangles], K.n0)
 
 
 RELABEL_CASES = {
@@ -455,8 +470,8 @@ def test_relabelling_nodes_leaves_ranks_and_partitions_alone(name, monkeypatch):
         return L.rank1, L.rank2, betti_numbers(L), list(counts)
 
     assert facts(K) == facts(moved)
-    count, labels = components(K.n0, *complexes._array(K.links, 2).T)
-    moved_labels = components(K.n0, *complexes._array(moved.links, 2).T)[1]
+    count, labels = components(K.n0, *K.links.T)
+    moved_labels = components(K.n0, *moved.links.T)[1]
     _same_partition(labels, moved_labels[perm], count)
 
 
@@ -495,7 +510,15 @@ def _matches_loop_reference(K):
 
 @pytest.mark.parametrize("name", sorted(RANK_CASES))
 def test_boundary_matrix_matches_the_loop_reference(name):
-    assert _matches_loop_reference(RANK_CASES[name])
+    K = RANK_CASES[name]
+    assert _matches_loop_reference(K)
+    # read straight off the canonical arrays, every column's rows ascend
+    assert all(boundary_matrix(K, n).has_canonical_format for n in (1, 2))
+    # a direct construction keeps the links, the triangles and each
+    # triangle's vertices in the order given
+    rng = np.random.default_rng(len(name))
+    triangles = rng.permuted(K.triangles[rng.permutation(K.n2)], axis=1)
+    assert _matches_loop_reference(SimplicialComplex(K.n0, K.links[rng.permutation(K.n1)], triangles))
 
 
 def test_boundary_of_a_complex_missing_a_face_names_it():
@@ -517,15 +540,24 @@ def test_link_index_rejects_nodes_outside_the_complex():
         K.link_index(-1, 12)
 
 
+def test_link_index_rejects_nodes_that_are_not_integers():
+    # 0.5 * 4 + 1 and True * 4 + 2 are the codes of links (0, 3) and (1, 2)
+    K = build_complex([(0, 1), (0, 2), (0, 3), (1, 2)], [(0, 1, 2)])
+    for i, j in ((0.5, 1), (True, 2), (1, np.float64(2.0)), (1, "2")):
+        with pytest.raises(ValueError, match="node must be an integer"):
+            K.link_index(i, j)
+    assert K.link_index(np.int64(1), 2) == 3
+
+
 def test_boundary_of_a_complex_with_links_out_of_order():
     K = SURFACES["rp2"][0]
     perm = np.random.default_rng(5).permutation(K.n1)
-    shuffled = SimplicialComplex(K.n0, tuple(K.links[p] for p in perm), K.triangles)
+    shuffled = SimplicialComplex(K.n0, K.links[perm], K.triangles)
     assert _matches_loop_reference(shuffled)
     # row p of the shuffled B2 is row perm[p] of the canonical one
     B2 = boundary_matrix(K, 2).toarray()
     assert np.array_equal(boundary_matrix(shuffled, 2).toarray(), B2[perm])
-    assert [shuffled.link_index(*lk) for lk in K.links] == np.argsort(perm).tolist()
+    assert [shuffled.link_index(*lk) for lk in K.links.tolist()] == np.argsort(perm).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,8 +605,8 @@ def test_loader_tolerates_unsorted(tmp_path):
         )
     )
     K = load_complex(path)
-    assert K.links == ((0, 1), (0, 2), (1, 2))
-    assert K.triangles == ((0, 1, 2),)
+    assert K.links.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert K.triangles.tolist() == [[0, 1, 2]]
 
 
 def test_loader_rejects_garbage(tmp_path):
@@ -663,6 +695,10 @@ def _shuffled(rng, simplices):
     return [tuple(rng.permutation(simplices[p]).tolist()) for p in rng.permutation(len(simplices))]
 
 
+def _tuples(simplices: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(s) for s in simplices.tolist()]
+
+
 def _with_fault(fault, links, triangles, n):
     """A valid complex's lists with one fault put in."""
     if fault == "missing face":
@@ -688,11 +724,11 @@ FAULT_ERRORS = {
 def test_build_complex_matches_the_loop_reference(seed, fault):
     rng = np.random.default_rng(seed)
     K = random_complex(rng)
-    links, triangles = _shuffled(rng, K.links), _shuffled(rng, K.triangles)
+    links, triangles = _shuffled(rng, K.links.tolist()), _shuffled(rng, K.triangles.tolist())
     assert build_complex(links, triangles, K.n0) == loop_build_complex(links, triangles, K.n0) == K
     assert build_complex(links, triangles) == loop_build_complex(links, triangles)
 
-    links, triangles = _with_fault(fault, K.links, K.triangles, K.n0)
+    links, triangles = _with_fault(fault, _tuples(K.links), _tuples(K.triangles), K.n0)
     links, triangles = _shuffled(rng, links), _shuffled(rng, triangles)
     raised = []
     for build in (build_complex, loop_build_complex):

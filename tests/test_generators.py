@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsp import (
     NgfParams,
@@ -21,11 +23,13 @@ from diracsp.datasets import (
 )
 from diracsp.errors import DimensionMismatch, InvalidFlavor, ParseError
 
+from oracles import loop_ngf_generate
+
 
 def test_seed_state_is_filled_triangle():
     K = ngf_generate(NgfParams(target_nodes=3, seed=0))
     assert K.counts == (3, 3, 1)
-    assert K.triangles == ((0, 1, 2),)
+    assert K.triangles.tolist() == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize("flavor", [-1, 0, 1])
@@ -42,7 +46,7 @@ def test_flavor_minus_one_is_manifold():
     for seed in range(5):
         K = ngf_generate(NgfParams(target_nodes=60, flavor=-1, seed=seed))
         per_link = Counter()
-        for tri in K.triangles:
+        for tri in K.triangles.tolist():
             i, j, k = tri
             per_link.update([(i, j), (i, k), (j, k)])
         assert max(per_link.values()) <= 2
@@ -54,7 +58,7 @@ def test_flavor_zero_can_oversubscribe_links():
     for seed in range(10):
         K = ngf_generate(NgfParams(target_nodes=60, flavor=0, seed=seed))
         per_link = Counter()
-        for i, j, k in K.triangles:
+        for i, j, k in K.triangles.tolist():
             per_link.update([(i, j), (i, k), (j, k)])
         if max(per_link.values()) > 2:
             hit = True
@@ -78,8 +82,9 @@ def test_determinism():
     assert a != c
 
 
-# sha256 of repr((links, triangles)) as grown by the generator that called
-# rng.choice(p=...) once per step; the sampler must replay it exactly.
+# sha256 of repr((links, triangles)), each a tuple of tuples of ints, as grown
+# by the generator that called rng.choice(p=...) once per step; the sampler
+# must replay it exactly.
 PINNED = {
     # (target_nodes, flavor, beta, seed)
     (1000, -1, 0.0, 0): "534cfdfec0a9a294a3670a1f53d5d12beff140376d2218cbda95b2f287e73236",
@@ -96,8 +101,23 @@ PINNED = {
 def test_generator_output_is_pinned(case):
     nodes, flavor, beta, seed = case
     K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, beta=beta, seed=seed))
-    digest = hashlib.sha256(repr((K.links, K.triangles)).encode()).hexdigest()
+    simplices = (tuple(map(tuple, K.links.tolist())), tuple(map(tuple, K.triangles.tolist())))
+    digest = hashlib.sha256(repr(simplices).encode()).hexdigest()
     assert digest == PINNED[case]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 300),
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([0.0, 0.5, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_generator_matches_the_per_step_loop(nodes, flavor, beta, seed):
+    # one draw call and one weight update per step replay the loop that
+    # draws each energy as its link is made and recomputes every weight
+    params = NgfParams(target_nodes=nodes, flavor=flavor, beta=beta, seed=seed)
+    assert ngf_generate(params) == loop_ngf_generate(params)
 
 
 def test_invalid_params():

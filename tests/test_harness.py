@@ -16,6 +16,7 @@ from diracsp import (
     TopologicalSpinor,
     assemble_dirac,
     betti_numbers,
+    complexes,
     gaussian_mix_signal,
     learn,
     ngf_generate,
@@ -104,6 +105,35 @@ def test_commands_never_build_a_block_matrix(tmp_path, monkeypatch):
     s = gaussian_mix_signal(basis, 1.0, 0.2)
     learn(s, D, 1, FilterConfig(tau=7.0), truth=s, basis=basis)
     assert not {"full", "part1", "part2"} & D.__dict__.keys()
+
+
+def test_a_grid_run_builds_the_boundary_matrix_of_its_order_only(tmp_path, monkeypatch):
+    # D_n acts through B_n and its transpose alone, so an n = 1 learn never
+    # builds B2 and an n = 2 sweep-m never builds B1
+    built = []
+    boundary_matrix = complexes.boundary_matrix
+    monkeypatch.setattr(complexes, "boundary_matrix", lambda K, n: built.append(n) or boundary_matrix(K, n))
+    ngf = tmp_path / "ngf.json"
+    ngf_generate(NgfParams(target_nodes=60, seed=0)).save(ngf)
+    cmd_learn(
+        ExperimentPlan(
+            dataset={"kind": "file", "path": str(ngf)},
+            signal=SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2),
+            alphas=(0.5,), taus=(7.0,), m0s=(2.0,), seeds=2, seed=3,
+        ),
+        tmp_path / "learn.csv",
+    )
+    assert built == [1]
+    built.clear()
+    cmd_sweep_m(
+        ExperimentPlan(
+            dataset={"kind": "file", "path": COASTAL},
+            signal=SignalSpec(mode="eigen", n=2, selector="smallest_positive"),
+            alphas=(0.6,), taus=(10.0,), ms=(0.5, 1.0), seeds=2, seed=3,
+        ),
+        tmp_path / "sweep.csv",
+    )
+    assert built == [2]
 
 
 def test_resolve_dataset_rejects_non_integer_counts_and_bad_beta():

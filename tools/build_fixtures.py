@@ -113,7 +113,7 @@ def build_coastal_flow(K):
     with open(DATA / "coastal_tessellation_flow.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["block", "index", "value"])
-        for i, (a, b) in enumerate(K.links):
+        for i, (a, b) in enumerate(K.links.tolist()):
             ra, ca = divmod(a, COLS)
             rb, cb = divmod(b, COLS)
             my, mx = (ra + rb) / 2.0 - cy, (ca + cb) / 2.0 - cx
