@@ -10,15 +10,19 @@ works on int64 arrays, and open triangles are rejected, never filled in.
 The complex keeps those arrays: ``links`` and ``triangles`` are read-only
 int64 arrays of shape (N1, 2) and (N2, 3).
 
-A complex builds its face rows (the link row of each triangle face), B1,
+A complex builds its face rows (the link row of each triangle face), B1 and
 B2, their transposes and their ranks on first read and keeps them, outside
 ``==``, ``hash`` and ``to_dict``; each rank is a function of its boundary
-matrix alone, and no other module writes one.  B1 and B2 are read straight
-off ``links`` and the face rows into csc form.  Rank B1 is a count of the
-graph's connected components.  Rank B2 is, in this order: a count of
-components of the triangles' orientation double cover, when every link
-bounds at most two triangles; N2, when elementary collapses remove every
-triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
+matrix alone, and no other module writes one.  ``K.incidence(n)`` is B_n as
+an :class:`Incidence`: the rows of its columns, ``links`` for B1 and the
+face rows for B2, with the products ``B @ X`` and ``B.T @ X`` and the dense
+Gram matrix in numpy alone, so that nothing on the run path imports scipy.
+``K.B1``, ``K.B2`` and :func:`boundary_matrix` are the same matrices in
+scipy csc form, which import ``scipy.sparse`` on first use.  Rank B1 is a
+count of the graph's connected components.  Rank B2 is, in this order: a
+count of components of the triangles' orientation double cover, when every
+link bounds at most two triangles; N2, when elementary collapses remove
+every triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
 
 Instances are immutable after construction and safe to share across
 threads; two threads that first read a kept item at once may each build
@@ -29,16 +33,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import (
     DuplicateSimplex,
@@ -48,6 +51,9 @@ from .errors import (
     MissingFace,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 COMPLEX_FORMAT = "diracsp/complex/1"
 
@@ -79,9 +85,11 @@ class SimplicialComplex:
             object.__setattr__(self, name, arr)
 
     def __setstate__(self, state: dict) -> None:
-        # a copy or an unpickled complex keeps its simplices read-only
+        # a copy or an unpickled complex keeps its simplices and face rows read-only
         self.__dict__.update(state)
-        self.links.flags.writeable = self.triangles.flags.writeable = False
+        for name in ("links", "triangles", "face_rows"):
+            if name in state:
+                state[name].flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -134,8 +142,26 @@ class SimplicialComplex:
     def face_rows(self) -> np.ndarray:
         """(N2, 3) int64: row t holds the link rows of triangle t's faces
         (i, j), (i, k), (j, k); a face missing from the links raises
-        :class:`MissingFace` naming the first one."""
-        return _link_rows(*self.link_codes, self.n0, _faces(self.triangles)).reshape(-1, 3)
+        :class:`MissingFace` naming the first one.  Read-only: B2 is read off it."""
+        rows = _link_rows(*self.link_codes, self.n0, _faces(self.triangles)).reshape(-1, 3)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _incidence1(self) -> Incidence:
+        return signed_incidence(self, 1)
+
+    @cached_property
+    def _incidence2(self) -> Incidence:
+        return signed_incidence(self, 2)
+
+    def incidence(self, n: int) -> Incidence:
+        """B_n as an :class:`Incidence`, built once, for n = 1 or 2."""
+        if n == 1:
+            return self._incidence1
+        if n == 2:
+            return self._incidence2
+        raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
 
     @cached_property
     def B1(self) -> sp.csc_array:
@@ -178,12 +204,12 @@ class SimplicialComplex:
         only a complex that does neither pays the :func:`gap_rank` of B2's
         Gram spectrum from one eigenvalues-only solve.
         """
-        rows = self.B2.tocsr()  # row per link: its triangles and signs
-        if np.diff(rows.indptr).max(initial=0) <= 2:
-            return self.n2 - _closed_orientable_components(rows)
+        B2 = self.incidence(2)
+        if np.diff(B2.row_entries.indptr).max(initial=0) <= 2:
+            return self.n2 - _closed_orientable_components(B2)
         if _collapses(self.face_rows, self.n1):
             return self.n2
-        return gap_rank(gram_eigh(gram_matrix(self.B2)[0], vectors=False), RANK_RTOL)
+        return gap_rank(gram_eigh(gram_matrix(B2)[0], vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -331,25 +357,142 @@ def _faces(triangles: np.ndarray) -> np.ndarray:
     return triangles[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
 
 
+def signed_incidence(K: SimplicialComplex, n: int) -> Incidence:
+    """B_n of K, n = 1 or 2, as an :class:`Incidence`: column c of B1 has -1
+    (tail) and +1 (head) in the rows of link c; column t of B2 has signs
+    (+1, -1, +1) in the rows of triangle t's faces (i, j), (i, k), (j, k)."""
+    if n == 1:
+        return Incidence(K.links, (-1, 1), K.n0)
+    return Incidence(K.face_rows, (1, -1, 1), K.n1)
+
+
 def boundary_matrix(K: SimplicialComplex, n: int) -> sp.csc_array:
     """Signed boundary matrix B_n as a sparse integer matrix.
 
     B1 has shape (N0, N1) with one -1 (tail) and one +1 (head) per column;
     B2 has shape (N1, N2) with signs (+1, -1, +1) on the faces of each
     triangle.  For n=2 on a triangle-free complex this is an (N1, 0) zero
-    matrix.
+    matrix.  It is the csc form of ``K.incidence(n)``, and imports
+    ``scipy.sparse`` on first use.
     """
-    if n == 1:
-        rows, signs, shape = K.links, [-1, 1], (K.n0, K.n1)
-    elif n == 2:
-        rows, signs, shape = K.face_rows, [1, -1, 1], (K.n1, K.n2)
-    else:
-        raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
-    # column c holds row c of ``rows``, ascending in a canonical complex
-    width = len(signs)
-    indptr = np.arange(0, width * shape[1] + 1, width)
-    vals = np.tile(np.array(signs, dtype=np.int64), shape[1])
-    return sp.csc_array((vals, rows.flatten(), indptr), shape=shape)
+    import scipy.sparse as sp
+
+    B = K.incidence(n)
+    # column c holds row c of ``columns``, ascending in a canonical complex
+    count, width = B.columns.shape
+    indptr = np.arange(0, width * count + 1, width)
+    vals = np.tile(np.array(B.signs, dtype=np.int64), count)
+    return sp.csc_array((vals, B.columns.flatten(), indptr), shape=B.shape)
+
+
+class RowEntries(NamedTuple):
+    """The entries of an :class:`Incidence` row by row, as in csr form: row i
+    holds ``data[k]`` in column ``indices[k]`` for k in indptr[i] .. indptr[i + 1] - 1,
+    its columns ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+class Incidence:
+    """A signed incidence matrix B (N_{n-1} x N_n) held as the rows of its columns.
+
+    Column c of B holds ``signs[s]`` (each +/-1) in row ``columns[c, s]``;
+    no column names a row twice and no two columns share two rows, as two
+    links share at most one node and two triangles at most one link.
+    ``B @ X`` and ``B.T @ X`` take X of N_n or N_{n-1} rows (a vector, or a
+    2-D array of any layout) and return new C-ordered float64 arrays.  Each
+    output entry adds its terms in scipy's order, from 0, so no entry is
+    -0.0, and the products equal scipy's csc and csr products bit for bit
+    when each column lists its rows in ascending order, scipy's order, as
+    in every complex :func:`build_complex` makes.  (Otherwise ``B.T @ X``
+    adds a column's terms in the order listed.)  Everything beyond
+    ``columns`` is built on first use and kept.
+    """
+
+    def __init__(self, columns: np.ndarray, signs: tuple[int, ...], rows: int):
+        self.columns = columns
+        self.signs = signs
+        self.shape = (rows, len(columns))
+
+    @cached_property
+    def T(self) -> _Transposed:
+        return _Transposed(self)
+
+    @cached_property
+    def row_entries(self) -> RowEntries:
+        flat = self.columns.ravel()
+        entry = np.argsort(flat, kind="stable")  # by row; by column within a row
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=self.shape[0]), out=indptr[1:])
+        width = len(self.signs)
+        return RowEntries(indptr, entry // width, np.array(self.signs, dtype=float)[entry % width])
+
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(back, slots) of ``B @ X``.  Sorted by entry count, most first, row
+        ``back[i]`` is row i of B, and slots[s] holds the s-th entry of every
+        sorted row that has one, so those rows come first: as row c of
+        [X; -X] for a +1 in column c, and row N_n + c for a -1.  There is
+        always a slot 0, empty when B is zero."""
+        indptr, indices, data = self.row_entries
+        count = np.diff(indptr)
+        order = np.argsort(-count, kind="stable")
+        first, count = indptr[order], count[order]
+        signed = np.where(data > 0, indices, indices + self.shape[1])
+        slots = [
+            signed[first[: np.count_nonzero(count > s)] + s] for s in range(max(count.max(initial=0), 1))
+        ]
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        return back, slots
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        """B X: each row of the output adds its entries in column order, one slot at a time."""
+        X = np.asarray(X, dtype=float)
+        back, slots = self._slots
+        n, shape = self.shape[1], X.shape[1:]
+        # [X; -X] with no -0.0 in it: a sum that starts from one of its rows
+        # never ends at -0.0, as none of scipy's, which start from +0.0, does
+        signed = np.empty((2 * n,) + shape)
+        np.add(X, 0.0, out=signed[:n])
+        np.subtract(0.0, X, out=signed[n:])
+        out = np.empty((self.shape[0],) + shape)
+        head, *rest = slots
+        # mode="clip" lets take write into out without a buffer; no index is out of range
+        signed.take(head, axis=0, out=out[: len(head)], mode="clip")
+        out[len(head) :] = 0.0
+        for at in rest:
+            out[: len(at)] += signed.take(at, axis=0)
+        return out.take(back, axis=0)
+
+    def toarray(self) -> np.ndarray:
+        """B as a dense float64 array, filled from ``columns``."""
+        A = np.zeros(self.shape)
+        A[self.columns, np.arange(self.shape[1])[:, None]] = self.signs
+        return A
+
+
+class _Transposed:
+    """B^T of an :class:`Incidence` B: ``B.T @ X`` adds the signed rows of X
+    that each column of B names."""
+
+    def __init__(self, B: Incidence):
+        self.T = B
+        self.shape = B.shape[::-1]
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        # X + 0.0 is a copy of X with no -0.0 in it, so a sum that starts
+        # from a positive term never ends at -0.0, as none of scipy's does
+        X = np.add(X, 0.0)
+        terms = list(zip(self.T.columns.T, self.T.signs))
+        if terms[0][1] < 0:
+            terms[:2] = terms[1::-1]  # the first two terms commute; B1's second is positive
+        out = X.take(terms[0][0], axis=0)
+        for rows, sign in terms[1:]:
+            (np.add if sign > 0 else np.subtract)(out, X.take(rows, axis=0), out=out)
+        return out
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
@@ -383,7 +526,7 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarra
     return int(roots.sum()), np.cumsum(roots)[parent] - 1
 
 
-def _closed_orientable_components(B2: sp.csr_array) -> int:
+def _closed_orientable_components(B2: Incidence) -> int:
     """Number of triangle components of B2's complex that carry a 2-cycle.
 
     Each triangle t gets an orientation o_t = +/-1 so that every link shared
@@ -395,13 +538,14 @@ def _closed_orientable_components(B2: sp.csr_array) -> int:
     lifts to two cover components, one per orientation.
     """
     n2 = B2.shape[1]
-    per_link = np.diff(B2.indptr)
-    first = B2.indptr[:-1]
+    rows = B2.row_entries  # row per link: its triangles and signs
+    per_link = np.diff(rows.indptr)
+    first = rows.indptr[:-1]
     free = np.zeros(n2, dtype=bool)
-    free[B2.indices[first[per_link == 1]]] = True
+    free[rows.indices[first[per_link == 1]]] = True
     shared = first[per_link == 2]
-    t, u = B2.indices[shared], B2.indices[shared + 1]
-    flip = np.where(B2.data[shared] * B2.data[shared + 1] > 0, n2, 0)
+    t, u = rows.indices[shared], rows.indices[shared + 1]
+    flip = np.where(rows.data[shared] * rows.data[shared + 1] > 0, n2, 0)
     count, labels = _components(2 * n2, np.r_[t, t + n2], np.r_[u + flip, u + n2 - flip])
     open_or_twisted = np.tile(free | (labels[:n2] == labels[n2:]), 2)
     return (count - np.unique(labels[open_or_twisted]).size) // 2
@@ -431,7 +575,7 @@ def _collapses(faces: np.ndarray, n1: int) -> bool:
         live &= ~free
 
 
-def is_wide(B: sp.sparray) -> bool:
+def is_wide(B: Incidence) -> bool:
     """Whether B has no more rows than columns, so that B B^T is its smaller Gram matrix.
 
     The one rule for which Gram matrix :func:`gram_matrix` builds, and so for
@@ -440,30 +584,98 @@ def is_wide(B: sp.sparray) -> bool:
     return B.shape[0] <= B.shape[1]
 
 
-def gram_matrix(B: sp.sparray) -> tuple[np.ndarray, bool]:
+def gram_matrix(B: Incidence) -> tuple[np.ndarray, bool]:
     """The smaller Gram matrix of B, dense float64 in C order, and whether it is B B^T.
 
-    (B B^T, True) when B is :func:`is_wide`, else (B^T B, False).
+    (B B^T, True) when B is :func:`is_wide`, else (B^T B, False).  Entry
+    (i, k) off the diagonal is the product of the signs that rows i and k
+    (columns, for B^T B) have in the one column (row) they share, if any, and
+    the diagonal counts each row's (column's) entries; so every entry is set
+    by one assignment of a small integer, and G is exact.
+
+    G is allocated first, after :func:`steady_heap`, so that it takes the
+    same place in the heap on every set-up: the index arrays made before it
+    once sat in the free space of the previous set-up's buffers, pushed G
+    past them, and the solve's buffers then moved from one set-up to the
+    next, until one NGF-1000 learn run in about ten kept one more 8 MB
+    buffer resident (a peak RSS of 92 MB, not 85 MB).
     """
     wide = is_wide(B)
-    G = B @ B.T if wide else B.T @ B
-    # B @ B.T of a csc array is csc, whose toarray() would be F-ordered
-    return G.astype(float, copy=False).toarray(order="C"), wide
+    steady_heap()
+    size = min(B.shape)
+    G = np.zeros((size, size))
+    # entries k in indptr[g] .. indptr[g + 1] - 1 form group g: their G index and sign
+    if wide:  # B B^T: the rows of B that share column g
+        count, width = B.columns.shape
+        indptr = np.arange(0, width * count + 1, width)
+        index, sign = B.columns.ravel(), np.tile(np.array(B.signs, dtype=float), count)
+    else:  # B^T B: the columns of B that share row g
+        indptr, index, sign = B.row_entries
+    # every ordered pair (e, f) of entries in one group, e == f included:
+    # entry e pairs with the entries start[e] .. start[e] + width[e] - 1
+    count = np.diff(indptr)
+    start, width = np.repeat(indptr[:-1], count), np.repeat(count, count)
+    e = np.repeat(np.arange(index.size), width)
+    f = np.repeat(start - np.cumsum(width) + width, width) + np.arange(e.size)
+    G[index[e], index[f]] = sign[e] * sign[f]
+    G[np.diag_indices(size)] = np.bincount(index, minlength=size)
+    return G, wide
+
+
+# glibc's mallopt parameters, and the fixed values :func:`steady_heap` gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 1 << 30
+
+
+@cache
+def steady_heap() -> bool:
+    """Fix glibc's malloc thresholds, once, before the first Gram matrix.
+
+    A Gram solve mallocs and frees N x N float64 buffers: G, numpy's copy of
+    it, dsyevd's workspace of about 2 N^2 and the eigenvectors.  Left to
+    itself glibc adapts its mmap and trim thresholds to the first large free;
+    from then on, whether the heap's free top goes back to the system after
+    a solve (to be faulted in again by the next one) turns on a few KB of
+    unrelated allocations.  So one NGF-1000 learn run peaked at 84 or 92 MB
+    RSS with nothing changed but the length of its output path.  Fixed here,
+    blocks under MMAP_THRESHOLD come from the heap, and freed heap memory is
+    kept for the next solve unless TRIM_THRESHOLD of it lies free at the top.
+    Returns whether the thresholds were set: not on another C library, and
+    not when the environment sets glibc's malloc tunables itself.
+    """
+    tunables = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+    if any(name in os.environ for name in tunables) or "glibc.malloc" in os.environ.get(
+        "GLIBC_TUNABLES", ""
+    ):
+        return False
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc.startswith("glibc"):
+        return False
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    )
 
 
 def gram_eigh(G: np.ndarray, *, vectors: bool = True):
     """Ascending eigenvalues of the symmetric matrix G, and its eigenvectors if asked.
 
-    The solve happens in G's own buffer: LAPACK dsyevd runs on G.T, which is
-    G itself (G is symmetric) as an F-contiguous view, so nothing is copied,
-    and with ``vectors`` it writes the eigenvectors, one per column, over G.
-    Returns w, or (w, X) where X shares G's memory.  G holds garbage
-    afterwards either way.  A LAPACK failure raises :class:`EigensolveFailure`.
+    LAPACK dsyevd through ``numpy.linalg.eigh`` (or ``eigvalsh``) on G's lower
+    triangle.  numpy solves in a copy of G, so the solve peaks at G, that
+    copy and dsyevd's workspace; :func:`steady_heap` keeps those buffers in
+    the heap from one solve to the next.  Returns w, or (w, X) with the
+    eigenvectors as the columns of X.  A LAPACK failure raises
+    :class:`EigensolveFailure`.
     """
+    steady_heap()
     try:
-        return sla.eigh(
-            G.T, eigvals_only=not vectors, driver="evd", overwrite_a=True, check_finite=False
-        )
+        return np.linalg.eigh(G) if vectors else np.linalg.eigvalsh(G)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
 

@@ -27,20 +27,23 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complexes import require_int, require_real
 from .errors import NonConvergence, SolverFailure, ZeroSignal
 from .operators import DiracOperator, SpectralBasis, spectral_basis
 from .spinors import TopologicalSpinor
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 def _solve_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
     # scipy has no sparse Cholesky; LU on an SPD matrix is stable and keeps
     # one code path across problem sizes.  Imported here, its only use, so
-    # that importing the package does not load all of scipy.sparse.linalg.
+    # that importing the package does not load scipy.sparse.linalg.
     from scipy.sparse.linalg import splu
 
     try:
@@ -61,6 +64,8 @@ def hodge_filter(
     Dop._check(s_tilde)
     if tau == 0.0:
         return s_tilde
+    import scipy.sparse as sp
+
     A = (sp.eye_array(Dop.dim) + tau * Dop.super_laplacian).tocsc()
     return TopologicalSpinor.from_vector(Dop.K, _solve_spd(A, s_tilde.vector))
 

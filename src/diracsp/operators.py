@@ -13,17 +13,19 @@ eigenpairs of D_n come in chiral pairs (+lambda, -lambda) built from the
 singular triplets of B_n: if B_n v = sigma u, then (u, +/-v)/sqrt(2) padded
 with the zero block are unit eigenvectors of D_n with eigenvalues +/-sigma.
 
-A DiracOperator holds only its complex, which builds and keeps B1, B2,
-their transposed views and both ranks.  D_n acts through B_n: on the
-blocks (a, b) it couples, D_n maps (a, b) to (B_n b, B_n^T a).  The sparse
-M x M block matrices of D1, D2 and D are built on first use only.
+A DiracOperator holds only its complex, which builds and keeps B1, B2 and
+both ranks.  D_n acts through B_n, the complex's
+:class:`~diracsp.complexes.Incidence`: on the blocks (a, b) it couples, D_n
+maps (a, b) to (B_n b, B_n^T a), products in numpy alone.  The scipy sparse
+forms (``B1``, ``B2``, the M x M block matrices of D1, D2 and D, the
+Laplacians) are built on first use only, and import ``scipy.sparse`` then.
 Everything spectral about D_n comes from one cached SpectralBasis per
 boundary matrix, the triplets of one Gram eigensolve checked against the
 rank the complex decides: projections, kernels and harmonic bases read it,
 ranks never build it, and it writes nothing to the complex.  The basis
 stores one factor of the triplets, the Gram eigenvectors, with sigma; the
 other factor (v = B_n^T u / sigma, or u = B_n v / sigma) is reached
-through one sparse product with B_n.  Reading ``U``, ``V`` or
+through one product with B_n.  Reading ``U``, ``V`` or
 ``singular_triplets`` builds that factor whole, O(N_n r) numbers per read;
 the grid commands never do.
 
@@ -35,13 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .complexes import (
     RANK_RTOL,
+    Incidence,
     SimplicialComplex,
     gap_rank,
     gram_eigh,
@@ -50,6 +52,9 @@ from .complexes import (
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor, split_blocks
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SQRT2 = np.sqrt(2.0)
 
@@ -66,6 +71,8 @@ def _order(n: int) -> int:
 
 def _block_matrix(Dop: DiracOperator, n: int) -> sp.csr_array:
     """D_n as a sparse M x M matrix: B_n and B_n^T in the blocks it couples."""
+    import scipy.sparse as sp
+
     B = Dop.boundary(n)
     rows = [[sp.csr_array((r, c)) for c in Dop.K.counts] for r in Dop.K.counts]
     rows[n - 1][n], rows[n][n - 1] = B, B.T
@@ -119,6 +126,8 @@ class DiracOperator:
             raise InvalidOrder(f"Hodge Laplacians exist for n in {{0, 1, 2}}, got {n}")
         if which not in ("full", "up", "down"):
             raise InvalidOrder(f"which must be full|up|down, got {which!r}")
+        import scipy.sparse as sp
+
         zero = sp.csr_array((self.K.counts[n],) * 2)
         down = zero if n == 0 or which == "up" else self.boundary(n).T @ self.boundary(n)
         up = zero if n == 2 or which == "down" else self.boundary(n + 1) @ self.boundary(n + 1).T
@@ -127,6 +136,8 @@ class DiracOperator:
     @cached_property
     def super_laplacian(self) -> sp.csr_array:
         """blockdiag(L0, L1, L2); equals D^2 up to floating-point roundoff."""
+        import scipy.sparse as sp
+
         return sp.block_diag(
             [self.laplacian(0), self.laplacian(1), self.laplacian(2)],
             format="csr",
@@ -136,11 +147,11 @@ class DiracOperator:
 
     @cached_property
     def _basis1(self) -> SpectralBasis:
-        return SpectralBasis(1, self.K, *_gram_triplets(self.B1, self.K.rank1))
+        return SpectralBasis(1, self.K, *_gram_triplets(self.K.incidence(1), self.K.rank1))
 
     @cached_property
     def _basis2(self) -> SpectralBasis:
-        return SpectralBasis(2, self.K, *_gram_triplets(self.B2, self.K.rank2))
+        return SpectralBasis(2, self.K, *_gram_triplets(self.K.incidence(2), self.K.rank2))
 
     def singular_triplets(self, n: int):
         """(U, sigma, V) of B_n's nonzero triplets, sigma descending.
@@ -166,12 +177,13 @@ class DiracOperator:
             )
 
     def apply(self, s: TopologicalSpinor, n: int | None = None) -> TopologicalSpinor:
-        """D s (n=None) or D_n s, as sparse products with B1 and B2."""
+        """D s (n=None) or D_n s, as products with B1 and B2."""
         self._check(s)
         if n is None:
             return self.apply(s, 1) + self.apply(s, 2)
         left, right = _blocks_for(n, s.blocks)
-        return _spinor_from_blocks(self.K, n, self.boundary(n) @ right, self.K.transposed(n) @ left)
+        B = self.K.incidence(n)
+        return _spinor_from_blocks(self.K, n, B @ right, B.T @ left)
 
 
 def _blocks_for(n: int, blocks):
@@ -198,7 +210,7 @@ def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr
 # -- singular triplets --------------------------------------------------------
 
 
-def _derived_block(F: sp.sparray, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
+def _derived_block(F, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
     """Columns start .. start + _BLOCK - 1 of F Q, divided by sigma[blk] when sigma is given.
 
     Q is the stored factor of B and F maps its side onto the other one (B^T
@@ -214,23 +226,22 @@ def _derived_block(F: sp.sparray, Q: np.ndarray, start: int, sigma=None) -> np.n
     return Y
 
 
-def _gram_triplets(B: sp.sparray, r: int):
+def _gram_triplets(B: Incidence, r: int):
     """(Q, sigma): the stored factor of B's nonzero singular triplets and sigma,
     descending (to roundoff inside a cluster of equal values).
 
-    One dense eigensolve of the smaller Gram matrix G (B B^T when B has no
-    more rows than columns, else B^T B), done in G's own buffer
-    (:func:`gram_eigh`), gives Q: the eigenvectors of the top eigenvalues,
-    U for B B^T and V for B^T B.  The rank is the :func:`gap_rank` of that
-    spectrum, which must equal the complex's rank r, or the eigensolve is
-    not trusted.  The top columns are copied out
-    C-contiguous and G is dropped; then each sigma_j is the norm of B^T q_j
-    (or B q_j), taken a block of columns at a time (:func:`_derived_block`).
-    That norm keeps the small singular values accurate to roundoff relative
-    to themselves, where sqrt of the Gram eigenvalue would lose digits in
-    proportion to (sigma_max / sigma)^2.
-    Peak memory is G + the LAPACK workspace during the solve, then G + Q; the
-    other factor is never built.
+    One dense eigensolve (:func:`gram_eigh`) of the smaller Gram matrix G
+    (B B^T when B has no more rows than columns, else B^T B) gives Q: the
+    eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
+    rank is the :func:`gap_rank` of that spectrum, which must equal the
+    complex's rank r, or the eigensolve is not trusted.  G is dropped and
+    the top columns are copied out C-contiguous; then each sigma_j is the
+    norm of B^T q_j (or B q_j), taken a block of columns at a time
+    (:func:`_derived_block`).  That norm keeps the small singular values
+    accurate to roundoff relative to themselves, where sqrt of the Gram
+    eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
+    Peak memory is G, numpy's copy of it and the LAPACK workspace during the
+    solve, then the eigenvectors + Q; the other factor is never built.
     """
     m, n = B.shape
     G, _ = gram_matrix(B)
@@ -265,7 +276,7 @@ def _fix_sign(col: np.ndarray) -> np.ndarray:
     return -col if col[np.argmax(np.abs(col))] < 0 else col
 
 
-def _mode_signs(F: sp.sparray, Q: np.ndarray, sigma: np.ndarray, left: bool) -> np.ndarray:
+def _mode_signs(F, Q: np.ndarray, sigma: np.ndarray, left: bool) -> np.ndarray:
     """+/-1 per nonzero mode, in ``SpectralBasis.nonzero_indices`` order.
 
     Q is the stored factor (U when ``left``, else V), F maps its side onto
@@ -315,9 +326,9 @@ class SpectralBasis:
     (U, sigma, V) of B_n, and it stores one factor of them: ``sigma`` and
     ``Q``, the top eigenvectors of the smaller Gram matrix (U when
     N_{n-1} <= N_n, as for B1; else V).  That is O(min(N_{n-1}, N_n) r)
-    numbers.  The other factor follows from Q through one sparse product
-    with ``B``, the B_n that ``K`` keeps (shared with the operator, as is
-    its transposed view): v = B_n^T u / sigma, or u = B_n v / sigma.
+    numbers.  The other factor follows from Q through one product with
+    ``B``, the :class:`~diracsp.complexes.Incidence` B_n that ``K`` keeps
+    (shared with the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
     Reading ``U`` or ``V`` builds the derived one whole, O(N_n r) numbers
     per read; the products below and the grid commands never do.  Bases
     compare and hash by identity.
@@ -365,22 +376,22 @@ class SpectralBasis:
         return out
 
     @property
-    def B(self) -> sp.csc_array:
-        return self.K.boundary(self.order)
+    def B(self) -> Incidence:
+        return self.K.incidence(self.order)
 
     @cached_property
     def _left(self) -> bool:
         """Whether Q is U (B_n is wide) rather than V."""
         return is_wide(self.B)
 
-    # B_n and the complex's B_n^T, named by the side each maps onto
+    # B_n and B_n^T, named by the side each maps onto
     @property
-    def _to_derived(self) -> sp.sparray:
-        return self.K.transposed(self.order) if self._left else self.B
+    def _to_derived(self):
+        return self.B.T if self._left else self.B
 
     @property
-    def _to_stored(self) -> sp.sparray:
-        return self.B if self._left else self.K.transposed(self.order)
+    def _to_stored(self):
+        return self.B if self._left else self.B.T
 
     @cached_property
     def signs(self) -> np.ndarray:
@@ -422,7 +433,13 @@ class SpectralBasis:
     def nonzero_indices(self) -> np.ndarray:
         return np.concatenate([self.neg_indices, self.pos_indices])
 
+    def _check_mode(self, i: int) -> None:
+        if not 0 <= i < self.K.spinor_dim:
+            raise IndexError(f"mode {i} outside 0..{self.K.spinor_dim - 1}")
+
     def classify(self, i: int) -> str:
+        """"neg", "harm" or "pos": the class of mode i."""
+        self._check_mode(i)
         r, k = self.rank, self.kernel_dim
         if i < r:
             return "neg"
@@ -432,18 +449,17 @@ class SpectralBasis:
 
     def check(self, Dop: DiracOperator, n: int) -> None:
         """Refuse to act for D_n of ``Dop`` unless this basis was built for it:
-        the same order, the same simplex counts and the same B_n, entry for entry."""
+        the same order, the same simplex counts and the same B_n, entry for
+        entry: the same rows in each column, which are the links for B1 and
+        the face rows for B2 (of N1 rows, as the counts are the same)."""
         if self.order != n:
             raise InvalidOrder(f"basis is for D_{self.order}, filter asks for D_{n}")
         if self.K.counts != Dop.K.counts:
             raise DimensionMismatch(
                 f"basis is for a complex of size {self.K.counts}, operator has {Dop.K.counts}"
             )
-        B = Dop.boundary(n)
-        same = self.B is B or (self.B.shape == B.shape and all(
-            np.array_equal(getattr(self.B, f), getattr(B, f)) for f in ("indptr", "indices", "data")
-        ))
-        if not same:
+        B = Dop.K.incidence(n)
+        if not (self.B is B or np.array_equal(self.B.columns, B.columns)):
             raise DimensionMismatch(
                 f"basis is for B_{n} of another complex with the same counts {self.K.counts}"
             )
@@ -511,9 +527,8 @@ class SpectralBasis:
 
     def spinor(self, i: int) -> TopologicalSpinor:
         """The unit eigenvector for ``eigenvalues[i]``, in full spinor coordinates."""
+        self._check_mode(i)
         r, k = self.rank, self.kernel_dim
-        if not 0 <= i < 2 * r + k:
-            raise IndexError(f"mode {i} outside 0..{2 * r + k - 1}")
         if r <= i < r + k:
             return self._harmonic_spinor(i - r)
         positive = i >= r + k
@@ -576,13 +591,13 @@ def spectral_basis(
     if method == "svd":
         return Dop._basis1 if n == 1 else Dop._basis2
     if method == "eigh":
-        B = Dop.boundary(n)
+        B = Dop.K.incidence(n)
         U, sigma, V = _eigh_triplets(B)
         return SpectralBasis(n, Dop.K, U if is_wide(B) else V, sigma)
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 
-def _eigh_triplets(B: sp.sparray):
+def _eigh_triplets(B: Incidence):
     """(U, sigma, V) of B, sigma descending, from a dense eigh of [[0, B], [B^T, 0]].
 
     An eigenvector for +sigma > 0 is (u, v)/sqrt(2); the negative half of
@@ -611,7 +626,13 @@ def harmonic_basis(Dop: DiracOperator) -> np.ndarray:
     """
     U1, _, V1 = Dop.singular_triplets(1)
     U2, _, V2 = Dop.singular_triplets(2)
-    return sla.block_diag(_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2))
+    blocks = [_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2)]
+    H = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        H[row : row + b.shape[0], col : col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return H
 
 
 # -- chirality and projections ------------------------------------------------

@@ -775,33 +775,61 @@ def test_option_surface_is_unchanged():
 
 IMPORT_GUARD = """
 import json, sys
-import numpy, scipy.sparse, scipy.linalg
-before = set(sys.modules)
-import diracsp, diracsp.cli
-added = sorted(set(sys.modules) - before)
+from pathlib import Path
+import diracsp.cli
+from diracsp.cli import main
+from diracsp.datasets import dataset_path
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+found = {"import": scipy_modules()}
+out = Path(sys.argv[1])
+coastal, ngf = dataset_path("coastal_tessellation.json"), str(out / "ngf.json")
+runs = {
+    "generate": ["generate", "--nodes", "60", "--seed", "0", "-o", ngf],
+    "info": ["info", "-i", ngf],
+    "synth": ["synth", "-i", coastal, "--n", "2", "--alpha", "0.5", "--seed", "1", "-o", str(out / "s.csv")],
+    "sweep-m": ["sweep-m", "-i", coastal, "--n", "2", "--ms", "0.5,1", "--seeds", "2", "--seed", "1",
+                "-o", str(out / "sweep.csv")],
+    "learn": ["learn", "-i", ngf, "--preset", "gaussian", "--taus", "7", "--alphas", "0.5", "--seeds", "2",
+              "--seed", "3", "-o", str(out / "learn.csv")],
+    "heatmap": ["heatmap", "-i", coastal, "--taus", "5", "--alphas", "0.5", "--seeds", "2", "--seed", "1",
+                "-o", str(out / "heat.csv")],
+    "basin": ["basin", "-i", coastal, "--taus", "5", "--alphas", "0.5", "--seeds", "2", "--seed", "1",
+              "-o", str(out / "basin.csv")],
+    "bench": ["bench", "--sizes", "15,30", "--runs", "2", "--seed", "2", "-o", str(out / "bench.csv")],
+}
+for name, args in runs.items():
+    main(args, standalone_mode=False)
+    found[name] = scipy_modules()
+
+import numpy
+import diracsp
 from diracsp.datasets import florentine_marriage
 K = florentine_marriage()
 D = diracsp.assemble_dirac(K)
 s = numpy.random.default_rng(0).standard_normal(K.spinor_dim)
-out = diracsp.hodge_filter(diracsp.TopologicalSpinor.from_vector(K, s), D, 2.0).vector
+got = diracsp.hodge_filter(diracsp.TopologicalSpinor.from_vector(K, s), D, 2.0).vector
 want = numpy.linalg.solve(numpy.eye(K.spinor_dim) + 2.0 * D.super_laplacian.toarray(), s)
-loaded = "scipy.sparse.linalg" in sys.modules
-print(json.dumps({"added": added, "error": float(abs(out - want).max()), "loaded": loaded}))
+found["hodge_filter"] = {"error": float(abs(got - want).max()), "loaded": "scipy.sparse.linalg" in sys.modules}
+print(json.dumps(found))
 """
 
 
-def test_the_package_imports_no_graph_or_sparse_solver_module():
-    # importing the package and its CLI loads nothing of scipy.sparse.csgraph
-    # or scipy.sparse.linalg beyond what numpy, scipy.sparse and scipy.linalg
-    # already loaded (older scipy may load csgraph from scipy.sparse itself);
-    # hodge_filter loads its sparse LU on first use
+def test_the_package_imports_no_graph_or_sparse_solver_module(tmp_path):
+    # in a fresh process, importing the CLI loads no scipy module, and
+    # neither does any command that runs after it: the run path is numpy
+    # alone.  The sparse API loads scipy.sparse on first use, and
+    # hodge_filter its sparse LU.
     src = str(Path(diracsp.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD], env=env, check=True, capture_output=True, text=True
+        [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env, check=True, capture_output=True, text=True
     )
-    found = json.loads(done.stdout)
-    heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
-    assert [name for name in found["added"] if name.startswith(heavy)] == []
-    assert found["error"] <= 1e-12
-    assert found["loaded"]
+    found = json.loads(done.stdout.splitlines()[-1])
+    filtered = found.pop("hodge_filter")
+    assert list(found) == ["import", "generate", "info", "synth", "sweep-m", "learn", "heatmap", "basin", "bench"]
+    assert {step: loaded for step, loaded in found.items() if loaded} == {}
+    assert filtered["error"] <= 1e-12
+    assert filtered["loaded"]

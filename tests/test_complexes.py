@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import pickle
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -167,7 +170,7 @@ SURFACES = {
 
 
 def _triangles_per_link(K):
-    return np.abs(boundary_matrix(K, 2).toarray()).sum(axis=1)
+    return np.bincount(K.face_rows.ravel(), minlength=K.n1)
 
 
 RANK_CASES = {
@@ -256,7 +259,7 @@ def _spy_rank_work(monkeypatch) -> list[str]:
 
         monkeypatch.setattr(module, name, wrapped)
 
-    spy(complexes, "boundary_matrix", lambda K, n: f"B{n}")
+    spy(complexes, "signed_incidence", lambda K, n: f"B{n}")
     spy(complexes, "_components", lambda *args: "count")
     for module in (complexes, operators):
         spy(module, "gram_eigh", lambda G, vectors=True: "eigh" if vectors else "eigvalsh")
@@ -332,9 +335,10 @@ def test_a_complex_holds_its_simplices_as_read_only_int64_arrays():
     K = SimplicialComplex(3, links, [[0, 1, 2]])
     links[0] = (1, 2)  # the complex took a copy
     built = build_complex([(1, 2), (0, 1), (0, 2)], [(2, 1, 0)])
+    K.incidence(2)  # kept, and read off the face rows
     for twin in (K, built, copy.deepcopy(K), pickle.loads(pickle.dumps(K))):
         assert twin == built and hash(twin) == hash(built)
-        for arr, width in ((twin.links, 2), (twin.triangles, 3)):
+        for arr, width in ((twin.links, 2), (twin.triangles, 3), (twin.face_rows, 3)):
             assert arr.dtype == np.int64 and arr.shape[1] == width and not arr.flags.writeable
     assert K.links.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert SimplicialComplex(3, K.links).triangles.shape == (0, 3)
@@ -487,14 +491,139 @@ def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
         betti_numbers(K)
 
 
-@pytest.mark.parametrize("name", ["coastal", "ngf-120"])
+# Complexes for the numpy products and Gram matrices: both shapes of each
+# B_n, more than two triangles on a link, and links that list their head
+# first.
+PRODUCT_CASES = {
+    **HARD_COMPLEXES,
+    **{
+        f"ngf-flavor{flavor}": ngf_generate(NgfParams(target_nodes=60, flavor=flavor, seed=2))
+        for flavor in (-1, 0, 1)
+    },
+    "ngf-120": ngf_generate(NgfParams(target_nodes=120, seed=4)),
+    "star": SimplicialComplex(6, [(leaf, 0) for leaf in range(1, 6)]),  # B1 taller than wide
+    "k5": build_complex(  # B2 is 10 x 10, so B2 B2^T is its Gram matrix
+        list(combinations(range(5), 2)), list(combinations(range(5), 3))
+    ),
+    "torus+fin": torus_with_fin(),
+}
+# a direct construction whose triangles list their vertices out of order,
+# so each column of B2 lists its rows out of order
+UNSORTED = SimplicialComplex(6, SURFACES["rp2"][0].links, np.random.default_rng(1).permuted(RP2, axis=1))
+
+
+def _complex(name, coastal):
+    return {"coastal": coastal, "unsorted": UNSORTED, **PRODUCT_CASES}[name]
+
+
+def _bits(A):
+    """A's values and the sign bit of each, so that -0.0 and 0.0 differ."""
+    return A.shape, A.tolist(), np.signbit(A).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([None, 1, 5, 64]), layout=st.sampled_from("CFS"))
+@pytest.mark.parametrize("name", ["coastal", *PRODUCT_CASES])
 @pytest.mark.parametrize("n", [1, 2])
-def test_gram_matrix_is_c_ordered_and_solved_in_place(name, n, coastal):
-    K = coastal if name == "coastal" else ngf_generate(NgfParams(target_nodes=120, seed=4))
-    G, _ = complexes.gram_matrix(boundary_matrix(K, n))
-    assert G.flags.c_contiguous
-    _, X = complexes.gram_eigh(G)
-    assert np.shares_memory(X, G)
+def test_products_equal_scipy_bit_for_bit(name, n, seed, width, layout, coastal):
+    # B_n X and B_n^T X on a vector or a block of columns, C-ordered,
+    # F-ordered or strided, give scipy's csc and csr products exactly,
+    # signed zeros included: scipy sums from +0.0 and never returns -0.0
+    K = _complex(name, coastal)
+    B, S = K.incidence(n), boundary_matrix(K, n).astype(float)
+    rng = np.random.default_rng(seed)
+    for op, ref, size in ((B, S, B.shape[1]), (B.T, S.T, B.shape[0])):
+        X = rng.standard_normal((size, 2 * (width or 1)))
+        X[rng.random(X.shape) < 0.3] = 0.0
+        X[rng.random(X.shape) < 0.3] = -0.0
+        X = {"C": X[:, : width or 1], "F": np.asfortranarray(X[:, : width or 1]), "S": X[:, ::2]}[layout]
+        if width is None:
+            X = X[:, 0]
+        got = op @ X
+        assert got.flags.c_contiguous and _bits(got) == _bits(ref @ X)
+
+
+def test_products_add_a_column_in_its_stored_order():
+    # scipy's csc form sorts each column's rows; B2^T X adds a triangle's
+    # three terms in the order its face rows list them, which agrees with
+    # scipy to roundoff and exactly once the rows ascend, as in a canonical
+    # complex
+    B, S = UNSORTED.incidence(2), boundary_matrix(UNSORTED, 2).astype(float)
+    assert not (np.diff(B.columns, axis=1) > 0).all()
+    X = np.random.default_rng(4).standard_normal((B.shape[0], 6))
+    assert np.abs(B.T @ X - S.T @ X).max() <= 4 * np.finfo(float).eps * np.abs(X).max()
+    assert np.array_equal(B @ X[: B.shape[1]], S @ X[: B.shape[1]])
+
+
+@pytest.mark.parametrize("name", ["coastal", "unsorted", *PRODUCT_CASES])
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_matrix_is_exact_and_solved_by_numpy(name, n, coastal):
+    # entries of G are small integers and two columns (rows) share at most
+    # one row (column), so index assignment gives scipy's product exactly
+    K = _complex(name, coastal)
+    B, S = K.incidence(n), boundary_matrix(K, n)
+    G, wide = complexes.gram_matrix(B)
+    assert wide == complexes.is_wide(B) == (S.shape[0] <= S.shape[1])
+    assert G.dtype == np.float64 and G.flags.c_contiguous
+    assert np.array_equal(G, (S @ S.T if wide else S.T @ S).toarray())
+    assert np.array_equal(B.toarray(), S.toarray())
+    # numpy's dsyevd against scipy's, to roundoff: each runs its own bundled
+    # OpenBLAS, so bits may differ
+    import scipy.linalg
+
+    w, X = complexes.gram_eigh(G)
+    w0, X0 = scipy.linalg.eigh(G, driver="evd")
+    scale = max(1.0, float(np.abs(w0).max(initial=0.0)))
+    assert np.abs(w - w0).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(complexes.gram_eigh(G, vectors=False) - w0).max(initial=0.0) <= 1e-12 * scale
+    # the same eigenspace above the gap, the one a spectral basis keeps
+    top = w0 > complexes.RANK_RTOL * scale
+    assert np.abs(X[:, top] @ X[:, top].T - X0[:, top] @ X0[:, top].T).max(initial=0.0) <= 1e-10
+
+
+HEAP_PROBE = """
+import resource
+import numpy as np
+from diracsp import complexes
+A = np.random.default_rng(0).standard_normal((1000, 1000))
+faults = []
+for _ in range(4):
+    G = A + A.T
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    w, X = complexes.gram_eigh(G)
+    del G, w, X
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(complexes.steady_heap(), *faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc")
+def test_repeated_gram_solves_reuse_their_heap():
+    # G, numpy's copy of it, dsyevd's workspace and the eigenvectors come to
+    # 40 MB at N = 1000.  With glibc's adaptive thresholds every solve after
+    # the first gave about 27 MB of it back to the system and faulted it in
+    # again (6810 pages a solve); with steady_heap's fixed ones the third
+    # and fourth solves fault in nothing
+    src = os.path.dirname(os.path.dirname(complexes.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE], env=env, check=True, capture_output=True, text=True
+    )
+    fixed, *faults = done.stdout.split()
+    if fixed != "True":
+        pytest.skip("the C library is not glibc")
+    assert max(int(f) for f in faults[2:]) < 100, faults
+
+
+def test_steady_heap_leaves_set_malloc_tunables_alone(monkeypatch):
+    for name, value in [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=65536"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setenv(name, value)
+            assert complexes.steady_heap.__wrapped__() is False
 
 
 def _matches_loop_reference(K):

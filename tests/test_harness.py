@@ -111,8 +111,8 @@ def test_a_grid_run_builds_the_boundary_matrix_of_its_order_only(tmp_path, monke
     # D_n acts through B_n and its transpose alone, so an n = 1 learn never
     # builds B2 and an n = 2 sweep-m never builds B1
     built = []
-    boundary_matrix = complexes.boundary_matrix
-    monkeypatch.setattr(complexes, "boundary_matrix", lambda K, n: built.append(n) or boundary_matrix(K, n))
+    signed_incidence = complexes.signed_incidence
+    monkeypatch.setattr(complexes, "signed_incidence", lambda K, n: built.append(n) or signed_incidence(K, n))
     ngf = tmp_path / "ngf.json"
     ngf_generate(NgfParams(target_nodes=60, seed=0)).save(ngf)
     cmd_learn(

@@ -334,7 +334,8 @@ def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-    monkeypatch.setattr(complexes.sla, "eigh", fail)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
         K.rank2
     for n in (1, 2):

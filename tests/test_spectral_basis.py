@@ -153,7 +153,7 @@ GRAM_CASES = CASES + [("coastal", coastal_tessellation(), n) for n in (1, 2)]
 
 @pytest.mark.parametrize("name,K,n", GRAM_CASES, ids=[f"{c[0]}-n{c[2]}" for c in GRAM_CASES])
 def test_gram_triplets_agree_with_eigh_reference(name, K, n):
-    B = assemble_dirac(K).boundary(n)
+    B = K.incidence(n)
     r = exact_rank(B)
     U0, sigma0, V0 = _eigh_triplets(B)
     basis = SpectralBasis(n, K, *_gram_triplets(B, r))
@@ -272,6 +272,16 @@ def test_spinor_index_out_of_range(ff_basis):
         ff_basis.spinor(ff_basis.eigenvalues.size)
 
 
+@pytest.mark.parametrize("i", [-5, -1, 35, 10**6])
+def test_classify_refuses_a_mode_outside_the_basis(ff_basis, i):
+    # the Florentine basis has 15 + 20 = 35 modes, numbered 0 .. 34
+    assert ff_basis.eigenvalues.size == 35
+    for lookup in (ff_basis.classify, ff_basis.spinor):
+        with pytest.raises(IndexError, match=rf"mode {i} outside 0\.\.34"):
+            lookup(i)
+    assert [ff_basis.classify(j) for j in (0, 34)] == ["neg", "pos"]
+
+
 def test_foreign_spinor_and_coefficients_rejected(ff_basis, filled_triangle):
     with pytest.raises(DimensionMismatch):
         ff_basis.coefficients(TopologicalSpinor.zeros(filled_triangle))
@@ -334,10 +344,11 @@ def test_basis_and_learning_never_allocate_a_dense_basis():
 
 
 def test_spectral_setup_holds_no_full_size_temporaries():
-    # the Gram matrix is solved in its own buffer, the derived factor is
-    # divided in place and the sign pass works in column blocks, so no step
-    # holds a second copy of U or V next to them: building the basis and its
-    # signs peaks below U + V plus two Gram-sized arrays
+    # the Gram matrix is dropped once solved, the derived factor is divided
+    # in place and the sign pass works in column blocks, so no step holds a
+    # second copy of U or V next to them: building the basis and its signs
+    # peaks below U + V plus two Gram-sized arrays (numpy's copy of G and
+    # the LAPACK workspace are allocated where tracemalloc does not look)
     K = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0))
     D = assemble_dirac(K)
     tracemalloc.start()
@@ -355,14 +366,14 @@ def test_set_up_keeps_one_factor_and_peaks_in_the_eigensolve():
     # the basis stores the Gram-side factor Q and derives the other one, N1 x r
     # here, a block of columns at a time: after the basis and its signs only Q
     # stays live, and no step from the basis through the learner climbs more
-    # than one derived block above the eigensolve's own peak (G and the 2n^2
-    # LAPACK workspace, which tracemalloc sees)
+    # than one derived block above the eigensolve's own peak (G and the
+    # eigenvectors numpy returns, which tracemalloc sees)
     K = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0))
     D = assemble_dirac(K)
     block = K.n1 * operators._BLOCK * 8
     tracemalloc.start()
     try:
-        gram_eigh(gram_matrix(D.B1)[0])
+        gram_eigh(gram_matrix(K.incidence(1))[0])
         _, eigensolve_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

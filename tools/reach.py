@@ -13,9 +13,10 @@ with the gaussian preset (tau 7, alpha 0.5, m0 2, 20 draws, noise seed 3).
 It prints one line per size: N; the import floor, import_s (the time of
 `from diracsp.cli import main`) and import_rss_mb (the process's peak RSS
 right after that import); then wall_s (generate through learn; interpreter
-start and imports excluded) and peak_rss_mb, the process's peak RSS at the
-end.  The process reads both RSS figures itself, in MB, with
-getrusage(RUSAGE_SELF).
+start and imports excluded), peak_rss_mb, the process's peak RSS at the
+end, and scipy_modules, the number of ``scipy`` modules loaded by then.  The
+process reads both RSS figures itself, in MB, with getrusage(RUSAGE_SELF).
+The run path needs numpy alone, so scipy_modules should read 0.
 """
 
 import os
@@ -48,12 +49,14 @@ for args in (
 ):
     main(args, standalone_mode=False)
 wall = time.perf_counter() - start
-print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f}")
+scipy_modules = sum(name.split(".")[0] == "scipy" for name in sys.modules)
+print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f} {scipy_modules}")
 """
 
 
-def measure(nodes: int) -> tuple[float, float, float, float]:
-    """(import_s, import RSS in MB, wall_s, peak RSS in MB) of the flow at NGF-`nodes`, in a fresh process."""
+def measure(nodes: int) -> tuple[float, float, float, float, int]:
+    """(import_s, import RSS in MB, wall_s, peak RSS in MB, scipy modules loaded)
+    of the flow at NGF-`nodes`, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -62,17 +65,18 @@ def measure(nodes: int) -> tuple[float, float, float, float]:
             [sys.executable, "-c", CHILD, str(nodes), out],
             env=env, capture_output=True, text=True, check=True,
         )
-    return tuple(float(value) for value in done.stdout.split()[-4:])
+    *figures, scipy_modules = done.stdout.split()[-5:]
+    return (*(float(value) for value in figures), int(scipy_modules))
 
 
 def main(argv: list[str]) -> None:
     if not argv:
         sys.exit("usage: python tools/reach.py N [N ...]")
     sizes = [int(arg) for arg in argv]
-    print("nodes import_s import_rss_mb wall_s peak_rss_mb")
+    print("nodes import_s import_rss_mb wall_s peak_rss_mb scipy_modules")
     for nodes in sizes:
-        imported, import_rss, wall, rss = measure(nodes)
-        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f}", flush=True)
+        imported, import_rss, wall, rss, scipy_modules = measure(nodes)
+        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f} {scipy_modules}", flush=True)
 
 
 if __name__ == "__main__":
