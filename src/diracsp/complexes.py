@@ -11,15 +11,16 @@ The complex keeps those arrays: ``links`` and ``triangles`` are read-only
 int64 arrays of shape (N1, 2) and (N2, 3).
 
 A complex builds its face rows (the link row of each triangle face), B1 and
-B2, their transposes and their ranks on first read and keeps them, outside
-``==``, ``hash`` and ``to_dict``; each rank is a function of its boundary
-matrix alone, and no other module writes one.  ``K.incidence(n)`` is B_n as
-an :class:`Incidence`: the rows of its columns, ``links`` for B1 and the
-face rows for B2, with the products ``B @ X`` and ``B.T @ X`` and the dense
-Gram matrix in numpy alone, so that nothing on the run path imports scipy.
-``K.B1``, ``K.B2`` and :func:`boundary_matrix` are the same matrices in
-scipy csc form, which import ``scipy.sparse`` on first use.  Rank B1 is a
-count of the graph's connected components.  Rank B2 is, in this order: a
+B2 and their ranks on first read and keeps them, outside ``==``, ``hash``
+and ``to_dict``; each rank is a function of its boundary matrix alone, and
+no other module writes one.  ``K.incidence(n)`` is B_n as an
+:class:`Incidence`, the one form of B_n a complex keeps: the rows of its
+columns, ``links`` for B1 and the face rows for B2, with the products
+``B @ X`` and ``B.T @ X`` and the dense Gram matrix in numpy alone, so that
+nothing on the run path imports scipy.  :func:`boundary_matrix` builds the
+same matrix in scipy csc form, and imports ``scipy.sparse`` on first use;
+the complex does not keep it.  Rank B1 is a count of the graph's connected
+components.  Rank B2 is, in this order: a
 count of components of the triangles' orientation double cover, when every
 link bounds at most two triangles; N2, when elementary collapses remove
 every triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
@@ -162,30 +163,6 @@ class SimplicialComplex:
         if n == 2:
             return self._incidence2
         raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
-
-    @cached_property
-    def B1(self) -> sp.csc_array:
-        return boundary_matrix(self, 1).astype(float)
-
-    @cached_property
-    def B2(self) -> sp.csc_array:
-        return boundary_matrix(self, 2).astype(float)
-
-    def boundary(self, n: int) -> sp.csc_array:
-        """B_n as float64 csc, for n = 1 or 2 (the caller checks n)."""
-        return self.B1 if n == 1 else self.B2
-
-    @cached_property
-    def _B1T(self) -> sp.csr_array:
-        return self.B1.T
-
-    @cached_property
-    def _B2T(self) -> sp.csr_array:
-        return self.B2.T
-
-    def transposed(self, n: int) -> sp.csr_array:
-        """B_n^T, a csr view of :meth:`boundary` made once, for n = 1 or 2."""
-        return self._B1T if n == 1 else self._B2T
 
     @cached_property
     def rank1(self) -> int:

@@ -55,7 +55,7 @@ class NgfParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("target_nodes", 3), ("flavor", None), ("seed", None)):  # 3: the seed triangle
+        for name, low in (("target_nodes", 3), ("flavor", None), ("seed", 0)):  # 3: the seed triangle
             object.__setattr__(self, name, require_int(name, getattr(self, name), low))
         if self.flavor not in (-1, 0, 1):
             raise InvalidFlavor(f"flavor must be -1, 0 or 1, got {self.flavor}")

@@ -102,7 +102,7 @@ class ExperimentPlan:
     runs: int = 20  # bench: timed runs per size
 
     def __post_init__(self):
-        for name, low in (("seeds", 1), ("seed", None), ("runs", 1)):
+        for name, low in (("seeds", 1), ("seed", 0), ("runs", 1)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), low))
         for name in ("alphas", "taus", "ms", "m0s", "sizes"):
             values = getattr(self, name)

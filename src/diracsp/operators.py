@@ -17,17 +17,19 @@ A DiracOperator holds only its complex, which builds and keeps B1, B2 and
 both ranks.  D_n acts through B_n, the complex's
 :class:`~diracsp.complexes.Incidence`: on the blocks (a, b) it couples, D_n
 maps (a, b) to (B_n b, B_n^T a), products in numpy alone.  The scipy sparse
-forms (``B1``, ``B2``, the M x M block matrices of D1, D2 and D, the
-Laplacians) are built on first use only, and import ``scipy.sparse`` then.
-Everything spectral about D_n comes from one cached SpectralBasis per
-boundary matrix, the triplets of one Gram eigensolve checked against the
-rank the complex decides: projections, kernels and harmonic bases read it,
-ranks never build it, and it writes nothing to the complex.  The basis
-stores one factor of the triplets, the Gram eigenvectors, with sigma; the
-other factor (v = B_n^T u / sigma, or u = B_n v / sigma) is reached
-through one product with B_n.  Reading ``U``, ``V`` or
-``singular_triplets`` builds that factor whole, O(N_n r) numbers per read;
-the grid commands never do.
+forms (the operator's ``B1`` and ``B2``, the M x M block matrices of D1, D2
+and D, the Laplacians) are built by the operator on first use only, and
+import ``scipy.sparse`` then.  Everything spectral about D_n comes from one
+cached SpectralBasis per boundary matrix, the triplets of one Gram
+eigensolve checked against the rank the complex decides: projections,
+kernels and harmonic bases read it, ranks never build it, and it writes
+nothing to the complex.  The basis stores one factor of the triplets, the
+Gram eigenvectors, with sigma and one sign per mode; the other factor
+(v = B_n^T u / sigma, or u = B_n v / sigma) is reached through one product
+with B_n.  Set-up reads that factor once, a block of columns at a time, for
+sigma and the signs together.  Reading ``U``, ``V`` or
+``singular_triplets`` builds it whole, O(N_n r) numbers per read; the grid
+commands never do.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -45,6 +47,7 @@ from .complexes import (
     RANK_RTOL,
     Incidence,
     SimplicialComplex,
+    boundary_matrix,
     gap_rank,
     gram_eigh,
     gram_matrix,
@@ -82,7 +85,8 @@ def _block_matrix(Dop: DiracOperator, n: int) -> sp.csr_array:
 @dataclass(frozen=True, eq=False)
 class DiracOperator:
     """Symmetric Dirac operator D = D1 + D2 of a complex, acting through the
-    complex's B1 and B2; it compares and hashes by identity."""
+    complex's B1 and B2 (:meth:`~SimplicialComplex.incidence`); it compares
+    and hashes by identity."""
 
     K: SimplicialComplex
 
@@ -90,18 +94,19 @@ class DiracOperator:
     def dim(self) -> int:
         return self.K.spinor_dim
 
-    @property
-    def B1(self) -> sp.csc_array:
-        return self.K.B1
+    # -- scipy sparse forms, built on first read --------------------------------
 
-    @property
+    @cached_property
+    def B1(self) -> sp.csc_array:
+        return boundary_matrix(self.K, 1).astype(float)
+
+    @cached_property
     def B2(self) -> sp.csc_array:
-        return self.K.B2
+        return boundary_matrix(self.K, 2).astype(float)
 
     def boundary(self, n: int) -> sp.csc_array:
-        return self.K.boundary(_order(n))
-
-    # -- block matrices, built on first read ---------------------------------
+        """B_n as float64 csc, for n = 1 or 2."""
+        return self.B1 if _order(n) == 1 else self.B2
 
     @cached_property
     def part1(self) -> sp.csr_array:
@@ -227,17 +232,18 @@ def _derived_block(F, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
 
 
 def _gram_triplets(B: Incidence, r: int):
-    """(Q, sigma): the stored factor of B's nonzero singular triplets and sigma,
-    descending (to roundoff inside a cluster of equal values).
+    """(Q, sigma, signs): the stored factor of B's nonzero singular triplets,
+    sigma, descending (to roundoff inside a cluster of equal values), and
+    the mode signs.
 
     One dense eigensolve (:func:`gram_eigh`) of the smaller Gram matrix G
     (B B^T when B has no more rows than columns, else B^T B) gives Q: the
     eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
     rank is the :func:`gap_rank` of that spectrum, which must equal the
     complex's rank r, or the eigensolve is not trusted.  G is dropped and
-    the top columns are copied out C-contiguous; then each sigma_j is the
-    norm of B^T q_j (or B q_j), taken a block of columns at a time
-    (:func:`_derived_block`).  That norm keeps the small singular values
+    the top columns are copied out C-contiguous; then one
+    :func:`_factor_pass` takes each sigma_j as the norm of B^T q_j (or
+    B q_j), and the signs.  That norm keeps the small singular values
     accurate to roundoff relative to themselves, where sqrt of the Gram
     eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
     Peak memory is G, numpy's copy of it and the LAPACK workspace during the
@@ -255,12 +261,7 @@ def _gram_triplets(B: Incidence, r: int):
         )
     Q = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
     del X
-    F = B.T if is_wide(B) else B  # onto the side of the factor not stored
-    sigma = np.empty(found)
-    for start in range(0, found, _BLOCK):
-        Y = _derived_block(F, Q, start)
-        sigma[start : start + Y.shape[1]] = np.sqrt(np.einsum("ij,ij->j", Y, Y))
-    return Q, sigma
+    return (Q, *_factor_pass(B, Q))
 
 
 def _complement(A: np.ndarray) -> np.ndarray:
@@ -276,31 +277,41 @@ def _fix_sign(col: np.ndarray) -> np.ndarray:
     return -col if col[np.argmax(np.abs(col))] < 0 else col
 
 
-def _mode_signs(F, Q: np.ndarray, sigma: np.ndarray, left: bool) -> np.ndarray:
-    """+/-1 per nonzero mode, in ``SpectralBasis.nonzero_indices`` order.
+def _factor_pass(B: Incidence, Q: np.ndarray, sigma: np.ndarray | None = None):
+    """(sigma, signs) of the triplets whose stored factor is Q, from one read
+    of the factor Q does not hold.
 
-    Q is the stored factor (U when ``left``, else V), F maps its side onto
-    the other one (B_n^T when ``left``, else B_n) and sigma holds the
-    singular values.
+    Q is U when B is :func:`is_wide`, else V.  Each block of the derived
+    factor (:func:`_derived_block`) is taken once: without a given sigma,
+    sigma_j is the norm of its column j; the block is divided by sigma and
+    its column peaks, with those of Q, give the signs.
 
-    The sign makes the largest-magnitude entry of (u, -v)/sqrt(2) (negative
+    The signs, one per nonzero mode in ``SpectralBasis.nonzero_indices``
+    order, make the largest-magnitude entry of (u, -v)/sqrt(2) (negative
     modes) or (u, +v)/sqrt(2) (positive modes) positive, the first entry
     winning ties.  |u| and |v| are the same in both columns of a triplet, so
-    one argmax per factor decides both.  The derived factor is visited one
-    block at a time and never built whole.
+    one argmax per factor decides both.
     """
-    r = sigma.size
+    left = is_wide(B)
+    F = B.T if left else B  # onto the side of the factor not stored
+    r = Q.shape[1]
+    own = sigma is None
+    if own:
+        sigma = np.empty(r)
     au, su, av, sv = (np.empty(r) for _ in range(4))
     for start in range(0, r, _BLOCK):
         blk = slice(start, min(start + _BLOCK, r))
-        q, y = Q[:, blk], _derived_block(F, Q, start, sigma)
+        q, y = Q[:, blk], _derived_block(F, Q, start)
+        if own:
+            sigma[blk] = np.sqrt(np.einsum("ij,ij->j", y, y))
+        y /= sigma[blk]
         u, v = (q, y) if left else (y, q)
         au[blk], su[blk] = _column_peaks(u)
         av[blk], sv[blk] = _column_peaks(v)
     from_u = au >= av
     neg = np.where(from_u, su, -sv)
     pos = np.where(from_u, su, sv)
-    return np.concatenate([neg, pos[::-1]])
+    return sigma, np.concatenate([neg, pos[::-1]])
 
 
 def _column_peaks(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +346,10 @@ class SpectralBasis:
 
     Triplet j gives the modes sign * (u_j, -/+v_j)/sqrt(2) for eigenvalues
     -/+sigma_j, padded with the zero block; the sign makes the
-    largest-magnitude entry positive (first on ties).  ``signs``, one per
-    nonzero mode, is computed on first use, so callers that read only the
-    triplets never pay for it.  Eigenvalues ascend: -sigma in triplet order,
-    the harmonic zeros, then +sigma reversed.
+    largest-magnitude entry positive (first on ties).  ``signs`` holds one
+    per nonzero mode, taken with sigma in the one pass over the derived
+    factor (:func:`_factor_pass`).  Eigenvalues ascend: -sigma in triplet
+    order, the harmonic zeros, then +sigma reversed.
 
     ``spinor(i)`` builds the unit eigenvector for ``eigenvalues[i]``;
     ``coefficients`` and ``synthesize`` map between spinors and coordinates
@@ -353,9 +364,10 @@ class SpectralBasis:
     K: SimplicialComplex
     Q: np.ndarray
     sigma: np.ndarray
+    signs: np.ndarray
 
     def __post_init__(self):
-        for name in ("Q", "sigma"):
+        for name in ("Q", "sigma", "signs"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -392,12 +404,6 @@ class SpectralBasis:
     @property
     def _to_stored(self):
         return self.B if self._left else self.B.T
-
-    @cached_property
-    def signs(self) -> np.ndarray:
-        signs = _mode_signs(self._to_derived, self.Q, self.sigma, self._left)
-        signs.flags.writeable = False
-        return signs
 
     @property
     def rank(self) -> int:
@@ -593,7 +599,8 @@ def spectral_basis(
     if method == "eigh":
         B = Dop.K.incidence(n)
         U, sigma, V = _eigh_triplets(B)
-        return SpectralBasis(n, Dop.K, U if is_wide(B) else V, sigma)
+        Q = U if is_wide(B) else V
+        return SpectralBasis(n, Dop.K, Q, *_factor_pass(B, Q, sigma))
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 

@@ -240,7 +240,7 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", require_real("alpha", self.alpha, 0))
-        object.__setattr__(self, "seed", require_int("seed", self.seed))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0))
 
 
 def sample_noise(

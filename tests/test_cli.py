@@ -143,6 +143,30 @@ def test_synth_rejects_bad_alpha(tmp_path):
         assert not (tmp_path / "s.noisy.csv").exists()
 
 
+def test_a_negative_seed_is_refused_before_any_work(tmp_path, monkeypatch):
+    # numpy's SeedSequence refuses it too, but only at the first draw and
+    # naming no field: after set-up, or after synth wrote the clean signal
+    prepared = []
+    monkeypatch.setattr(harness, "_prepare", lambda plan: prepared.append(plan))
+    out = tmp_path / "o.csv"
+    for args in (
+        ("sweep-m", "-i", FF, "--seeds", 1, "--seed", -1),
+        ("synth", "-i", FF, "--alpha", "0.5", "--seed", -1),
+        ("generate", "--nodes", 20, "--seed", -1),
+    ):
+        r = invoke(*args, "-o", out)
+        assert r.exit_code == 1, (args, r.output)
+        assert r.output.splitlines() == ["error=ValueError: seed must be >= 0"]
+        assert not out.exists() and not (tmp_path / "o.noisy.csv").exists()
+    plan = {"dataset": {"kind": "file", "path": FF}, "signal": {"mode": "eigen", "n": 1}, "seed": -1}
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps(plan))
+    r = invoke("learn", "--plan", pf, "--seed", -1, "-o", out)
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == ["error=ParseError: malformed plan: seed must be >= 0"]
+    assert prepared == [] and not out.exists()
+
+
 def test_synth_rejects_non_finite_selector(tmp_path):
     out = tmp_path / "s.csv"
     r = invoke("synth", "-i", FF, "--selector", "nan", "-o", out)

@@ -145,6 +145,12 @@ def test_params_reject_non_numeric_beta_by_name(value):
         NgfParams(target_nodes=10, beta=value)
 
 
+def test_params_reject_a_negative_seed():
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0")):
+        NgfParams(target_nodes=10, seed=-2)
+    assert NgfParams(target_nodes=10, seed=0).seed == 0
+
+
 @pytest.mark.parametrize("beta, seed", [(1e6, 0), (1e6, 1), (1e6, 2), (1e9, 0)])
 def test_underflowed_link_weights_blame_beta_not_the_flavor(beta, seed):
     # every exp(-beta * eps) is 0.0 in float64 unless eps < ~745 / beta

@@ -484,6 +484,17 @@ def test_plan_requires_integer_counts():
             FilterConfig(tau=1.0, max_iters=max_iters)
 
 
+def test_plan_and_its_ngf_dataset_reject_a_negative_seed():
+    data = ff_plan().to_dict()
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ff_plan(seed=-1)
+    with pytest.raises(ParseError, match="malformed plan: seed must be >= 0"):
+        plan_from_dict({**data, "seed": -1})
+    dataset = {"kind": "ngf", "target_nodes": 20, "flavor": -1, "beta": 0.0, "seed": -2}
+    with pytest.raises(ParseError, match="malformed dataset: seed must be >= 0"):
+        resolve_dataset(ff_plan(dataset=dataset))
+
+
 def test_plan_from_dict_rejects_non_integer_signal_order():
     data = ff_plan().to_dict()
     for n in (1.5, True, "2"):

@@ -351,9 +351,12 @@ def test_operators_and_bases_compare_and_hash_by_identity(ff_network):
         assert D == D and D != other
         assert basis == basis and basis != spectral_basis(D, 1, method="eigh")
         assert len({D, other, basis}) == 3
-    # every operator of a complex acts through the B1 and B2 it keeps
-    assert other.B1 is D.B1 is ff_network.B1
-    assert other.B2 is D.B2 is ff_network.B2
+    # every operator of a complex acts through the B1 and B2 it keeps, and
+    # each operator keeps the scipy forms it builds of them
+    for n in (1, 2):
+        assert other.K.incidence(n) is D.K.incidence(n) is ff_network.incidence(n)
+    assert D.B1 is D.boundary(1) is D.B1 and D.B2 is D.boundary(2) is D.B2
+    assert (D.B1 != other.B1).nnz == 0 and (D.B2 != other.B2).nnz == 0
 
 
 def test_apply_builds_no_transpose_per_call(coastal, coastal_dirac, monkeypatch):

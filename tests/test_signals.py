@@ -186,6 +186,14 @@ def test_noise_model_rejects_a_seed_that_is_not_an_integer():
             NoiseModel(alpha=0.5, seed=seed)
 
 
+def test_noise_model_rejects_a_negative_seed():
+    # numpy's SeedSequence would refuse it only at the first draw, naming no field
+    for seed in (-1, -3):
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0")):
+            NoiseModel(alpha=0.5, seed=seed)
+    NoiseModel(alpha=0.5, seed=0)
+
+
 def test_signal_spec_checks_gaussian_parameters_in_any_mode():
     for mode in ("gaussian_mix", "eigen"):
         for kw, match in (

@@ -28,8 +28,8 @@ from diracsp.filtering import _learn_batch
 from diracsp.operators import (
     SpectralBasis,
     _eigh_triplets,
+    _factor_pass,
     _gram_triplets,
-    _mode_signs,
     harmonic_basis,
 )
 from diracsp.signals import noise_coefficients
@@ -207,15 +207,37 @@ NGF300 = [
     for n in (1, 2)
 ]
 SURFACE_CASES = [(name, K, n) for name, (K, _) in SURFACES.items() for n in (1, 2)]
-SIGN_CASES = GRAM_CASES + NGF300 + SURFACE_CASES
+SIGN_CASES = [(*c, "svd") for c in GRAM_CASES + NGF300 + SURFACE_CASES] + [
+    (*c, "eigh") for c in GRAM_CASES + SURFACE_CASES
+]
 
 
-@pytest.mark.parametrize("name,K,n", SIGN_CASES, ids=[f"{c[0]}-n{c[2]}" for c in SIGN_CASES])
-def test_blocked_sign_pass_equals_the_whole_array_pass(name, K, n):
+@pytest.mark.parametrize(
+    "name,K,n,method", SIGN_CASES, ids=[f"{name}-n{n}" + ("-eigh" if m == "eigh" else "") for name, _, n, m in SIGN_CASES]
+)
+def test_blocked_sign_pass_equals_the_whole_array_pass(name, K, n, method):
     # the sign pass derives the factor the basis does not store one block of
     # columns at a time; reading basis.U and basis.V builds it whole
-    basis = spectral_basis(assemble_dirac(K), n)
+    basis = spectral_basis(assemble_dirac(K), n, method=method)
     assert np.array_equal(basis.signs, dense_mode_signs(basis.U, basis.V))
+
+
+@pytest.mark.parametrize("method", ["svd", "eigh"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_basis_reads_the_derived_factor_once(monkeypatch, method, n):
+    # sigma and the signs come from one pass over the factor the basis does
+    # not store: one derived block per 64 columns, not one for sigma and
+    # another for the signs
+    K = ngf_generate(NgfParams(target_nodes=300, flavor=0, seed=0))
+    D = assemble_dirac(K)
+    blocks = []
+    derive = operators._derived_block
+    monkeypatch.setattr(operators, "_derived_block", lambda *a: blocks.append(a[2]) or derive(*a))
+    basis = spectral_basis(D, n, method=method)
+    basis.sigma, basis.signs
+    r = D.rank(n)
+    assert r > 2 * operators._BLOCK and basis.rank == r
+    assert blocks == list(range(0, r, operators._BLOCK))
 
 
 def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
@@ -225,9 +247,12 @@ def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
     # first entry wins within each column
     D = assemble_dirac(_cycle(4))
     U = np.array([[0.5], [-0.5], [0.5], [-0.5]])
-    V = D.B1.T @ U / 2
+    B = D.K.incidence(1)
+    V = B.T @ U / 2
     assert np.abs(V).max() == np.abs(U).max() and V[0, 0] == -0.5
-    assert np.array_equal(_mode_signs(D.B1.T, U, np.array([2.0]), True), [1.0, 1.0])
+    assert np.array_equal(_factor_pass(B, U, np.array([2.0]))[1], [1.0, 1.0])
+    sigma, signs = _factor_pass(B, U)  # sigma = ||B^T u|| = 2, exactly
+    assert np.array_equal(sigma, [2.0]) and np.array_equal(signs, [1.0, 1.0])
     assert np.array_equal(dense_mode_signs(U, V), [1.0, 1.0])
 
 
@@ -307,22 +332,23 @@ def test_a_basis_of_another_complex_with_the_same_counts_is_refused():
 
 def test_operator_keeps_its_svd_basis(coastal, monkeypatch):
     D = assemble_dirac(coastal)
-    signs = []
-    monkeypatch.setattr(operators, "_mode_signs", lambda *args: signs.append(1) or _mode_signs(*args))
+    passes = []
+    monkeypatch.setattr(operators, "_factor_pass", lambda *args: passes.append(args[0]) or _factor_pass(*args))
+    D.rank(1), D.rank(2)
+    assert passes == []  # ranks never build a basis
     s = sample_noise(NoiseModel(alpha=0.5, seed=1), D, 1, 0)
-    # callers that need only the triplets never pay for the mode signs
     dirac_project(s, D, 2)
     harmonic_basis(D)
-    D.rank(1)
     D.singular_triplets(2)
-    assert signs == []
     for _ in range(2):
         dirac_filter(s, D, 1, 2.0, 1.0)
         learn(s, D, 1, FilterConfig(tau=2.0, m0=1.0))
     assert spectral_basis(D, 1) is spectral_basis(D, 1)
-    assert len(signs) == 1
     assert spectral_basis(D, 2) is spectral_basis(D, 2) is not spectral_basis(D, 1)
+    # one pass per order, whatever reads the basis and however often
+    assert len(passes) == 2 and {id(B) for B in passes} == {id(coastal.incidence(n)) for n in (1, 2)}
     assert spectral_basis(D, 1, method="eigh") is not spectral_basis(D, 1, method="eigh")
+    assert len(passes) == 4
 
 
 def test_basis_and_learning_never_allocate_a_dense_basis():
