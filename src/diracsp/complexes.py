@@ -186,7 +186,7 @@ class SimplicialComplex:
             return self.n2 - _closed_orientable_components(B2)
         if _collapses(self.face_rows, self.n1):
             return self.n2
-        return gap_rank(gram_eigh(gram_matrix(B2)[0], vectors=False), RANK_RTOL)
+        return gap_rank(gram_eigh(gram_matrix(B2), vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -561,28 +561,17 @@ def is_wide(B: Incidence) -> bool:
     return B.shape[0] <= B.shape[1]
 
 
-def gram_matrix(B: Incidence) -> tuple[np.ndarray, bool]:
-    """The smaller Gram matrix of B, dense float64 in C order, and whether it is B B^T.
+def gram_matrix(B: Incidence) -> np.ndarray:
+    """The smaller Gram matrix of B, dense float64 in C order.
 
-    (B B^T, True) when B is :func:`is_wide`, else (B^T B, False).  Entry
-    (i, k) off the diagonal is the product of the signs that rows i and k
-    (columns, for B^T B) have in the one column (row) they share, if any, and
-    the diagonal counts each row's (column's) entries; so every entry is set
-    by one assignment of a small integer, and G is exact.
-
-    G is allocated first, after :func:`steady_heap`, so that it takes the
-    same place in the heap on every set-up: the index arrays made before it
-    once sat in the free space of the previous set-up's buffers, pushed G
-    past them, and the solve's buffers then moved from one set-up to the
-    next, until one NGF-1000 learn run in about ten kept one more 8 MB
-    buffer resident (a peak RSS of 92 MB, not 85 MB).
+    B B^T when B is :func:`is_wide`, else B^T B.  Entry (i, k) off the
+    diagonal is the product of the signs that rows i and k (columns, for
+    B^T B) have in the one column (row) they share, if any, and the diagonal
+    counts each row's (column's) entries; so every entry is set by one
+    assignment of a small integer, and G is exact.
     """
-    wide = is_wide(B)
-    steady_heap()
-    size = min(B.shape)
-    G = np.zeros((size, size))
     # entries k in indptr[g] .. indptr[g + 1] - 1 form group g: their G index and sign
-    if wide:  # B B^T: the rows of B that share column g
+    if is_wide(B):  # B B^T: the rows of B that share column g
         count, width = B.columns.shape
         indptr = np.arange(0, width * count + 1, width)
         index, sign = B.columns.ravel(), np.tile(np.array(B.signs, dtype=float), count)
@@ -594,9 +583,11 @@ def gram_matrix(B: Incidence) -> tuple[np.ndarray, bool]:
     start, width = np.repeat(indptr[:-1], count), np.repeat(count, count)
     e = np.repeat(np.arange(index.size), width)
     f = np.repeat(start - np.cumsum(width) + width, width) + np.arange(e.size)
+    size = min(B.shape)
+    G = np.zeros((size, size))
     G[index[e], index[f]] = sign[e] * sign[f]
     G[np.diag_indices(size)] = np.bincount(index, minlength=size)
-    return G, wide
+    return G
 
 
 # glibc's mallopt parameters, and the fixed values :func:`steady_heap` gives them
@@ -607,17 +598,17 @@ TRIM_THRESHOLD = 1 << 30
 
 @cache
 def steady_heap() -> bool:
-    """Fix glibc's malloc thresholds, once, before the first Gram matrix.
+    """Fix glibc's malloc thresholds, once, before the first Gram solve.
 
     A Gram solve mallocs and frees N x N float64 buffers: G, numpy's copy of
-    it, dsyevd's workspace of about 2 N^2 and the eigenvectors.  Left to
-    itself glibc adapts its mmap and trim thresholds to the first large free;
-    from then on, whether the heap's free top goes back to the system after
-    a solve (to be faulted in again by the next one) turns on a few KB of
-    unrelated allocations.  So one NGF-1000 learn run peaked at 84 or 92 MB
-    RSS with nothing changed but the length of its output path.  Fixed here,
-    blocks under MMAP_THRESHOLD come from the heap, and freed heap memory is
-    kept for the next solve unless TRIM_THRESHOLD of it lies free at the top.
+    it and dsyevd's workspace of about 2 N^2; the eigenvectors live as long
+    as the basis that keeps them.  Left to itself glibc adapts its mmap and
+    trim thresholds to the first large free; from then on, whether the
+    heap's free top goes back to the system after a solve, to be faulted in
+    again by the next one, turns on a few KB of unrelated allocations: about
+    7,300 pages per NGF-1000 set-up.  Fixed here, blocks under
+    MMAP_THRESHOLD come from the heap, and freed heap memory is kept for the
+    next solve unless TRIM_THRESHOLD of it lies free at the top.
     Returns whether the thresholds were set: not on another C library, and
     not when the environment sets glibc's malloc tunables itself.
     """

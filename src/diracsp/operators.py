@@ -220,9 +220,9 @@ def _derived_block(F, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
 
     Q is the stored factor of B and F maps its side onto the other one (B^T
     for a stored U, B for a stored V), so the block is part of the factor
-    the basis does not store.  Every reader of
-    that factor takes it through here in blocks that start at multiples of
-    _BLOCK, so a column has the same bits wherever it is read.
+    the basis does not store.  The products add each output entry's terms in
+    the same order whatever the width, so a column has the same bits
+    whether it is read here or alone.
     """
     stop = min(start + _BLOCK, Q.shape[1])
     Y = F @ Q[:, start:stop]
@@ -241,26 +241,28 @@ def _gram_triplets(B: Incidence, r: int):
     eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
     rank is the :func:`gap_rank` of that spectrum, which must equal the
     complex's rank r, or the eigensolve is not trusted.  G is dropped and
-    the top columns are copied out C-contiguous; then one
-    :func:`_factor_pass` takes each sigma_j as the norm of B^T q_j (or
-    B q_j), and the signs.  That norm keeps the small singular values
-    accurate to roundoff relative to themselves, where sqrt of the Gram
-    eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
-    Peak memory is G, numpy's copy of it and the LAPACK workspace during the
-    solve, then the eigenvectors + Q; the other factor is never built.
+    the top columns, descending, move into the leading columns of the
+    solve's own k x k eigenvector array X; Q is a view of them, so nothing
+    is allocated after the solve.  One :func:`_factor_pass` then takes each
+    sigma_j as the norm of B^T q_j (or B q_j), and the signs.  That norm
+    keeps the small singular values accurate to roundoff relative to
+    themselves, where sqrt of the Gram eigenvalue would lose digits in
+    proportion to (sigma_max / sigma)^2.  Peak memory is the solve's: G,
+    numpy's copy of it, the LAPACK workspace and X.  The basis keeps X,
+    8 (k - r) k bytes more than Q for the kernel dimension k - r of the
+    stored side, which never raises that peak; the other factor is never
+    built.
     """
     m, n = B.shape
-    G, _ = gram_matrix(B)
-    w, X = gram_eigh(G)
-    del G
+    w, X = gram_eigh(gram_matrix(B))
     found = gap_rank(w, RANK_RTOL)
     if found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but the complex's rank of it is {r}"
         )
-    Q = np.ascontiguousarray(X[:, w.size - found :][:, ::-1])
-    del X
+    X[:, :found] = X[:, w.size - found :][:, ::-1]
+    Q = X[:, :found]
     return (Q, *_factor_pass(B, Q))
 
 
@@ -336,8 +338,8 @@ class SpectralBasis:
     The basis is factored over the rank-truncated singular triplets
     (U, sigma, V) of B_n, and it stores one factor of them: ``sigma`` and
     ``Q``, the top eigenvectors of the smaller Gram matrix (U when
-    N_{n-1} <= N_n, as for B1; else V).  That is O(min(N_{n-1}, N_n) r)
-    numbers.  The other factor follows from Q through one product with
+    N_{n-1} <= N_n, as for B1; else V), the leading columns of the Gram
+    solve's own array: min(N_{n-1}, N_n)^2 numbers.  The other factor follows from Q through one product with
     ``B``, the :class:`~diracsp.complexes.Incidence` B_n that ``K`` keeps
     (shared with the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
     Reading ``U`` or ``V`` builds the derived one whole, O(N_n r) numbers
@@ -540,8 +542,8 @@ class SpectralBasis:
         positive = i >= r + k
         j = 2 * r + k - 1 - i if positive else i  # triplet index
         sign = self.signs[i - k if positive else i]
-        start = j - j % _BLOCK  # the derived column, from the block that holds it
-        q, d = self.Q[:, j], _derived_block(self._to_derived, self.Q, start, self.sigma)[:, j - start]
+        q = self.Q[:, j]
+        d = self._to_derived @ q / self.sigma[j]
         u, v = (q, d) if self._left else (d, q)
         left = u / SQRT2 * sign
         right = v / SQRT2 * (sign if positive else -sign)

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from diracsp import dirac_filter, dirac_project, learn, spectral_basis
 from diracsp.complexes import SimplicialComplex, build_complex
 from diracsp.errors import DuplicateSimplex, IndexOutOfRange, MissingFace, ParseError
 from diracsp.signals import rng_stream
@@ -316,6 +317,50 @@ def stored_mode(U, V, signs, i):
 def stored_projection(U, V, a, b):
     """The blocks of the projection onto im(D_n) of the spinor with blocks (a, b)."""
     return U @ (U.T @ a), V @ (V.T @ b)
+
+
+# -- certificates through the sparse operator ------------------------------------
+
+
+def certificate_residuals(Dop, n, x, config, m):
+    """Check P_n and both filters at D_n of Dop against their defining equations.
+
+    Every check goes through ``Dop.apply`` alone, so it costs O(nnz) at any
+    size and needs no dense oracle:
+
+    - the projection: ||D_n (x - P_n x)|| <= 1e-13 sigma_max ||x||;
+    - the filter equation ||D_n ((I + tau (D_n - m)^2) s_hat - x)|| <=
+      1e-10 ||D_n x||, for ``dirac_filter`` at centre m and for ``learn``
+      at the centre of its last filter step, ``m_history[-2]``.  The filter
+      drops the part of x in ker D_n, which D_n drops too.
+
+    The filter checks need D_n x != 0.  Returns the residuals, relative to
+    sigma_max ||x|| and ||D_n x||: (projection, filter, learn), the last two
+    None when D_n x = 0.
+    """
+
+    def D(s):
+        return Dop.apply(s, n)
+
+    sigma_max = spectral_basis(Dop, n).sigma.max(initial=0.0)
+    projection = D(x - dirac_project(x, Dop, n)).norm()
+    assert projection <= 1e-13 * sigma_max * x.norm(), f"projection residual {projection:.3g}"
+    scale = D(x).norm()
+    if scale == 0.0:
+        return projection, None, None
+
+    def filter_residual(s_hat, m):
+        shifted = D(s_hat) - s_hat * m
+        return D(s_hat + (D(shifted) - shifted * m) * config.tau - x).norm() / scale
+
+    filtered = filter_residual(dirac_filter(x, Dop, n, config.tau, m), m)
+    s_hat, trace = learn(x, Dop, n, config)
+    learned = filter_residual(s_hat, trace.m_history[-2])
+    for name, value in (("dirac_filter", filtered), ("learn", learned)):
+        assert value <= 1e-10, f"{name} filter equation residual {value:.3g}"
+    if sigma_max > 0.0:
+        projection /= sigma_max * x.norm()
+    return projection, filtered, learned
 
 
 # -- the grid commands' draws, one spinor at a time -----------------------------

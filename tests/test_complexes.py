@@ -563,8 +563,8 @@ def test_gram_matrix_is_exact_and_solved_by_numpy(name, n, coastal):
     # one row (column), so index assignment gives scipy's product exactly
     K = _complex(name, coastal)
     B, S = K.incidence(n), boundary_matrix(K, n)
-    G, wide = complexes.gram_matrix(B)
-    assert wide == complexes.is_wide(B) == (S.shape[0] <= S.shape[1])
+    G, wide = complexes.gram_matrix(B), complexes.is_wide(B)
+    assert wide == (S.shape[0] <= S.shape[1])
     assert G.dtype == np.float64 and G.flags.c_contiguous
     assert np.array_equal(G, (S @ S.T if wide else S.T @ S).toarray())
     assert np.array_equal(B.toarray(), S.toarray())

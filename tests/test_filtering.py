@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diracsp import (
     FilterConfig,
+    NgfParams,
     NoiseModel,
     TopologicalSpinor,
     assemble_dirac,
@@ -16,17 +17,19 @@ from diracsp import (
     gaussian_mix_signal,
     hodge_filter,
     learn,
+    ngf_generate,
     rayleigh_m,
     reconstruction_error,
     sample_noise,
     spectral_basis,
 )
+from diracsp.datasets import coastal_tessellation, florentine_marriage
 from diracsp.errors import DimensionMismatch, InvalidOrder, NonConvergence, ZeroSignal
 from diracsp.filtering import _learn_batch, _low_snr
 from diracsp.operators import harmonic_basis
 
-from conftest import HARD_COMPLEXES, random_complex
-from oracles import brute_dirac, eigenbasis_projection, loop_learn_coords
+from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
+from oracles import brute_dirac, certificate_residuals, eigenbasis_projection, loop_learn_coords
 
 
 def test_hodge_tau_zero_is_identity(ff_dirac, ff_basis):
@@ -501,3 +504,32 @@ def test_low_snr_means_observed_power_above_two():
     # unit truth plus noise of power alpha^2: above 2 the noise outweighs it
     C = np.array([[1.0, 0.0], [1.0, 0.99], [1.0, 1.01], [0.0, 0.0]])
     assert _low_snr(C).tolist() == [False, False, True, False]
+
+
+CERTIFICATE_CASES = {
+    **HARD_COMPLEXES,
+    "torus+fin": torus_with_fin(),
+    "coastal": coastal_tessellation(),
+    "florentine": florentine_marriage(),
+    **{
+        f"ngf300-flavor{flavor}": ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0))
+        for flavor in (-1, 0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(CERTIFICATE_CASES))
+def test_projection_and_filters_pass_their_sparse_certificates(name, n):
+    # a Gaussian mixture around the median singular value, plus noise of
+    # norm about 0.5 spread over all blocks, so x also has a part in ker D_n
+    K = CERTIFICATE_CASES[name]
+    D = assemble_dirac(K)
+    basis = spectral_basis(D, n)
+    noise = np.random.default_rng(11).standard_normal(K.spinor_dim)
+    x = TopologicalSpinor.from_vector(K, 0.5 * noise / np.sqrt(max(K.spinor_dim, 1)))
+    m = float(np.median(basis.sigma)) if basis.rank else 0.0
+    if basis.rank:
+        x = x + gaussian_mix_signal(basis, m, 0.5)
+    residuals = certificate_residuals(D, n, x, FilterConfig(tau=2.0), m)
+    assert (residuals[1] is None) == (basis.rank == 0)
