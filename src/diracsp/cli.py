@@ -78,7 +78,8 @@ _signal_opts = [
     click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True),
     click.option("--n", type=click.Choice(["1", "2"]), default="1", show_default=True),
     click.option("--selector", default="smallest_positive", show_default=True,
-                 help="Eigen selector: smallest_positive, largest_positive, an index, or a target eigenvalue."),
+                 help="Eigen selector: smallest_positive, largest_positive, smallest_negative, "
+                      "largest_negative, an index, or a target eigenvalue."),
     click.option("--lambda-bar", type=float, default=1.0, show_default=True),
     click.option("--sigma-hat", type=float, default=0.2, show_default=True),
     click.option("--variance-convention", type=click.Choice(["linear", "squared"]),

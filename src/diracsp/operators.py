@@ -23,13 +23,13 @@ import ``scipy.sparse`` then.  Everything spectral about D_n comes from one
 cached SpectralBasis per boundary matrix, the triplets of one Gram
 eigensolve checked against the rank the complex decides: projections,
 kernels and harmonic bases read it, ranks never build it, and it writes
-nothing to the complex.  The basis stores one factor of the triplets, the
-Gram eigenvectors, with sigma and one sign per mode; the other factor
-(v = B_n^T u / sigma, or u = B_n v / sigma) is reached through one product
-with B_n.  Set-up reads that factor once, a block of columns at a time, for
-sigma and the signs together.  Reading ``U``, ``V`` or
-``singular_triplets`` builds it whole, O(N_n r) numbers per read; the grid
-commands never do.
+nothing to the complex.  The basis stores the Gram eigenvectors: one
+factor of the triplets, with sigma and one sign per mode, and the kernel of
+B_n on that side.  The other factor (v = B_n^T u / sigma, or u = B_n v /
+sigma) is reached through one product with B_n.  Set-up reads it once, a
+block of columns at a time, for sigma and the signs together.  Reading
+``U``, ``V`` or ``singular_triplets`` builds it whole, O(N_n r) numbers per
+read; the grid commands never do.
 
 All operators are immutable after assembly; projections are pure functions.
 """
@@ -47,6 +47,7 @@ from .complexes import (
     RANK_RTOL,
     Incidence,
     SimplicialComplex,
+    betti_numbers,
     boundary_matrix,
     gap_rank,
     gram_eigh,
@@ -215,43 +216,38 @@ def hodge_laplacian(K: SimplicialComplex, n: int, which: str = "full") -> sp.csr
 # -- singular triplets --------------------------------------------------------
 
 
-def _derived_block(F, Q: np.ndarray, start: int, sigma=None) -> np.ndarray:
-    """Columns start .. start + _BLOCK - 1 of F Q, divided by sigma[blk] when sigma is given.
+def _derived_block(F, Q: np.ndarray, start: int) -> np.ndarray:
+    """Columns start .. start + _BLOCK - 1 of F Q.
 
     Q is the stored factor of B and F maps its side onto the other one (B^T
-    for a stored U, B for a stored V), so the block is part of the factor
-    the basis does not store.  The products add each output entry's terms in
-    the same order whatever the width, so a column has the same bits
-    whether it is read here or alone.
+    for a stored U, B for a stored V), so the block over sigma is part of
+    the factor the basis does not store.  The products add each output
+    entry's terms in the same order whatever the width, so a column has the
+    same bits read here, in the whole product or alone.
     """
-    stop = min(start + _BLOCK, Q.shape[1])
-    Y = F @ Q[:, start:stop]
-    if sigma is not None:
-        Y /= sigma[start:stop]
-    return Y
+    return F @ Q[:, start : min(start + _BLOCK, Q.shape[1])]
 
 
 def _gram_triplets(B: Incidence, r: int):
-    """(Q, sigma, signs): the stored factor of B's nonzero singular triplets,
-    sigma, descending (to roundoff inside a cluster of equal values), and
-    the mode signs.
+    """(Q, sigma, signs, null): the stored factor of B's nonzero singular
+    triplets, sigma, descending (to roundoff inside a cluster of equal
+    values), the mode signs, and the kernel of B on the stored side.
 
     One dense eigensolve (:func:`gram_eigh`) of the smaller Gram matrix G
     (B B^T when B has no more rows than columns, else B^T B) gives Q: the
     eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
     rank is the :func:`gap_rank` of that spectrum, which must equal the
     complex's rank r, or the eigensolve is not trusted.  G is dropped and
-    the top columns, descending, move into the leading columns of the
-    solve's own k x k eigenvector array X; Q is a view of them, so nothing
-    is allocated after the solve.  One :func:`_factor_pass` then takes each
-    sigma_j as the norm of B^T q_j (or B q_j), and the signs.  That norm
-    keeps the small singular values accurate to roundoff relative to
-    themselves, where sqrt of the Gram eigenvalue would lose digits in
-    proportion to (sigma_max / sigma)^2.  Peak memory is the solve's: G,
-    numpy's copy of it, the LAPACK workspace and X.  The basis keeps X,
-    8 (k - r) k bytes more than Q for the kernel dimension k - r of the
-    stored side, which never raises that peak; the other factor is never
-    built.
+    the solve's own k x k eigenvector array X is reversed in place (one
+    transient copy; nothing long-lived is allocated after the solve): Q is
+    a view of its leading r columns, ``null`` of the other k - r, G's null
+    eigenvectors, ker B^T for a stored U and ker B for a stored V.  One
+    :func:`_factor_pass` then takes each sigma_j as the norm of B^T q_j (or
+    B q_j), and the signs.  That norm keeps the small singular values
+    accurate to roundoff relative to themselves, where sqrt of the Gram
+    eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
+    Peak memory is the solve's: G, numpy's copy of it, the LAPACK workspace
+    and X, which the basis keeps whole; the other factor is never built.
     """
     m, n = B.shape
     w, X = gram_eigh(gram_matrix(B))
@@ -261,9 +257,9 @@ def _gram_triplets(B: Incidence, r: int):
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but the complex's rank of it is {r}"
         )
-    X[:, :found] = X[:, w.size - found :][:, ::-1]
+    X[:] = X[:, ::-1]
     Q = X[:, :found]
-    return (Q, *_factor_pass(B, Q))
+    return (Q, *_factor_pass(B, Q), X[:, found:])
 
 
 def _complement(A: np.ndarray) -> np.ndarray:
@@ -339,9 +335,10 @@ class SpectralBasis:
     (U, sigma, V) of B_n, and it stores one factor of them: ``sigma`` and
     ``Q``, the top eigenvectors of the smaller Gram matrix (U when
     N_{n-1} <= N_n, as for B1; else V), the leading columns of the Gram
-    solve's own array: min(N_{n-1}, N_n)^2 numbers.  The other factor follows from Q through one product with
-    ``B``, the :class:`~diracsp.complexes.Incidence` B_n that ``K`` keeps
-    (shared with the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
+    solve's own array, and ``null``, the rest of it, the kernel of B_n on
+    that side: min(N_{n-1}, N_n)^2 numbers.  The other factor follows from
+    Q through one product with ``B``, the :class:`~diracsp.complexes.Incidence`
+    B_n that ``K`` keeps (shared with the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
     Reading ``U`` or ``V`` builds the derived one whole, O(N_n r) numbers
     per read; the products below and the grid commands never do.  Bases
     compare and hash by identity.
@@ -357,9 +354,9 @@ class SpectralBasis:
     ``coefficients`` and ``synthesize`` map between spinors and coordinates
     along the nonzero modes (in ``nonzero_indices`` order) through Q and
     B_n, so no dense basis is ever formed.  ``harm_indices`` span ker(D_n),
-    of dimension ``kernel_dim``; their columns come from the orthogonal
-    complements of U and V, computed on first use.  Together the modes form
-    an orthonormal basis of the whole spinor space.
+    of dimension ``kernel_dim``; their columns come from ``null`` and the
+    complement of the derived factor, computed on first use.  Together the
+    modes form an orthonormal basis of the whole spinor space.
     """
 
     order: int
@@ -367,9 +364,10 @@ class SpectralBasis:
     Q: np.ndarray
     sigma: np.ndarray
     signs: np.ndarray
+    null: np.ndarray
 
     def __post_init__(self):
-        for name in ("Q", "sigma", "signs"):
+        for name in ("Q", "sigma", "signs", "null"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -383,11 +381,8 @@ class SpectralBasis:
         return self._derived() if self._left else self.Q
 
     def _derived(self) -> np.ndarray:
-        """The factor Q does not hold, built whole from its blocks."""
-        out = np.empty((self._to_derived.shape[0], self.rank))
-        for start in range(0, self.rank, _BLOCK):
-            out[:, start : start + _BLOCK] = _derived_block(self._to_derived, self.Q, start, self.sigma)
-        return out
+        """The factor Q does not hold, built whole in one product."""
+        return self._to_derived @ self.Q / self.sigma
 
     @property
     def B(self) -> Incidence:
@@ -549,13 +544,14 @@ class SpectralBasis:
         right = v / SQRT2 * (sign if positive else -sign)
         return _spinor_from_blocks(self.K, self.order, left, right)
 
+    # ker B_n^T and ker B_n: ``null`` on the stored side, a complement on the other
     @cached_property
     def _left_kernel(self) -> np.ndarray:
-        return _complement(self.U)
+        return self.null if self._left else _complement(self.U)
 
     @cached_property
     def _right_kernel(self) -> np.ndarray:
-        return _complement(self.V)
+        return _complement(self.V) if self._left else self.null
 
     def _harmonic_spinor(self, j: int) -> TopologicalSpinor:
         """Harmonic column j: ker(B_n^T), ker(B_n) and the free block, in block order."""
@@ -588,7 +584,8 @@ def spectral_basis(
     method="eigh" (plain reference): dense symmetric eigendecomposition of
     the block of D_n restricted to the two simplex dimensions it couples
     (size N0+N1 for n=1, N1+N2 for n=2).  Its positive half gives the
-    triplets, so both methods return the same factored type.  Useful for
+    triplets, so both methods return the same factored type; its ``null``
+    is the complete-QR complement of the stored factor.  Useful for
     cross-checks and as the unoptimized implementation the runtime
     benchmark times.
 
@@ -602,7 +599,7 @@ def spectral_basis(
         B = Dop.K.incidence(n)
         U, sigma, V = _eigh_triplets(B)
         Q = U if is_wide(B) else V
-        return SpectralBasis(n, Dop.K, Q, *_factor_pass(B, Q, sigma))
+        return SpectralBasis(n, Dop.K, Q, *_factor_pass(B, Q, sigma), _complement(Q))
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 
@@ -630,12 +627,13 @@ def _eigh_triplets(B: Incidence):
 def harmonic_basis(Dop: DiracOperator) -> np.ndarray:
     """Orthonormal basis of ker(D) = ker(L0) + ker(L1) + ker(L2), per block.
 
-    Built from the cached singular triplets: nodes orthogonal to U1, links
-    orthogonal to [V1 U2], triangles orthogonal to V2.
+    Read from the cached bases: ker(L0) = ker(B1^T) from D_1's and ker(L2) =
+    ker(B2) from D_2's, each its basis's ``null`` on the stored side.  The
+    link block, the complement of [V1 U2], is built only if beta_1 > 0.
     """
-    U1, _, V1 = Dop.singular_triplets(1)
-    U2, _, V2 = Dop.singular_triplets(2)
-    blocks = [_complement(U1), _complement(np.hstack([V1, U2])), _complement(V2)]
+    b1, b2 = spectral_basis(Dop, 1), spectral_basis(Dop, 2)
+    links = _complement(np.hstack([b1.V, b2.U])) if betti_numbers(Dop.K)[1] else np.zeros((Dop.K.n1, 0))
+    blocks = [b1._left_kernel, links, b2._right_kernel]
     H = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
     row = col = 0
     for b in blocks:

@@ -120,9 +120,9 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
     """Resolve a selector to an index into ``basis.eigenvalues``.
 
     Accepts an integer index, a target eigenvalue (float, matched to the
-    nearest nonzero eigenvalue within the degeneracy tolerance), or one of
-    the strings smallest_positive / largest_positive / smallest_negative /
-    largest_negative (magnitude ordering within each sign class).
+    nearest nonzero eigenvalue if it is within 1e-6 * max(max |lambda|, 1)),
+    or one of the strings smallest_positive / largest_positive /
+    smallest_negative / largest_negative (magnitude within each sign class).
     """
     vals = basis.eigenvalues
     nz = basis.nonzero_indices

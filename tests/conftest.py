@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from diracsp import assemble_dirac, build_complex, spectral_basis
+from diracsp import NgfParams, assemble_dirac, build_complex, ngf_generate, spectral_basis
 from diracsp.datasets import coastal_tessellation, florentine_marriage
 
 
@@ -101,4 +101,17 @@ HARD_COMPLEXES = {
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
         4,
     ),
+}
+
+
+# Where the sparse certificates (tests/oracles.py) run, next to dense checks.
+CERTIFICATE_CASES = {
+    **HARD_COMPLEXES,
+    "torus+fin": torus_with_fin(),
+    "coastal": coastal_tessellation(),
+    "florentine": florentine_marriage(),
+    **{
+        f"ngf300-flavor{flavor}": ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0))
+        for flavor in (-1, 0, 1)
+    },
 }

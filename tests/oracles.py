@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from diracsp import dirac_filter, dirac_project, learn, spectral_basis
+from diracsp import TopologicalSpinor, dirac_filter, dirac_project, learn, spectral_basis
 from diracsp.complexes import SimplicialComplex, build_complex
 from diracsp.errors import DuplicateSimplex, IndexOutOfRange, MissingFace, ParseError
 from diracsp.signals import rng_stream
@@ -323,7 +323,8 @@ def stored_projection(U, V, a, b):
 
 
 def certificate_residuals(Dop, n, x, config, m):
-    """Check P_n and both filters at D_n of Dop against their defining equations.
+    """Check P_n, both filters and the learner's update at D_n of Dop
+    against their defining equations.
 
     Every check goes through ``Dop.apply`` alone, so it costs O(nnz) at any
     size and needs no dense oracle:
@@ -332,11 +333,13 @@ def certificate_residuals(Dop, n, x, config, m):
     - the filter equation ||D_n ((I + tau (D_n - m)^2) s_hat - x)|| <=
       1e-10 ||D_n x||, for ``dirac_filter`` at centre m and for ``learn``
       at the centre of its last filter step, ``m_history[-2]``.  The filter
-      drops the part of x in ker D_n, which D_n drops too.
+      drops the part of x in ker D_n, which D_n drops too;
+    - the learner's last update: |m_T - ((1 - eta) m_{T-1} + eta <s_hat,
+      D_n s_hat> / <s_hat, s_hat>)| <= 1e-13 |m_T|.
 
-    The filter checks need D_n x != 0.  Returns the residuals, relative to
-    sigma_max ||x|| and ||D_n x||: (projection, filter, learn), the last two
-    None when D_n x = 0.
+    The filter and update checks need D_n x != 0.  Returns the residuals,
+    relative to sigma_max ||x||, ||D_n x|| and |m_T|: (projection, filter,
+    learn, update), the last three None when D_n x = 0.
     """
 
     def D(s):
@@ -347,7 +350,7 @@ def certificate_residuals(Dop, n, x, config, m):
     assert projection <= 1e-13 * sigma_max * x.norm(), f"projection residual {projection:.3g}"
     scale = D(x).norm()
     if scale == 0.0:
-        return projection, None, None
+        return projection, None, None, None
 
     def filter_residual(s_hat, m):
         shifted = D(s_hat) - s_hat * m
@@ -358,9 +361,69 @@ def certificate_residuals(Dop, n, x, config, m):
     learned = filter_residual(s_hat, trace.m_history[-2])
     for name, value in (("dirac_filter", filtered), ("learn", learned)):
         assert value <= 1e-10, f"{name} filter equation residual {value:.3g}"
+    *_, m_prev, m_last = trace.m_history
+    rayleigh = s_hat.vector @ D(s_hat).vector / (s_hat.vector @ s_hat.vector)
+    update = abs(m_last - ((1.0 - config.eta) * m_prev + config.eta * rayleigh)) / abs(m_last)
+    assert update <= 1e-13, f"learner's update residual {update:.3g}"
     if sigma_max > 0.0:
         projection /= sigma_max * x.norm()
-    return projection, filtered, learned
+    return projection, filtered, learned, update
+
+
+def spectral_certificates(Dop, n, x):
+    """Check the cached basis of D_n and ``harmonic_basis`` of Dop against
+    their defining equations, through ``Dop.apply`` and the complex's
+    Incidence B_n alone, at O(nnz) per vector:
+
+    - triplets, on 16 evenly spaced columns j: the mode for -sigma_j has the
+      blocks (u_j, -v_j) / sqrt(2) times its sign, and ||B_n v_j - sigma_j
+      u_j||, ||B_n^T u_j - sigma_j v_j|| <= 1e-12 sigma_max;
+    - for n = 1, the node block of P_1 x sums to 0 over each component,
+      within 1e-12 ||x||: im(B1) is orthogonal to the per-component
+      constants;
+    - harmonic modes, those of the basis under D_n and the columns H of
+      ``harmonic_basis`` under D: ||D h|| <= 1e-13 max(sigma_max, 1) and
+      ||H^T H - I|| <= 1e-13, largest entry.
+
+    Returns the worst residuals, relative as above: (triplets, node sums,
+    harmonic D h, harmonic orthonormality), node sums None for n = 2.
+    """
+    from diracsp.complexes import _components
+    from diracsp.operators import _blocks_for, harmonic_basis
+
+    K = Dop.K
+    basis = spectral_basis(Dop, n)
+    B = K.incidence(n)
+    sigma_max = basis.sigma.max(initial=0.0)
+    triplets = 0.0
+    for j in np.unique(np.linspace(0, basis.rank - 1, 16).round().astype(int)) if basis.rank else ():
+        left, right = _blocks_for(n, basis.spinor(int(j)).blocks)
+        u, v, sigma = np.sqrt(2.0) * left, -np.sqrt(2.0) * right, basis.sigma[j]
+        residual = max(np.linalg.norm(B @ v - sigma * u), np.linalg.norm(B.T @ u - sigma * v))
+        triplets = max(triplets, residual / sigma_max)
+    assert triplets <= 1e-12, f"triplet residual {triplets:.3g}"
+
+    node_sums = None
+    if n == 1:
+        _, labels = _components(K.n0, *K.links.T)
+        p = dirac_project(x, Dop, 1).s0
+        node_sums = np.abs(np.bincount(labels, weights=p)).max(initial=0.0)
+        assert node_sums <= 1e-12 * x.norm(), f"node block sum {node_sums:.3g}"
+        if node_sums:
+            node_sums /= x.norm()
+
+    modes = np.zeros((K.spinor_dim, basis.kernel_dim))
+    for c, i in enumerate(basis.harm_indices):
+        modes[:, c] = basis.spinor(int(i)).vector
+    whole = max(1.0, *(spectral_basis(Dop, k).sigma.max(initial=0.0) for k in (1, 2)))
+    kernel, orthonormal = 0.0, 0.0
+    for H, order, scale in ((modes, n, max(sigma_max, 1.0)), (harmonic_basis(Dop), None, whole)):
+        for h in H.T:
+            kernel = max(kernel, Dop.apply(TopologicalSpinor.from_vector(K, h), order).norm() / scale)
+        orthonormal = max(orthonormal, np.abs(H.T @ H - np.eye(H.shape[1])).max(initial=0.0))
+    assert kernel <= 1e-13, f"harmonic residual {kernel:.3g}"
+    assert orthonormal <= 1e-13, f"harmonic orthonormality {orthonormal:.3g}"
+    return triplets, node_sums, kernel, orthonormal
 
 
 # -- the grid commands' draws, one spinor at a time -----------------------------

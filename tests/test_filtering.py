@@ -23,13 +23,18 @@ from diracsp import (
     sample_noise,
     spectral_basis,
 )
-from diracsp.datasets import coastal_tessellation, florentine_marriage
 from diracsp.errors import DimensionMismatch, InvalidOrder, NonConvergence, ZeroSignal
 from diracsp.filtering import _learn_batch, _low_snr
 from diracsp.operators import harmonic_basis
 
-from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
-from oracles import brute_dirac, certificate_residuals, eigenbasis_projection, loop_learn_coords
+from conftest import CERTIFICATE_CASES, HARD_COMPLEXES, random_complex
+from oracles import (
+    brute_dirac,
+    certificate_residuals,
+    eigenbasis_projection,
+    loop_learn_coords,
+    spectral_certificates,
+)
 
 
 def test_hodge_tau_zero_is_identity(ff_dirac, ff_basis):
@@ -506,24 +511,17 @@ def test_low_snr_means_observed_power_above_two():
     assert _low_snr(C).tolist() == [False, False, True, False]
 
 
-CERTIFICATE_CASES = {
-    **HARD_COMPLEXES,
-    "torus+fin": torus_with_fin(),
-    "coastal": coastal_tessellation(),
-    "florentine": florentine_marriage(),
-    **{
-        f"ngf300-flavor{flavor}": ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0))
-        for flavor in (-1, 0, 1)
-    },
+# the certificate corpus and one complex at the benchmark's size
+CERTIFIED = {
+    **CERTIFICATE_CASES,
+    "ngf1000-flavor1": ngf_generate(NgfParams(target_nodes=1000, flavor=1, seed=0)),
 }
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("name", list(CERTIFICATE_CASES))
-def test_projection_and_filters_pass_their_sparse_certificates(name, n):
-    # a Gaussian mixture around the median singular value, plus noise of
-    # norm about 0.5 spread over all blocks, so x also has a part in ker D_n
-    K = CERTIFICATE_CASES[name]
+def _certificate_input(K, n):
+    """(D, m, x): a Gaussian mixture around the median singular value m of
+    B_n, plus noise of norm about 0.5 spread over all blocks, so x also has
+    a part in ker D_n."""
     D = assemble_dirac(K)
     basis = spectral_basis(D, n)
     noise = np.random.default_rng(11).standard_normal(K.spinor_dim)
@@ -531,5 +529,20 @@ def test_projection_and_filters_pass_their_sparse_certificates(name, n):
     m = float(np.median(basis.sigma)) if basis.rank else 0.0
     if basis.rank:
         x = x + gaussian_mix_signal(basis, m, 0.5)
+    return D, m, x
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_projection_and_filters_pass_their_sparse_certificates(name, n):
+    D, m, x = _certificate_input(CERTIFIED[name], n)
     residuals = certificate_residuals(D, n, x, FilterConfig(tau=2.0), m)
-    assert (residuals[1] is None) == (basis.rank == 0)
+    assert (residuals[1] is None) == (D.rank(n) == 0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(CERTIFIED))
+def test_triplets_node_sums_and_harmonic_modes_pass_their_sparse_certificates(name, n):
+    D, _, x = _certificate_input(CERTIFIED[name], n)
+    residuals = spectral_certificates(D, n, x)
+    assert (residuals[1] is None) == (n == 2)

@@ -32,6 +32,7 @@ from diracsp.errors import (
     ZeroNoise,
 )
 from diracsp.filtering import rayleigh_m
+from diracsp.signals import select_eigenvalue
 
 SQ2 = np.sqrt(2.0)
 
@@ -66,6 +67,21 @@ def test_eigenmode_selector_errors(ff_basis):
     for target in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(NoSuchEigenvalue, match="target eigenvalue must be finite"):
             eigenmode_signal(ff_basis, target)
+
+
+@pytest.mark.parametrize("complex_", ["one_link", "ff_network"])
+def test_a_target_eigenvalue_matches_within_a_millionth_of_the_spectrum(complex_, request):
+    # the tolerance is 1e-6 * max(max |lambda|, 1), not the degeneracy
+    # tolerance: a target just inside it resolves to the nearest mode, one
+    # just outside it is refused, on either side of the eigenvalue
+    K = build_complex([(0, 1)], node_count=2) if complex_ == "one_link" else request.getfixturevalue(complex_)
+    basis = spectral_basis(assemble_dirac(K), 1)
+    lam = basis.eigenvalues[basis.pos_indices[0]]
+    tol = 1e-6 * max(np.abs(basis.eigenvalues).max(), 1.0)
+    for side in (-1.0, 1.0):
+        assert select_eigenvalue(basis, lam + side * 0.99 * tol) == basis.pos_indices[0]
+        with pytest.raises(NoSuchEigenvalue, match="within tolerance"):
+            select_eigenvalue(basis, lam + side * 1.01 * tol)
 
 
 def test_gaussian_mix_rejects_non_finite_lambda_bar(ff_basis):

@@ -38,7 +38,7 @@ from diracsp.operators import (
 from diracsp.signals import noise_coefficients
 from diracsp.spinors import split_blocks
 
-from conftest import HARD_COMPLEXES, random_complex
+from conftest import CERTIFICATE_CASES, HARD_COMPLEXES, random_complex
 from oracles import (
     brute_dirac,
     dense_mode_signs,
@@ -162,11 +162,14 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     basis = SpectralBasis(n, K, *_gram_triplets(B, r))
     U, sigma, V = basis.U, basis.sigma, basis.V
     assert sigma.size == sigma0.size == r
-    # Q is the leading columns of the solve's own eigenvector array, and
-    # the factor derived from it is built C-contiguous
+    # Q is the leading columns of the solve's own eigenvector array and
+    # null the rest, the kernel of B on the stored side; the factor derived
+    # from Q is built C-contiguous
     X = basis.Q.base
     assert X.shape == (min(B.shape),) * 2
     assert (basis.Q.ctypes.data, basis.Q.strides) == (X.ctypes.data, X.strides)
+    assert (basis.null.ctypes.data, basis.null.strides) == (X[:, r:].ctypes.data, X.strides)
+    assert np.array_equal(np.hstack([basis.Q, basis.null]), X)
     assert (V if basis._left else U).flags.c_contiguous
     assert np.abs(sigma - sigma0).max(initial=0.0) <= 1e-12
     eye = np.eye(r)
@@ -176,6 +179,41 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     # the same image and coimage as the reference
     assert np.abs(U @ U.T - U0 @ U0.T).max(initial=0.0) <= 1e-12
     assert np.abs(V @ V.T - V0 @ V0.T).max(initial=0.0) <= 1e-12
+    stored = (B.T if basis._left else B) @ basis.null
+    assert np.abs(stored).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("flavor", [-1, 0, 1])
+def test_harmonic_columns_read_the_stored_kernels_without_a_complete_qr(monkeypatch, flavor):
+    # B1 is wide and B2 tall on an NGF complex, so ker L0 and ker L2 are the
+    # null eigenvectors of the two Gram solves, and beta_1 = 0 leaves no link
+    # block: neither harmonic_basis nor D_1's first harmonic mode runs a
+    # complete QR
+    K = ngf_generate(NgfParams(target_nodes=300, flavor=flavor, seed=0))
+    D = assemble_dirac(K)
+    calls = []
+    complement = operators._complement
+    monkeypatch.setattr(operators, "_complement", lambda A: calls.append(A.shape) or complement(A))
+    H = harmonic_basis(D)
+    basis = spectral_basis(D, 1)
+    h = basis.spinor(basis.rank)
+    assert calls == []
+    assert H.shape == (K.spinor_dim, 1)  # beta = (1, 0, 0)
+    assert np.array_equal(h.s0, operators._fix_sign(basis.null[:, 0]))
+    assert np.array_equal(H[: K.n0, 0], basis.null[:, 0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", list(CERTIFICATE_CASES))
+def test_stored_kernel_spans_the_eigh_reference_kernel(name, n):
+    # the svd basis keeps the Gram solve's null eigenvectors, the eigh basis
+    # the complete-QR complement of its stored factor: two constructions of
+    # one space, the kernel of B_n on the stored side
+    D = assemble_dirac(CERTIFICATE_CASES[name])
+    svd, eigh = spectral_basis(D, n), spectral_basis(D, n, method="eigh")
+    assert svd.null.shape == eigh.null.shape
+    gap = svd.null @ svd.null.T - eigh.null @ eigh.null.T
+    assert np.abs(gap).max(initial=0.0) <= 1e-12
 
 
 def _path(N):
