@@ -32,9 +32,11 @@ it, which is harmless: the two are equal.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -186,7 +188,7 @@ class SimplicialComplex:
             return self.n2 - _closed_orientable_components(B2)
         if _collapses(self.face_rows, self.n1):
             return self.n2
-        return gap_rank(gram_eigh(gram_matrix(B2), vectors=False), RANK_RTOL)
+        return gap_rank(gram_eigh(B2, vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -600,15 +602,17 @@ TRIM_THRESHOLD = 1 << 30
 def steady_heap() -> bool:
     """Fix glibc's malloc thresholds, once, before the first Gram solve.
 
-    A Gram solve mallocs and frees N x N float64 buffers: G, numpy's copy of
-    it and dsyevd's workspace of about 2 N^2; the eigenvectors live as long
-    as the basis that keeps them.  Left to itself glibc adapts its mmap and
-    trim thresholds to the first large free; from then on, whether the
-    heap's free top goes back to the system after a solve, to be faulted in
-    again by the next one, turns on a few KB of unrelated allocations: about
-    7,300 pages per NGF-1000 set-up.  Fixed here, blocks under
-    MMAP_THRESHOLD come from the heap, and freed heap memory is kept for the
-    next solve unless TRIM_THRESHOLD of it lies free at the top.
+    A Gram solve mallocs and frees m x m float64 buffers: dsyevd's workspace
+    of about 2 m^2, and G, whose storage the solve overwrites with the
+    eigenvectors, which live as long as the basis that keeps them (numpy's
+    ``eigh``, where it runs, adds a copy of G and its output array).  Left
+    to itself glibc adapts its mmap and trim thresholds to the first large
+    free; from then on, whether the heap's free top goes back to the system
+    after a solve, to be faulted in again by the next one, turns on a few KB
+    of unrelated allocations: about 7,300 pages per NGF-1000 set-up.  Fixed
+    here, blocks under MMAP_THRESHOLD come from the heap, and freed heap
+    memory is kept for the next solve unless TRIM_THRESHOLD of it lies free
+    at the top.
     Returns whether the thresholds were set: not on another C library, and
     not when the environment sets glibc's malloc tunables itself.
     """
@@ -623,40 +627,205 @@ def steady_heap() -> bool:
         return False
     if not libc.startswith("glibc"):
         return False
-    import ctypes
-
     mallopt = ctypes.CDLL(None).mallopt
     return bool(
         mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     )
 
 
-def gram_eigh(G: np.ndarray, *, vectors: bool = True):
-    """Ascending eigenvalues of the symmetric matrix G, and its eigenvectors if asked.
+# dsyevd's exported names whose integer width is fixed by convention: the
+# ILP64 builds of numpy's wheels suffix 64_, the LP64 scipy-openblas build none
+DSYEVD_SYMBOLS = (
+    ("scipy_dsyevd_64_", ctypes.c_int64),
+    ("dsyevd_64_", ctypes.c_int64),
+    ("scipy_dsyevd_", ctypes.c_int32),
+)
 
-    LAPACK dsyevd through ``numpy.linalg.eigh`` (or ``eigvalsh``) on G's lower
-    triangle.  numpy solves in a copy of G, so the solve peaks at G, that
-    copy and dsyevd's workspace; :func:`steady_heap` keeps those buffers in
-    the heap from one solve to the next.  Returns w, or (w, X) with the
-    eigenvectors as the columns of X.  A LAPACK failure raises
+
+class Dsyevd:
+    """LAPACK dsyevd (divide and conquer; Gu and Eisenstat, SIAM J. Matrix
+    Anal. Appl. 16, 1995) bound through ctypes, on the lower triangle of a
+    Fortran-ordered matrix, which it overwrites with the eigenvectors."""
+
+    def __init__(self, function, integer):
+        self.integer = integer
+        self.dtype = np.dtype(integer)
+        ref = ctypes.POINTER(integer)
+        function.restype = None
+        function.argtypes = [
+            ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref,  # jobz, uplo, n, a, lda
+            ctypes.c_void_p, ctypes.c_void_p, ref, ctypes.c_void_p, ref,  # w, work, lwork, iwork, liwork
+            ref, ctypes.c_size_t, ctypes.c_size_t,  # info, then the lengths of jobz and uplo
+        ]
+        self.function = function
+
+    def _call(self, jobz: bytes, m: int, a, w, work, lwork: int, iwork, liwork: int) -> int:
+        integer, info = self.integer, self.integer(0)
+        self.function(
+            jobz, b"L", integer(m), a, integer(m), w, work, integer(lwork), iwork, integer(liwork),
+            ctypes.byref(info), 1, 1,
+        )
+        return info.value
+
+    def query(self, jobz: bytes, m: int) -> tuple[int, int]:
+        """(lwork, liwork), the workspace dsyevd asks for at order m > 0: at
+        least its documented minimum, and more than that for small m."""
+        work, iwork = np.empty(1), np.empty(1, self.dtype)
+        info = self._call(jobz, m, None, None, work.ctypes.data, -1, iwork.ctypes.data, -1)
+        if info:
+            raise EigensolveFailure(f"dsyevd's workspace query failed: info={info}")
+        return int(work[0]), int(iwork[0])
+
+    def workspace(self, lwork: int, liwork: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty(lwork), np.empty(liwork, self.dtype)
+
+    def __call__(self, jobz: bytes, A: np.ndarray, w: np.ndarray, work: np.ndarray, iwork: np.ndarray) -> int:
+        """Solve the symmetric, C-ordered float64 A of order len(w) > 0 in
+        place; dsyevd's info, 0 on success."""
+        m = len(w)
+        if not (
+            A.shape == (m, m) and A.dtype == w.dtype == work.dtype == np.float64
+            and iwork.dtype == self.dtype and A.flags.c_contiguous and A.flags.writeable
+            and w.flags.c_contiguous and w.flags.writeable
+        ):
+            raise ValueError("dsyevd takes writeable C-ordered float64 A (m x m) and w (m), and its workspace")
+        return self._call(
+            jobz, m, A.ctypes.data, w.ctypes.data,
+            work.ctypes.data, work.size, iwork.ctypes.data, iwork.size,
+        )
+
+
+@cache
+def lapack_dsyevd() -> Dsyevd | None:
+    """dsyevd from the OpenBLAS library that numpy's wheel loads, or None.
+
+    The wheel keeps it in ``numpy.libs`` (Linux, Windows) or
+    ``numpy/.dylibs`` (macOS); loading it again returns the same library.
+    Only a name of :data:`DSYEVD_SYMBOLS` is bound, so the integer width is
+    never guessed.  None on a numpy that brings no such library.
+    """
+    package = Path(np.__file__).parent
+    libraries = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
+    for path in sorted(libraries):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name, integer in DSYEVD_SYMBOLS:
+            function = getattr(library, name, None)
+            if function is not None:
+                return Dsyevd(function, integer)
+    return None
+
+
+def gram_eigh(B: Incidence, *, vectors: bool = True):
+    """Eigenvalues of B's smaller Gram matrix G, descending, and its
+    eigenvectors if asked, as the columns of X in that order.
+
+    Returns w, or (w, X) with X C-ordered.  It builds G itself
+    (:func:`gram_matrix`), so no caller sees G overwritten, and solves it
+    with LAPACK dsyevd on G's lower triangle.  Where numpy's wheel brings
+    its OpenBLAS (:func:`lapack_dsyevd`), the solve runs in G's own
+    storage.  dsyevd's workspace query needs only m; the workspace is
+    allocated before G, so that every set-up's workspace and G reuse the
+    last one's heap slots; the solve overwrites G with the eigenvectors;
+    the workspace is freed; and G's storage, its rows reversed and the
+    matrix transposed in place (:func:`_rotate`), becomes X.  The solve
+    peaks at G and the workspace, about 24 m^2 bytes, and nothing of m^2
+    size is allocated after it.  Elsewhere ``numpy.linalg.eigh`` (or
+    ``eigvalsh``) solves in a copy of G and writes the eigenvectors to a
+    new array, reversed in place with one transient copy: about 40 m^2
+    bytes.  The two paths give the same bits.  :func:`steady_heap` keeps
+    these buffers in the heap from one solve to the next.  A failure to
+    allocate G or the workspace, or a LAPACK failure, raises
     :class:`EigensolveFailure`.
     """
     steady_heap()
+    m = min(B.shape)
+    if m == 0:  # dsyevd would refuse lda = 0
+        w = np.empty(0)
+        return (w, np.empty((0, 0))) if vectors else w
+    dsyevd = lapack_dsyevd()
+    if dsyevd is None:
+        return _numpy_eigh(B, vectors)
+    jobz = b"V" if vectors else b"N"
+    lwork, liwork = dsyevd.query(jobz, m)
+    need = 8 * (m * m + m + lwork) + dsyevd.dtype.itemsize * liwork
+    with _allocating(m, need, "G and dsyevd's workspace"):
+        w, (work, iwork) = np.empty(m), dsyevd.workspace(lwork, liwork)
+        G = gram_matrix(B)
+    info = dsyevd(jobz, G, w, work, iwork)
+    del work, iwork
+    if info:
+        raise EigensolveFailure(f"Gram eigensolve failed: dsyevd returned info={info}")
+    if not vectors:
+        return w[::-1]
+    # dsyevd leaves the eigenvectors in G's columns in Fortran order: its rows here
+    return w[::-1], _rotate(G)
+
+
+def _rotate(A: np.ndarray) -> np.ndarray:
+    """A[::-1].T, C-ordered, in A's own storage: A is square and C-ordered.
+
+    The rows are reversed, then the matrix is transposed, 64 rows or a
+    64 x 64 tile at a time, so that nothing larger than 64 rows is
+    allocated.  Only values move: the bits are those of a copy.
+    """
+    m, block = len(A), 64
+    for a in range(0, m // 2, block):
+        b = min(a + block, m // 2)
+        top = A[a:b].copy()
+        A[a:b] = A[m - b : m - a][::-1]
+        A[m - b : m - a] = top[::-1]
+    for i in range(0, m, block):
+        rows = slice(i, i + block)
+        A[rows, rows] = A[rows, rows].T.copy()
+        for j in range(i + block, m, block):
+            cols = slice(j, j + block)
+            top = A[rows, cols].copy()
+            A[rows, cols] = A[cols, rows].T
+            A[cols, rows] = top.T
+    return A
+
+
+def _numpy_eigh(B: Incidence, vectors: bool):
+    """:func:`gram_eigh` through ``numpy.linalg``, which solves in a copy of G;
+    G is dropped before the eigenvectors are reversed in place."""
+    m = min(B.shape)
+    with _allocating(m, 8 * m * m, "G"):
+        G = gram_matrix(B)
     try:
-        return np.linalg.eigh(G) if vectors else np.linalg.eigvalsh(G)
+        if not vectors:
+            return np.linalg.eigvalsh(G)[::-1]
+        w, X = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+    del G
+    X[:] = X[:, ::-1]
+    return w[::-1], X
+
+
+@contextmanager
+def _allocating(m: int, need: int, what: str):
+    """Raise a MemoryError in the block as an :class:`EigensolveFailure`
+    naming the order m of the Gram solve and the ``need`` bytes of ``what``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise EigensolveFailure(
+            f"Gram eigensolve of order m={m} could not allocate {need} bytes for {what}"
+        ) from exc
 
 
 def gap_rank(w: np.ndarray, rtol: float) -> int:
-    """Rank of a boundary matrix B from the ascending spectrum w of its Gram matrix.
+    """Rank of a boundary matrix B from the descending spectrum w of its Gram matrix.
 
     B is an integer matrix, so its Gram matrix is exact and the eigenvalues
     of its null space are pure roundoff, at most size * eps * w_max.  Every
     eigenvalue must lie either at that level or above rtol * w_max; one in
     between leaves the rank undecided and raises :class:`EigensolveFailure`.
     """
-    top = w[-1] if w.size else 0.0
+    top = w[0] if w.size else 0.0
     if top <= 0.0:
         return 0
     roundoff = w.size * np.finfo(float).eps * top

@@ -51,7 +51,6 @@ from .complexes import (
     boundary_matrix,
     gap_rank,
     gram_eigh,
-    gram_matrix,
     is_wide,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
@@ -237,27 +236,28 @@ def _gram_triplets(B: Incidence, r: int):
     (B B^T when B has no more rows than columns, else B^T B) gives Q: the
     eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
     rank is the :func:`gap_rank` of that spectrum, which must equal the
-    complex's rank r, or the eigensolve is not trusted.  G is dropped and
-    the solve's own k x k eigenvector array X is reversed in place (one
-    transient copy; nothing long-lived is allocated after the solve): Q is
-    a view of its leading r columns, ``null`` of the other k - r, G's null
-    eigenvectors, ker B^T for a stored U and ker B for a stored V.  One
+    complex's rank r, or the eigensolve is not trusted.  The solve owns G
+    and returns its k x k eigenvector array X C-ordered, columns descending,
+    in G's own storage where it solves in place (nothing long-lived is
+    allocated after the solve): Q is a view of its leading r columns,
+    ``null`` of the other k - r, G's null eigenvectors, ker B^T for a
+    stored U and ker B for a stored V.  One
     :func:`_factor_pass` then takes each sigma_j as the norm of B^T q_j (or
     B q_j), and the signs.  That norm keeps the small singular values
     accurate to roundoff relative to themselves, where sqrt of the Gram
     eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
-    Peak memory is the solve's: G, numpy's copy of it, the LAPACK workspace
-    and X, which the basis keeps whole; the other factor is never built.
+    Peak memory is the solve's: G and the LAPACK workspace, about 24 k^2
+    bytes where it runs in G's storage.  The basis keeps X whole, and the
+    other factor is never built.
     """
     m, n = B.shape
-    w, X = gram_eigh(gram_matrix(B))
+    w, X = gram_eigh(B)
     found = gap_rank(w, RANK_RTOL)
     if found != r:
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but the complex's rank of it is {r}"
         )
-    X[:] = X[:, ::-1]
     Q = X[:, :found]
     return (Q, *_factor_pass(B, Q), X[:, found:])
 

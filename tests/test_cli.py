@@ -54,6 +54,21 @@ def test_info_ranks_ngf_with_no_gram_solve(flavor, tmp_path, monkeypatch):
     assert solves == []
 
 
+def test_a_set_up_that_cannot_allocate_is_one_error_line(tmp_path, monkeypatch):
+    # a MemoryError while the Gram solve allocates G is an EigensolveFailure,
+    # which the CLI prints as one error= line before exiting 3
+    def refuse(B):
+        raise MemoryError
+
+    monkeypatch.setattr(complexes, "gram_matrix", refuse)
+    out = tmp_path / "learn.csv"
+    r = invoke("learn", "-i", FF, "--seeds", 2, "--seed", 7, "-o", out)
+    assert r.exit_code == 3, r.output
+    [line] = r.output.splitlines()
+    assert line.startswith("error=EigensolveFailure: Gram eigensolve of order m=15 could not allocate ")
+    assert not out.exists()
+
+
 def test_generate_requires_seed(tmp_path):
     r = invoke("generate", "--nodes", 10, "-o", tmp_path / "k.json")
     assert r.exit_code != 0

@@ -262,7 +262,7 @@ def _spy_rank_work(monkeypatch) -> list[str]:
     spy(complexes, "signed_incidence", lambda K, n: f"B{n}")
     spy(complexes, "_components", lambda *args: "count")
     for module in (complexes, operators):
-        spy(module, "gram_eigh", lambda G, vectors=True: "eigh" if vectors else "eigvalsh")
+        spy(module, "gram_eigh", lambda B, vectors=True: "eigh" if vectors else "eigvalsh")
     return calls
 
 
@@ -569,14 +569,17 @@ def test_gram_matrix_is_exact_and_solved_by_numpy(name, n, coastal):
     assert np.array_equal(G, (S @ S.T if wide else S.T @ S).toarray())
     assert np.array_equal(B.toarray(), S.toarray())
     # numpy's dsyevd against scipy's, to roundoff: each runs its own bundled
-    # OpenBLAS, so bits may differ
+    # OpenBLAS, so bits may differ.  gram_eigh builds its own G and returns
+    # the spectrum descending
     import scipy.linalg
 
-    w, X = complexes.gram_eigh(G)
+    w, X = complexes.gram_eigh(B)
     w0, X0 = scipy.linalg.eigh(G, driver="evd")
+    w0, X0 = w0[::-1], X0[:, ::-1]
     scale = max(1.0, float(np.abs(w0).max(initial=0.0)))
     assert np.abs(w - w0).max(initial=0.0) <= 1e-12 * scale
-    assert np.abs(complexes.gram_eigh(G, vectors=False) - w0).max(initial=0.0) <= 1e-12 * scale
+    assert np.abs(complexes.gram_eigh(B, vectors=False) - w0).max(initial=0.0) <= 1e-12 * scale
+    assert X.flags.c_contiguous
     # the same eigenspace above the gap, the one a spectral basis keeps
     top = w0 > complexes.RANK_RTOL * scale
     assert np.abs(X[:, top] @ X[:, top].T - X0[:, top] @ X0[:, top].T).max(initial=0.0) <= 1e-10
@@ -584,15 +587,13 @@ def test_gram_matrix_is_exact_and_solved_by_numpy(name, n, coastal):
 
 HEAP_PROBE = """
 import resource
-import numpy as np
-from diracsp import complexes
-A = np.random.default_rng(0).standard_normal((1000, 1000))
+from diracsp import NgfParams, complexes, ngf_generate
+B = ngf_generate(NgfParams(target_nodes=1000, flavor=-1, seed=0)).incidence(1)
 faults = []
 for _ in range(4):
-    G = A + A.T
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    w, X = complexes.gram_eigh(G)
-    del G, w, X
+    w, X = complexes.gram_eigh(B)
+    del w, X
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(complexes.steady_heap(), *faults)
 """
@@ -600,11 +601,13 @@ print(complexes.steady_heap(), *faults)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's malloc")
 def test_repeated_gram_solves_reuse_their_heap():
-    # G, numpy's copy of it, dsyevd's workspace and the eigenvectors come to
-    # 40 MB at N = 1000.  With glibc's adaptive thresholds every solve after
-    # the first gave about 27 MB of it back to the system and faulted it in
-    # again (6810 pages a solve); with steady_heap's fixed ones the third
-    # and fourth solves fault in nothing
+    # a solve of B1's Gram matrix at NGF-1000 (m = 1000) mallocs 24 MB in
+    # place (G and dsyevd's workspace) or 40 MB through numpy.linalg (G,
+    # numpy's copy, the workspace and the eigenvectors).  With glibc's
+    # adaptive thresholds every solve after the first gave most of it back
+    # to the system and faulted it in again (6810 pages a solve through
+    # numpy.linalg); with steady_heap's fixed ones the third and fourth
+    # solves fault in nothing
     src = os.path.dirname(os.path.dirname(complexes.__file__))
     env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -615,6 +618,25 @@ def test_repeated_gram_solves_reuse_their_heap():
     if fixed != "True":
         pytest.skip("the C library is not glibc")
     assert max(int(f) for f in faults[2:]) < 100, faults
+
+
+def test_numpy_built_on_scipy_openblas_lends_its_dsyevd():
+    # a numpy wheel built on scipy-openblas carries that library: if the
+    # locator stopped finding dsyevd in it, every Gram solve would fall back
+    # to numpy.linalg's copy of G without a word
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+    except TypeError:  # numpy before 1.26 has no mode="dicts"
+        pytest.skip("numpy does not describe its build")
+    if lapack != "scipy-openblas":
+        pytest.skip(f"numpy is built on {lapack}")
+    dsyevd = complexes.lapack_dsyevd()
+    assert dsyevd is not None
+    # the width of its integers is right: the query returns dsyevd's
+    # documented minimum workspace, 1 + 6m + 2m^2 and 3 + 5m, or more
+    m = 50
+    lwork, liwork = dsyevd.query(b"V", m)
+    assert lwork >= 1 + 6 * m + 2 * m * m and liwork >= 3 + 5 * m
 
 
 def test_steady_heap_leaves_set_malloc_tunables_alone(monkeypatch):

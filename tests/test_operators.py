@@ -314,8 +314,7 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
         built.append(B.shape)
         return original(B)
 
-    for module in (complexes, operators):
-        monkeypatch.setattr(module, "gram_matrix", counted)
+    monkeypatch.setattr(complexes, "gram_matrix", counted)
     D = assemble_dirac(K)
     D.singular_triplets(2)
     assert len(built) == 1
@@ -327,20 +326,58 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
 
 
 def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
-    # both Gram eigensolves, the rank-only one of the complex and
-    # the triplets', go through gram_eigh, which maps a LAPACK failure
-    K = torus_with_fin()
+    # both Gram eigensolves, the rank-only one of the complex and the
+    # triplets', go through gram_eigh, which maps a failure of dsyevd in
+    # place, and numpy's LinAlgError where numpy.linalg solves
+    def failing_solves():
+        K = torus_with_fin()
+        with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+            K.rank2
+        for n in (1, 2):
+            with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+                assemble_dirac(K).singular_triplets(n)
+
+    if complexes.lapack_dsyevd() is not None:
+        with monkeypatch.context() as m:
+            m.setattr(complexes.Dsyevd, "__call__", lambda *args: 3)  # info > 0: no convergence
+            failing_solves()
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+    monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, fail)
-    with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
-        K.rank2
-    for n in (1, 2):
-        with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
-            assemble_dirac(K).singular_triplets(n)
+    failing_solves()
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+def test_a_failed_allocation_is_an_eigensolve_failure_naming_its_size(in_place, monkeypatch):
+    # a MemoryError while G or dsyevd's workspace is allocated names the
+    # order m of the solve and the bytes it asked for; only the allocation
+    # is patched to raise, nothing oversize is allocated
+    dsyevd = complexes.lapack_dsyevd()
+    if in_place and dsyevd is None:
+        pytest.skip("numpy brings no dsyevd to bind")
+    if not in_place:
+        monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
+    B = torus_with_fin().incidence(1)
+    m = min(B.shape)
+    if in_place:
+        lwork, liwork = dsyevd.query(b"V", m)
+        need = 8 * (m * m + m + lwork) + dsyevd.dtype.itemsize * liwork
+        allocations = [(complexes, "gram_matrix"), (complexes.Dsyevd, "workspace")]
+    else:
+        need, allocations = 8 * m * m, [(complexes, "gram_matrix")]
+
+    def refuse(*args):
+        raise MemoryError
+
+    for owner, name in allocations:
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, refuse)
+            with pytest.raises(EigensolveFailure, match=f"of order m={m} could not allocate {need} bytes"):
+                assemble_dirac(torus_with_fin()).singular_triplets(1)
 
 
 def test_operators_and_bases_compare_and_hash_by_identity(ff_network):

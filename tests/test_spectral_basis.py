@@ -23,8 +23,8 @@ from diracsp import (
     sample_noise,
     spectral_basis,
 )
-from diracsp import operators
-from diracsp.complexes import gram_eigh, gram_matrix
+from diracsp import complexes, operators
+from diracsp.complexes import gram_eigh
 from diracsp.errors import DimensionMismatch
 from diracsp.datasets import coastal_tessellation
 from diracsp.filtering import _learn_batch
@@ -452,14 +452,15 @@ def test_set_up_keeps_one_factor_and_peaks_in_the_eigensolve():
     # the basis stores the Gram-side factor Q and derives the other one, N1 x r
     # here, a block of columns at a time: after the basis and its signs only Q
     # stays live, and no step from the basis through the learner climbs more
-    # than one derived block above the eigensolve's own peak (G and the
-    # eigenvectors numpy returns, which tracemalloc sees)
+    # than one derived block above the eigensolve's own peak (the numpy
+    # arrays tracemalloc sees: G and dsyevd's workspace in place, G and the
+    # eigenvectors numpy.linalg returns otherwise)
     K = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0))
     D = assemble_dirac(K)
     block = K.n1 * operators._BLOCK * 8
     tracemalloc.start()
     try:
-        gram_eigh(gram_matrix(K.incidence(1)))
+        gram_eigh(K.incidence(1))
         _, eigensolve_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,3 +521,59 @@ def test_repeated_set_ups_keep_a_steady_peak():
     kept = 100_000 * (len(peaks) - 3)
     half = 8 * int(size) ** 2 // 2
     assert peaks[-1] - peaks[2] < kept + half, peaks
+
+
+@pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
+@pytest.mark.parametrize("name", list(CERTIFICATE_CASES))
+def test_the_in_place_solve_gives_numpy_linalgs_bits(name, monkeypatch):
+    # numpy.linalg's eigh runs the same dsyevd of the same OpenBLAS on a
+    # copy of G, with the workspace the same query asks for: every array of
+    # both bases, and the eigenvalues-only spectra, are the same bits
+    K = CERTIFICATE_CASES[name]
+    in_place = [spectral_basis(assemble_dirac(K), n) for n in (1, 2)]
+    spectra = [gram_eigh(K.incidence(n), vectors=False) for n in (1, 2)]
+    monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
+    for n, basis, w in zip((1, 2), in_place, spectra):
+        reference = spectral_basis(assemble_dirac(K), n)
+        for field in ("Q", "sigma", "signs", "null"):
+            assert np.array_equal(getattr(basis, field), getattr(reference, field)), (n, field)
+        assert np.array_equal(w, gram_eigh(K.incidence(n), vectors=False))
+
+
+SET_UP_HWM_PROBE = """
+import numpy as np
+from diracsp import NgfParams, assemble_dirac, complexes, ngf_generate, spectral_basis
+def status(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith(key + ":"))
+K = ngf_generate(NgfParams(target_nodes=600, flavor=-1, seed=0))
+D = assemble_dirac(K)
+B = K.incidence(1)
+B._slots, B.row_entries, K.rank1
+m = min(B.shape)
+A = np.ones((m, m))
+A @ A  # OpenBLAS's own buffers are faulted in before the measurement
+del A
+before = status("VmRSS")
+spectral_basis(D, 1).signs
+print(complexes.lapack_dsyevd() is not None, m, status("VmHWM") - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM in /proc/self/status")
+def test_one_set_up_peaks_at_the_in_place_solves_memory():
+    # the HWM rise of B1's basis at NGF-600 (m = 600), over the RSS before
+    # it: 29.0 m^2 bytes with the solve in G's storage (G and dsyevd's
+    # workspace, 24 m^2, plus the factor pass's blocks), 45.0 m^2 through
+    # numpy.linalg's eigh (G, its copy, the workspace and the eigenvectors)
+    src = os.path.dirname(os.path.dirname(operators.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SET_UP_HWM_PROBE], env=env, check=True, capture_output=True, text=True
+    )
+    bound, m, rise = done.stdout.split()
+    if bound != "True":
+        pytest.skip("numpy brings no dsyevd to bind")
+    m, rise = int(m), int(rise)
+    assert rise < 37 * m * m, f"rise {rise / m**2:.1f} m^2 bytes"
