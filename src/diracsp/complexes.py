@@ -62,8 +62,7 @@ COMPLEX_FORMAT = "diracsp/complex/1"
 
 # Relative cutoff of the gap test that ranks boundary matrices (gap_rank): a
 # Gram eigenvalue (a squared singular value) must sit at roundoff level or
-# above RANK_RTOL * w_max.  On the eigh reference path a singular value at or
-# below RANK_RTOL * sigma_max counts as zero.
+# above RANK_RTOL * w_max.
 RANK_RTOL = 1e-10
 
 
@@ -722,22 +721,22 @@ def gram_eigh(B: Incidence, *, vectors: bool = True):
     """Eigenvalues of B's smaller Gram matrix G, descending, and its
     eigenvectors if asked, as the columns of X in that order.
 
-    Returns w, or (w, X) with X C-ordered.  It builds G itself
-    (:func:`gram_matrix`), so no caller sees G overwritten, and solves it
-    with LAPACK dsyevd on G's lower triangle.  Where numpy's wheel brings
-    its OpenBLAS (:func:`lapack_dsyevd`), the solve runs in G's own
-    storage.  dsyevd's workspace query needs only m; the workspace is
-    allocated before G, so that every set-up's workspace and G reuse the
-    last one's heap slots; the solve overwrites G with the eigenvectors;
-    the workspace is freed; and G's storage, its rows reversed and the
-    matrix transposed in place (:func:`_rotate`), becomes X.  The solve
-    peaks at G and the workspace, about 24 m^2 bytes, and nothing of m^2
-    size is allocated after it.  Elsewhere ``numpy.linalg.eigh`` (or
+    Returns w, or (w, X) with X in LAPACK's Fortran order.  It builds G
+    itself (:func:`gram_matrix`), so no caller sees G overwritten, and
+    solves it with LAPACK dsyevd on G's lower triangle.  Where numpy's
+    wheel brings its OpenBLAS (:func:`lapack_dsyevd`), the solve runs in
+    G's own storage.  dsyevd's workspace query needs only m; the workspace
+    is allocated before G, so that every set-up's workspace and G reuse the
+    last one's heap slots; the solve overwrites G with the eigenvectors,
+    ascending, G's rows in its C order; the workspace is freed; and X is
+    ``G.T`` once G's rows are reversed in place (:func:`_reverse_rows`).
+    The solve peaks at G and the workspace, about 24 m^2 bytes, and nothing
+    of m^2 size is allocated after it.  Elsewhere ``numpy.linalg.eigh`` (or
     ``eigvalsh``) solves in a copy of G and writes the eigenvectors to a
-    new array, reversed in place with one transient copy: about 40 m^2
-    bytes.  The two paths give the same bits.  :func:`steady_heap` keeps
-    these buffers in the heap from one solve to the next.  A failure to
-    allocate G or the workspace, or a LAPACK failure, raises
+    new array, and X is one reversed copy of it in the same layout: about
+    40 m^2 bytes.  The two paths give the same bits.  :func:`steady_heap`
+    keeps these buffers in the heap from one solve to the next.  A failure
+    to allocate G or the workspace, or a LAPACK failure, raises
     :class:`EigensolveFailure`.
     """
     steady_heap()
@@ -760,37 +759,24 @@ def gram_eigh(B: Incidence, *, vectors: bool = True):
         raise EigensolveFailure(f"Gram eigensolve failed: dsyevd returned info={info}")
     if not vectors:
         return w[::-1]
-    # dsyevd leaves the eigenvectors in G's columns in Fortran order: its rows here
-    return w[::-1], _rotate(G)
+    return w[::-1], _reverse_rows(G).T
 
 
-def _rotate(A: np.ndarray) -> np.ndarray:
-    """A[::-1].T, C-ordered, in A's own storage: A is square and C-ordered.
-
-    The rows are reversed, then the matrix is transposed, 64 rows or a
-    64 x 64 tile at a time, so that nothing larger than 64 rows is
-    allocated.  Only values move: the bits are those of a copy.
-    """
+def _reverse_rows(A: np.ndarray) -> np.ndarray:
+    """A with its rows reversed in its own storage, 64 rows at a time, so
+    that nothing larger than 64 rows is allocated; A is C-ordered."""
     m, block = len(A), 64
     for a in range(0, m // 2, block):
         b = min(a + block, m // 2)
         top = A[a:b].copy()
         A[a:b] = A[m - b : m - a][::-1]
         A[m - b : m - a] = top[::-1]
-    for i in range(0, m, block):
-        rows = slice(i, i + block)
-        A[rows, rows] = A[rows, rows].T.copy()
-        for j in range(i + block, m, block):
-            cols = slice(j, j + block)
-            top = A[rows, cols].copy()
-            A[rows, cols] = A[cols, rows].T
-            A[cols, rows] = top.T
     return A
 
 
 def _numpy_eigh(B: Incidence, vectors: bool):
     """:func:`gram_eigh` through ``numpy.linalg``, which solves in a copy of G;
-    G is dropped before the eigenvectors are reversed in place."""
+    G is dropped before the eigenvectors are copied, reversed, into X."""
     m = min(B.shape)
     with _allocating(m, 8 * m * m, "G"):
         G = gram_matrix(B)
@@ -801,8 +787,7 @@ def _numpy_eigh(B: Incidence, vectors: bool):
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
     del G
-    X[:] = X[:, ::-1]
-    return w[::-1], X
+    return w[::-1], np.ascontiguousarray(X.T[::-1]).T
 
 
 @contextmanager

@@ -6,9 +6,11 @@ resolved plan as canonical JSON, so a result file is self-describing and a
 re-run with the same plan, seed and BLAS library and thread count reproduces
 the data rows byte for byte (benchmark wall-times excepted).
 
-Randomness is fully keyed: the noise draw for grid cell c and repetition k
-uses the substream (plan.seed, cell_index=c, draw_index=k), so cells can be
-evaluated in any order without changing any number.
+Randomness is fully keyed, so cells can be evaluated in any order without
+changing any number.  Grid cell c has the seed :func:`_cell_seed`, the
+first 64-bit word of ``SeedSequence(plan.seed, spawn_key=(c,))``, and its
+noise draw k for D_n is a Philox stream keyed by ``SeedSequence(cell_seed,
+spawn_key=(n, k))`` (:func:`diracsp.signals.rng_stream`).
 
 The grid commands work in the coordinates of the spectral basis of D_n from
 draw to row.  A cell's S draws are one S x r matrix (:func:`_draw_coords`):

@@ -236,12 +236,12 @@ def _gram_triplets(B: Incidence, r: int):
     (B B^T when B has no more rows than columns, else B^T B) gives Q: the
     eigenvectors of the top eigenvalues, U for B B^T and V for B^T B.  The
     rank is the :func:`gap_rank` of that spectrum, which must equal the
-    complex's rank r, or the eigensolve is not trusted.  The solve owns G
-    and returns its k x k eigenvector array X C-ordered, columns descending,
-    in G's own storage where it solves in place (nothing long-lived is
-    allocated after the solve): Q is a view of its leading r columns,
-    ``null`` of the other k - r, G's null eigenvectors, ker B^T for a
-    stored U and ker B for a stored V.  One
+    complex's rank r (:func:`_checked_rank`).  The solve owns G
+    and returns its k x k eigenvector array X in LAPACK's Fortran order,
+    columns descending, in G's own storage where it solves in place
+    (nothing long-lived is allocated after the solve): Q is a view of its
+    leading r columns, ``null`` of the other k - r, G's null eigenvectors,
+    ker B^T for a stored U and ker B for a stored V.  One
     :func:`_factor_pass` then takes each sigma_j as the norm of B^T q_j (or
     B q_j), and the signs.  That norm keeps the small singular values
     accurate to roundoff relative to themselves, where sqrt of the Gram
@@ -250,16 +250,22 @@ def _gram_triplets(B: Incidence, r: int):
     bytes where it runs in G's storage.  The basis keeps X whole, and the
     other factor is never built.
     """
-    m, n = B.shape
     w, X = gram_eigh(B)
-    found = gap_rank(w, RANK_RTOL)
+    found = _checked_rank(B, gap_rank(w, RANK_RTOL), r)
+    Q = X[:, :found]
+    return (Q, *_factor_pass(B, Q), X[:, found:])
+
+
+def _checked_rank(B, found: int, r: int) -> int:
+    """found, B's gap rank from an eigensolve, unless the complex's rank r of B differs:
+    then the solve is not trusted, and an :class:`EigensolveFailure` names both counts."""
     if found != r:
+        m, n = B.shape
         raise EigensolveFailure(
             f"{found} Gram eigenvalues of a {m}x{n} boundary matrix lie above "
             f"the gap, but the complex's rank of it is {r}"
         )
-    Q = X[:, :found]
-    return (Q, *_factor_pass(B, Q), X[:, found:])
+    return found
 
 
 def _complement(A: np.ndarray) -> np.ndarray:
@@ -275,14 +281,14 @@ def _fix_sign(col: np.ndarray) -> np.ndarray:
     return -col if col[np.argmax(np.abs(col))] < 0 else col
 
 
-def _factor_pass(B: Incidence, Q: np.ndarray, sigma: np.ndarray | None = None):
+def _factor_pass(B: Incidence, Q: np.ndarray):
     """(sigma, signs) of the triplets whose stored factor is Q, from one read
     of the factor Q does not hold.
 
     Q is U when B is :func:`is_wide`, else V.  Each block of the derived
-    factor (:func:`_derived_block`) is taken once: without a given sigma,
-    sigma_j is the norm of its column j; the block is divided by sigma and
-    its column peaks, with those of Q, give the signs.
+    factor (:func:`_derived_block`) is taken once: sigma_j is the norm of
+    its column j; the block is divided by sigma and its column peaks, with
+    those of Q, give the signs.
 
     The signs, one per nonzero mode in ``SpectralBasis.nonzero_indices``
     order, make the largest-magnitude entry of (u, -v)/sqrt(2) (negative
@@ -293,15 +299,11 @@ def _factor_pass(B: Incidence, Q: np.ndarray, sigma: np.ndarray | None = None):
     left = is_wide(B)
     F = B.T if left else B  # onto the side of the factor not stored
     r = Q.shape[1]
-    own = sigma is None
-    if own:
-        sigma = np.empty(r)
-    au, su, av, sv = (np.empty(r) for _ in range(4))
+    sigma, au, su, av, sv = (np.empty(r) for _ in range(5))
     for start in range(0, r, _BLOCK):
         blk = slice(start, min(start + _BLOCK, r))
         q, y = Q[:, blk], _derived_block(F, Q, start)
-        if own:
-            sigma[blk] = np.sqrt(np.einsum("ij,ij->j", y, y))
+        sigma[blk] = np.sqrt(np.einsum("ij,ij->j", y, y))
         y /= sigma[blk]
         u, v = (q, y) if left else (y, q)
         au[blk], su[blk] = _column_peaks(u)
@@ -334,11 +336,12 @@ class SpectralBasis:
     The basis is factored over the rank-truncated singular triplets
     (U, sigma, V) of B_n, and it stores one factor of them: ``sigma`` and
     ``Q``, the top eigenvectors of the smaller Gram matrix (U when
-    N_{n-1} <= N_n, as for B1; else V), the leading columns of the Gram
-    solve's own array, and ``null``, the rest of it, the kernel of B_n on
-    that side: min(N_{n-1}, N_n)^2 numbers.  The other factor follows from
-    Q through one product with ``B``, the :class:`~diracsp.complexes.Incidence`
-    B_n that ``K`` keeps (shared with the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
+    N_{n-1} <= N_n, as for B1; else V), and ``null``, the kernel of B_n on
+    that side: min(N_{n-1}, N_n)^2 numbers, in the svd basis the leading
+    columns and the rest of the Gram solve's own array.  The other factor
+    follows from Q through one product with ``B``, the
+    :class:`~diracsp.complexes.Incidence` B_n that ``K`` keeps (shared with
+    the operator): v = B_n^T u / sigma, or u = B_n v / sigma.
     Reading ``U`` or ``V`` builds the derived one whole, O(N_n r) numbers
     per read; the products below and the grid commands never do.  Bases
     compare and hash by identity.
@@ -583,11 +586,11 @@ def spectral_basis(
 
     method="eigh" (plain reference): dense symmetric eigendecomposition of
     the block of D_n restricted to the two simplex dimensions it couples
-    (size N0+N1 for n=1, N1+N2 for n=2).  Its positive half gives the
-    triplets, so both methods return the same factored type; its ``null``
-    is the complete-QR complement of the stored factor.  Useful for
-    cross-checks and as the unoptimized implementation the runtime
-    benchmark times.
+    (size N0+N1 for n=1, N1+N2 for n=2), :func:`_eigh_triplets`, gives Q,
+    and its ``null`` is the complete-QR complement of Q; the rank check
+    (:func:`_checked_rank`) and the factor pass are the svd basis's.
+    Useful for cross-checks and as the unoptimized implementation the
+    runtime benchmark times.
 
     ``Dop`` keeps the svd basis, so every call for the same n returns the
     same object; the eigh basis is built anew on every call.
@@ -598,8 +601,9 @@ def spectral_basis(
     if method == "eigh":
         B = Dop.K.incidence(n)
         U, sigma, V = _eigh_triplets(B)
+        _checked_rank(B, sigma.size, Dop.rank(n))
         Q = U if is_wide(B) else V
-        return SpectralBasis(n, Dop.K, Q, *_factor_pass(B, Q, sigma), _complement(Q))
+        return SpectralBasis(n, Dop.K, Q, *_factor_pass(B, Q), _complement(Q))
     raise ValueError(f"method must be 'svd' or 'eigh', got {method!r}")
 
 
@@ -607,7 +611,9 @@ def _eigh_triplets(B: Incidence):
     """(U, sigma, V) of B, sigma descending, from a dense eigh of [[0, B], [B^T, 0]].
 
     An eigenvector for +sigma > 0 is (u, v)/sqrt(2); the negative half of
-    the spectrum mirrors the positive one and is not read.
+    the spectrum mirrors the positive one and is not read.  The squares of
+    the top min(N_{n-1}, N_n) eigenvalues are B's Gram spectrum, and the
+    rank is its :func:`gap_rank`.
     """
     B = B.toarray()
     left, right = B.shape
@@ -618,8 +624,8 @@ def _eigh_triplets(B: Incidence):
         vals, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"dense eigendecomposition failed: {exc}") from exc
-    scale = float(np.abs(vals).max()) if vals.size else 0.0
-    pos = np.flatnonzero(vals > RANK_RTOL * scale)[::-1]
+    top = vals[::-1][: min(left, right)]
+    pos = vals.size - 1 - np.arange(gap_rank(top * top, RANK_RTOL))
     x = vecs[:, pos]
     return SQRT2 * x[:left], vals[pos], SQRT2 * x[left:]
 

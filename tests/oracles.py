@@ -426,6 +426,53 @@ def spectral_certificates(Dop, n, x):
     return triplets, node_sums, kernel, orthonormal
 
 
+def sylvester_counts(K, shifts):
+    """The number of eigenvalues of L0 = B1 B1^T below each shift, by
+    Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue Problem,
+    SIAM 1998): the count of negative pivots in the LDL^T of L0 - x I.
+
+    K must be an NGF 2-tree as grown: node v >= 2 joined to both ends of
+    one older link, the one triangle whose largest vertex is v, and node 1
+    to node 0.  Those older vertices are v's parents, and eliminating the
+    newest node first leaves each node coupled to its parents alone, whose
+    link exists: no fill, O(N) numbers per shift.  A complex of any other
+    shape raises ValueError, and so does a zero or non-finite pivot, naming
+    its shift: a count is never given past one.
+    """
+    x = np.asarray(shifts, dtype=float)
+    n0, tri = K.n0, K.triangles
+    if n0 < 2 or not np.array_equal(np.sort(tri[:, 2]), np.arange(2, n0)):
+        raise ValueError("not a 2-tree: node v >= 2 must be the largest vertex of one triangle")
+    parents = np.full((n0, 2), -1)
+    parents[tri[:, 2]] = tri[:, :2]
+    parents[1, 0] = 0
+    child = np.repeat(np.arange(n0), 2)
+    grown = np.column_stack([parents.ravel(), child])[parents.ravel() >= 0]
+    if not np.array_equal(grown[np.lexsort(grown.T[::-1])], K.links):
+        raise ValueError("not a 2-tree: the links must be those from each node to its parents")
+    # off[v, k]: the entry of L0 - x I in the rows of v and its parent k; the
+    # link (p, q) of v's parents is entry slot[v] of q, the younger of the two
+    older, younger = parents[2:, 0], parents[2:, 1]
+    slot = np.r_[0, 0, (parents[younger, 1] == older).astype(int)]
+    diag = np.bincount(K.links.ravel(), minlength=n0)[:, None] - x
+    off = np.full((n0, 2, x.size), -1.0)
+    below = np.zeros(x.size, dtype=int)
+    for v in range(n0 - 1, -1, -1):
+        d = diag[v]
+        bad = ~np.isfinite(d) | (d == 0)
+        if bad.any():
+            raise ValueError(f"pivot {float(d[bad][0])!r} of node {v} at shift {float(x[bad][0])!r}")
+        below += d < 0
+        if v == 0:
+            break
+        p, q = parents[v]
+        diag[p] -= off[v, 0] ** 2 / d
+        if q >= 0:
+            diag[q] -= off[v, 1] ** 2 / d
+            off[q, slot[v]] -= off[v, 0] * off[v, 1] / d
+    return below
+
+
 # -- the grid commands' draws, one spinor at a time -----------------------------
 
 

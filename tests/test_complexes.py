@@ -35,7 +35,14 @@ from diracsp.errors import (
 )
 
 from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
-from oracles import csgraph_components, exact_rank, loop_boundary_matrix, loop_build_complex, matrix_rank
+from oracles import (
+    csgraph_components,
+    exact_rank,
+    loop_boundary_matrix,
+    loop_build_complex,
+    matrix_rank,
+    sylvester_counts,
+)
 
 
 def test_filled_triangle_is_valid(filled_triangle):
@@ -579,10 +586,48 @@ def test_gram_matrix_is_exact_and_solved_by_numpy(name, n, coastal):
     scale = max(1.0, float(np.abs(w0).max(initial=0.0)))
     assert np.abs(w - w0).max(initial=0.0) <= 1e-12 * scale
     assert np.abs(complexes.gram_eigh(B, vectors=False) - w0).max(initial=0.0) <= 1e-12 * scale
-    assert X.flags.c_contiguous
+    assert X.flags.f_contiguous
     # the same eigenspace above the gap, the one a spectral basis keeps
     top = w0 > complexes.RANK_RTOL * scale
     assert np.abs(X[:, top] @ X[:, top].T - X0[:, top] @ X0[:, top].T).max(initial=0.0) <= 1e-10
+
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 63, 64, 65, 127, 128, 129])
+def test_rows_reverse_in_their_own_storage(m):
+    # the 64-row blocks swap from both ends: the middle block, and an odd
+    # middle row, must land where a full copy puts them
+    A = np.random.default_rng(m).standard_normal((m, m))
+    want, address = A[::-1].copy(), A.ctypes.data
+    got = complexes._reverse_rows(A)
+    assert got is A and A.ctypes.data == address and A.flags.c_contiguous
+    assert np.array_equal(A, want)
+
+
+@pytest.mark.parametrize("nodes", [300, 1000])
+@pytest.mark.parametrize("flavor", [-1, 0, 1])
+def test_sylvester_counts_certify_the_spectrum_of_l0(nodes, flavor):
+    # between every two clusters of B1's Gram spectrum (L0's, as B1 is wide)
+    # the count of eigenvalues below the midpoint, from the pivots of
+    # L0 - x I eliminated newest node first, is the number of eigenvalues
+    # of the clusters below it, whatever the multiplicities
+    K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, seed=0))
+    lam = complexes.gram_eigh(K.incidence(1), vectors=False)[::-1]
+    breaks = np.flatnonzero(np.diff(lam) > 1e-9 * lam[-1])
+    assert breaks.size > nodes // 2
+    counts = sylvester_counts(K, (lam[breaks] + lam[breaks + 1]) / 2)
+    assert np.array_equal(counts, breaks + 1)
+
+
+def test_sylvester_counts_refuse_a_zero_or_non_finite_pivot(filled_triangle, coastal):
+    # L0 of one triangle has eigenvalues 0, 3, 3: the shift 0 ends on an
+    # exact zero pivot, and 1 and 2, no eigenvalues, meet one on the way
+    assert sylvester_counts(filled_triangle, [-1.0, 0.5, 4.0]).tolist() == [0, 1, 3]
+    for shift in (0.0, 1.0, 2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"at shift {shift!r}$"):
+            sylvester_counts(filled_triangle, [4.0, shift])
+    with pytest.raises(ValueError, match="not a 2-tree"):
+        sylvester_counts(coastal, [1.0])
 
 
 HEAP_PROBE = """

@@ -25,9 +25,10 @@ from diracsp import (
 )
 from diracsp import complexes, operators
 from diracsp.complexes import gram_eigh
-from diracsp.errors import DimensionMismatch
-from diracsp.datasets import coastal_tessellation
+from diracsp.errors import DimensionMismatch, EigensolveFailure
+from diracsp.datasets import coastal_tessellation, dataset_path
 from diracsp.filtering import _learn_batch
+from diracsp.harness import ExperimentPlan, cmd_learn, cmd_sweep_m
 from diracsp.operators import (
     SpectralBasis,
     _eigh_triplets,
@@ -35,7 +36,7 @@ from diracsp.operators import (
     _gram_triplets,
     harmonic_basis,
 )
-from diracsp.signals import noise_coefficients
+from diracsp.signals import SignalSpec, noise_coefficients
 from diracsp.spinors import split_blocks
 
 from conftest import CERTIFICATE_CASES, HARD_COMPLEXES, random_complex
@@ -162,10 +163,11 @@ def test_gram_triplets_agree_with_eigh_reference(name, K, n):
     basis = SpectralBasis(n, K, *_gram_triplets(B, r))
     U, sigma, V = basis.U, basis.sigma, basis.V
     assert sigma.size == sigma0.size == r
-    # Q is the leading columns of the solve's own eigenvector array and
-    # null the rest, the kernel of B on the stored side; the factor derived
-    # from Q is built C-contiguous
-    X = basis.Q.base
+    # Q is the leading columns of the solve's own eigenvector array, the
+    # transpose of the C-ordered array that owns the storage, and null the
+    # rest, the kernel of B on the stored side; the factor derived from Q
+    # is built C-contiguous
+    X = basis.Q.base.T
     assert X.shape == (min(B.shape),) * 2
     assert (basis.Q.ctypes.data, basis.Q.strides) == (X.ctypes.data, X.strides)
     assert (basis.null.ctypes.data, basis.null.strides) == (X[:, r:].ctypes.data, X.strides)
@@ -296,7 +298,6 @@ def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
     B = D.K.incidence(1)
     V = B.T @ U / 2
     assert np.abs(V).max() == np.abs(U).max() and V[0, 0] == -0.5
-    assert np.array_equal(_factor_pass(B, U, np.array([2.0]))[1], [1.0, 1.0])
     sigma, signs = _factor_pass(B, U)  # sigma = ||B^T u|| = 2, exactly
     assert np.array_equal(sigma, [2.0]) and np.array_equal(signs, [1.0, 1.0])
     assert np.array_equal(dense_mode_signs(U, V), [1.0, 1.0])
@@ -528,16 +529,63 @@ def test_repeated_set_ups_keep_a_steady_peak():
 def test_the_in_place_solve_gives_numpy_linalgs_bits(name, monkeypatch):
     # numpy.linalg's eigh runs the same dsyevd of the same OpenBLAS on a
     # copy of G, with the workspace the same query asks for: every array of
-    # both bases, and the eigenvalues-only spectra, are the same bits
+    # both bases, the eigenvector arrays and the eigenvalues-only spectra
+    # are the same bits, and both paths return X in LAPACK's Fortran order
     K = CERTIFICATE_CASES[name]
     in_place = [spectral_basis(assemble_dirac(K), n) for n in (1, 2)]
     spectra = [gram_eigh(K.incidence(n), vectors=False) for n in (1, 2)]
+    solves = [gram_eigh(K.incidence(n)) for n in (1, 2)]
     monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
-    for n, basis, w in zip((1, 2), in_place, spectra):
+    for n, basis, w, (wv, X) in zip((1, 2), in_place, spectra, solves):
         reference = spectral_basis(assemble_dirac(K), n)
         for field in ("Q", "sigma", "signs", "null"):
             assert np.array_equal(getattr(basis, field), getattr(reference, field)), (n, field)
         assert np.array_equal(w, gram_eigh(K.incidence(n), vectors=False))
+        w0, X0 = gram_eigh(K.incidence(n))
+        assert np.array_equal(wv, w0) and np.array_equal(X, X0)
+        assert X.flags.f_contiguous and X0.flags.f_contiguous
+
+
+@pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
+def test_the_grid_commands_write_the_same_bytes_on_both_solver_paths(tmp_path, monkeypatch):
+    # a sweep of D_2's eigenmode on coastal and a learn of D_1's gaussian
+    # mixture on NGF-300 of flavor 0, in place and through numpy.linalg
+    sweep = ExperimentPlan(
+        dataset={"kind": "file", "path": dataset_path("coastal_tessellation.json")},
+        signal=SignalSpec(mode="eigen", n=2, selector="smallest_positive"),
+        ms=(0.5, 1.0, 2.0), seeds=3, seed=5,
+    )
+    learn_plan = ExperimentPlan(
+        dataset={"kind": "ngf", "target_nodes": 300, "flavor": 0, "seed": 0},
+        signal=SignalSpec(mode="gaussian_mix", n=1, lambda_bar=1.0, sigma_hat=0.2),
+        alphas=(0.5,), taus=(7.0,), m0s=(2.0,), seeds=3, seed=5,
+    )
+
+    def outputs(tag):
+        learned = cmd_learn(learn_plan, tmp_path / f"learn-{tag}.csv")
+        paths = [cmd_sweep_m(sweep, tmp_path / f"sweep-{tag}.csv"), learned, learned.with_suffix(".summary.csv")]
+        return [path.read_bytes() for path in paths]
+
+    in_place = outputs("dsyevd")
+    monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
+    assert outputs("numpy") == in_place
+
+
+def test_the_eigh_reference_refuses_a_rank_the_complex_does_not_have(coastal):
+    # the eigh basis ranks by the same gap test as the svd basis and must
+    # meet the complex's rank: one more than the components allow is refused
+    K = build_complex(coastal.links, coastal.triangles, coastal.n0)
+    r = K.rank1
+    K.__dict__["rank1"] = r + 1
+    with pytest.raises(EigensolveFailure, match=f"^{r} Gram eigenvalues .* rank of it is {r + 1}$"):
+        spectral_basis(assemble_dirac(K), 1, method="eigh")
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_CASES))
+def test_the_eigh_reference_has_the_complexs_rank(name):
+    D = assemble_dirac(CERTIFICATE_CASES[name])
+    for n in (1, 2):
+        assert spectral_basis(D, n, method="eigh").rank == D.rank(n)
 
 
 SET_UP_HWM_PROBE = """

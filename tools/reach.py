@@ -14,9 +14,12 @@ It prints one line per size: N; the import floor, import_s (the time of
 `from diracsp.cli import main`) and import_rss_mb (the process's peak RSS
 right after that import); then wall_s (generate through learn; interpreter
 start and imports excluded), peak_rss_mb, the process's peak RSS at the
-end, and scipy_modules, the number of ``scipy`` modules loaded by then.  The
-process reads both RSS figures itself, in MB, with getrusage(RUSAGE_SELF).
-The run path needs numpy alone, so scipy_modules should read 0.
+end; scipy_modules, the number of ``scipy`` modules loaded by then; and
+gram_solver, the path the Gram solves took: ``dsyevd`` where
+``complexes.lapack_dsyevd`` bound numpy's own dsyevd, which solves in G's
+storage, else ``numpy`` (numpy.linalg, in a copy of G).  The process reads
+both RSS figures itself, in MB, with getrusage(RUSAGE_SELF).  The run path
+needs numpy alone, so scipy_modules should read 0.
 """
 
 import os
@@ -36,6 +39,7 @@ def rss_mb():
 
 start = time.perf_counter()
 from diracsp.cli import main
+from diracsp.complexes import lapack_dsyevd
 imported, import_rss = time.perf_counter() - start, rss_mb()
 
 nodes, out = sys.argv[1], Path(sys.argv[2])
@@ -50,13 +54,14 @@ for args in (
     main(args, standalone_mode=False)
 wall = time.perf_counter() - start
 scipy_modules = sum(name.split(".")[0] == "scipy" for name in sys.modules)
-print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f} {scipy_modules}")
+solver = "numpy" if lapack_dsyevd() is None else "dsyevd"
+print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f} {scipy_modules} {solver}")
 """
 
 
-def measure(nodes: int) -> tuple[float, float, float, float, int]:
-    """(import_s, import RSS in MB, wall_s, peak RSS in MB, scipy modules loaded)
-    of the flow at NGF-`nodes`, in a fresh process."""
+def measure(nodes: int) -> tuple[float, float, float, float, int, str]:
+    """(import_s, import RSS in MB, wall_s, peak RSS in MB, scipy modules
+    loaded, Gram solver path) of the flow at NGF-`nodes`, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -65,18 +70,18 @@ def measure(nodes: int) -> tuple[float, float, float, float, int]:
             [sys.executable, "-c", CHILD, str(nodes), out],
             env=env, capture_output=True, text=True, check=True,
         )
-    *figures, scipy_modules = done.stdout.split()[-5:]
-    return (*(float(value) for value in figures), int(scipy_modules))
+    *figures, scipy_modules, solver = done.stdout.split()[-6:]
+    return (*(float(value) for value in figures), int(scipy_modules), solver)
 
 
 def main(argv: list[str]) -> None:
     if not argv:
         sys.exit("usage: python tools/reach.py N [N ...]")
     sizes = [int(arg) for arg in argv]
-    print("nodes import_s import_rss_mb wall_s peak_rss_mb scipy_modules")
+    print("nodes import_s import_rss_mb wall_s peak_rss_mb scipy_modules gram_solver")
     for nodes in sizes:
-        imported, import_rss, wall, rss, scipy_modules = measure(nodes)
-        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f} {scipy_modules}", flush=True)
+        imported, import_rss, wall, rss, scipy_modules, solver = measure(nodes)
+        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f} {scipy_modules} {solver}", flush=True)
 
 
 if __name__ == "__main__":
