@@ -601,10 +601,11 @@ TRIM_THRESHOLD = 1 << 30
 def steady_heap() -> bool:
     """Fix glibc's malloc thresholds, once, before the first Gram solve.
 
-    A Gram solve mallocs and frees m x m float64 buffers: dsyevd's workspace
-    of about 2 m^2, and G, whose storage the solve overwrites with the
-    eigenvectors, which live as long as the basis that keeps them (numpy's
-    ``eigh``, where it runs, adds a copy of G and its output array).  Left
+    A Gram solve mallocs and frees float64 buffers of m^2 size: the packed
+    Householder reflectors, m^2 / 2, and dstedc's workspace, about m^2, and
+    G, whose storage the solve overwrites with the eigenvectors, which live
+    as long as the basis that keeps them (numpy's ``eigh``, where it runs,
+    adds a copy of G, a workspace of about 2 m^2 and its output array).  Left
     to itself glibc adapts its mmap and trim thresholds to the first large
     free; from then on, whether the heap's free top goes back to the system
     after a solve, to be faulted in again by the next one, turns on a few KB
@@ -632,76 +633,149 @@ def steady_heap() -> bool:
     )
 
 
-# dsyevd's exported names whose integer width is fixed by convention: the
-# ILP64 builds of numpy's wheels suffix 64_, the LP64 scipy-openblas build none
-DSYEVD_SYMBOLS = (
-    ("scipy_dsyevd_64_", ctypes.c_int64),
-    ("dsyevd_64_", ctypes.c_int64),
-    ("scipy_dsyevd_", ctypes.c_int32),
+# the exported names of a LAPACK routine whose integer width is fixed by
+# convention: the ILP64 builds of numpy's wheels suffix 64_, the LP64
+# scipy-openblas build none
+LAPACK_SYMBOLS = (
+    ("scipy_{}_64_", ctypes.c_int64),
+    ("{}_64_", ctypes.c_int64),
+    ("scipy_{}_", ctypes.c_int32),
 )
 
 
-class Dsyevd:
-    """LAPACK dsyevd (divide and conquer; Gu and Eisenstat, SIAM J. Matrix
-    Anal. Appl. 16, 1995) bound through ctypes, on the lower triangle of a
-    Fortran-ordered matrix, which it overwrites with the eigenvectors."""
+class DsyevdStages:
+    """The LAPACK stages that dsyevd runs (Anderson et al., LAPACK Users'
+    Guide, 3rd ed., 1999), bound through ctypes.  Each reads a C-ordered
+    array as the Fortran-ordered transpose it is to LAPACK:
 
-    def __init__(self, function, integer):
-        self.integer = integer
-        self.dtype = np.dtype(integer)
-        ref = ctypes.POINTER(integer)
-        function.restype = None
-        function.argtypes = [
-            ctypes.c_char_p, ctypes.c_char_p, ref, ctypes.c_void_p, ref,  # jobz, uplo, n, a, lda
-            ctypes.c_void_p, ctypes.c_void_p, ref, ctypes.c_void_p, ref,  # w, work, lwork, iwork, liwork
-            ref, ctypes.c_size_t, ctypes.c_size_t,  # info, then the lengths of jobz and uplo
-        ]
-        self.function = function
+    - ``dsytrd`` reduces the lower triangle of a symmetric A to a
+      tridiagonal T, its diagonal in d and subdiagonal in e, and leaves
+      the Householder reflectors that reduce it below A's subdiagonal (the
+      diagonal's place in each), their scalars in tau;
+    - ``dsterf`` overwrites d with T's eigenvalues, ascending;
+    - ``dstedc`` does that too and writes T's eigenvectors to Z (divide and
+      conquer; Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995);
+    - ``dormtr`` multiplies C by the reflectors, which it reads from A.
 
-    def _call(self, jobz: bytes, m: int, a, w, work, lwork: int, iwork, liwork: int) -> int:
-        integer, info = self.integer, self.integer(0)
-        self.function(
-            jobz, b"L", integer(m), a, integer(m), w, work, integer(lwork), iwork, integer(liwork),
-            ctypes.byref(info), 1, 1,
-        )
+    Each takes writeable C-ordered arrays of the sizes it states and raises
+    :class:`EigensolveFailure` when LAPACK returns a nonzero info.  Run in
+    this order with the workspace dsyevd lends each (:meth:`workspaces`),
+    they give dsyevd's bits.
+    """
+
+    # each routine's arguments before info: C a character, I an integer, A an array
+    ARGUMENTS = {
+        "dsytrd": "CIAIAAAAI",  # uplo, n, a, lda, d, e, tau, work, lwork
+        "dsterf": "IAA",  # n, d, e
+        "dstedc": "CIAAAIAIAI",  # compz, n, d, e, z, ldz, work, lwork, iwork, liwork
+        "dormtr": "CCCIIAIAAIAI",  # side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    }
+
+    def __init__(self, functions: dict, integer):
+        self.integer, self.dtype, self.functions = integer, np.dtype(integer), functions
+        types = {"C": ctypes.c_char_p, "I": ctypes.POINTER(integer), "A": ctypes.c_void_p}
+        for name, kinds in self.ARGUMENTS.items():
+            # info, then the length of each character argument
+            argtypes = [types[kind] for kind in kinds + "I"] + [ctypes.c_size_t] * kinds.count("C")
+            functions[name].restype, functions[name].argtypes = None, argtypes
+
+    def _call(self, name: str, *args) -> int:
+        """LAPACK's info from routine ``name`` on args, each a character
+        (bytes), an integer, an array or None."""
+        values = [self.integer(arg) if isinstance(arg, Integral) else self._data(arg) for arg in args]
+        info = self.integer(0)
+        self.functions[name](*values, ctypes.byref(info), *[1] * self.ARGUMENTS[name].count("C"))
         return info.value
 
-    def query(self, jobz: bytes, m: int) -> tuple[int, int]:
-        """(lwork, liwork), the workspace dsyevd asks for at order m > 0: at
-        least its documented minimum, and more than that for small m."""
-        work, iwork = np.empty(1), np.empty(1, self.dtype)
-        info = self._call(jobz, m, None, None, work.ctypes.data, -1, iwork.ctypes.data, -1)
+    def _data(self, arg):
+        if not isinstance(arg, np.ndarray):
+            return arg
+        if not (arg.dtype in (np.float64, self.dtype) and arg.flags.c_contiguous and arg.flags.writeable):
+            raise ValueError("LAPACK takes writeable C-ordered float64 arrays and integer workspaces")
+        return arg.ctypes.data
+
+    def _run(self, name: str, *args) -> None:
+        info = self._call(name, *args)
         if info:
-            raise EigensolveFailure(f"dsyevd's workspace query failed: info={info}")
-        return int(work[0]), int(iwork[0])
+            raise EigensolveFailure(f"Gram eigensolve failed: {name} returned info={info}")
 
-    def workspace(self, lwork: int, liwork: int) -> tuple[np.ndarray, np.ndarray]:
-        return np.empty(lwork), np.empty(liwork, self.dtype)
+    @staticmethod
+    def _fits(*sized) -> None:
+        """ValueError unless each array of the (array, size) pairs holds at least size entries."""
+        if any(array.size < size for array, size in sized):
+            raise ValueError("a LAPACK stage got an array smaller than it writes")
 
-    def __call__(self, jobz: bytes, A: np.ndarray, w: np.ndarray, work: np.ndarray, iwork: np.ndarray) -> int:
-        """Solve the symmetric, C-ordered float64 A of order len(w) > 0 in
-        place; dsyevd's info, 0 on success."""
-        m = len(w)
-        if not (
-            A.shape == (m, m) and A.dtype == w.dtype == work.dtype == np.float64
-            and iwork.dtype == self.dtype and A.flags.c_contiguous and A.flags.writeable
-            and w.flags.c_contiguous and w.flags.writeable
-        ):
-            raise ValueError("dsyevd takes writeable C-ordered float64 A (m x m) and w (m), and its workspace")
-        return self._call(
-            jobz, m, A.ctypes.data, w.ctypes.data,
-            work.ctypes.data, work.size, iwork.ctypes.data, iwork.size,
-        )
+    def empty(self, size: int, dtype=np.float64) -> np.ndarray:
+        """A new array of size entries: a solve allocates every array beyond G here."""
+        return np.empty(size, dtype)
+
+    def workspaces(self, m: int) -> tuple[int, int, int, int]:
+        """(dsytrd's, dstedc's and dormtr's lwork, dstedc's liwork) at order m > 0.
+
+        dsytrd gets its own optimum, m times its block size, and dstedc its
+        documented need for T's eigenvectors, 1 + 4m + m^2 doubles and
+        3 + 5m integers; dsyevd lends them as much or more, which changes
+        nothing.  Not so dormtr: the dormqr it calls picks its block size
+        from the workspace it gets, and needs m times the block size plus a
+        65 x 64 block of reflector factors for the largest, 64.  dormtr's
+        own optimum leaves that block out, so it would cut the block size
+        and move X by roundoff.  It gets dsyevd's 1 + 4m + m^2, or
+        64m + 4160 where that is less, which keeps dormqr's block size.
+        (For m < 14 dsyevd lends it more, but dormqr then has fewer
+        reflectors than a block and runs unblocked either way.)
+        """
+        query = np.empty(1)
+        self._run("dsytrd", b"L", m, None, m, None, None, None, query, -1)
+        stedc = 1 + 4 * m + m * m
+        return int(query[0]), stedc, min(stedc, 64 * m + 65 * 64), 3 + 5 * m
+
+    def need(self, m: int, vectors: bool) -> int:
+        """Bytes of the arrays a solve of order m > 0 allocates: G, d, e and
+        tau, dsytrd's workspace, and for eigenvectors also the packed
+        reflectors and dstedc's and dormtr's workspaces.  The solve peaks
+        at G, the reflectors and dstedc's workspace, about 20 m^2 bytes."""
+        trd, stedc, ormtr, istedc = self.workspaces(m)
+        doubles = m * m + 3 * m - 2 + trd
+        if not vectors:
+            return 8 * doubles
+        return 8 * (doubles + m * (m - 1) // 2 + stedc + ormtr) + self.dtype.itemsize * istedc
+
+    def dsytrd(self, A: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray, work: np.ndarray) -> None:
+        """Reduce the m x m A, m = len(d), to T: A holds the reflectors after it."""
+        m = len(d)
+        self._fits((A, m * m), (e, m - 1), (tau, m - 1), (work, 1))
+        self._run("dsytrd", b"L", m, A, m, d, e, tau, work, work.size)
+
+    def dsterf(self, d: np.ndarray, e: np.ndarray) -> None:
+        """T's eigenvalues, ascending, in d; e is overwritten."""
+        self._fits((e, len(d) - 1))
+        self._run("dsterf", len(d), d, e)
+
+    def dstedc(self, d: np.ndarray, e: np.ndarray, Z: np.ndarray, work: np.ndarray, iwork: np.ndarray) -> None:
+        """T's eigenvalues, ascending, in d and its eigenvectors in the m x m Z; e is overwritten."""
+        m = len(d)
+        self._fits((e, m - 1), (Z, m * m), (work, 1), (iwork, 1))
+        if iwork.dtype != self.dtype:
+            raise ValueError("dstedc's integer workspace has LAPACK's integers")
+        self._run("dstedc", b"I", m, d, e, Z, m, work, work.size, iwork, iwork.size)
+
+    def dormtr(self, A: np.ndarray, tau: np.ndarray, C: np.ndarray, work: np.ndarray) -> None:
+        """C, m x m with m = len(tau) + 1, multiplied from the left by the reflectors in A and tau."""
+        m = len(tau) + 1
+        self._fits((A, m * m), (C, m * m), (work, m))
+        self._run("dormtr", b"L", b"L", b"N", m, m, A, m, tau, C, m, work, work.size)
 
 
 @cache
-def lapack_dsyevd() -> Dsyevd | None:
-    """dsyevd from the OpenBLAS library that numpy's wheel loads, or None.
+def lapack_dsyevd() -> DsyevdStages | None:
+    """dsyevd's stages from the OpenBLAS library that numpy's wheel loads, or None.
 
     The wheel keeps it in ``numpy.libs`` (Linux, Windows) or
     ``numpy/.dylibs`` (macOS); loading it again returns the same library.
-    Only a name of :data:`DSYEVD_SYMBOLS` is bound, so the integer width is
-    never guessed.  None on a numpy that brings no such library.
+    The four routines are bound under the first naming of
+    :data:`LAPACK_SYMBOLS` that the library exports for every one, so the
+    integer width is never guessed.  None on a numpy that brings no such
+    library.
     """
     package = Path(np.__file__).parent
     libraries = [*package.parent.glob("numpy.libs/*openblas*"), *package.glob(".dylibs/*openblas*")]
@@ -710,10 +784,10 @@ def lapack_dsyevd() -> Dsyevd | None:
             library = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for name, integer in DSYEVD_SYMBOLS:
-            function = getattr(library, name, None)
-            if function is not None:
-                return Dsyevd(function, integer)
+        for pattern, integer in LAPACK_SYMBOLS:
+            functions = {name: getattr(library, pattern.format(name), None) for name in DsyevdStages.ARGUMENTS}
+            if None not in functions.values():
+                return DsyevdStages(functions, integer)
     return None
 
 
@@ -722,44 +796,83 @@ def gram_eigh(B: Incidence, *, vectors: bool = True):
     eigenvectors if asked, as the columns of X in that order.
 
     Returns w, or (w, X) with X in LAPACK's Fortran order.  It builds G
-    itself (:func:`gram_matrix`), so no caller sees G overwritten, and
-    solves it with LAPACK dsyevd on G's lower triangle.  Where numpy's
-    wheel brings its OpenBLAS (:func:`lapack_dsyevd`), the solve runs in
-    G's own storage.  dsyevd's workspace query needs only m; the workspace
-    is allocated before G, so that every set-up's workspace and G reuse the
-    last one's heap slots; the solve overwrites G with the eigenvectors,
-    ascending, G's rows in its C order; the workspace is freed; and X is
-    ``G.T`` once G's rows are reversed in place (:func:`_reverse_rows`).
-    The solve peaks at G and the workspace, about 24 m^2 bytes, and nothing
-    of m^2 size is allocated after it.  Elsewhere ``numpy.linalg.eigh`` (or
-    ``eigvalsh``) solves in a copy of G and writes the eigenvectors to a
-    new array, and X is one reversed copy of it in the same layout: about
-    40 m^2 bytes.  The two paths give the same bits.  :func:`steady_heap`
-    keeps these buffers in the heap from one solve to the next.  A failure
-    to allocate G or the workspace, or a LAPACK failure, raises
+    itself (:func:`gram_matrix`), so no caller sees G overwritten.  Where
+    numpy's wheel brings its OpenBLAS (:func:`lapack_dsyevd`), it runs
+    dsyevd's own stages (:class:`DsyevdStages`) in G's own storage.
+    dsytrd reduces G's lower triangle (its upper one in G's C order) to a
+    tridiagonal T; for eigenvalues alone dsterf solves T.  For
+    eigenvectors the m(m - 1)/2 reflector entries are packed aside
+    (:func:`_move_upper`); dstedc writes T's eigenvectors over G, with a
+    workspace of 1 + 4m + m^2 doubles; the reflectors are unpacked into
+    that workspace; and dormtr turns T's eigenvectors into G's, ascending,
+    G's rows in its C order.  X is ``G.T`` once G's rows are reversed in
+    place (:func:`_reverse_rows`).  The solve peaks at G, the reflectors
+    and dstedc's workspace, about 20 m^2 bytes (8 m^2 for eigenvalues
+    alone), and nothing of m^2 size is allocated after it.  Each stage
+    gets the workspace dsyevd lends it, so w and X have dsyevd's bits.
+    dsyevd would first scale a G whose largest entry lies outside about
+    [1e-146, 1e146]; every entry of G is an integer, the largest at most
+    the most entries a row or column of B holds, or G = 0, so it never
+    scales, and the stages need not either.  Elsewhere
+    ``numpy.linalg.eigh`` (or ``eigvalsh``) runs dsyevd in a copy of G,
+    with the same bits (:func:`_numpy_eigh`).  :func:`steady_heap` keeps
+    these buffers in the heap from one solve to the next.  A failure to
+    allocate G or a workspace, or a nonzero info from any stage, raises
     :class:`EigensolveFailure`.
     """
     steady_heap()
     m = min(B.shape)
-    if m == 0:  # dsyevd would refuse lda = 0
+    if m == 0:  # LAPACK would refuse lda = 0
         w = np.empty(0)
         return (w, np.empty((0, 0))) if vectors else w
-    dsyevd = lapack_dsyevd()
-    if dsyevd is None:
+    lapack = lapack_dsyevd()
+    if lapack is None:
         return _numpy_eigh(B, vectors)
-    jobz = b"V" if vectors else b"N"
-    lwork, liwork = dsyevd.query(jobz, m)
-    need = 8 * (m * m + m + lwork) + dsyevd.dtype.itemsize * liwork
-    with _allocating(m, need, "G and dsyevd's workspace"):
-        w, (work, iwork) = np.empty(m), dsyevd.workspace(lwork, liwork)
+    trd, stedc, ormtr, istedc = lapack.workspaces(m)
+    empty = lapack.empty
+    with _allocating(m, lapack.need(m, vectors), "G and the solve's workspaces"):
         G = gram_matrix(B)
-    info = dsyevd(jobz, G, w, work, iwork)
-    del work, iwork
-    if info:
-        raise EigensolveFailure(f"Gram eigensolve failed: dsyevd returned info={info}")
-    if not vectors:
-        return w[::-1]
+        w, e, tau = empty(m), empty(m - 1), empty(m - 1)
+        lapack.dsytrd(G, w, e, tau, empty(trd))
+        if not vectors:
+            lapack.dsterf(w, e)
+            return w[::-1]
+        reflectors = empty(m * (m - 1) // 2)
+        _move_upper(G, reflectors, pack=True)
+        work = empty(stedc)
+        lapack.dstedc(w, e, G, work, empty(istedc, lapack.dtype))
+        A = work[: m * m].reshape(m, m)
+        _move_upper(A, reflectors, pack=False)
+        del reflectors
+        lapack.dormtr(A, tau, G, empty(ormtr))
+        del A, work
     return w[::-1], _reverse_rows(G).T
+
+
+def _move_upper(A: np.ndarray, packed: np.ndarray, *, pack: bool) -> None:
+    """Copy the strict upper triangle of the C-ordered m x m A into
+    ``packed``, m(m - 1)/2 entries, or back when not ``pack``.
+
+    64 rows a..b-1 at a time: first the rectangle A[a:b, b:], row by row,
+    then their strict upper triangle inside A[a:b, a:b], so that nothing
+    larger than 64 x 64 entries is allocated.
+    """
+    m, block = len(A), 64
+    inside = np.triu(np.ones((block, block), dtype=bool), 1)
+    at = 0
+    for a in range(0, m, block):
+        b = min(a + block, m)
+        rectangle = packed[at : at + (b - a) * (m - b)].reshape(b - a, m - b)
+        at += rectangle.size
+        corner, triangle = A[a:b, a:b], inside[: b - a, : b - a]
+        size = (b - a) * (b - a - 1) // 2
+        if pack:
+            rectangle[...] = A[a:b, b:]
+            packed[at : at + size] = corner[triangle]
+        else:
+            A[a:b, b:] = rectangle
+            corner[triangle] = packed[at : at + size]
+        at += size
 
 
 def _reverse_rows(A: np.ndarray) -> np.ndarray:
@@ -775,19 +888,23 @@ def _reverse_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _numpy_eigh(B: Incidence, vectors: bool):
-    """:func:`gram_eigh` through ``numpy.linalg``, which solves in a copy of G;
-    G is dropped before the eigenvectors are copied, reversed, into X."""
+    """:func:`gram_eigh` through ``numpy.linalg``, which runs dsyevd in a copy
+    of G, with a workspace of about 2 m^2 doubles, and writes the
+    eigenvectors to a new array: about 40 m^2 bytes (16 m^2 for eigenvalues
+    alone).  G is dropped before the eigenvectors are copied, reversed,
+    into X."""
     m = min(B.shape)
     with _allocating(m, 8 * m * m, "G"):
         G = gram_matrix(B)
-    try:
-        if not vectors:
-            return np.linalg.eigvalsh(G)[::-1]
-        w, X = np.linalg.eigh(G)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
-    del G
-    return w[::-1], np.ascontiguousarray(X.T[::-1]).T
+    with _allocating(m, 8 * m * m * (5 if vectors else 2), "numpy.linalg's solve"):
+        try:
+            if not vectors:
+                return np.linalg.eigvalsh(G)[::-1]
+            w, X = np.linalg.eigh(G)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveFailure(f"Gram eigensolve failed: {exc}") from exc
+        del G
+        return w[::-1], np.ascontiguousarray(X.T[::-1]).T
 
 
 @contextmanager

@@ -246,9 +246,9 @@ def _gram_triplets(B: Incidence, r: int):
     B q_j), and the signs.  That norm keeps the small singular values
     accurate to roundoff relative to themselves, where sqrt of the Gram
     eigenvalue would lose digits in proportion to (sigma_max / sigma)^2.
-    Peak memory is the solve's: G and the LAPACK workspace, about 24 k^2
-    bytes where it runs in G's storage.  The basis keeps X whole, and the
-    other factor is never built.
+    Peak memory is the solve's: G, the packed Householder reflectors and
+    dstedc's workspace, about 20 k^2 bytes where it runs in G's storage.
+    The basis keeps X whole, and the other factor is never built.
     """
     w, X = gram_eigh(B)
     found = _checked_rank(B, gap_rank(w, RANK_RTOL), r)

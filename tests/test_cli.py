@@ -8,6 +8,7 @@ from itertools import product
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -66,6 +67,26 @@ def test_a_set_up_that_cannot_allocate_is_one_error_line(tmp_path, monkeypatch):
     assert r.exit_code == 3, r.output
     [line] = r.output.splitlines()
     assert line.startswith("error=EigensolveFailure: Gram eigensolve of order m=15 could not allocate ")
+    assert not out.exists()
+
+
+def test_a_numpy_solve_that_cannot_allocate_is_one_error_line(tmp_path, monkeypatch):
+    # where numpy.linalg solves, a MemoryError inside its eigh (its copy of
+    # G, the workspace or the eigenvectors) is an EigensolveFailure too
+    def refuse(G):
+        raise MemoryError
+
+    monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "learn.csv"
+    r = invoke("learn", "-i", FF, "--seeds", 2, "--seed", 7, "-o", out)
+    assert r.exit_code == 3, r.output
+    [line] = r.output.splitlines()
+    assert line == (
+        f"error=EigensolveFailure: Gram eigensolve of order m=15 could not allocate {40 * 15**2} bytes "
+        "for numpy.linalg's solve"
+    )
     assert not out.exists()
 
 

@@ -667,21 +667,22 @@ def test_repeated_gram_solves_reuse_their_heap():
 
 def test_numpy_built_on_scipy_openblas_lends_its_dsyevd():
     # a numpy wheel built on scipy-openblas carries that library: if the
-    # locator stopped finding dsyevd in it, every Gram solve would fall back
-    # to numpy.linalg's copy of G without a word
+    # locator stopped finding dsyevd's stages in it, every Gram solve would
+    # fall back to numpy.linalg's copy of G without a word
     try:
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
     except TypeError:  # numpy before 1.26 has no mode="dicts"
         pytest.skip("numpy does not describe its build")
     if lapack != "scipy-openblas":
         pytest.skip(f"numpy is built on {lapack}")
-    dsyevd = complexes.lapack_dsyevd()
-    assert dsyevd is not None
-    # the width of its integers is right: the query returns dsyevd's
-    # documented minimum workspace, 1 + 6m + 2m^2 and 3 + 5m, or more
+    stages = complexes.lapack_dsyevd()
+    assert stages is not None
+    assert set(stages.functions) == {"dsytrd", "dsterf", "dstedc", "dormtr"}
+    # the width of its integers is right: dsytrd's workspace query returns
+    # its optimum, m times its block size, a block of 1 to m rows
     m = 50
-    lwork, liwork = dsyevd.query(b"V", m)
-    assert lwork >= 1 + 6 * m + 2 * m * m and liwork >= 3 + 5 * m
+    trd, *_ = stages.workspaces(m)
+    assert trd % m == 0 and m <= trd <= m * m
 
 
 def test_steady_heap_leaves_set_malloc_tunables_alone(monkeypatch):

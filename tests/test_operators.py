@@ -327,20 +327,39 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
 
 def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
     # both Gram eigensolves, the rank-only one of the complex and the
-    # triplets', go through gram_eigh, which maps a failure of dsyevd in
-    # place, and numpy's LinAlgError where numpy.linalg solves
-    def failing_solves():
+    # triplets', go through gram_eigh, which maps a nonzero info from any of
+    # dsyevd's stages in place, naming the stage, and numpy's LinAlgError
+    # where numpy.linalg solves
+    def failing_solves(match="Gram eigensolve failed"):
         K = torus_with_fin()
-        with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+        with pytest.raises(EigensolveFailure, match=match):
             K.rank2
         for n in (1, 2):
-            with pytest.raises(EigensolveFailure, match="Gram eigensolve failed"):
+            with pytest.raises(EigensolveFailure, match=match):
                 assemble_dirac(K).singular_triplets(n)
 
     if complexes.lapack_dsyevd() is not None:
-        with monkeypatch.context() as m:
-            m.setattr(complexes.Dsyevd, "__call__", lambda *args: 3)  # info > 0: no convergence
-            failing_solves()
+        call = complexes.DsyevdStages._call
+        runs = {False: ("dsytrd", "dsterf"), True: ("dsytrd", "dstedc", "dormtr")}
+        for stage in ("dsytrd", "dsterf", "dstedc", "dormtr"):
+
+            def fail(self, name, *args, stage=stage):
+                # info > 0: no convergence; a workspace query ends in lwork = -1
+                query = isinstance(args[-1], int) and args[-1] == -1
+                return 3 if name == stage and not query else call(self, name, *args)
+
+            with monkeypatch.context() as m:
+                m.setattr(complexes.DsyevdStages, "_call", fail)
+                if stage == "dsytrd":
+                    failing_solves(f"^Gram eigensolve failed: {stage} returned info=3$")
+                K = torus_with_fin()
+                for n in (1, 2):
+                    for vectors, stages in runs.items():
+                        if stage not in stages:
+                            complexes.gram_eigh(K.incidence(n), vectors=vectors)
+                            continue
+                        with pytest.raises(EigensolveFailure, match=f"^Gram eigensolve failed: {stage} returned info=3$"):
+                            complexes.gram_eigh(K.incidence(n), vectors=vectors)
 
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -353,29 +372,49 @@ def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
 
 @pytest.mark.parametrize("in_place", [True, False])
 def test_a_failed_allocation_is_an_eigensolve_failure_naming_its_size(in_place, monkeypatch):
-    # a MemoryError while G or dsyevd's workspace is allocated names the
-    # order m of the solve and the bytes it asked for; only the allocation
-    # is patched to raise, nothing oversize is allocated
-    dsyevd = complexes.lapack_dsyevd()
-    if in_place and dsyevd is None:
+    # a MemoryError while G or any of the in-place solve's arrays is
+    # allocated (the packed reflectors and the workspaces of dsytrd, dstedc
+    # and dormtr among them) names the order m of the solve and the bytes it
+    # asks for; only the allocation is patched to raise, nothing oversize is
+    # allocated
+    stages = complexes.lapack_dsyevd()
+    if in_place and stages is None:
         pytest.skip("numpy brings no dsyevd to bind")
     if not in_place:
         monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
     B = torus_with_fin().incidence(1)
     m = min(B.shape)
-    if in_place:
-        lwork, liwork = dsyevd.query(b"V", m)
-        need = 8 * (m * m + m + lwork) + dsyevd.dtype.itemsize * liwork
-        allocations = [(complexes, "gram_matrix"), (complexes.Dsyevd, "workspace")]
-    else:
-        need, allocations = 8 * m * m, [(complexes, "gram_matrix")]
 
     def refuse(*args):
         raise MemoryError
 
-    for owner, name in allocations:
+    def refuse_from(k):  # an empty() that refuses its k-th array and every later one
+        seen = []
+
+        def refusing(self, size, *args):
+            seen.append(size)
+            if len(seen) > k:
+                raise MemoryError
+            return empty(self, size, *args)
+
+        return refusing
+
+    refusals = [(complexes, "gram_matrix", refuse)]
+    if in_place:
+        need = stages.need(m, True)
+        empty, sizes = complexes.DsyevdStages.empty, []
         with monkeypatch.context() as patched:
-            patched.setattr(owner, name, refuse)
+            patched.setattr(complexes.DsyevdStages, "empty", lambda self, size, *args: sizes.append(size) or empty(self, size, *args))
+            assemble_dirac(torus_with_fin()).singular_triplets(1)
+        _, stedc, ormtr, _ = stages.workspaces(m)
+        assert {m * (m - 1) // 2, stedc, ormtr} <= set(sizes)
+        refusals += [(complexes.DsyevdStages, "empty", refuse_from(k)) for k in range(len(sizes))]
+    else:
+        need = 8 * m * m
+
+    for owner, name, replacement in refusals:
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, name, replacement)
             with pytest.raises(EigensolveFailure, match=f"of order m={m} could not allocate {need} bytes"):
                 assemble_dirac(torus_with_fin()).singular_triplets(1)
 

@@ -546,6 +546,49 @@ def test_the_in_place_solve_gives_numpy_linalgs_bits(name, monkeypatch):
         assert X.flags.f_contiguous and X0.flags.f_contiguous
 
 
+# (nodes, n): B_n of NGF-nodes of flavor 0, where m = nodes for n = 1
+STAGE_ORDERS = [(25, 1), (26, 1), (79, 1), (80, 1), (81, 1), (100, 1), (101, 1), (102, 1), (300, 1), (300, 2)]
+
+
+@pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
+@pytest.mark.parametrize("order", ["one link", "3-node path", *(f"NGF-{k} n={n}" for k, n in STAGE_ORDERS)])
+def test_the_stages_give_dsyevds_bits_where_their_blocking_changes(order, monkeypatch):
+    # dsyevd's stages, each with the workspace dsyevd lends it, against
+    # numpy.linalg's eigh and eigvalsh, which run dsyevd itself: at m = 1 and
+    # 2; on both sides of dstedc's switch to divide and conquer above m = 25;
+    # where dormtr's 1 + 4m + m^2 reaches dormqr's 32m + 4160 for its full
+    # block size (m = 80) and where it passes the 64m + 4160 cap (m = 101)
+    if order == "one link":
+        B = build_complex([(0, 1)]).incidence(1)
+    elif order == "3-node path":
+        B = build_complex([(0, 1), (1, 2)]).incidence(1)
+    else:
+        nodes, n = (int(part.strip("NGF-n=")) for part in order.split())
+        B = ngf_generate(NgfParams(target_nodes=nodes, flavor=0, seed=0)).incidence(n)
+    w, (wv, X) = gram_eigh(B, vectors=False), gram_eigh(B)
+    monkeypatch.setattr(complexes, "lapack_dsyevd", lambda: None)
+    w0, (wv0, X0) = gram_eigh(B, vectors=False), gram_eigh(B)
+    assert np.array_equal(w, w0) and np.array_equal(wv, wv0) and np.array_equal(X, X0)
+    assert X.flags.f_contiguous and len(X) == min(B.shape)
+
+
+@pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
+def test_the_in_place_solve_peaks_at_g_the_reflectors_and_dstedcs_workspace():
+    # B1 of NGF-400, m = 400: G, the m(m - 1)/2 packed reflectors and
+    # dstedc's 1 + 4m + m^2 doubles are 20 m^2 bytes; what else is live then
+    # is O(m).  dsyevd called whole would hold G and about 2 m^2 doubles of
+    # workspace, 24 m^2
+    B = ngf_generate(NgfParams(target_nodes=400, flavor=-1, seed=0)).incidence(1)
+    m = min(B.shape)
+    tracemalloc.start()
+    try:
+        gram_eigh(B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * m * m, f"peak {peak / m**2:.2f} m^2 bytes"
+
+
 @pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
 def test_the_grid_commands_write_the_same_bytes_on_both_solver_paths(tmp_path, monkeypatch):
     # a sweep of D_2's eigenmode on coastal and a learn of D_1's gaussian
@@ -611,9 +654,10 @@ print(complexes.lapack_dsyevd() is not None, m, status("VmHWM") - before)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM in /proc/self/status")
 def test_one_set_up_peaks_at_the_in_place_solves_memory():
     # the HWM rise of B1's basis at NGF-600 (m = 600), over the RSS before
-    # it: 29.0 m^2 bytes with the solve in G's storage (G and dsyevd's
-    # workspace, 24 m^2, plus the factor pass's blocks), 45.0 m^2 through
-    # numpy.linalg's eigh (G, its copy, the workspace and the eigenvectors)
+    # it: 23.8 m^2 bytes with dsyevd's stages in G's storage (G, the packed
+    # reflectors and dstedc's workspace, 20 m^2, plus the factor pass's
+    # blocks), 45.0 m^2 through numpy.linalg's eigh (G, its copy, the
+    # workspace and the eigenvectors)
     src = os.path.dirname(os.path.dirname(operators.__file__))
     env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -624,4 +668,4 @@ def test_one_set_up_peaks_at_the_in_place_solves_memory():
     if bound != "True":
         pytest.skip("numpy brings no dsyevd to bind")
     m, rise = int(m), int(rise)
-    assert rise < 37 * m * m, f"rise {rise / m**2:.1f} m^2 bytes"
+    assert rise < 26 * m * m, f"rise {rise / m**2:.1f} m^2 bytes"

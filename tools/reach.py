@@ -16,10 +16,11 @@ right after that import); then wall_s (generate through learn; interpreter
 start and imports excluded), peak_rss_mb, the process's peak RSS at the
 end; scipy_modules, the number of ``scipy`` modules loaded by then; and
 gram_solver, the path the Gram solves took: ``dsyevd`` where
-``complexes.lapack_dsyevd`` bound numpy's own dsyevd, which solves in G's
-storage, else ``numpy`` (numpy.linalg, in a copy of G).  The process reads
-both RSS figures itself, in MB, with getrusage(RUSAGE_SELF).  The run path
-needs numpy alone, so scipy_modules should read 0.
+``complexes.lapack_dsyevd`` bound the LAPACK stages of dsyevd from numpy's
+own OpenBLAS, which solve in G's storage, else ``numpy`` (numpy.linalg's
+dsyevd, in a copy of G).  The process reads both RSS figures itself, in
+MB, with getrusage(RUSAGE_SELF).  The run path needs numpy alone, so
+scipy_modules should read 0.
 """
 
 import os
