@@ -643,6 +643,20 @@ LAPACK_SYMBOLS = (
 )
 
 
+class SolvePlan(NamedTuple):
+    """What an in-place Gram solve allocates (:meth:`DsyevdStages.plan`): the
+    entries of each array beyond G, d, e and tau, and the bytes of every
+    array, for eigenvalues alone and with eigenvectors."""
+
+    trd: int
+    reflectors: int
+    stedc: int
+    istedc: int
+    ormtr: int
+    values_bytes: int
+    vectors_bytes: int
+
+
 class DsyevdStages:
     """The LAPACK stages that dsyevd runs (Anderson et al., LAPACK Users'
     Guide, 3rd ed., 1999), bound through ctypes.  Each reads a C-ordered
@@ -658,9 +672,8 @@ class DsyevdStages:
     - ``dormtr`` multiplies C by the reflectors, which it reads from A.
 
     Each takes writeable C-ordered arrays of the sizes it states and raises
-    :class:`EigensolveFailure` when LAPACK returns a nonzero info.  Run in
-    this order with the workspace dsyevd lends each (:meth:`workspaces`),
-    they give dsyevd's bits.
+    :class:`EigensolveFailure` on a nonzero info.  Run in this order with
+    the workspaces that :meth:`plan` sizes, they give dsyevd's bits.
     """
 
     # each routine's arguments before info: C a character, I an integer, A an array
@@ -709,36 +722,25 @@ class DsyevdStages:
         """A new array of size entries: a solve allocates every array beyond G here."""
         return np.empty(size, dtype)
 
-    def workspaces(self, m: int) -> tuple[int, int, int, int]:
-        """(dsytrd's, dstedc's and dormtr's lwork, dstedc's liwork) at order m > 0.
+    def plan(self, m: int) -> SolvePlan:
+        """The sizes of a solve of order m > 0, from one dsytrd workspace query.
 
-        dsytrd gets its own optimum, m times its block size, and dstedc its
-        documented need for T's eigenvectors, 1 + 4m + m^2 doubles and
-        3 + 5m integers; dsyevd lends them as much or more, which changes
-        nothing.  Not so dormtr: the dormqr it calls picks its block size
-        from the workspace it gets, and needs m times the block size plus a
-        65 x 64 block of reflector factors for the largest, 64.  dormtr's
-        own optimum leaves that block out, so it would cut the block size
-        and move X by roundoff.  It gets dsyevd's 1 + 4m + m^2, or
-        64m + 4160 where that is less, which keeps dormqr's block size.
-        (For m < 14 dsyevd lends it more, but dormqr then has fewer
-        reflectors than a block and runs unblocked either way.)
+        dsytrd gets its optimum, m times its block size, and dstedc its
+        documented 1 + 4m + m^2 doubles and 3 + 5m integers: dsyevd lends
+        as much or more, which changes nothing.  dormtr gets dsyevd's
+        1 + 4m + m^2, or 64m + 4160 where that is less: the dormqr it calls
+        picks its block size from its workspace, and the largest, 64, needs
+        64m plus the 65 x 64 block of reflector factors that dormtr's own
+        optimum leaves out, which would move X by roundoff.  (For m < 14
+        dsyevd lends more, but dormqr then runs unblocked either way.)
         """
         query = np.empty(1)
         self._run("dsytrd", b"L", m, None, m, None, None, None, query, -1)
-        stedc = 1 + 4 * m + m * m
-        return int(query[0]), stedc, min(stedc, 64 * m + 65 * 64), 3 + 5 * m
-
-    def need(self, m: int, vectors: bool) -> int:
-        """Bytes of the arrays a solve of order m > 0 allocates: G, d, e and
-        tau, dsytrd's workspace, and for eigenvectors also the packed
-        reflectors and dstedc's and dormtr's workspaces.  The solve peaks
-        at G, the reflectors and dstedc's workspace, about 20 m^2 bytes."""
-        trd, stedc, ormtr, istedc = self.workspaces(m)
-        doubles = m * m + 3 * m - 2 + trd
-        if not vectors:
-            return 8 * doubles
-        return 8 * (doubles + m * (m - 1) // 2 + stedc + ormtr) + self.dtype.itemsize * istedc
+        trd, reflectors, stedc, istedc = int(query[0]), m * (m - 1) // 2, 1 + 4 * m + m * m, 3 + 5 * m
+        ormtr = min(stedc, 64 * m + 65 * 64)
+        values = 8 * (m * m + 3 * m - 2 + trd)
+        vectors = values + 8 * (reflectors + stedc + ormtr) + self.dtype.itemsize * istedc
+        return SolvePlan(trd, reflectors, stedc, istedc, ormtr, values, vectors)
 
     def dsytrd(self, A: np.ndarray, d: np.ndarray, e: np.ndarray, tau: np.ndarray, work: np.ndarray) -> None:
         """Reduce the m x m A, m = len(d), to T: A holds the reflectors after it."""
@@ -798,27 +800,26 @@ def gram_eigh(B: Incidence, *, vectors: bool = True):
     Returns w, or (w, X) with X in LAPACK's Fortran order.  It builds G
     itself (:func:`gram_matrix`), so no caller sees G overwritten.  Where
     numpy's wheel brings its OpenBLAS (:func:`lapack_dsyevd`), it runs
-    dsyevd's own stages (:class:`DsyevdStages`) in G's own storage.
+    dsyevd's own stages (:class:`DsyevdStages`) in G's own storage, each
+    array beyond G sized by the solve's one :meth:`~DsyevdStages.plan`.
     dsytrd reduces G's lower triangle (its upper one in G's C order) to a
-    tridiagonal T; for eigenvalues alone dsterf solves T.  For
-    eigenvectors the m(m - 1)/2 reflector entries are packed aside
-    (:func:`_move_upper`); dstedc writes T's eigenvectors over G, with a
-    workspace of 1 + 4m + m^2 doubles; the reflectors are unpacked into
-    that workspace; and dormtr turns T's eigenvectors into G's, ascending,
-    G's rows in its C order.  X is ``G.T`` once G's rows are reversed in
-    place (:func:`_reverse_rows`).  The solve peaks at G, the reflectors
-    and dstedc's workspace, about 20 m^2 bytes (8 m^2 for eigenvalues
-    alone), and nothing of m^2 size is allocated after it.  Each stage
-    gets the workspace dsyevd lends it, so w and X have dsyevd's bits.
-    dsyevd would first scale a G whose largest entry lies outside about
-    [1e-146, 1e146]; every entry of G is an integer, the largest at most
-    the most entries a row or column of B holds, or G = 0, so it never
-    scales, and the stages need not either.  Elsewhere
-    ``numpy.linalg.eigh`` (or ``eigvalsh``) runs dsyevd in a copy of G,
-    with the same bits (:func:`_numpy_eigh`).  :func:`steady_heap` keeps
-    these buffers in the heap from one solve to the next.  A failure to
-    allocate G or a workspace, or a nonzero info from any stage, raises
-    :class:`EigensolveFailure`.
+    tridiagonal T; for eigenvalues alone dsterf solves T.  For eigenvectors
+    the reflectors are packed aside (:func:`_move_upper`); dstedc writes T's
+    eigenvectors over G; the reflectors are unpacked into dstedc's
+    workspace; and dormtr turns T's eigenvectors into G's, ascending, G's
+    rows in its C order.  X is ``G.T`` once G's rows are reversed in place
+    (:func:`_reverse_rows`).  The solve peaks at G, the reflectors and
+    dstedc's workspace, about 20 m^2 bytes (8 m^2 for eigenvalues alone),
+    and nothing of m^2 size is allocated after it.  Each stage gets the
+    workspace dsyevd lends it, so w and X have dsyevd's bits.  dsyevd would
+    first scale a G whose largest entry lies outside about [1e-146, 1e146];
+    G's entries are integers no larger than the most entries a row or column
+    of B holds, so it never does, and the stages need not.  Elsewhere
+    ``numpy.linalg.eigh`` (or ``eigvalsh``) runs dsyevd in a copy of G, with
+    the same bits (:func:`_numpy_eigh`).  :func:`steady_heap` keeps these
+    buffers in the heap from one solve to the next.  A failed allocation of
+    G or a workspace, which names the plan's bytes, or a nonzero info from
+    any stage raises :class:`EigensolveFailure`.
     """
     steady_heap()
     m = min(B.shape)
@@ -828,23 +829,22 @@ def gram_eigh(B: Incidence, *, vectors: bool = True):
     lapack = lapack_dsyevd()
     if lapack is None:
         return _numpy_eigh(B, vectors)
-    trd, stedc, ormtr, istedc = lapack.workspaces(m)
-    empty = lapack.empty
-    with _allocating(m, lapack.need(m, vectors), "G and the solve's workspaces"):
+    plan, empty = lapack.plan(m), lapack.empty
+    with _allocating(m, plan.vectors_bytes if vectors else plan.values_bytes, "G and the solve's workspaces"):
         G = gram_matrix(B)
         w, e, tau = empty(m), empty(m - 1), empty(m - 1)
-        lapack.dsytrd(G, w, e, tau, empty(trd))
+        lapack.dsytrd(G, w, e, tau, empty(plan.trd))
         if not vectors:
             lapack.dsterf(w, e)
             return w[::-1]
-        reflectors = empty(m * (m - 1) // 2)
+        reflectors = empty(plan.reflectors)
         _move_upper(G, reflectors, pack=True)
-        work = empty(stedc)
-        lapack.dstedc(w, e, G, work, empty(istedc, lapack.dtype))
+        work = empty(plan.stedc)
+        lapack.dstedc(w, e, G, work, empty(plan.istedc, lapack.dtype))
         A = work[: m * m].reshape(m, m)
         _move_upper(A, reflectors, pack=False)
         del reflectors
-        lapack.dormtr(A, tau, G, empty(ormtr))
+        lapack.dormtr(A, tau, G, empty(plan.ormtr))
         del A, work
     return w[::-1], _reverse_rows(G).T
 

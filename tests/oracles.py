@@ -426,19 +426,26 @@ def spectral_certificates(Dop, n, x):
     return triplets, node_sums, kernel, orthonormal
 
 
-def sylvester_counts(K, shifts):
-    """The number of eigenvalues of L0 = B1 B1^T below each shift, by
-    Sylvester's law of inertia (Parlett, The Symmetric Eigenvalue Problem,
-    SIAM 1998): the count of negative pivots in the LDL^T of L0 - x I.
+def sylvester_counts(K, shifts, n=1):
+    """The number of eigenvalues below each shift of L0 = B1 B1^T (n = 1) or
+    of B2^T B2 (n = 2), by Sylvester's law of inertia (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998): the count of negative pivots
+    in the LDL^T of the matrix less x I.
 
     K must be an NGF 2-tree as grown: node v >= 2 joined to both ends of
-    one older link, the one triangle whose largest vertex is v, and node 1
-    to node 0.  Those older vertices are v's parents, and eliminating the
-    newest node first leaves each node coupled to its parents alone, whose
-    link exists: no fill, O(N) numbers per shift.  A complex of any other
-    shape raises ValueError, and so does a zero or non-finite pivot, naming
-    its shift: a count is never given past one.
+    one older link, its base, the one triangle whose largest vertex is v,
+    and node 1 to node 0.  Those older vertices are v's parents.  For n = 1,
+    eliminating the newest node first leaves each node coupled to its
+    parents alone, whose link exists.  For n = 2, eliminating the triangle
+    of the newest node first leaves each triangle coupled to the older
+    triangles on its base link alone: the triangles that share one of its
+    other two links are newer, and gone.  Those older triangles all share
+    that link too, so nothing fills either way: O(N) numbers per shift.  A
+    complex of any other shape raises ValueError, and so does a zero or
+    non-finite pivot, naming its shift: a count is never given past one.
     """
+    if n not in (1, 2):
+        raise ValueError(f"Sylvester counts exist for n in {{1, 2}}, got {n}")
     x = np.asarray(shifts, dtype=float)
     n0, tri = K.n0, K.triangles
     if n0 < 2 or not np.array_equal(np.sort(tri[:, 2]), np.arange(2, n0)):
@@ -450,6 +457,8 @@ def sylvester_counts(K, shifts):
     grown = np.column_stack([parents.ravel(), child])[parents.ravel() >= 0]
     if not np.array_equal(grown[np.lexsort(grown.T[::-1])], K.links):
         raise ValueError("not a 2-tree: the links must be those from each node to its parents")
+    if n == 2:
+        return _triangle_counts(K, x)
     # off[v, k]: the entry of L0 - x I in the rows of v and its parent k; the
     # link (p, q) of v's parents is entry slot[v] of q, the younger of the two
     older, younger = parents[2:, 0], parents[2:, 1]
@@ -459,9 +468,7 @@ def sylvester_counts(K, shifts):
     below = np.zeros(x.size, dtype=int)
     for v in range(n0 - 1, -1, -1):
         d = diag[v]
-        bad = ~np.isfinite(d) | (d == 0)
-        if bad.any():
-            raise ValueError(f"pivot {float(d[bad][0])!r} of node {v} at shift {float(x[bad][0])!r}")
+        _check_pivot(d, x, f"node {v}")
         below += d < 0
         if v == 0:
             break
@@ -471,6 +478,71 @@ def sylvester_counts(K, shifts):
             diag[q] -= off[v, 1] ** 2 / d
             off[q, slot[v]] -= off[v, 0] * off[v, 1] / d
     return below
+
+
+def _triangle_counts(K, x):
+    """:func:`sylvester_counts` of B2^T B2 on an NGF 2-tree, triangle of the
+    newest node first.
+
+    Two triangles that share link l meet in B2^T B2 at the product of their
+    signs on l, and in nothing else, so before any elimination the live
+    triangles on l are coupled by g_l = 1 times those products.  Eliminating
+    triangle u, pivot d, on base link b subtracts g_b^2 / d from g_b and
+    from the diagonal of every live triangle on b, as each has sign^2 = 1:
+    the coupling stays g_b times the signs' products, and 1 - g_b is what
+    each live triangle on b has lost from its diagonal.  A triangle's
+    diagonal when its turn comes is therefore 3 - x less the sum of 1 - g_l
+    over its three links l: every triangle eliminated before it is newer,
+    so it was live for each of them.
+    """
+    coupling = np.ones((K.n1, x.size))
+    below = np.zeros(x.size, dtype=int)
+    for t in np.argsort(K.triangles[:, 2])[::-1]:
+        links = K.face_rows[t]  # face 0, (i, j), is the base
+        d = 3.0 - x - (1.0 - coupling[links]).sum(axis=0)
+        _check_pivot(d, x, f"triangle {tuple(K.triangles[t].tolist())}")
+        below += d < 0
+        coupling[links[0]] -= coupling[links[0]] ** 2 / d
+    return below
+
+
+def _check_pivot(d, x, where):
+    """ValueError naming the first shift x at which the pivot d is zero or not finite."""
+    bad = ~np.isfinite(d) | (d == 0)
+    if bad.any():
+        raise ValueError(f"pivot {float(d[bad][0])!r} of {where} at shift {float(x[bad][0])!r}")
+
+
+def signed_relabelling(K, perm):
+    """(moved, P): K with node v renamed perm[v], built anew, and the
+    signed permutation matrices (P0, P1, P2) that carry each block of a
+    spinor of K to the matching block of moved.
+
+    Each simplex goes to the canonical simplex on its renamed vertices, with
+    the sign of the permutation that sorts them, which is +1 where moved
+    orients it as K does and -1 where it reverses it.  So B_n of moved is
+    P_{n-1} B_n P_n^T, a change of basis (Lim, "Hodge Laplacians on
+    graphs", SIAM Review 62, 2020): the spectra and Betti numbers are K's,
+    and every operator built from B_n commutes with the block map P.  The
+    positions come from a dict of moved's simplices, not from the library.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    moved = build_complex(perm[K.links], perm[K.triangles], K.n0)
+    P = [np.eye(K.n0)[perm].T]
+    for simplices, canonical in ((K.links, moved.links), (K.triangles, moved.triangles)):
+        position = {tuple(row): p for p, row in enumerate(canonical.tolist())}
+        M = np.zeros((len(canonical), len(simplices)))
+        for c, row in enumerate(perm[simplices].tolist()):
+            inversions = sum(a > b for k, a in enumerate(row) for b in row[k + 1 :])
+            M[position[tuple(sorted(row))], c] = (-1) ** inversions
+        P.append(M)
+    return moved, P
+
+
+def relabelled_spinor(P, s):
+    """The spinor s of K carried to the relabelled complex by
+    :func:`signed_relabelling`'s P, block by block."""
+    return TopologicalSpinor(*(Pk @ block for Pk, block in zip(P, s.blocks)))
 
 
 # -- the grid commands' draws, one spinor at a time -----------------------------

@@ -630,6 +630,37 @@ def test_sylvester_counts_refuse_a_zero_or_non_finite_pivot(filled_triangle, coa
         sylvester_counts(coastal, [1.0])
 
 
+@pytest.mark.parametrize("nodes", [300, 1000])
+@pytest.mark.parametrize("flavor", [-1, 0, 1])
+def test_sylvester_counts_certify_the_gram_spectrum_of_b2(nodes, flavor):
+    # B2 is taller than wide, so its Gram matrix is B2^T B2: between every
+    # two clusters of its spectrum the count from the pivots of
+    # B2^T B2 - x I, the triangle of the newest node first, is the number of
+    # eigenvalues of the clusters below
+    K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, seed=0))
+    lam = complexes.gram_eigh(K.incidence(2), vectors=False)[::-1]
+    breaks = np.flatnonzero(np.diff(lam) > 1e-9 * lam[-1])
+    assert breaks.size > nodes // 2
+    counts = sylvester_counts(K, (lam[breaks] + lam[breaks + 1]) / 2, n=2)
+    assert np.array_equal(counts, breaks + 1)
+
+
+def test_sylvester_counts_of_b2_refuse_a_zero_or_non_finite_pivot(filled_triangle, coastal):
+    # two triangles on link (0, 1) have B2^T B2 = [[3, 1], [1, 3]], with
+    # eigenvalues 2 and 4: the shift 3 meets a zero pivot on the way, and
+    # 2 ends on one
+    K = build_complex([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], [(0, 1, 2), (0, 1, 3)])
+    assert sylvester_counts(K, [1.0, 2.5, 5.0], n=2).tolist() == [0, 1, 2]
+    assert sylvester_counts(filled_triangle, [2.0, 4.0], n=2).tolist() == [0, 1]
+    for shift in (2.0, 3.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"at shift {shift!r}$"):
+            sylvester_counts(K, [5.0, shift], n=2)
+    with pytest.raises(ValueError, match="not a 2-tree"):
+        sylvester_counts(coastal, [1.0], n=2)
+    with pytest.raises(ValueError, match="got 3$"):
+        sylvester_counts(K, [1.0], n=3)
+
+
 HEAP_PROBE = """
 import resource
 from diracsp import NgfParams, complexes, ngf_generate
@@ -681,7 +712,7 @@ def test_numpy_built_on_scipy_openblas_lends_its_dsyevd():
     # the width of its integers is right: dsytrd's workspace query returns
     # its optimum, m times its block size, a block of 1 to m rows
     m = 50
-    trd, *_ = stages.workspaces(m)
+    trd = stages.plan(m).trd
     assert trd % m == 0 and m <= trd <= m * m
 
 

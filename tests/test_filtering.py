@@ -11,10 +11,12 @@ from diracsp import (
     NoiseModel,
     TopologicalSpinor,
     assemble_dirac,
+    betti_numbers,
     dirac_filter,
     dirac_project,
     eigenmode_signal,
     gaussian_mix_signal,
+    harmonic_project,
     hodge_filter,
     learn,
     ngf_generate,
@@ -33,6 +35,8 @@ from oracles import (
     certificate_residuals,
     eigenbasis_projection,
     loop_learn_coords,
+    relabelled_spinor,
+    signed_relabelling,
     spectral_certificates,
 )
 
@@ -546,3 +550,46 @@ def test_triplets_node_sums_and_harmonic_modes_pass_their_sparse_certificates(na
     D, _, x = _certificate_input(CERTIFIED[name], n)
     residuals = spectral_certificates(D, n, x)
     assert (residuals[1] is None) == (n == 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from([*CERTIFICATE_CASES, "random"]), seed=st.integers(0, 2**32 - 1))
+def test_relabelling_nodes_is_a_signed_change_of_basis(name, seed):
+    # a node relabelling carries spinors by a signed permutation P and B_n
+    # to P_{n-1} B_n P_n^T (tests/oracles.py): at n = 1 and 2 the spectra
+    # and Betti numbers stay, and apply, dirac_project, dirac_filter,
+    # harmonic_project and learn commute with P to 1e-12 relative
+    # (metamorphic relations; Chen et al., ACM Computing Surveys 51, 2018)
+    rng = np.random.default_rng(seed)
+    K = random_complex(rng) if name == "random" else CERTIFICATE_CASES[name]
+    moved, P = signed_relabelling(K, rng.permutation(K.n0))
+    for n in (1, 2):
+        assert np.array_equal(moved.incidence(n).toarray(), P[n - 1] @ K.incidence(n).toarray() @ P[n].T)
+    assert betti_numbers(moved) == betti_numbers(K)
+    D, E = assemble_dirac(K), assemble_dirac(moved)
+    x = TopologicalSpinor.from_vector(K, rng.standard_normal(K.spinor_dim))
+    x = x / max(x.norm(), 1.0)  # within im(D_n) its power is at most 1: no low-snr warning
+
+    def agree(got, want, what):
+        error = np.abs(got.vector - relabelled_spinor(P, want).vector).max(initial=0.0)
+        assert error <= 1e-12 * max(want.norm(), x.norm()), f"{what}: {error:.3g}"
+
+    y = relabelled_spinor(P, x)
+    agree(E.apply(y), D.apply(x), "apply")
+    agree(harmonic_project(y, E), harmonic_project(x, D), "harmonic_project")
+    config = FilterConfig(tau=2.0)
+    for n in (1, 2):
+        lam, moved_lam = spectral_basis(D, n).eigenvalues, spectral_basis(E, n).eigenvalues
+        top = max(np.abs(lam).max(initial=0.0), 1.0)
+        assert np.abs(np.sort(moved_lam) - np.sort(lam)).max(initial=0.0) <= 1e-12 * top, n
+        agree(E.apply(y, n), D.apply(x, n), f"apply, n={n}")
+        agree(dirac_project(y, E, n), dirac_project(x, D, n), f"dirac_project, n={n}")
+        m = float(np.median(spectral_basis(D, n).sigma)) if D.rank(n) else 1.0
+        agree(dirac_filter(y, E, n, config.tau, m), dirac_filter(x, D, n, config.tau, m), f"dirac_filter, n={n}")
+        if not dirac_project(x, D, n).norm():
+            continue
+        (s_hat, trace), (moved_hat, moved_trace) = learn(x, D, n, config), learn(y, E, n, config)
+        assert (moved_trace.iterations, moved_trace.converged) == (trace.iterations, trace.converged), n
+        history = trace.m_history
+        assert np.abs(moved_trace.m_history - history).max() <= 1e-12 * np.abs(history).max(), n
+        agree(moved_hat, s_hat, f"learn, n={n}")

@@ -401,13 +401,13 @@ def test_a_failed_allocation_is_an_eigensolve_failure_naming_its_size(in_place, 
 
     refusals = [(complexes, "gram_matrix", refuse)]
     if in_place:
-        need = stages.need(m, True)
+        plan = stages.plan(m)
+        need = plan.vectors_bytes
         empty, sizes = complexes.DsyevdStages.empty, []
         with monkeypatch.context() as patched:
             patched.setattr(complexes.DsyevdStages, "empty", lambda self, size, *args: sizes.append(size) or empty(self, size, *args))
             assemble_dirac(torus_with_fin()).singular_triplets(1)
-        _, stedc, ormtr, _ = stages.workspaces(m)
-        assert {m * (m - 1) // 2, stedc, ormtr} <= set(sizes)
+        assert {m * (m - 1) // 2, plan.stedc, plan.ormtr} <= set(sizes)
         refusals += [(complexes.DsyevdStages, "empty", refuse_from(k)) for k in range(len(sizes))]
     else:
         need = 8 * m * m

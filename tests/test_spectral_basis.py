@@ -573,6 +573,38 @@ def test_the_stages_give_dsyevds_bits_where_their_blocking_changes(order, monkey
 
 
 @pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
+@pytest.mark.parametrize("vectors", [False, True])
+def test_a_solve_asks_for_dsytrds_workspace_once_and_allocates_its_plan(vectors, monkeypatch):
+    # one workspace query (lwork = -1) per solve, and the arrays the solve
+    # allocates beyond G add up, with G's 8 m^2, to the bytes of its plan,
+    # the figure a failed allocation names
+    K = ngf_generate(NgfParams(target_nodes=120, flavor=0, seed=0))
+    call, empty = complexes.DsyevdStages._call, complexes.DsyevdStages.empty
+    queries, allocated = [], []
+
+    def spy(self, name, *args):
+        queries.append(name == "dsytrd" and args[-1] == -1)
+        return call(self, name, *args)
+
+    def recording(self, size, dtype=np.float64):
+        allocated.append(size * np.dtype(dtype).itemsize)
+        return empty(self, size, dtype)
+
+    for n in (1, 2):
+        B = K.incidence(n)
+        m = min(B.shape)
+        queries.clear()
+        allocated.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(complexes.DsyevdStages, "_call", spy)
+            patched.setattr(complexes.DsyevdStages, "empty", recording)
+            gram_eigh(B, vectors=vectors)
+        assert sum(queries) == 1, (n, queries)
+        plan = complexes.lapack_dsyevd().plan(m)
+        assert 8 * m * m + sum(allocated) == (plan.vectors_bytes if vectors else plan.values_bytes)
+
+
+@pytest.mark.skipif(complexes.lapack_dsyevd() is None, reason="numpy brings no dsyevd to bind")
 def test_the_in_place_solve_peaks_at_g_the_reflectors_and_dstedcs_workspace():
     # B1 of NGF-400, m = 400: G, the m(m - 1)/2 packed reflectors and
     # dstedc's 1 + 4m + m^2 doubles are 20 m^2 bytes; what else is live then

@@ -14,13 +14,17 @@ It prints one line per size: N; the import floor, import_s (the time of
 `from diracsp.cli import main`) and import_rss_mb (the process's peak RSS
 right after that import); then wall_s (generate through learn; interpreter
 start and imports excluded), peak_rss_mb, the process's peak RSS at the
-end; scipy_modules, the number of ``scipy`` modules loaded by then; and
-gram_solver, the path the Gram solves took: ``dsyevd`` where
-``complexes.lapack_dsyevd`` bound the LAPACK stages of dsyevd from numpy's
-own OpenBLAS, which solve in G's storage, else ``numpy`` (numpy.linalg's
-dsyevd, in a copy of G).  The process reads both RSS figures itself, in
-MB, with getrusage(RUSAGE_SELF).  The run path needs numpy alone, so
-scipy_modules should read 0.
+end; scipy_modules, the number of ``scipy`` modules loaded by then;
+predicted_mb, the bytes that ``DsyevdStages.plan`` gives for the set-up's
+largest Gram solve, B1's with eigenvectors at m = N, or nan where the
+stages are not bound; and gram_solver, the path the Gram solves took:
+``dsyevd`` where ``complexes.lapack_dsyevd`` bound the LAPACK stages of
+dsyevd from numpy's own OpenBLAS, which solve in G's storage, else
+``numpy`` (numpy.linalg's dsyevd, in a copy of G).  The process reads
+both RSS figures itself with getrusage(RUSAGE_SELF); they and
+predicted_mb are in MB of 2^20 bytes, so predicted_mb sets the model
+beside the measured set-up, peak_rss_mb less import_rss_mb.  The run path
+needs numpy alone, so scipy_modules should read 0.
 """
 
 import os
@@ -55,14 +59,17 @@ for args in (
     main(args, standalone_mode=False)
 wall = time.perf_counter() - start
 scipy_modules = sum(name.split(".")[0] == "scipy" for name in sys.modules)
-solver = "numpy" if lapack_dsyevd() is None else "dsyevd"
-print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f} {scipy_modules} {solver}")
+lapack = lapack_dsyevd()
+predicted = float("nan") if lapack is None else lapack.plan(int(nodes)).vectors_bytes / 2**20
+solver = "numpy" if lapack is None else "dsyevd"
+print(f"{imported:.3f} {import_rss:.1f} {wall:.3f} {rss_mb():.1f} {scipy_modules} {predicted:.1f} {solver}")
 """
 
 
-def measure(nodes: int) -> tuple[float, float, float, float, int, str]:
+def measure(nodes: int) -> tuple[float, float, float, float, int, float, str]:
     """(import_s, import RSS in MB, wall_s, peak RSS in MB, scipy modules
-    loaded, Gram solver path) of the flow at NGF-`nodes`, in a fresh process."""
+    loaded, predicted MB of B1's Gram solve, Gram solver path) of the flow
+    at NGF-`nodes`, in a fresh process."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -71,18 +78,18 @@ def measure(nodes: int) -> tuple[float, float, float, float, int, str]:
             [sys.executable, "-c", CHILD, str(nodes), out],
             env=env, capture_output=True, text=True, check=True,
         )
-    *figures, scipy_modules, solver = done.stdout.split()[-6:]
-    return (*(float(value) for value in figures), int(scipy_modules), solver)
+    *figures, scipy_modules, predicted, solver = done.stdout.split()[-7:]
+    return (*(float(value) for value in figures), int(scipy_modules), float(predicted), solver)
 
 
 def main(argv: list[str]) -> None:
     if not argv:
         sys.exit("usage: python tools/reach.py N [N ...]")
     sizes = [int(arg) for arg in argv]
-    print("nodes import_s import_rss_mb wall_s peak_rss_mb scipy_modules gram_solver")
+    print("nodes import_s import_rss_mb wall_s peak_rss_mb scipy_modules predicted_mb gram_solver")
     for nodes in sizes:
-        imported, import_rss, wall, rss, scipy_modules, solver = measure(nodes)
-        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f} {scipy_modules} {solver}", flush=True)
+        imported, import_rss, wall, rss, scipy_modules, predicted, solver = measure(nodes)
+        print(f"{nodes} {imported:.3f} {import_rss:.1f} {wall:.3f} {rss:.1f} {scipy_modules} {predicted:.1f} {solver}", flush=True)
 
 
 if __name__ == "__main__":
