@@ -20,10 +20,10 @@ columns, ``links`` for B1 and the face rows for B2, with the products
 nothing on the run path imports scipy.  :func:`boundary_matrix` builds the
 same matrix in scipy csc form, and imports ``scipy.sparse`` on first use;
 the complex does not keep it.  Rank B1 is a count of the graph's connected
-components.  Rank B2 is, in this order: a
-count of components of the triangles' orientation double cover, when every
-link bounds at most two triangles; N2, when elementary collapses remove
-every triangle; else the gap rank of one eigenvalues-only Gram solve of B2.
+components.  Rank B2 is the number of triangles that elementary collapses
+remove plus the rank of the core they leave: the core's size less its
+orientable components when every link bounds at most two core triangles,
+else the gap rank of one eigenvalues-only Gram solve of the core's columns.
 
 Instances are immutable after construction and safe to share across
 threads; two threads that first read a kept item at once may each build
@@ -172,22 +172,23 @@ class SimplicialComplex:
 
     @cached_property
     def rank2(self) -> int:
-        """Rank of B2, from B2 alone: a count, a collapse, or one Gram solve.
+        """Rank of B2, from B2 alone: the collapse, then a count or one Gram solve of its core.
 
-        Where every link bounds at most two triangles, ker(B2) has one
-        dimension per triangle component (triangles joined by shared links)
-        that is closed, with no link on a single triangle, and orientable,
-        so rank B2 = N2 minus their number.  Elsewhere rank B2 = N2 when
-        elementary collapses remove every triangle (:func:`_collapses`);
-        only a complex that does neither pays the :func:`gap_rank` of B2's
-        Gram spectrum from one eigenvalues-only solve.
+        Rank B2 = (N2 - |core|) + the rank of the core's columns, where
+        elementary collapses leave the core (:func:`_collapse_core`); an
+        empty core builds no B2.  A core has no free link, so where every
+        link bounds at most two core triangles, each of its orientable
+        components (:func:`_orientable_components`) carries one 2-cycle;
+        else the core's rank is the :func:`gap_rank` of one eigenvalues-only
+        solve of its columns' Gram matrix.
         """
-        B2 = self.incidence(2)
-        if np.diff(B2.row_entries.indptr).max(initial=0) <= 2:
-            return self.n2 - _closed_orientable_components(B2)
-        if _collapses(self.face_rows, self.n1):
+        core = _collapse_core(self.face_rows, self.n1)
+        if not core.size:
             return self.n2
-        return gap_rank(gram_eigh(B2, vectors=False), RANK_RTOL)
+        C = Incidence(self.face_rows[core], self.incidence(2).signs, self.n1)
+        if np.diff(C.row_entries.indptr).max() <= 2:
+            return self.n2 - _orientable_components(C)
+        return self.n2 - core.size + gap_rank(gram_eigh(C, vectors=False), RANK_RTOL)
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -504,52 +505,48 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarra
     return int(roots.sum()), np.cumsum(roots)[parent] - 1
 
 
-def _closed_orientable_components(B2: Incidence) -> int:
-    """Number of triangle components of B2's complex that carry a 2-cycle.
+def _orientable_components(B2: Incidence) -> int:
+    """Number of triangle components of B2 that are orientable.
 
     Each triangle t gets an orientation o_t = +/-1 so that every link shared
     by t and u cancels in B2 o: o_u = -o_t * sign_t * sign_u.  On the
     orientation double cover node t stands for o_t = +1, node t + N2 for
     o_t = -1, and each shared link joins the two node pairs its rule allows.
-    A component carries a cycle when the cover keeps t apart from t + N2
-    (orientable) and none of its triangles has a free link (closed); it then
-    lifts to two cover components, one per orientation.
+    A component is orientable when the cover keeps t apart from t + N2; it
+    then lifts to two cover components, one per orientation.
     """
     n2 = B2.shape[1]
     rows = B2.row_entries  # row per link: its triangles and signs
-    per_link = np.diff(rows.indptr)
-    first = rows.indptr[:-1]
-    free = np.zeros(n2, dtype=bool)
-    free[rows.indices[first[per_link == 1]]] = True
-    shared = first[per_link == 2]
+    shared = rows.indptr[:-1][np.diff(rows.indptr) == 2]
     t, u = rows.indices[shared], rows.indices[shared + 1]
     flip = np.where(rows.data[shared] * rows.data[shared + 1] > 0, n2, 0)
     count, labels = _components(2 * n2, np.r_[t, t + n2], np.r_[u + flip, u + n2 - flip])
-    open_or_twisted = np.tile(free | (labels[:n2] == labels[n2:]), 2)
-    return (count - np.unique(labels[open_or_twisted]).size) // 2
+    twisted = np.tile(labels[:n2] == labels[n2:], 2)
+    return (count - np.unique(labels[twisted]).size) // 2
 
 
-def _collapses(faces: np.ndarray, n1: int) -> bool:
-    """Whether elementary collapses remove every triangle; row t of ``faces``
-    holds the rows, among ``n1`` links, of triangle t's three faces.
+def _collapse_core(faces: np.ndarray, n1: int) -> np.ndarray:
+    """Indices of the triangles that elementary collapses leave, the core;
+    row t of ``faces`` holds the rows, among ``n1`` links, of triangle t's faces.
 
     A link is free when it bounds exactly one live triangle.  Each round
     removes every live triangle that has a free link (Whitehead's elementary
     collapse of the pair; Kaczynski, Mischaikow and Mrozek, Computational
     Homology, 2004), until a round removes none.  A free link belongs to one
     live triangle only, so each removed triangle owns a free link of its
-    own, and every triangle removed in the same round or later was live
-    then and so is zero on it.  Ordered by removal, the owned links' rows of
-    B2 therefore form a triangular N2 x N2 block with +/-1 on its diagonal:
-    when no triangle is left, rank B2 = N2.  Every round but the last
-    removes a triangle, so there are at most N2 + 1 rounds, each O(N1 + N2).
+    own, and every triangle removed in the same round or later, or never,
+    was live then and so is zero on it.  Ordered by removal, the owned
+    links' rows of B2 form a triangular block with +/-1 on its diagonal, and
+    the core's columns are zero on them: rank B2 = (triangles removed) +
+    rank of the core's columns.  Every round but the last removes a
+    triangle, so there are at most N2 + 1 rounds, each O(N1 + N2).
     """
     live = np.ones(len(faces), dtype=bool)
     while True:
         count = np.bincount(faces[live].ravel(), minlength=n1)
         free = live & (count[faces] == 1).any(axis=1)
         if not free.any():
-            return not live.any()
+            return np.flatnonzero(live)
         live &= ~free
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -440,7 +441,7 @@ class SpectralBasis:
         return np.concatenate([self.neg_indices, self.pos_indices])
 
     def _check_mode(self, i: int) -> None:
-        if not 0 <= i < self.K.spinor_dim:
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < self.K.spinor_dim:
             raise IndexError(f"mode {i} outside 0..{self.K.spinor_dim - 1}")
 
     def classify(self, i: int) -> str:

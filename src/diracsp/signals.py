@@ -128,8 +128,10 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
     nz = basis.nonzero_indices
     if nz.size == 0:
         raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
+    if isinstance(selector, bool) or not isinstance(selector, (str, Real)):
+        raise NoSuchEigenvalue(f"selector must be an index, a name or a number, got {selector!r}")
 
-    if isinstance(selector, (int, np.integer)) and not isinstance(selector, bool):
+    if isinstance(selector, Integral):
         i = int(selector)
         if not 0 <= i < vals.size:
             raise NoSuchEigenvalue(f"index {i} outside 0..{vals.size - 1}")

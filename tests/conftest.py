@@ -51,22 +51,41 @@ def coastal_dirac(coastal):
     return assemble_dirac(coastal)
 
 
-def torus_with_fin(size: int = 6):
-    """A size x size triangulated torus plus a fin, one triangle on link (0, 1), built anew.
-
-    Link (0, 1) bounds three triangles.  Collapsing the fin leaves the torus,
-    which has no free link, so only a Gram solve ranks B2; beta = (1, 2, 1).
-    """
+def _torus(size: int) -> list[tuple[int, int, int]]:
+    """The triangles of a size x size triangulated torus on nodes 0 .. size^2 - 1."""
     def node(i, j):
         return size * (i % size) + j % size
 
-    torus = [
+    return [
         (node(i, j), node(i + 1, j + d), node(i + 1 - d, j + 1))
         for i in range(size) for j in range(size) for d in (0, 1)
     ]
-    triangles = torus + [(0, 1, size * size)]
+
+
+def surface(triangles):
+    """The complex of the triangles and their faces, built anew."""
     links = {face for tri in triangles for face in combinations(sorted(tri), 2)}
     return build_complex(sorted(links), triangles)
+
+
+def torus_with_fin(size: int = 6):
+    """A size x size triangulated torus plus a fin, one triangle on link (0, 1), built anew.
+
+    Link (0, 1) bounds three triangles.  The fin collapses and leaves the
+    torus, on which every link bounds two triangles, so rank B2 is counted
+    with no Gram solve; beta = (1, 2, 1).
+    """
+    return surface(_torus(size) + [(0, 1, size * size)])
+
+
+def torus_with_tetrahedron(size: int = 6):
+    """A size x size triangulated torus and a tetrahedron's boundary glued along link (0, 1), built anew.
+
+    Link (0, 1) bounds four triangles and nothing collapses, so only a Gram
+    solve of all of B2 ranks it; beta = (1, 2, 2).
+    """
+    a, b = size * size, size * size + 1
+    return surface(_torus(size) + [(0, 1, a), (0, 1, b), (0, a, b), (1, a, b)])
 
 
 def random_complex(rng: np.random.Generator, max_nodes: int = 12):
@@ -101,6 +120,27 @@ HARD_COMPLEXES = {
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
         4,
     ),
+}
+
+
+def path_graph(n: int):
+    """The path P_n: links (i, i + 1) on nodes 0 .. n - 1."""
+    return build_complex([(i, i + 1) for i in range(n - 1)], node_count=n)
+
+
+def cycle_graph(n: int):
+    """The cycle C_n: links (i, i + 1 mod n) on nodes 0 .. n - 1."""
+    return build_complex([(i, (i + 1) % n) for i in range(n)], node_count=n)
+
+
+# Graphs with closed-form spectra: name -> (builder, the singular values
+# sigma_k of B1 at size N, k = 1 .. N - 1, which are D_1's positive
+# eigenvalues, and the Betti numbers).  P_N has sigma_k = 2 sin(pi k / 2N)
+# and C_N has 2 |sin(pi k / N)|, evaluated as 2 sin(pi min(k, N - k) / N)
+# because sin near pi would lose the digits being checked.
+CLOSED_FORMS = {
+    "path": (path_graph, lambda k, N: 2 * np.sin(np.pi * k / (2 * N)), (1, 0, 0)),
+    "cycle": (cycle_graph, lambda k, N: 2 * np.sin(np.pi * np.minimum(k, N - k) / N), (1, 1, 0)),
 }
 
 

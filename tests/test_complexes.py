@@ -34,7 +34,7 @@ from diracsp.errors import (
     ParseError,
 )
 
-from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
+from conftest import HARD_COMPLEXES, random_complex, surface, torus_with_fin, torus_with_tetrahedron
 from oracles import (
     csgraph_components,
     exact_rank,
@@ -135,11 +135,6 @@ def test_betti_tetrahedron_boundary_has_a_cavity():
     assert betti_numbers(HARD_COMPLEXES["tetrahedron"]) == (1, 0, 1)
 
 
-def _surface(triangles):
-    links = {face for tri in triangles for face in combinations(sorted(tri), 2)}
-    return build_complex(sorted(links), triangles)
-
-
 TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 RP2 = [
     (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
@@ -157,20 +152,20 @@ def _shifted(triangles, by):
 SURFACES = {
     # two tetrahedron boundaries glued at node 0: two separate 2-cycles
     "two_tetrahedra": (
-        _surface(TETRAHEDRON + [tuple(v and v + 3 for v in tri) for tri in TETRAHEDRON]),
+        surface(TETRAHEDRON + [tuple(v and v + 3 for v in tri) for tri in TETRAHEDRON]),
         (1, 0, 2),
     ),
     # the 6-vertex projective plane: closed but not orientable
-    "rp2": (_surface(RP2), (1, 0, 0)),
-    "moebius": (_surface(MOEBIUS), (1, 1, 0)),
+    "rp2": (surface(RP2), (1, 0, 0)),
+    "moebius": (surface(MOEBIUS), (1, 1, 0)),
     # poles 0 and 1 over the equator 2-3-4-5
     "octahedron": (
-        _surface([(p, a, b) for p in (0, 1) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]),
+        surface([(p, a, b) for p in (0, 1) for a, b in ((2, 3), (3, 4), (4, 5), (2, 5))]),
         (1, 0, 1),
     ),
     # one component of each kind: only the closed orientable one carries a 2-cycle
     "tetrahedron+rp2+moebius": (
-        _surface(TETRAHEDRON + _shifted(RP2, 4) + _shifted(MOEBIUS, 10)),
+        surface(TETRAHEDRON + _shifted(RP2, 4) + _shifted(MOEBIUS, 10)),
         (3, 1, 1),
     ),
 }
@@ -180,16 +175,29 @@ def _triangles_per_link(K):
     return np.bincount(K.face_rows.ravel(), minlength=K.n1)
 
 
+def _core(K):
+    return complexes._collapse_core(K.face_rows, K.n1)
+
+
+# poles 3 and 4 over the equator triangle: three discs on one circle
+CAPPED_TRIANGLE = [(0, 1, 2)] + [(p, a, b) for p in (3, 4) for a, b in ((0, 1), (1, 2), (0, 2))]
+
+# a link on three or more triangles, and elementary collapses leave a core:
+# name -> (complex, its counts, its Betti numbers, whether a Gram solve ranks the core)
+CORE_CASES = {
+    # the fin collapses; the torus and the tetrahedron boundary are counted
+    "torus+fin": (torus_with_fin(), (37, 110, 73), (1, 2, 1), False),
+    "tetrahedron+fin": (surface(TETRAHEDRON + [(0, 1, 4)]), (5, 8, 5), (1, 0, 1), False),
+    # the equator's links bound three core triangles each, the torus+tetrahedron's (0, 1) four
+    "capped-triangle": (surface(CAPPED_TRIANGLE), (5, 9, 7), (1, 0, 2), True),
+    "capped-triangle+fin": (surface(CAPPED_TRIANGLE + [(0, 3, 5)]), (6, 11, 8), (1, 0, 2), True),
+    "torus+tetrahedron": (torus_with_tetrahedron(), (38, 113, 76), (1, 2, 2), True),
+}
+
 RANK_CASES = {
     **HARD_COMPLEXES,
     **{name: K for name, (K, _) in SURFACES.items()},
-    # a link on three triangles, and elementary collapses leave triangles:
-    # the Gram path
-    "torus+fin": torus_with_fin(),
-    # poles 3 and 4 over the equator triangle: three discs on one circle
-    "capped-triangle": _surface(
-        [(0, 1, 2)] + [(p, a, b) for p in (3, 4) for a, b in ((0, 1), (1, 2), (0, 2))]
-    ),
+    **{name: K for name, (K, *_) in CORE_CASES.items()},
     # flavors 0 and 1 put more than two triangles on a link, and every NGF
     # complex collapses: rank B2 = N2 with no solve
     **{
@@ -211,9 +219,30 @@ def test_betti_hard_inputs_match_exact_ranks(name):
     assert betti_numbers(K) == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2)
     if name.startswith("ngf"):
         assert _triangles_per_link(K).max() > 2
-    if name in ("torus+fin", "capped-triangle"):  # the Gram path
-        assert _triangles_per_link(K).max() == 3
-        assert not complexes._collapses(K.face_rows, K.n1)
+        assert _core(K).size == 0
+    if name in CORE_CASES:
+        assert _triangles_per_link(K).max() >= 3
+        assert _core(K).size > 0
+
+
+@pytest.mark.parametrize("name", sorted(CORE_CASES))
+def test_rank_b2_counts_a_core_with_two_triangles_per_link_and_solves_only_the_rest(name, monkeypatch):
+    # rank B2 = (triangles the collapse removes) + rank of the core's
+    # columns: a core with at most two triangles on each link is counted
+    # with no eigensolve, and any other takes one solve of G of order
+    # min(N1, |core|), never of all of B2
+    K, counts, betti, solved = CORE_CASES[name]
+    K = from_dict(K.to_dict())  # nothing kept yet
+    core = _core(K)
+    per_core_link = np.bincount(K.face_rows[core].ravel(), minlength=K.n1)
+    assert (per_core_link.max() > 2) == solved
+    solves, orders = [], []
+    gram_eigh, gram_matrix = complexes.gram_eigh, complexes.gram_matrix
+    monkeypatch.setattr(complexes, "gram_eigh", lambda *a, **k: solves.append(1) or gram_eigh(*a, **k))
+    monkeypatch.setattr(complexes, "gram_matrix", lambda B: orders.append(min(B.shape)) or gram_matrix(B))
+    assert K.rank2 == exact_rank(boundary_matrix(K, 2))
+    assert (K.counts, betti_numbers(K)) == (counts, betti)
+    assert (solves, orders) == (([1], [min(K.n1, core.size)]) if solved else ([], []))
 
 
 @settings(max_examples=12, deadline=None)
@@ -227,7 +256,7 @@ def test_every_ngf_complex_collapses(nodes, flavor, beta, seed):
     # each NGF step glues a triangle with a new node onto one link, so the
     # steps reversed are elementary collapses to a point, whatever the flavor
     K = ngf_generate(NgfParams(target_nodes=nodes, flavor=flavor, beta=beta, seed=seed))
-    assert complexes._collapses(K.face_rows, K.n1)
+    assert _core(K).size == 0
     assert K.rank2 == K.n2 == exact_rank(boundary_matrix(K, 2))
 
 
@@ -247,8 +276,8 @@ def test_operator_ranks_build_a_basis_only_without_an_exact_count(name):
         assert D.rank(n) == r
         assert D.nonharmonic_dim(n) == 2 * r
     # rank(n) and nonharmonic_dim(n) never build a basis: both ranks come
-    # from the complex, rank B2 numerically only where a link bounds three
-    # or more triangles and collapses leave some
+    # from the complex, rank B2 numerically only where collapses leave a
+    # core with a link on three or more of its triangles
     assert "_basis1" not in D.__dict__
     assert "_basis2" not in D.__dict__
 
@@ -277,13 +306,12 @@ def _spy_rank_work(monkeypatch) -> list[str]:
 def test_one_boundary_build_and_one_rank_per_complex(flavor, monkeypatch):
     # across betti_numbers, assembly, both ranks and the B2 basis, the
     # complex builds each boundary matrix once and finds each rank once:
-    # rank B1 by one component count; rank B2 by one count on the
-    # orientation double cover (flavor -1, at most two triangles per link)
-    # or else by the collapse, which solves nothing.  The basis adds the
-    # one solve, with vectors; no step needs B1 itself.
+    # rank B1 by one component count; rank B2 by the collapse, which leaves
+    # no core on any flavor (at most two triangles per link on flavor -1),
+    # so it builds no B2 and counts and solves nothing.  The basis builds
+    # B2 and adds the one solve, with vectors; no step needs B1 itself.
     K = ngf_generate(NgfParams(target_nodes=40, flavor=flavor, seed=0))
-    counted = flavor == -1
-    assert (_triangles_per_link(K).max() <= 2) == counted
+    assert (_triangles_per_link(K).max() <= 2) == (flavor == -1)
     calls = _spy_rank_work(monkeypatch)
     betti = betti_numbers(K)
     D = assemble_dirac(K)
@@ -291,8 +319,7 @@ def test_one_boundary_build_and_one_rank_per_complex(flavor, monkeypatch):
     assert D.nonharmonic_dim(2) == 2 * r2
     assert spectral_basis(D, 2).rank == r2
     assert betti == (K.n0 - r1, K.n1 - r1 - r2, K.n2 - r2) == (1, 0, 0)
-    expected = ["B2", "count", "eigh", "count"] if counted else ["B2", "count", "eigh"]
-    assert sorted(calls) == sorted(expected)
+    assert sorted(calls) == ["B2", "count", "eigh"]
 
 
 @pytest.mark.parametrize("flavor", [0, 1])
@@ -427,8 +454,9 @@ def test_components_of_large_graphs_match_the_csgraph_reference(name):
 
 @pytest.mark.parametrize("name", sorted({**HARD_COMPLEXES, **SURFACES}))
 def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeypatch):
-    # both counts a complex makes, of its graph and of its triangles'
-    # orientation double cover (which passes B2's int32 indices)
+    # both counts a complex makes, of its graph and of its collapse core's
+    # orientation double cover, 2 |core| nodes, which runs only where a
+    # core is left
     K = HARD_COMPLEXES[name] if name in HARD_COMPLEXES else SURFACES[name][0]
     K = from_dict(K.to_dict())  # nothing kept yet
     components, checked = complexes._components, []
@@ -443,7 +471,8 @@ def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeyp
 
     monkeypatch.setattr(complexes, "_components", checking)
     assert K.rank2 >= 0 and K.rank1 >= 0
-    assert checked == [2 * K.n2, K.n0]
+    core = _core(K).size
+    assert checked == ([2 * core] if core else []) + [K.n0]
 
 
 def _relabelled(K: SimplicialComplex, perm: np.ndarray) -> SimplicialComplex:
@@ -490,8 +519,10 @@ def test_relabelling_nodes_leaves_ranks_and_partitions_alone(name, monkeypatch):
 def test_gram_rank_without_a_clear_gap_fails(monkeypatch):
     # a cutoff far above roundoff puts genuine eigenvalues between the two
     # levels of the gap test, so the rank is undecided; a new complex has
-    # kept no rank yet, so its rank is found anew
-    K = torus_with_fin()
+    # kept no rank yet, so its rank is found anew.  Nothing of the
+    # torus+tetrahedron collapses, and its link (0, 1) bounds four
+    # triangles, so the Gram solve ranks all of B2
+    K = torus_with_tetrahedron()
     monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
     with pytest.raises(EigensolveFailure, match="no clear gap"):
         K.rank2

@@ -20,7 +20,7 @@ from diracsp import complexes, operators
 from diracsp.errors import EigensolveFailure, InvalidOrder
 from diracsp.operators import export_spectrum, harmonic_basis
 
-from conftest import HARD_COMPLEXES, random_complex, torus_with_fin
+from conftest import HARD_COMPLEXES, random_complex, torus_with_fin, torus_with_tetrahedron
 from oracles import brute_dirac, dense_eigh, eig_multiset, eigenbasis_projection
 
 SQ2 = np.sqrt(2.0)
@@ -300,11 +300,11 @@ def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
 
 
 def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
-    # the fin puts three triangles on a link and the torus does not
-    # collapse, so rank B2 comes from the complex's eigenvalues-only solve,
+    # the tetrahedron boundary puts four triangles on a link and nothing
+    # collapses, so rank B2 comes from the complex's eigenvalues-only solve,
     # which betti_numbers runs; the triplets' eigensolve is then the only
     # one that builds G
-    K = torus_with_fin()
+    K = torus_with_tetrahedron()
     assert np.diff(assemble_dirac(K).B2.tocsr().indptr).max() > 2
     rank2 = K.n2 - betti_numbers(K)[2]
     original = complexes.gram_matrix
@@ -331,7 +331,7 @@ def test_lapack_failure_is_an_eigensolve_failure(monkeypatch):
     # dsyevd's stages in place, naming the stage, and numpy's LinAlgError
     # where numpy.linalg solves
     def failing_solves(match="Gram eigensolve failed"):
-        K = torus_with_fin()
+        K = torus_with_tetrahedron()  # nothing collapses: rank B2 takes a solve
         with pytest.raises(EigensolveFailure, match=match):
             K.rank2
         for n in (1, 2):

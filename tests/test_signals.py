@@ -69,6 +69,18 @@ def test_eigenmode_selector_errors(ff_basis):
             eigenmode_signal(ff_basis, target)
 
 
+@pytest.mark.parametrize("selector", [True, False, np.True_, None, 1j, [1], b"smallest_positive"])
+def test_a_bool_or_a_non_number_selects_no_eigenvalue(selector):
+    # on the path 0-1-2, eigenvalues +/-1 and +/-sqrt(3), True must not read
+    # as the target +1: a selector is an integer, a name or a finite real, as
+    # SignalSpec takes it, and a bool is none
+    basis = spectral_basis(assemble_dirac(build_complex([(0, 1), (1, 2)])), 1)
+    for select in (select_eigenvalue, eigenmode_signal):
+        with pytest.raises(NoSuchEigenvalue, match=re.escape(f"got {selector!r}")):
+            select(basis, selector)
+    assert select_eigenvalue(basis, 1.0) == select_eigenvalue(basis, np.float32(1.0)) == select_eigenvalue(basis, np.int64(3)) == 3
+
+
 @pytest.mark.parametrize("complex_", ["one_link", "ff_network"])
 def test_a_target_eigenvalue_matches_within_a_millionth_of_the_spectrum(complex_, request):
     # the tolerance is 1e-6 * max(max |lambda|, 1), not the degeneracy

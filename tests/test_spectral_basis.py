@@ -14,6 +14,7 @@ from diracsp import (
     NoiseModel,
     TopologicalSpinor,
     assemble_dirac,
+    betti_numbers,
     build_complex,
     dirac_filter,
     dirac_project,
@@ -39,7 +40,7 @@ from diracsp.operators import (
 from diracsp.signals import SignalSpec, noise_coefficients
 from diracsp.spinors import split_blocks
 
-from conftest import CERTIFICATE_CASES, HARD_COMPLEXES, random_complex
+from conftest import CERTIFICATE_CASES, CLOSED_FORMS, HARD_COMPLEXES, cycle_graph, random_complex
 from oracles import (
     brute_dirac,
     dense_mode_signs,
@@ -218,32 +219,26 @@ def test_stored_kernel_spans_the_eigh_reference_kernel(name, n):
     assert np.abs(gap).max(initial=0.0) <= 1e-12
 
 
-def _path(N):
-    return build_complex([(i, i + 1) for i in range(N - 1)])
+CLOSED_FORM_SIZES = [(name, N) for name in sorted(CLOSED_FORMS) for N in (100, 200, 500)] + [("path", 1500)]
 
 
-def _cycle(N):
-    return build_complex([(i, i + 1) for i in range(N - 1)] + [(0, N - 1)])
-
-
-# closed forms, k = 1..N-1: P_N has sigma_k = 2 sin(pi k / 2N), C_N has
-# 2 |sin(pi k / N)|, evaluated as 2 sin(pi min(k, N - k) / N) because sin
-# near pi would lose the digits being checked
-CLOSED_FORMS = [
-    ("path1500", _path, 1500, lambda k, N: 2 * np.sin(np.pi * k / (2 * N))),
-    ("cycle500", _cycle, 500, lambda k, N: 2 * np.sin(np.pi * np.minimum(k, N - k) / N)),
-]
-
-
-@pytest.mark.parametrize("name,build,N,formula", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
-def test_small_singular_values_match_closed_forms(name, build, N, formula):
-    # sigma is the norm of the derived column, not sqrt of a Gram eigenvalue,
-    # whose absolute error eps * sigma_max^2 costs the smallest sigma 4e-11
-    # relative on P_1500 and 6e-13 on C_500
-    U, sigma, V = assemble_dirac(build(N)).singular_triplets(1)
+@pytest.mark.parametrize("name,N", CLOSED_FORM_SIZES, ids=[f"{name}{N}" for name, N in CLOSED_FORM_SIZES])
+def test_small_singular_values_match_closed_forms(name, N):
+    # sigma, and D_1's nonzero eigenvalues +/- sigma, each to 1e-13 relative
+    # to itself: sigma is the norm of the derived column, not sqrt of a Gram
+    # eigenvalue, whose absolute error eps * sigma_max^2 costs the smallest
+    # sigma 4e-11 relative on P_1500 and 6e-13 on C_500
+    build, formula, betti = CLOSED_FORMS[name]
+    K = build(N)
+    D = assemble_dirac(K)
+    U, sigma, V = D.singular_triplets(1)
     exact = np.sort(formula(np.arange(1, N), N))[::-1]
     assert sigma.shape == exact.shape
     assert np.max(np.abs(sigma - exact) / exact) <= 1e-13
+    basis = spectral_basis(D, 1)
+    for lam in (basis.eigenvalues[basis.pos_indices], -basis.eigenvalues[basis.neg_indices]):
+        assert np.max(np.abs(np.sort(lam)[::-1] - exact) / exact) <= 1e-13
+    assert betti_numbers(K) == betti
     eye = np.eye(sigma.size)
     assert np.abs(U.T @ U - eye).max() <= 1e-12
     assert np.abs(V.T @ V - eye).max() <= 1e-12
@@ -293,7 +288,7 @@ def test_sign_pass_ties_go_to_u_and_to_the_first_entry():
     # v = B1^T u / 2.  Every |entry| is 1/2, and u[0] = +1/2, v[0] = -1/2, so
     # the signs come out (+1, +1) only if u wins the u/v tie (>=) and the
     # first entry wins within each column
-    D = assemble_dirac(_cycle(4))
+    D = assemble_dirac(cycle_graph(4))
     U = np.array([[0.5], [-0.5], [0.5], [-0.5]])
     B = D.K.incidence(1)
     V = B.T @ U / 2
@@ -358,14 +353,17 @@ def test_spinor_index_out_of_range(ff_basis):
         ff_basis.spinor(ff_basis.eigenvalues.size)
 
 
-@pytest.mark.parametrize("i", [-5, -1, 35, 10**6])
+@pytest.mark.parametrize("i", [-5, -1, 35, 10**6, True, False, np.True_, 2.5, np.float64(3.0), "1"])
 def test_classify_refuses_a_mode_outside_the_basis(ff_basis, i):
-    # the Florentine basis has 15 + 20 = 35 modes, numbered 0 .. 34
+    # the Florentine basis has 15 + 20 = 35 modes, numbered 0 .. 34; a mode
+    # is an integer, a numpy one too, and a bool or a float is none
     assert ff_basis.eigenvalues.size == 35
     for lookup in (ff_basis.classify, ff_basis.spinor):
         with pytest.raises(IndexError, match=rf"mode {i} outside 0\.\.34"):
             lookup(i)
-    assert [ff_basis.classify(j) for j in (0, 34)] == ["neg", "pos"]
+    assert [ff_basis.classify(j) for j in (0, np.int64(34))] == ["neg", "pos"]
+
+
 
 
 def test_foreign_spinor_and_coefficients_rejected(ff_basis, filled_triangle):
