@@ -8,7 +8,6 @@ machine-readable line ``error=<ErrorClass>: <message>`` to stderr.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -17,8 +16,9 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .complexes import betti_numbers, load_complex
+from .complexes import betti_numbers, load_complex, require_real
 from .errors import DiracSPError
+from .filtering import FilterConfig
 from .generators import NgfParams, ngf_generate
 from .harness import (
     BASIN_ALPHAS,
@@ -66,24 +66,26 @@ def main():
 
 # -- options shared between commands -----------------------------------------
 
-_flavor_opt = click.option("--flavor", type=click.Choice(["-1", "0", "1"]), default="-1", show_default=True)
+_flavor_opt = click.option(
+    "--flavor", type=click.Choice(["-1", "0", "1"]), default=str(NgfParams.flavor), show_default=True
+)
 _seed_opt = click.option("--seed", type=int, required=True)
 _output_opt = click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
 _eta_delta_opts = [
-    click.option("--eta", type=float, default=0.3, show_default=True),
-    click.option("--delta", type=float, default=1e-4, show_default=True),
+    click.option("--eta", type=float, default=FilterConfig.eta, show_default=True),
+    click.option("--delta", type=float, default=FilterConfig.delta, show_default=True),
 ]
 
 _signal_opts = [
     click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True),
-    click.option("--n", type=click.Choice(["1", "2"]), default="1", show_default=True),
-    click.option("--selector", default="smallest_positive", show_default=True,
+    click.option("--n", type=click.Choice(["1", "2"]), default=str(SignalSpec.n), show_default=True),
+    click.option("--selector", default=SignalSpec.selector, show_default=True,
                  help="Eigen selector: smallest_positive, largest_positive, smallest_negative, "
                       "largest_negative, an index, or a target eigenvalue."),
-    click.option("--lambda-bar", type=float, default=1.0, show_default=True),
-    click.option("--sigma-hat", type=float, default=0.2, show_default=True),
+    click.option("--lambda-bar", type=float, default=SignalSpec.lambda_bar, show_default=True),
+    click.option("--sigma-hat", type=float, default=SignalSpec.sigma_hat, show_default=True),
     click.option("--variance-convention", type=click.Choice(["linear", "squared"]),
-                 default="linear", show_default=True),
+                 default=SignalSpec.variance_convention, show_default=True),
     click.option("--source", type=click.Path(exists=True, dir_okay=False), default=None,
                  help="Signal CSV to lift (mode=lifted)."),
 ]
@@ -114,7 +116,7 @@ def _parse_selector(text: str):
 @main.command()
 @click.option("--nodes", type=int, required=True, help="Target number of nodes (>= 3).")
 @_flavor_opt
-@click.option("--beta", type=float, default=0.0, show_default=True)
+@click.option("--beta", type=float, default=NgfParams.beta, show_default=True)
 @_seed_opt
 @_output_opt
 def generate(nodes, flavor, beta, seed, output):
@@ -144,14 +146,15 @@ def info(path):
 @main.command()
 @click.option("--input", "-i", "path", type=click.Path(exists=True, dir_okay=False), required=True)
 @_add(_signal_opts)
-@click.option("--alpha", type=float, default=0.0, show_default=True, help="Noise amplitude; 0 writes the clean signal only.")
+@click.option("--alpha", type=float, default=NoiseModel.alpha, show_default=True,
+              help="Noise amplitude; 0 writes the clean signal only.")
 @click.option("--seed", type=int, default=None, help="Required when --alpha > 0.")
 @_output_opt
 @click.option("--noisy-output", type=click.Path(dir_okay=False), help="Where to write the noisy copy (defaults to <output>.noisy.csv).")
 def synth(path, alpha, seed, output, noisy_output, **signal):
     """Synthesize a true signal (optionally plus calibrated noise)."""
     def run():
-        noise = NoiseModel(alpha=alpha, seed=0 if seed is None else seed)
+        noise = NoiseModel(alpha=alpha, seed=NoiseModel.seed if seed is None else seed)
         if alpha > 0 and seed is None:
             raise ValueError("--seed is required when --alpha > 0")
         spec = _signal_spec(**signal)
@@ -193,7 +196,7 @@ _EXPERIMENTS = {
         command=cmd_learn, doc="Adaptive filtering traces: learn m, track the error per iteration.",
         alphas="0.5", taus="7", seeds=50,
         options=[_m0s_opt(None), *_eta_delta_opts,
-                 click.option("--max-iters", type=int, default=500, show_default=True)],
+                 click.option("--max-iters", type=int, default=FilterConfig.max_iters, show_default=True)],
         echo="wrote {out} and {summary}",
     ),
     "heatmap": dict(
@@ -223,10 +226,7 @@ _LISTS = {"alphas": _floats, "taus": _floats, "ms": _floats, "m0s": _m0s}
 
 
 def _m_grid(m_max: float, m_step: float) -> tuple[float, ...]:
-    if not (math.isfinite(m_max) and m_max >= 0):
-        raise ValueError("m-max must be finite and >= 0")
-    if not (math.isfinite(m_step) and m_step > 0):
-        raise ValueError("m-step must be finite and > 0")
+    m_max, m_step = require_real("m-max", m_max, 0), require_real("m-step", m_step, 0, strict=True)
     return tuple(round(float(x), 10) for x in np.arange(0.0, m_max + 1e-12, m_step))
 
 
@@ -237,7 +237,7 @@ def _make_plan(path, nodes, flavor, beta, preset, mode, n, selector, lambda_bar,
     mode, selector = p.get("mode", mode), p.get("selector", selector)
     lambda_bar, sigma_hat = p.get("lambda_bar", lambda_bar), p.get("sigma_hat", sigma_hat)
     if kw.get("m0s") is None:
-        kw["m0s"] = (p.get("m0", "auto"),)
+        kw["m0s"] = (p.get("m0", FilterConfig.m0),)
     if m_step is not None and not kw["ms"]:
         kw["ms"] = _m_grid(m_max, m_step)
     dataset = (
@@ -279,7 +279,7 @@ def _register(name, command, doc, alphas, taus, seeds, options, echo="wrote {out
                      help="Complex file; omit to grow an NGF complex."),
         click.option("--nodes", type=int, default=50, show_default=True, help="NGF size when no --input."),
         _flavor_opt,
-        click.option("--beta", type=float, default=0.0, show_default=True),
+        click.option("--beta", type=float, default=NgfParams.beta, show_default=True),
         click.option("--preset", type=click.Choice(sorted(SIGNAL_PRESETS)), default=None,
                      help="Named signal preset (sets mode/selector/m0 where no flag does)."),
         *_signal_opts,
@@ -306,7 +306,7 @@ for _name, _entry in _EXPERIMENTS.items():
 @main.command("bench")
 @click.option("--sizes", default="68,134,267,534,1068", show_default=True,
               help="Comma-separated NGF node counts (defaults span N+L from ~200 to ~3200).")
-@click.option("--runs", type=int, default=20, show_default=True)
+@click.option("--runs", type=int, default=ExperimentPlan.runs, show_default=True)
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @click.option("--tau", type=float, default=2.0, show_default=True)
 @_add(_eta_delta_opts)
@@ -317,7 +317,7 @@ def bench(sizes, runs, alpha, tau, eta, delta, flavor, seed, output):
     """Wall-time scaling of the adaptive filter vs problem size."""
     def run():
         plan = ExperimentPlan(
-            dataset={"kind": "ngf", "flavor": int(flavor), "beta": 0.0},
+            dataset={"kind": "ngf", "flavor": int(flavor), "beta": NgfParams.beta},
             signal=SignalSpec(mode="gaussian_mix"),
             alphas=(alpha,), taus=(tau,),
             eta=eta, delta=delta,

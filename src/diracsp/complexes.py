@@ -62,7 +62,8 @@ COMPLEX_FORMAT = "diracsp/complex/1"
 
 # Relative cutoff of the gap test that ranks boundary matrices (gap_rank): a
 # Gram eigenvalue (a squared singular value) must sit at roundoff level or
-# above RANK_RTOL * w_max.
+# above RANK_RTOL * w_max.  The one rank tolerance: gap_rank reads it on each
+# call, for the core solve of rank B2 here and for both spectral bases.
 RANK_RTOL = 1e-10
 
 
@@ -188,7 +189,7 @@ class SimplicialComplex:
         C = Incidence(self.face_rows[core], self.incidence(2).signs, self.n1)
         if np.diff(C.row_entries.indptr).max() <= 2:
             return self.n2 - _orientable_components(C)
-        return self.n2 - core.size + gap_rank(gram_eigh(C, vectors=False), RANK_RTOL)
+        return self.n2 - core.size + gap_rank(gram_eigh(C, vectors=False))
 
     def link_index(self, i: int, j: int) -> int:
         """Position of link (i, j) in the canonical ordering: one search in the sorted link codes."""
@@ -219,11 +220,6 @@ def require_int(name: str, value, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}")
     return int(value)
-
-
-def is_finite_real(value) -> bool:
-    """Is value a finite real number (a numpy one counts, a bool, a string or None not)?"""
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def require_real(name: str, value, low: float | None = None, *, strict: bool = False) -> float:
@@ -916,19 +912,20 @@ def _allocating(m: int, need: int, what: str):
         ) from exc
 
 
-def gap_rank(w: np.ndarray, rtol: float) -> int:
+def gap_rank(w: np.ndarray) -> int:
     """Rank of a boundary matrix B from the descending spectrum w of its Gram matrix.
 
     B is an integer matrix, so its Gram matrix is exact and the eigenvalues
     of its null space are pure roundoff, at most size * eps * w_max.  Every
-    eigenvalue must lie either at that level or above rtol * w_max; one in
-    between leaves the rank undecided and raises :class:`EigensolveFailure`.
+    eigenvalue must lie either at that level or above RANK_RTOL * w_max,
+    read when the test runs; one in between leaves the rank undecided and
+    raises :class:`EigensolveFailure`.
     """
     top = w[0] if w.size else 0.0
     if top <= 0.0:
         return 0
     roundoff = w.size * np.finfo(float).eps * top
-    cutoff = rtol * top
+    cutoff = RANK_RTOL * top
     undecided = np.count_nonzero((np.abs(w) > roundoff) & (w <= cutoff))
     if undecided:
         raise EigensolveFailure(

@@ -138,8 +138,14 @@ def dirac_filter(
 
 
 def rayleigh_m(s_n: TopologicalSpinor, Dop: DiracOperator, n: int) -> float:
-    """Rayleigh quotient s^T D_n s / s^T s: the spectral center of the signal."""
+    """Rayleigh quotient s^T D_n s / s^T s: the spectral center of the signal.
+
+    A signal out of the safe range is scaled by a power of two first
+    (:meth:`~diracsp.spinors.TopologicalSpinor._in_range`), which leaves the
+    quotient as it is.
+    """
     Dop._check(s_n)
+    s_n = s_n._in_range()[0]
     denom = s_n.dot(s_n)
     if denom <= 0.0:
         raise ZeroSignal("Rayleigh quotient of the zero signal is undefined")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import filtering
-from .complexes import SimplicialComplex, is_finite_real, load_complex, require_int
+from .complexes import SimplicialComplex, load_complex, require_int, require_real
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
@@ -94,10 +94,10 @@ class ExperimentPlan:
     alphas: tuple[float, ...] = (0.6,)
     taus: tuple[float, ...] = (10.0,)
     ms: tuple[float, ...] = ()  # sweep-m grid (0 baseline always added)
-    m0s: tuple = ("auto",)  # learn-mode initial guesses
-    eta: float = 0.3
-    delta: float = 1e-4
-    max_iters: int = 500
+    m0s: tuple = (FilterConfig.m0,)  # learn-mode initial guesses
+    eta: float = FilterConfig.eta
+    delta: float = FilterConfig.delta
+    max_iters: int = FilterConfig.max_iters
     seeds: int = 10  # noise draws per grid cell
     seed: int = 0  # master seed
     sizes: tuple[int, ...] = ()  # bench: NGF target node counts
@@ -106,30 +106,30 @@ class ExperimentPlan:
     def __post_init__(self):
         for name, low in (("seeds", 1), ("seed", 0), ("runs", 1)):
             object.__setattr__(self, name, require_int(name, getattr(self, name), low))
-        for name in ("alphas", "taus", "ms", "m0s", "sizes"):
-            values = getattr(self, name)
-            if not isinstance(values, (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {values!r}")
-        object.__setattr__(self, "sizes", tuple(require_int("every size", size) for size in self.sizes))
         config = self.config(1.0)  # FilterConfig's eta, delta and max_iters rules; sweep-m takes tau = 0
         for name in ("eta", "delta", "max_iters"):
             object.__setattr__(self, name, getattr(config, name))
+        # every list entry by the rule of the owner it feeds: NoiseModel's
+        # alpha, dirac_filter's tau and m, FilterConfig's m0 (and each size
+        # an integer, which cmd_bench then checks as NgfParams' target_nodes)
+        rules = {
+            "alphas": lambda alpha: NoiseModel(alpha=alpha).alpha,
+            "taus": lambda tau: require_real("tau", tau, 0),
+            "ms": lambda m: require_real("m", m),
+            "m0s": lambda m0: self.config(1.0, m0).m0,
+            "sizes": lambda size: require_int("every size", size),
+        }
+        for name, rule in rules.items():
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {values!r}")
+            object.__setattr__(self, name, tuple(map(rule, values)))
         if not self.alphas or not self.taus:
             raise ValueError("alpha and tau grids must be non-empty")
-        for name in ("alphas", "taus"):
-            if not all(is_finite_real(x) and x >= 0 for x in getattr(self, name)):
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not all(is_finite_real(m) for m in self.ms):
-            raise ValueError("ms must be finite")
         if not self.m0s:
             raise ValueError("m0s must be non-empty")
-        if not all(m0 == "auto" if isinstance(m0, str) else is_finite_real(m0) for m0 in self.m0s):
-            raise ValueError("m0s must be finite numbers or 'auto'")
         if len(set(self.sizes)) != len(self.sizes):
             raise ValueError("sizes must be distinct")
-        for name in ("alphas", "taus", "ms"):
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        object.__setattr__(self, "m0s", tuple(m0 if isinstance(m0, str) else float(m0) for m0 in self.m0s))
         if self.signal.mode == "lifted" and isinstance(self.signal.source, TopologicalSpinor):
             # the header would hold the spinor's repr, which no replay can read
             raise ValueError("signal.source must be a path for a plan to name it, got a spinor")
@@ -143,7 +143,7 @@ class ExperimentPlan:
         d["signal"] = self.signal.to_dict()
         return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
-    def config(self, tau: float, m0="auto") -> FilterConfig:
+    def config(self, tau: float, m0=FilterConfig.m0) -> FilterConfig:
         return FilterConfig(
             tau=tau, m0=m0, eta=self.eta, delta=self.delta, max_iters=self.max_iters
         )
@@ -483,14 +483,13 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
         raise ValueError("bench needs at least two sizes")
     if not isinstance(plan.dataset, dict) or plan.dataset.get("kind") != "ngf":
         raise ParseError(f"bench grows NGF complexes; its dataset must be of kind 'ngf', got {plan.dataset!r}")
-    tau = plan.taus[0]
     alpha = plan.alphas[0]
-
+    config = plan.config(plan.taus[0], plan.m0s[0])  # checked, as every size is, before the first set-up
     datasets = [
         {**plan.dataset, "target_nodes": nodes, "seed": _cell_seed(plan, si)}
         for si, nodes in enumerate(plan.sizes)
     ]
-    for dataset in datasets:  # every size is checked before the first set-up
+    for dataset in datasets:
         _ngf_params(dataset, plan.seed)
     rows = []
     for si, (nodes, dataset) in enumerate(zip(plan.sizes, datasets)):
@@ -505,7 +504,7 @@ def cmd_bench(plan: ExperimentPlan, out) -> tuple[Path, float, float]:
             # Called through the module: a `learn` bound here would have the
             # benchmark's tracer (perfbench/tracing.py) count learn calls from
             # the grid commands, which run the batched learner instead.
-            filtering.learn(s_tilde, Dop, setup.n, plan.config(tau, plan.m0s[0]), basis=basis)
+            filtering.learn(s_tilde, Dop, setup.n, config, basis=basis)
             dt = time.perf_counter() - t0
             if r > 0:
                 times.append(dt)

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .complexes import (
-    RANK_RTOL,
     Incidence,
     SimplicialComplex,
     betti_numbers,
@@ -252,7 +251,7 @@ def _gram_triplets(B: Incidence, r: int):
     The basis keeps X whole, and the other factor is never built.
     """
     w, X = gram_eigh(B)
-    found = _checked_rank(B, gap_rank(w, RANK_RTOL), r)
+    found = _checked_rank(B, gap_rank(w), r)
     Q = X[:, :found]
     return (Q, *_factor_pass(B, Q), X[:, found:])
 
@@ -626,7 +625,7 @@ def _eigh_triplets(B: Incidence):
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"dense eigendecomposition failed: {exc}") from exc
     top = vals[::-1][: min(left, right)]
-    pos = vals.size - 1 - np.arange(gap_rank(top * top, RANK_RTOL))
+    pos = vals.size - 1 - np.arange(gap_rank(top * top))
     x = vecs[:, pos]
     return SQRT2 * x[:left], vals[pos], SQRT2 * x[left:]
 

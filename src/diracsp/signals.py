@@ -193,7 +193,7 @@ def gaussian_mix_signal(
     lambda_bar: float,
     sigma_hat: float,
     *,
-    variance_convention: str = "linear",
+    variance_convention: str = SignalSpec.variance_convention,
 ) -> TopologicalSpinor:
     """Mixture over all nonzero eigenmodes with Gaussian weights.
 
@@ -221,8 +221,12 @@ def lift_signal(
 
     Forms sigma + D_n sigma, projects onto im(D_n), and normalizes to unit
     norm.  A purely harmonic source leaves nothing after projection and
-    raises :class:`ZeroAfterProjection`.
+    raises :class:`ZeroAfterProjection`.  A source out of the safe range is
+    first scaled by a power of two
+    (:meth:`~diracsp.spinors.TopologicalSpinor._in_range`), so any
+    power-of-two multiple of a source lifts to the same bits.
     """
+    sigma = sigma._in_range()[0]
     if sigma.norm() == 0.0:
         raise ZeroAfterProjection("source spinor is zero")
     raw = sigma + Dop.apply(sigma, n)
@@ -286,11 +290,16 @@ def _standard_draw(model: NoiseModel, n: int, draw_index: int, dim: int) -> np.n
 
 
 def snr(s: TopologicalSpinor, eps: TopologicalSpinor) -> float:
-    """||s||^2 / ||eps||^2; with unit-norm s this is 1/alpha^2 in expectation."""
-    denom = eps.norm() ** 2
+    """||s||^2 / ||eps||^2; with unit-norm s this is 1/alpha^2 in expectation.
+
+    Squared as the ratio of the two norms, so spinors of any finite scale
+    give it; a ratio past 1e154 squares to inf.
+    """
+    denom = eps.norm()
     if denom == 0.0:
         raise ZeroNoise("noise vector is zero; snr undefined")
-    return s.norm() ** 2 / denom
+    ratio = s.norm() / denom
+    return ratio * ratio
 
 
 # -- signal file format -------------------------------------------------------

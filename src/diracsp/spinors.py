@@ -15,6 +15,11 @@ from .complexes import SimplicialComplex
 from .errors import DimensionMismatch
 
 
+# The range of the largest |entry| in which dot products of a spinor are
+# formed as they are (TopologicalSpinor._in_range).
+_SAFE_LOW, _SAFE_HIGH = 2.0**-500, 2.0**500
+
+
 def _frozen(x) -> np.ndarray:
     a = np.array(x, dtype=float, copy=True).reshape(-1)
     a.flags.writeable = False
@@ -69,7 +74,25 @@ class TopologicalSpinor:
         return self.s0.size + self.s1.size + self.s2.size
 
     def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
+        """Euclidean norm, without overflow or underflow at any finite scale (see :meth:`_in_range`)."""
+        s, e = self._in_range()
+        return float(np.ldexp(np.sqrt(s.dot(s)), e))
+
+    def _in_range(self) -> tuple["TopologicalSpinor", int]:
+        """(self * 2**-e, e): e = 0 while the largest |entry| lies in [2**-500, 2**500].
+
+        Such a spinor squares and sums in floating point with neither overflow
+        nor underflow of its largest entries.  Outside that range (zero and
+        non-finite spinors excepted) e is the binary exponent of the largest
+        |entry| (np.frexp), so the scaled spinor peaks in [1/2, 1).  Scaling
+        by a power of two is exact, so the quotients of its dot products are
+        those of the spinor itself.
+        """
+        top = max((float(np.abs(b).max()) for b in self.blocks if b.size), default=0.0)
+        if top == 0.0 or _SAFE_LOW <= top <= _SAFE_HIGH or not np.isfinite(top):
+            return self, 0
+        e = int(np.frexp(top)[1])
+        return TopologicalSpinor(*(np.ldexp(b, -e) for b in self.blocks)), e
 
     def dot(self, other: "TopologicalSpinor") -> float:
         self._check_shape(other)

@@ -120,6 +120,9 @@ HARD_COMPLEXES = {
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
         4,
     ),
+    # every triangle on five nodes: beta = (1, 0, 4), and B2 (10 x 10) is
+    # wide, so D_2 stores U and its triangle kernel is the derived side's
+    "k5": build_complex(list(combinations(range(5), 2)), list(combinations(range(5), 3))),
 }
 
 

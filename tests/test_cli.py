@@ -374,6 +374,19 @@ def test_bench_cli_checks_every_size_before_the_first_set_up(tmp_path, monkeypat
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_bench_cli_checks_its_filter_settings_before_the_first_set_up(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
+    for flag, value, message in (
+        ("--tau", "0", "tau must be > 0, got 0.0"),
+        ("--eta", "5", "eta must lie in (0, 1]"),
+    ):
+        r = invoke("bench", "--sizes", "20,30", "--runs", "1", flag, value, "--seed", "0", "-o", tmp_path / "b.csv")
+        assert isinstance(r.exception, SystemExit), (flag, r.exception)
+        assert r.exit_code == 1, (flag, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not (tmp_path / "b.csv").exists()
+
+
 def test_sweep_m_cli_rejects_bad_alphas_and_taus(tmp_path):
     out = tmp_path / "s.csv"
     for flag, value in (("--alphas", "-1"), ("--alphas", "nan"), ("--taus", "nan")):
@@ -382,17 +395,17 @@ def test_sweep_m_cli_rejects_bad_alphas_and_taus(tmp_path):
             "--seed", "1", "-o", out,
         )
         assert r.exit_code == 1, (flag, value, r.output)
-        name = flag.removeprefix("--")
-        assert r.output.splitlines() == [f"error=ValueError: {name} must be finite and >= 0"]
+        name = flag.removeprefix("--").removesuffix("s")  # each entry by its owner's rule
+        assert r.output.splitlines() == [f"error=ValueError: {name} must be finite and >= 0, got {float(value)!r}"]
         assert not out.exists()
 
 
 def test_cli_rejects_non_finite_filter_centres(tmp_path):
     out = tmp_path / "x.csv"
     for cmd, flag, value, message in (
-        ("sweep-m", "--ms", "0.5,nan", "ms must be finite"),
-        ("learn", "--m0s", "nan", "m0s must be finite numbers or 'auto'"),
-        ("basin", "--m0s", "1,inf", "m0s must be finite numbers or 'auto'"),
+        ("sweep-m", "--ms", "0.5,nan", "m must be finite, got nan"),
+        ("learn", "--m0s", "nan", "m0 must be finite, got nan"),
+        ("basin", "--m0s", "1,inf", "m0 must be finite, got inf"),
     ):
         r = invoke(cmd, "-i", FF, flag, value, "--seeds", "1", "--seed", "1", "-o", out)
         assert r.exit_code == 1, (cmd, r.output)
@@ -403,9 +416,9 @@ def test_cli_rejects_non_finite_filter_centres(tmp_path):
 def test_sweep_m_cli_rejects_bad_grid_flags(tmp_path):
     out = tmp_path / "s.csv"
     for flag, value, message in (
-        ("--m-step", "0", "m-step must be finite and > 0"),
-        ("--m-step", "-0.5", "m-step must be finite and > 0"),
-        ("--m-max", "nan", "m-max must be finite and >= 0"),
+        ("--m-step", "0", "m-step must be finite and > 0, got 0.0"),
+        ("--m-step", "-0.5", "m-step must be finite and > 0, got -0.5"),
+        ("--m-max", "nan", "m-max must be finite and >= 0, got nan"),
     ):
         r = invoke("sweep-m", "-i", FF, flag, value, "--seeds", "1", "--seed", "1", "-o", out)
         assert isinstance(r.exception, SystemExit), (flag, value, r.exception)
@@ -440,7 +453,7 @@ def test_plan_file_rejects_other_flags_and_another_seed(tmp_path):
     r = invoke("learn", "--plan", pf, "--seed", 11, "-o", out)
     assert r.exit_code == 3
     assert r.output.splitlines() == [
-        "error=ParseError: malformed plan: m0s must be finite numbers or 'auto'"
+        "error=ParseError: malformed plan: m0 must be finite, got nan"
     ]
 
 
@@ -587,19 +600,21 @@ def florentine_plan(tmp_path_factory):
 
 
 # One-field changes of a valid plan (signal fields merge into its signal),
-# and the field each one's error must name.
+# and the field each one's error must name: a bad grid entry is named by the
+# rule of the owner it feeds (alpha, tau, m, m0), a grid that is not a list
+# by its own name.
 _PLAN_FAULTS = {
     "eta-string": ({"eta": "0.3"}, "eta"),
     "eta-list": ({"eta": [0.3]}, "eta"),
     "delta-null": ({"delta": None}, "delta"),
     "eta-true": ({"eta": True}, "eta"),
-    "taus-true": ({"taus": [True]}, "taus"),
-    "alphas-true": ({"alphas": [True]}, "alphas"),
-    "m0s-true": ({"m0s": [True]}, "m0s"),
+    "taus-true": ({"taus": [True]}, "tau"),
+    "alphas-true": ({"alphas": [True]}, "alpha"),
+    "m0s-true": ({"m0s": [True]}, "m0"),
     "eta-above-one": ({"eta": 5}, "eta"),
     "max-iters-zero": ({"max_iters": 0}, "max_iters"),
-    "alphas-string": ({"alphas": ["0.5"]}, "alphas"),
-    "ms-null": ({"ms": [None]}, "ms"),
+    "alphas-string": ({"alphas": ["0.5"]}, "alpha"),
+    "ms-null": ({"ms": [None]}, "m"),
     "seeds-zero": ({"seeds": 0}, "seeds"),
     "delta-negative": ({"delta": -1}, "delta"),
     "signal-sigma-hat-negative": ({"signal": {"sigma_hat": -1}}, "sigma_hat"),

@@ -4,7 +4,6 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -456,7 +455,7 @@ def test_components_of_large_graphs_match_the_csgraph_reference(name):
 def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeypatch):
     # both counts a complex makes, of its graph and of its collapse core's
     # orientation double cover, 2 |core| nodes, which runs only where a
-    # core is left
+    # core is left and each of its links bounds at most two core triangles
     K = HARD_COMPLEXES[name] if name in HARD_COMPLEXES else SURFACES[name][0]
     K = from_dict(K.to_dict())  # nothing kept yet
     components, checked = complexes._components, []
@@ -471,8 +470,9 @@ def test_component_counts_of_complexes_match_the_csgraph_reference(name, monkeyp
 
     monkeypatch.setattr(complexes, "_components", checking)
     assert K.rank2 >= 0 and K.rank1 >= 0
-    core = _core(K).size
-    assert checked == ([2 * core] if core else []) + [K.n0]
+    core = _core(K)
+    counted = core.size and np.bincount(K.face_rows[core].ravel()).max() <= 2
+    assert checked == ([2 * core.size] if counted else []) + [K.n0]
 
 
 def _relabelled(K: SimplicialComplex, perm: np.ndarray) -> SimplicialComplex:
@@ -541,9 +541,6 @@ PRODUCT_CASES = {
     },
     "ngf-120": ngf_generate(NgfParams(target_nodes=120, seed=4)),
     "star": SimplicialComplex(6, [(leaf, 0) for leaf in range(1, 6)]),  # B1 taller than wide
-    "k5": build_complex(  # B2 is 10 x 10, so B2 B2^T is its Gram matrix
-        list(combinations(range(5), 2)), list(combinations(range(5), 3))
-    ),
     "torus+fin": torus_with_fin(),
 }
 # a direct construction whose triangles list their vertices out of order,

@@ -503,16 +503,19 @@ def test_plan_from_dict_rejects_non_integer_signal_order():
 
 
 def test_plan_rejects_bad_noise_tau_and_repeated_sizes():
+    # each grid entry by the rule of the owner it feeds
     bad = [
-        ({"alphas": (-1.0,)}, "alphas"),
-        ({"alphas": (0.3, float("nan"))}, "alphas"),
-        ({"alphas": (float("inf"),)}, "alphas"),
-        ({"taus": (float("nan"),)}, "taus"),
-        ({"taus": (-2.0,)}, "taus"),
-        ({"sizes": (20, 20)}, "sizes"),
-        ({"ms": (0.5, float("nan"))}, "ms"),
-        ({"m0s": (float("nan"),)}, "m0s"),
-        ({"m0s": ("auto", float("-inf"))}, "m0s"),
+        ({"alphas": (-1.0,)}, "alpha must be finite and >= 0, got -1.0"),
+        ({"alphas": (0.3, float("nan"))}, "alpha must be finite and >= 0, got nan"),
+        ({"alphas": (float("inf"),)}, "alpha must be finite and >= 0, got inf"),
+        ({"alphas": ("0.5",)}, "alpha must be a number, got '0.5'"),
+        ({"taus": (float("nan"),)}, "tau must be finite and >= 0, got nan"),
+        ({"taus": (-2.0,)}, "tau must be finite and >= 0, got -2.0"),
+        ({"sizes": (20, 20)}, "sizes must be distinct"),
+        ({"ms": (0.5, float("nan"))}, "m must be finite, got nan"),
+        ({"m0s": (float("nan"),)}, "m0 must be finite, got nan"),
+        ({"m0s": ("auto", float("-inf"))}, "m0 must be finite, got -inf"),
+        ({"m0s": ("guess",)}, "m0 must be a number, got 'guess'"),
     ]
     data = ff_plan().to_dict()
     for kw, match in bad:

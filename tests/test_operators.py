@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -290,13 +291,27 @@ def test_harmonic_basis_spans_kernel(two_triangles):
 
 def test_rank_of_b1_disagreeing_with_components_fails(coastal, monkeypatch):
     # a cutoff that drops genuine singular values must not yield a projector
-    monkeypatch.setattr(operators, "RANK_RTOL", 0.5)
+    monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
     D = assemble_dirac(coastal)
     with pytest.raises(EigensolveFailure):
         spectral_basis(D, 1)
     s = TopologicalSpinor.zeros(coastal)
     with pytest.raises(EigensolveFailure):
         dirac_project(s, D, 1)
+
+
+def test_one_rank_tolerance_moves_every_gap_test(coastal, monkeypatch):
+    # operators keeps no tolerance of its own and gap_rank takes none: the
+    # complex's core solve, the svd basis and the eigh reference all read
+    # complexes.RANK_RTOL when they run
+    assert not hasattr(operators, "RANK_RTOL")
+    assert list(inspect.signature(complexes.gap_rank).parameters) == ["w"]
+    monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
+    with pytest.raises(EigensolveFailure):
+        torus_with_tetrahedron().rank2
+    for method in ("svd", "eigh"):
+        with pytest.raises(EigensolveFailure):
+            spectral_basis(assemble_dirac(coastal), 1, method=method)
 
 
 def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
@@ -320,7 +335,7 @@ def test_one_gram_eigensolve_per_boundary_matrix(monkeypatch):
     assert len(built) == 1
     assert D.rank(2) == rank2
 
-    monkeypatch.setattr(operators, "RANK_RTOL", 0.5)
+    monkeypatch.setattr(complexes, "RANK_RTOL", 0.5)
     with pytest.raises(EigensolveFailure, match="no clear gap"):
         assemble_dirac(K).singular_triplets(2)
 

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from diracsp import (
@@ -170,6 +172,40 @@ def test_lift_spreads_support(coastal, coastal_dirac):
     # n=1 spreads onto nodes, n=2 onto triangles
     assert np.abs(s1.s0).max() > 1e-6
     assert np.abs(s2.s2).max() > 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-1000, 1000))
+def test_lift_of_a_power_of_two_multiple_is_the_same_bits(coastal, coastal_dirac, k):
+    # the flow's entries are multiples of 1/8 up to 1.375, so 2**k * flow is exact
+    sigma = coastal_flow(coastal)
+    s = lift_signal(sigma * 2.0**k, coastal_dirac, 1)
+    ref = lift_signal(sigma, coastal_dirac, 1)
+    assert s.vector.tobytes() == ref.vector.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 2.0**-565, 2.0**1000])
+def test_norms_and_quotients_hold_at_any_finite_scale(coastal, coastal_dirac, scale):
+    sigma = coastal_flow(coastal)
+    s = lift_signal(sigma * scale, coastal_dirac, 1)
+    assert abs(s.norm() - 1.0) <= 1e-12
+    assert np.abs(s.vector - lift_signal(sigma, coastal_dirac, 1).vector).max() <= 1e-14
+    assert abs((sigma * scale).norm() / scale - sigma.norm()) <= 1e-12 * sigma.norm()
+    m = rayleigh_m(s, coastal_dirac, 1)
+    assert abs(rayleigh_m(s * scale, coastal_dirac, 1) - m) <= 1e-12 * max(abs(m), 1.0)
+    assert snr(s * scale, s * (2.0 * scale)) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_in_range_spinors_keep_their_arithmetic(coastal):
+    # between 2**-500 and 2**500 the norm is sqrt(s . s) as it always was
+    sigma = coastal_flow(coastal)
+    for scale in (2.0**-500, 1.0, 2.0**499):  # the largest entry is 1.375
+        s = sigma * scale
+        same, e = s._in_range()
+        assert same is s and e == 0
+        assert s.norm() == float(np.sqrt(s.dot(s)))
+    assert TopologicalSpinor.zeros(coastal)._in_range()[1] == 0
+    assert (sigma * 2.0**600)._in_range()[1] == 601
 
 
 def test_lift_harmonic_source_fails(ff_dirac, ff_network):
