@@ -16,10 +16,10 @@ import numpy as np
 from click.core import ParameterSource
 
 from . import __version__
-from .complexes import betti_numbers, load_complex, require_real
+from .complexes import ORDERS, betti_numbers, load_complex, require_real
 from .errors import DiracSPError
 from .filtering import FilterConfig
-from .generators import NgfParams, ngf_generate
+from .generators import FLAVORS, NgfParams, ngf_generate
 from .harness import (
     BASIN_ALPHAS,
     HEATMAP_ALPHAS,
@@ -35,18 +35,20 @@ from .harness import (
     make_signal,
 )
 from .operators import assemble_dirac, spectral_basis
-from .signals import NoiseModel, SignalSpec, sample_noise, save_signal, snr
+from .signals import MODES, SELECTORS, VARIANCE_CONVENTIONS, NoiseModel, SignalSpec, sample_noise, save_signal, snr
 
 
 def _fail(exc: Exception):
-    click.echo(f"error={type(exc).__name__}: {exc}", err=True)
+    # numpy's failed allocations raise a private subclass of MemoryError
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    click.echo(f"error={name}: {exc}", err=True)
     sys.exit(3 if isinstance(exc, DiracSPError) else 1)
 
 
 def _guard(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (DiracSPError, ValueError, OSError) as exc:
+    except (DiracSPError, ValueError, OSError, MemoryError) as exc:
         _fail(exc)
 
 
@@ -67,7 +69,7 @@ def main():
 # -- options shared between commands -----------------------------------------
 
 _flavor_opt = click.option(
-    "--flavor", type=click.Choice(["-1", "0", "1"]), default=str(NgfParams.flavor), show_default=True
+    "--flavor", type=click.Choice([str(s) for s in FLAVORS]), default=str(NgfParams.flavor), show_default=True
 )
 _seed_opt = click.option("--seed", type=int, required=True)
 _output_opt = click.option("--output", "-o", type=click.Path(dir_okay=False), required=True)
@@ -77,14 +79,13 @@ _eta_delta_opts = [
 ]
 
 _signal_opts = [
-    click.option("--mode", type=click.Choice(["eigen", "gaussian_mix", "lifted"]), default="eigen", show_default=True),
-    click.option("--n", type=click.Choice(["1", "2"]), default=str(SignalSpec.n), show_default=True),
+    click.option("--mode", type=click.Choice(MODES), default="eigen", show_default=True),
+    click.option("--n", type=click.Choice([str(n) for n in ORDERS]), default=str(SignalSpec.n), show_default=True),
     click.option("--selector", default=SignalSpec.selector, show_default=True,
-                 help="Eigen selector: smallest_positive, largest_positive, smallest_negative, "
-                      "largest_negative, an index, or a target eigenvalue."),
+                 help=f"Eigen selector: {', '.join(SELECTORS)}, an index, or a target eigenvalue."),
     click.option("--lambda-bar", type=float, default=SignalSpec.lambda_bar, show_default=True),
     click.option("--sigma-hat", type=float, default=SignalSpec.sigma_hat, show_default=True),
-    click.option("--variance-convention", type=click.Choice(["linear", "squared"]),
+    click.option("--variance-convention", type=click.Choice(VARIANCE_CONVENTIONS),
                  default=SignalSpec.variance_convention, show_default=True),
     click.option("--source", type=click.Path(exists=True, dir_okay=False), default=None,
                  help="Signal CSV to lift (mode=lifted)."),
@@ -213,16 +214,22 @@ _EXPERIMENTS = {
 }
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _entries(flag: str, text: str, parse, kind: str) -> tuple:
+    """The comma-separated entries of ``text``, each read by ``parse``; an
+    entry it cannot read is a ValueError naming the flag, the entry and ``kind``."""
+    values = []
+    for x in filter(None, map(str.strip, text.split(","))):
+        try:
+            values.append(parse(x))
+        except ValueError:
+            raise ValueError(f"--{flag} takes {kind}, got {x!r}") from None
+    return tuple(values)
 
 
-def _m0s(text: str) -> tuple:
-    return tuple("auto" if x.strip() == "auto" else float(x) for x in text.split(",") if x.strip())
-
-
-# Comma-separated options and their parsers.
-_LISTS = {"alphas": _floats, "taus": _floats, "ms": _floats, "m0s": _m0s}
+# Comma-separated options: the parser of one entry, and what the option takes.
+_NUMBERS = (float, "numbers")
+_LISTS = {"alphas": _NUMBERS, "taus": _NUMBERS, "ms": _NUMBERS,
+          "m0s": (lambda x: x if x == "auto" else float(x), "numbers or 'auto'")}
 
 
 def _m_grid(m_max: float, m_step: float) -> tuple[float, ...]:
@@ -267,7 +274,7 @@ def _run_experiment(command, echo, plan_file, seed, output, opts):
         if plan.seed != seed:
             raise ValueError(f"--seed {seed} differs from the plan's seed {plan.seed}")
     else:
-        lists = {k: _LISTS[k](v) for k, v in opts.items() if k in _LISTS and v is not None}
+        lists = {k: _entries(k, v, *_LISTS[k]) for k, v in opts.items() if k in _LISTS and v is not None}
         plan = _make_plan(seed=seed, given={p.name for p in given}, **{**opts, **lists})
     out = command(plan, output)
     click.echo(echo.format(out=out, summary=out.with_name(out.stem + ".summary.csv")))
@@ -321,7 +328,7 @@ def bench(sizes, runs, alpha, tau, eta, delta, flavor, seed, output):
             signal=SignalSpec(mode="gaussian_mix"),
             alphas=(alpha,), taus=(tau,),
             eta=eta, delta=delta,
-            sizes=tuple(int(s) for s in sizes.split(",")),
+            sizes=_entries("sizes", sizes, int, "integers"),
             runs=runs, seed=seed,
         )
         out, exponent, stderr = cmd_bench(plan, output)

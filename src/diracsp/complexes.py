@@ -66,6 +66,9 @@ COMPLEX_FORMAT = "diracsp/complex/1"
 # call, for the core solve of rank B2 here and for both spectral bases.
 RANK_RTOL = 1e-10
 
+# The orders n for which B_n and D_n exist.
+ORDERS = (1, 2)
+
 
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex:
@@ -159,12 +162,8 @@ class SimplicialComplex:
         return signed_incidence(self, 2)
 
     def incidence(self, n: int) -> Incidence:
-        """B_n as an :class:`Incidence`, built once, for n = 1 or 2."""
-        if n == 1:
-            return self._incidence1
-        if n == 2:
-            return self._incidence2
-        raise InvalidOrder(f"boundary matrices exist for n in {{1, 2}}, got {n}")
+        """B_n as an :class:`Incidence`, built once, for n in ORDERS."""
+        return self._incidence1 if require_order(n) == 1 else self._incidence2
 
     @cached_property
     def rank1(self) -> int:
@@ -218,8 +217,15 @@ def require_int(name: str, value, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def require_order(n, error: type[Exception] = InvalidOrder):
+    """n, if B_n and D_n exist (n in ORDERS); otherwise ``error`` naming n."""
+    if n not in ORDERS:
+        raise error(f"n must be one of {', '.join(map(str, ORDERS))}, got {n!r}")
+    return n
 
 
 def require_real(name: str, value, low: float | None = None, *, strict: bool = False) -> float:
@@ -333,7 +339,7 @@ def _faces(triangles: np.ndarray) -> np.ndarray:
 
 
 def signed_incidence(K: SimplicialComplex, n: int) -> Incidence:
-    """B_n of K, n = 1 or 2, as an :class:`Incidence`: column c of B1 has -1
+    """B_n of K, n in ORDERS, as an :class:`Incidence`: column c of B1 has -1
     (tail) and +1 (head) in the rows of link c; column t of B2 has signs
     (+1, -1, +1) in the rows of triangle t's faces (i, j), (i, k), (j, k)."""
     if n == 1:

@@ -93,4 +93,4 @@ class NonConvergence(DiracSPError):
 # -- generators -------------------------------------------------------------
 
 class InvalidFlavor(DiracSPError):
-    """NGF flavor must be one of {-1, 0, 1}."""
+    """NGF flavor outside generators.FLAVORS."""

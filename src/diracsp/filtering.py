@@ -79,15 +79,6 @@ def _filter_weights(lam: np.ndarray, tau: float, m: np.ndarray) -> np.ndarray:
     return np.divide(1.0, W, out=W)
 
 
-def _filter_coords(lam: np.ndarray, C: np.ndarray, tau: float, m: np.ndarray) -> np.ndarray:
-    """The Dirac filter on S rows of coordinates: row k times 1/(1 + tau (lam - m[k])^2).
-
-    ``lam`` holds the eigenvalues of the modes; ``m`` one center per row, or
-    one center for every row.
-    """
-    return C * _filter_weights(lam, tau, m)
-
-
 def _squared_delta_s(
     C: np.ndarray, c_true: np.ndarray, buf: np.ndarray | None = None, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -134,7 +125,7 @@ def dirac_filter(
     Dop._check(s_tilde_n)
     basis = _basis_for(Dop, n, basis)
     lam, c = basis.eigenvalues[basis.nonzero_indices], basis.coefficients(s_tilde_n)
-    return basis.synthesize(_filter_coords(lam, c[None], tau, np.array([m]))[0])
+    return basis.synthesize(c * _filter_weights(lam, tau, np.array([m]))[0])
 
 
 def rayleigh_m(s_n: TopologicalSpinor, Dop: DiracOperator, n: int) -> float:
@@ -168,15 +159,11 @@ class FilterConfig:
     max_iters: int = 500
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", require_real("tau", self.tau))
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau!r}")
+        object.__setattr__(self, "tau", require_real("tau", self.tau, 0, strict=True))
         object.__setattr__(self, "eta", require_real("eta", self.eta))
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-        object.__setattr__(self, "delta", require_real("delta", self.delta))
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
+        object.__setattr__(self, "delta", require_real("delta", self.delta, 0, strict=True))
         object.__setattr__(self, "max_iters", require_int("max_iters", self.max_iters, 1))
         if self.m0 != "auto":
             object.__setattr__(self, "m0", require_real("m0", self.m0))
@@ -310,7 +297,7 @@ def _learn_batch(
     noisy = baseline = None
     if c_true is not None:
         noisy = _delta_s(C0, c_true)
-        baseline = _delta_s(_filter_coords(lam, C0, tau, np.zeros(1)), c_true)
+        baseline = _delta_s(C0 * _filter_weights(lam, tau, np.zeros(1)), c_true)
         delta_rows = [noisy]
 
     coords = np.empty_like(C0)
@@ -321,7 +308,7 @@ def _learn_batch(
     t = 0
     while active.size and t < config.max_iters:
         t += 1
-        C_hat = _filter_coords(lam, C, tau, m)
+        C_hat = C * _filter_weights(lam, tau, m)
         m_new = (1.0 - eta) * m + eta * ray(C_hat)
         row = np.full(S, np.nan)
         row[active] = m_new

@@ -7,7 +7,7 @@ probability proportional to
     (1 + s * n_ell) * exp(-beta * eps_ell)
 
 where n_ell counts how many times the link has already been chosen (number
-of incident triangles minus one), s in {-1, 0, 1} is the flavor and eps_ell
+of incident triangles minus one), s, one of FLAVORS, is the flavor and eps_ell
 is a link energy drawn uniformly on [0, 1] at link creation (irrelevant at
 beta = 0).  The new node is joined to both endpoints, adding 1 node, 2 links
 and 1 triangle, so a complex grown to N nodes always has 2N-3 links and N-2
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# The flavors s of the link weights (1 + s * n_ell) * exp(-beta * eps_ell).
+FLAVORS = (-1, 0, 1)
+
+
 @dataclass(frozen=True)
 class NgfParams:
     """Parameters of the growing-complex model (dimension fixed at 2)."""
@@ -57,11 +61,9 @@ class NgfParams:
     def __post_init__(self):
         for name, low in (("target_nodes", 3), ("flavor", None), ("seed", 0)):  # 3: the seed triangle
             object.__setattr__(self, name, require_int(name, getattr(self, name), low))
-        if self.flavor not in (-1, 0, 1):
-            raise InvalidFlavor(f"flavor must be -1, 0 or 1, got {self.flavor}")
-        object.__setattr__(self, "beta", require_real("beta", self.beta))
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if self.flavor not in FLAVORS:
+            raise InvalidFlavor(f"flavor must be one of {', '.join(map(str, FLAVORS))}, got {self.flavor}")
+        object.__setattr__(self, "beta", require_real("beta", self.beta, 0))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -52,6 +52,7 @@ from .complexes import (
     gap_rank,
     gram_eigh,
     is_wide,
+    require_order,
 )
 from .errors import DimensionMismatch, EigensolveFailure, InvalidOrder
 from .spinors import TopologicalSpinor, split_blocks
@@ -63,13 +64,6 @@ SQRT2 = np.sqrt(2.0)
 
 # Columns per block in which the factor a basis does not store is derived.
 _BLOCK = 64
-
-
-def _order(n: int) -> int:
-    """n itself, if D_n exists (n = 1 or 2); InvalidOrder otherwise."""
-    if n not in (1, 2):
-        raise InvalidOrder(f"D_n exists for n in {{1, 2}}, got {n}")
-    return n
 
 
 def _block_matrix(Dop: DiracOperator, n: int) -> sp.csr_array:
@@ -105,8 +99,8 @@ class DiracOperator:
         return boundary_matrix(self.K, 2).astype(float)
 
     def boundary(self, n: int) -> sp.csc_array:
-        """B_n as float64 csc, for n = 1 or 2."""
-        return self.B1 if _order(n) == 1 else self.B2
+        """B_n as float64 csc, for n in ORDERS."""
+        return self.B1 if require_order(n) == 1 else self.B2
 
     @cached_property
     def part1(self) -> sp.csr_array:
@@ -121,7 +115,7 @@ class DiracOperator:
         return self.part1 + self.part2
 
     def part(self, n: int) -> sp.csr_array:
-        return self.part1 if _order(n) == 1 else self.part2
+        return self.part1 if require_order(n) == 1 else self.part2
 
     # -- Laplacians ---------------------------------------------------------
 
@@ -169,7 +163,7 @@ class DiracOperator:
 
     def rank(self, n: int) -> int:
         """rank(B_n), read from the complex; no spectral basis is built."""
-        return self.K.rank1 if _order(n) == 1 else self.K.rank2
+        return self.K.rank1 if require_order(n) == 1 else self.K.rank2
 
     def nonharmonic_dim(self, n: int) -> int:
         """dim im(D_n) = 2 rank(B_n)."""
@@ -193,7 +187,7 @@ class DiracOperator:
 
 def _blocks_for(n: int, blocks):
     """(left-block, right-block) of the (node, link, triangle) blocks that D_n touches."""
-    return blocks[_order(n) - 1], blocks[n]
+    return blocks[require_order(n) - 1], blocks[n]
 
 
 def _spinor_from_blocks(K: SimplicialComplex, n: int, left, right) -> TopologicalSpinor:
@@ -595,7 +589,7 @@ def spectral_basis(
     ``Dop`` keeps the svd basis, so every call for the same n returns the
     same object; the eigh basis is built anew on every call.
     """
-    _order(n)
+    require_order(n)
     if method == "svd":
         return Dop._basis1 if n == 1 else Dop._basis2
     if method == "eigh":
@@ -658,7 +652,7 @@ def chirality_map(phi: TopologicalSpinor, n: int) -> TopologicalSpinor:
     with the matching D_n, so gamma_n maps the +lambda eigenspace onto the
     -lambda eigenspace.
     """
-    if _order(n) == 1:
+    if require_order(n) == 1:
         return TopologicalSpinor(phi.s0, -phi.s1, np.zeros_like(phi.s2))
     return TopologicalSpinor(np.zeros_like(phi.s0), phi.s1, -phi.s2)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .complexes import SimplicialComplex, require_int, require_real
+from .complexes import SimplicialComplex, require_int, require_order, require_real
 from .errors import (
     DegenerateSelection,
     DimensionMismatch,
@@ -51,11 +51,14 @@ def rng_stream(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-_MODES = ("eigen", "gaussian_mix", "lifted")
+MODES = ("eigen", "gaussian_mix", "lifted")
+
+# "linear" weighs by exp(-d^2/(2*sigma)), "squared" by exp(-d^2/(2*sigma^2)).
+VARIANCE_CONVENTIONS = ("linear", "squared")
 
 # Each selector name: the SpectralBasis index array it picks from, and which
 # end of it (negatives are stored ascending, i.e. most negative first).
-_SELECTORS = {
+SELECTORS = {
     "smallest_positive": ("pos_indices", 0),
     "largest_positive": ("pos_indices", -1),
     "smallest_negative": ("neg_indices", -1),
@@ -68,33 +71,23 @@ class SignalSpec:
     """Recipe for a true signal on im(D_n).
 
     An unknown mode, a field of the wrong type or range (in any mode), an
-    order other than 1 or 2, an unknown selector name or a non-finite
-    numeric one, or a lifted signal without a source, is a ValueError.
+    order outside ORDERS, a selector :func:`checked_selector` refuses, or a
+    lifted signal without a source, is a ValueError.
     """
 
-    mode: str  # one of _MODES
+    mode: str  # one of MODES
     n: int = 1
     selector: object = "smallest_positive"  # eigen mode only
     lambda_bar: float = 1.0  # gaussian_mix only
     sigma_hat: float = 0.2  # gaussian_mix only
     source: object = None  # lifted only: TopologicalSpinor or path
-    variance_convention: str = "linear"  # "linear": exp(-d^2/(2*sigma)); "squared": /(2*sigma^2)
+    variance_convention: str = "linear"  # one of VARIANCE_CONVENTIONS
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {', '.join(_MODES)}, got {self.mode!r}")
-        object.__setattr__(self, "n", require_int("n", self.n))
-        if self.n not in (1, 2):
-            raise ValueError(f"n must be 1 or 2, got {self.n!r}")
-        if isinstance(self.selector, bool) or not isinstance(self.selector, (str, Real)):
-            raise ValueError(f"selector must be a name or a number, got {self.selector!r}")
-        if isinstance(self.selector, str) and self.selector not in _SELECTORS:
-            raise ValueError(f"selector must be a number or one of {', '.join(_SELECTORS)}, got {self.selector!r}")
-        if isinstance(self.selector, np.generic):
-            object.__setattr__(self, "selector", self.selector.item())
-        if isinstance(self.selector, Real) and not isinstance(self.selector, Integral):
-            # an integer is an index; any other number a target eigenvalue
-            object.__setattr__(self, "selector", require_real("selector", self.selector))
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
+        object.__setattr__(self, "n", require_order(require_int("n", self.n), ValueError))
+        object.__setattr__(self, "selector", checked_selector(self.selector))
         checked = _gaussian_parameters(self.lambda_bar, self.sigma_hat, self.variance_convention)
         for name, value in zip(("lambda_bar", "sigma_hat"), checked):
             object.__setattr__(self, name, value)
@@ -116,45 +109,55 @@ class SignalSpec:
         return d
 
 
+def checked_selector(selector) -> int | float | str:
+    """selector as :func:`select_eigenvalue` reads it: a name of SELECTORS, an
+    integer as an int index, any other number as a finite float target
+    eigenvalue; ValueError for anything else (a bool is not a number)."""
+    if isinstance(selector, bool) or not isinstance(selector, (str, Real)):
+        raise ValueError(f"selector must be a name or a number, got {selector!r}")
+    if isinstance(selector, str):
+        if selector not in SELECTORS:
+            raise ValueError(f"selector must be a number or one of {', '.join(SELECTORS)}, got {selector!r}")
+        return selector
+    # an integer is an index; any other number a target eigenvalue
+    return int(selector) if isinstance(selector, Integral) else require_real("selector", selector)
+
+
 def select_eigenvalue(basis: SpectralBasis, selector) -> int:
     """Resolve a selector to an index into ``basis.eigenvalues``.
 
     Accepts an integer index, a target eigenvalue (float, matched to the
     nearest nonzero eigenvalue if it is within 1e-6 * max(max |lambda|, 1)),
-    or one of the strings smallest_positive / largest_positive /
-    smallest_negative / largest_negative (magnitude within each sign class).
+    or a name of SELECTORS (magnitude within each sign class); a selector
+    :func:`checked_selector` refuses is a NoSuchEigenvalue.
     """
     vals = basis.eigenvalues
     nz = basis.nonzero_indices
     if nz.size == 0:
         raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
-    if isinstance(selector, bool) or not isinstance(selector, (str, Real)):
-        raise NoSuchEigenvalue(f"selector must be an index, a name or a number, got {selector!r}")
+    try:
+        selector = checked_selector(selector)
+    except ValueError as exc:
+        raise NoSuchEigenvalue(str(exc)) from exc
 
-    if isinstance(selector, Integral):
-        i = int(selector)
-        if not 0 <= i < vals.size:
-            raise NoSuchEigenvalue(f"index {i} outside 0..{vals.size - 1}")
-        return i
+    if isinstance(selector, int):
+        if not 0 <= selector < vals.size:
+            raise NoSuchEigenvalue(f"index {selector} outside 0..{vals.size - 1}")
+        return selector
 
     if isinstance(selector, str):
-        if selector not in _SELECTORS:
-            raise NoSuchEigenvalue(f"unknown selector {selector!r}")
-        indices, which = _SELECTORS[selector]
+        indices, which = SELECTORS[selector]
         idxs = getattr(basis, indices)
         if idxs.size == 0:
             raise NoSuchEigenvalue(f"no eigenvalues match {selector!r}")
         return int(idxs[which])
 
-    target = float(selector)
-    if not math.isfinite(target):
-        raise NoSuchEigenvalue(f"target eigenvalue must be finite, got {target}")
     scale = float(np.max(np.abs(vals[nz])))
-    dists = np.abs(vals[nz] - target)
+    dists = np.abs(vals[nz] - selector)
     best = int(nz[np.argmin(dists)])
-    if abs(vals[best] - target) > 1e-6 * max(scale, 1.0):
+    if abs(vals[best] - selector) > 1e-6 * max(scale, 1.0):
         raise NoSuchEigenvalue(
-            f"no eigenvalue of D_{basis.order} within tolerance of {target}"
+            f"no eigenvalue of D_{basis.order} within tolerance of {selector}"
         )
     return best
 
@@ -181,10 +184,10 @@ def eigenmode_signal(basis: SpectralBasis, selector) -> TopologicalSpinor:
 def _gaussian_parameters(lambda_bar, sigma_hat, variance_convention) -> tuple[float, float]:
     """(lambda_bar, sigma_hat) as floats; ValueError, naming the field, unless
     lambda_bar is a finite number, sigma_hat a finite number > 0 and the
-    convention "linear" or "squared"."""
+    convention one of VARIANCE_CONVENTIONS."""
     checked = require_real("lambda_bar", lambda_bar), require_real("sigma_hat", sigma_hat, 0, strict=True)
-    if variance_convention not in ("linear", "squared"):
-        raise ValueError(f"variance_convention must be 'linear' or 'squared', got {variance_convention!r}")
+    if variance_convention not in VARIANCE_CONVENTIONS:
+        raise ValueError(f"variance_convention must be one of {', '.join(VARIANCE_CONVENTIONS)}, got {variance_convention!r}")
     return checked
 
 

@@ -618,7 +618,7 @@ def loop_sweep_rows(plan):
     once, kept as written: an S x |ms| error matrix filled one column at a
     time, then a mean and standard deviation per column.
     """
-    from diracsp.filtering import _delta_s, _filter_coords
+    from diracsp.filtering import _delta_s, _filter_weights
     from diracsp.harness import _draw_coords, _prepare
 
     setup = _prepare(plan)
@@ -631,7 +631,7 @@ def loop_sweep_rows(plan):
         C = _draw_coords(plan, setup, alpha, c)
         errs = np.empty((plan.seeds, len(ms)))
         for j, m in enumerate(ms):
-            errs[:, j] = _delta_s(_filter_coords(lam, C, tau, np.array([m])), setup.c_true)
+            errs[:, j] = _delta_s(C * _filter_weights(lam, tau, np.array([m])), setup.c_true)
         base = errs[:, ms.index(0.0)]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(base[:, None] > 0, errs / base[:, None], 1.0)

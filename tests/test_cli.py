@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import diracsp
-from diracsp import complexes, harness
+from diracsp import cli, complexes, harness
 from diracsp.cli import _guard, main
 from diracsp.datasets import dataset_path
 from diracsp.harness import cmd_bench, load_plan
@@ -70,6 +70,32 @@ def test_a_set_up_that_cannot_allocate_is_one_error_line(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private MemoryError subclass of a failed allocation."""
+
+
+@pytest.mark.parametrize("module, step, args", [
+    (cli, "ngf_generate", ("generate", "--nodes", 30)),
+    (cli, "_m_grid", ("sweep-m", "-i", FF, "--m-max", 1, "--m-step", 0.5, "--seeds", 2)),
+    (harness, "noise_coefficients", ("learn", "-i", FF, "--seeds", 2)),
+])
+def test_an_allocation_that_fails_is_one_memory_error_line(module, step, args, tmp_path, monkeypatch):
+    # the step where an oversize request (say generate --nodes 10000000000)
+    # runs out of memory raises instead; no test allocates the array, which a
+    # host that overcommits memory grants and then kills the process for
+    message = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+    def refuse(*args, **kwargs):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(module, step, refuse)
+    out = tmp_path / "x.csv"
+    r = invoke(*args, "--seed", 1, "-o", out)
+    assert r.exit_code == 1, r.output
+    assert r.output.splitlines() == [f"error=MemoryError: {message}"]
+    assert not out.exists()
+
+
 def test_a_numpy_solve_that_cannot_allocate_is_one_error_line(tmp_path, monkeypatch):
     # where numpy.linalg solves, a MemoryError inside its eigh (its copy of
     # G, the workspace or the eigenvectors) is an EigensolveFailure too
@@ -100,7 +126,7 @@ def test_generate_rejects_non_finite_beta(tmp_path):
     for beta in ("nan", "inf"):
         r = invoke("generate", "--nodes", 30, "--beta", beta, "--seed", 1, "-o", out)
         assert r.exit_code == 1, (beta, r.output)
-        assert r.output.splitlines() == [f"error=ValueError: beta must be finite, got {beta}"]
+        assert r.output.splitlines() == [f"error=ValueError: beta must be finite and >= 0, got {beta}"]
         assert not out.exists()
 
 
@@ -192,14 +218,14 @@ def test_a_negative_seed_is_refused_before_any_work(tmp_path, monkeypatch):
     ):
         r = invoke(*args, "-o", out)
         assert r.exit_code == 1, (args, r.output)
-        assert r.output.splitlines() == ["error=ValueError: seed must be >= 0"]
+        assert r.output.splitlines() == ["error=ValueError: seed must be >= 0, got -1"]
         assert not out.exists() and not (tmp_path / "o.noisy.csv").exists()
     plan = {"dataset": {"kind": "file", "path": FF}, "signal": {"mode": "eigen", "n": 1}, "seed": -1}
     pf = tmp_path / "plan.json"
     pf.write_text(json.dumps(plan))
     r = invoke("learn", "--plan", pf, "--seed", -1, "-o", out)
     assert r.exit_code == 3, r.output
-    assert r.output.splitlines() == ["error=ParseError: malformed plan: seed must be >= 0"]
+    assert r.output.splitlines() == ["error=ParseError: malformed plan: seed must be >= 0, got -1"]
     assert prepared == [] and not out.exists()
 
 
@@ -319,6 +345,22 @@ def test_bench_cli(tmp_path):
     assert "low confidence" in r.output
 
 
+def test_a_list_entry_that_cannot_be_read_names_its_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
+    out = tmp_path / "x.csv"
+    for args, message in (
+        (("sweep-m", "-i", FF, "--alphas", "0.5,abc"), "--alphas takes numbers, got 'abc'"),
+        (("learn", "-i", FF, "--taus", "1,abc"), "--taus takes numbers, got 'abc'"),
+        (("sweep-m", "-i", FF, "--ms", "0.5, 1..5"), "--ms takes numbers, got '1..5'"),
+        (("learn", "-i", FF, "--m0s", "auto,xyz"), "--m0s takes numbers or 'auto', got 'xyz'"),
+        (("bench", "--sizes", "10,abc"), "--sizes takes integers, got 'abc'"),
+    ):
+        r = invoke(*args, "--seed", 1, "-o", out)
+        assert r.exit_code == 1, (args, r.output)
+        assert r.output.splitlines() == [f"error=ValueError: {message}"]
+        assert not out.exists()
+
+
 def test_empty_m0s_fails_with_one_error_line(tmp_path):
     for cmd, m0s in product(("learn", "heatmap", "basin"), (",", "")):
         out = tmp_path / f"{cmd}.csv"
@@ -348,7 +390,7 @@ def test_bench_cli_rejects_zero_runs(tmp_path):
     )
     assert isinstance(r.exception, SystemExit)
     assert r.exit_code == 1
-    assert r.output.splitlines() == ["error=ValueError: runs must be >= 1"]
+    assert r.output.splitlines() == ["error=ValueError: runs must be >= 1, got 0"]
     assert not (tmp_path / "b.csv").exists()
 
 
@@ -369,7 +411,7 @@ def test_bench_cli_checks_every_size_before_the_first_set_up(tmp_path, monkeypat
     r = invoke("bench", "--sizes", "68,2", "--seed", "0", "-o", tmp_path / "x.csv")
     assert isinstance(r.exception, SystemExit)
     assert r.exit_code == 3
-    assert r.output.splitlines() == ["error=ParseError: malformed dataset: target_nodes must be >= 3"]
+    assert r.output.splitlines() == ["error=ParseError: malformed dataset: target_nodes must be >= 3, got 2"]
     assert prepared == []
     assert not (tmp_path / "x.csv").exists()
 
@@ -377,8 +419,8 @@ def test_bench_cli_checks_every_size_before_the_first_set_up(tmp_path, monkeypat
 def test_bench_cli_checks_its_filter_settings_before_the_first_set_up(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
     for flag, value, message in (
-        ("--tau", "0", "tau must be > 0, got 0.0"),
-        ("--eta", "5", "eta must lie in (0, 1]"),
+        ("--tau", "0", "tau must be finite and > 0, got 0.0"),
+        ("--eta", "5", "eta must lie in (0, 1], got 5.0"),
     ):
         r = invoke("bench", "--sizes", "20,30", "--runs", "1", flag, value, "--seed", "0", "-o", tmp_path / "b.csv")
         assert isinstance(r.exception, SystemExit), (flag, r.exception)

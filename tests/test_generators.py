@@ -125,14 +125,13 @@ def test_invalid_params():
         NgfParams(target_nodes=10, flavor=2)
     with pytest.raises(ValueError):
         NgfParams(target_nodes=2)
-    with pytest.raises(ValueError):
-        NgfParams(target_nodes=10, beta=-1.0)
     for kw, match in (
         ({"target_nodes": 30.9}, "target_nodes must be an integer, got 30.9"),
         ({"flavor": 0.5}, "flavor must be an integer, got 0.5"),
         ({"seed": 3.0}, "seed must be an integer, got 3.0"),
-        ({"beta": float("nan")}, "beta must be finite, got nan"),
-        ({"beta": float("inf")}, "beta must be finite, got inf"),
+        ({"beta": float("nan")}, "beta must be finite and >= 0, got nan"),
+        ({"beta": float("inf")}, "beta must be finite and >= 0, got inf"),
+        ({"beta": -1.0}, "beta must be finite and >= 0, got -1.0"),
         ({"beta": "0.5"}, "beta must be a number, got '0.5'"),
     ):
         with pytest.raises(ValueError, match=match):

@@ -143,8 +143,8 @@ def test_resolve_dataset_rejects_non_integer_counts_and_bad_beta():
         ({"target_nodes": True}, "target_nodes must be an integer, got True"),
         ({"flavor": 0.5}, "flavor must be an integer, got 0.5"),
         ({"seed": 3.0}, "seed must be an integer, got 3.0"),
-        ({"beta": float("nan")}, "beta must be finite, got nan"),
-        ({"beta": float("inf")}, "beta must be finite, got inf"),
+        ({"beta": float("nan")}, "beta must be finite and >= 0, got nan"),
+        ({"beta": float("inf")}, "beta must be finite and >= 0, got inf"),
     ]
     for kw, match in bad:
         with pytest.raises(ParseError, match=f"malformed dataset: {match}"):
@@ -401,13 +401,13 @@ def test_learning_commands_check_filter_settings_before_set_up(command, tmp_path
 
     monkeypatch.setattr(harness, "_prepare", lambda plan: pytest.fail("set-up ran"))
     for kw, match in (
-        ({"taus": (7.0, 0.0)}, "tau must be > 0"),
-        ({"eta": 1.5}, "eta must lie in"),
-        ({"delta": 0.0}, "delta must be > 0"),
-        ({"max_iters": 0}, "max_iters must be >= 1"),
+        ({"taus": (7.0, 0.0)}, "tau must be finite and > 0, got 0.0"),
+        ({"eta": 1.5}, "eta must lie in (0, 1], got 1.5"),
+        ({"delta": 0.0}, "delta must be finite and > 0, got 0.0"),
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
     ):
         out = tmp_path / "x.csv"
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=re.escape(match)):
             command(ff_plan(**kw), out)
         assert not out.exists()
 

@@ -34,7 +34,7 @@ from diracsp.errors import (
     ZeroNoise,
 )
 from diracsp.filtering import rayleigh_m
-from diracsp.signals import select_eigenvalue
+from diracsp.signals import SELECTORS, select_eigenvalue
 
 SQ2 = np.sqrt(2.0)
 
@@ -67,7 +67,7 @@ def test_eigenmode_selector_errors(ff_basis):
         eigenmode_signal(ff_basis, 10_000)
     # every distance to a NaN target is NaN: unchecked, argmin picks the most negative mode
     for target in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(NoSuchEigenvalue, match="target eigenvalue must be finite"):
+        with pytest.raises(NoSuchEigenvalue, match=re.escape(f"selector must be finite, got {target!r}")):
             eigenmode_signal(ff_basis, target)
 
 
@@ -81,6 +81,37 @@ def test_a_bool_or_a_non_number_selects_no_eigenvalue(selector):
         with pytest.raises(NoSuchEigenvalue, match=re.escape(f"got {selector!r}")):
             select(basis, selector)
     assert select_eigenvalue(basis, 1.0) == select_eigenvalue(basis, np.float32(1.0)) == select_eigenvalue(basis, np.int64(3)) == 3
+
+
+def _selectors(basis):
+    """Selectors of every kind: Python and numpy ints, bools, floats, names and
+    None.  The indices are in range and the finite targets are eigenvalues, so
+    that select_eigenvalue's own index and tolerance checks pass."""
+    indices = st.integers(0, basis.eigenvalues.size - 1)
+    targets = st.sampled_from(basis.eigenvalues[basis.nonzero_indices].tolist())
+    floats = targets | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    return st.one_of(
+        indices, indices.map(np.int64), indices.map(np.int32),
+        st.booleans(), st.booleans().map(np.bool_),
+        floats, floats.map(np.float64),
+        st.sampled_from([*SELECTORS, "middle"]), st.none(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_signal_spec_and_select_eigenvalue_accept_the_same_selectors(ff_basis, data):
+    # SignalSpec refuses a selector with the ValueError that select_eigenvalue
+    # raises as a NoSuchEigenvalue; one SignalSpec takes resolves as it is given
+    selector = data.draw(_selectors(ff_basis))
+    try:
+        spec = SignalSpec(mode="eigen", selector=selector)
+    except ValueError as exc:
+        with pytest.raises(NoSuchEigenvalue) as refused:
+            select_eigenvalue(ff_basis, selector)
+        assert str(refused.value) == str(exc)
+    else:
+        assert select_eigenvalue(ff_basis, spec.selector) == select_eigenvalue(ff_basis, selector)
 
 
 @pytest.mark.parametrize("complex_", ["one_link", "ff_network"])
@@ -263,7 +294,7 @@ def test_signal_spec_checks_gaussian_parameters_in_any_mode():
         for kw, match in (
             ({"sigma_hat": -1.0}, "sigma_hat must be finite and > 0, got -1.0"),
             ({"lambda_bar": float("nan")}, "lambda_bar must be finite, got nan"),
-            ({"variance_convention": "cubed"}, "variance_convention must be 'linear' or 'squared', got 'cubed'"),
+            ({"variance_convention": "cubed"}, "variance_convention must be one of linear, squared, got 'cubed'"),
         ):
             with pytest.raises(ValueError, match=re.escape(match)):
                 SignalSpec(mode=mode, **kw)
