@@ -967,10 +967,14 @@ def from_dict(data: dict) -> SimplicialComplex:
         raise ParseError(f"malformed complex file: {exc}") from exc
 
 
-def load_complex(path) -> SimplicialComplex:
-    """Load a complex file, tolerating unsorted input; returns the canonical form."""
+def read_json(path):
+    """The JSON value of the file at ``path``, for complex and plan files alike; ParseError if it is not JSON."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return from_dict(data)
+
+
+def load_complex(path) -> SimplicialComplex:
+    """Load a complex file, tolerating unsorted input; returns the canonical form."""
+    return from_dict(read_json(path))

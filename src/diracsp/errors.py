@@ -92,5 +92,5 @@ class NonConvergence(DiracSPError):
 
 # -- generators -------------------------------------------------------------
 
-class InvalidFlavor(DiracSPError):
-    """NGF flavor outside generators.FLAVORS."""
+class InvalidFlavor(DiracSPError, ValueError):
+    """NGF flavor outside generators.FLAVORS; a ValueError, as NgfParams' other faults are."""

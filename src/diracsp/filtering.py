@@ -12,14 +12,17 @@ filter with a relaxed Rayleigh-quotient update of m until the estimate
 stops moving.
 
 The Dirac filter and the learner act in the coordinates of the factored
-SpectralBasis of D_n, where the filter is diagonal: each learning
-iteration is O(dim im(D_n)).  Without a basis from the caller they build
-one from the operator's cached singular triplets; with the harness's sweep
-they share one set of weights, :func:`_filter_weights`, and one error,
-:func:`_squared_delta_s`.  The learner's loop, :func:`_learn_batch`, runs S
-draws at once on an S x r matrix of coordinates, each draw stopping at its
-own iteration; :func:`learn` is its one-draw case.  The Hodge filter needs no spectrum and
-solves its SPD system by a sparse factorization.
+SpectralBasis of D_n, where the filter is diagonal in its
+``nonzero_eigenvalues``: each learning iteration is O(dim im(D_n)).  Without
+a basis from the caller they build one from the operator's cached singular
+triplets; with the harness's sweep they share one set of weights,
+:func:`_filter_weights`, and one error, :func:`_squared_delta_s`.  The
+learner's loop, :func:`_learn_batch`, runs S draws at once on an S x r matrix
+of coordinates, each draw stopping at its own iteration; :func:`learn` is its
+one-draw case.  The Hodge filter needs no spectrum and solves its SPD system
+by a sparse factorization.  The fixed filters' rules have one owner each, which
+the harness's plan reads too: :func:`checked_tau` (finite, >= 0) and
+:func:`checked_m` (finite); the learner's :class:`FilterConfig` asks tau > 0.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ def _solve_spd(A: sp.sparray, b: np.ndarray) -> np.ndarray:
         raise SolverFailure(f"filter system could not be solved: {exc}") from exc
 
 
+def checked_tau(tau) -> float:
+    """tau as the fixed filters take it: a finite float >= 0 (0 passes the input through)."""
+    return require_real("tau", tau, 0)
+
+
+def checked_m(m) -> float:
+    """m as the Dirac filter takes it: a finite float."""
+    return require_real("m", m)
+
+
 def hodge_filter(
     s_tilde: TopologicalSpinor, Dop: DiracOperator, tau: float
 ) -> TopologicalSpinor:
@@ -60,7 +73,7 @@ def hodge_filter(
     Harmonic components pass through unchanged; an eigenmode with eigenvalue
     mu is scaled by 1/(1 + tau mu).
     """
-    require_real("tau", tau, 0)
+    checked_tau(tau)
     Dop._check(s_tilde)
     if tau == 0.0:
         return s_tilde
@@ -107,12 +120,7 @@ def _basis_for(Dop: DiracOperator, n: int, basis: SpectralBasis | None) -> Spect
 
 
 def dirac_filter(
-    s_tilde_n: TopologicalSpinor,
-    Dop: DiracOperator,
-    n: int,
-    tau: float,
-    m: float,
-    basis: SpectralBasis | None = None,
+    s_tilde_n: TopologicalSpinor, Dop: DiracOperator, n: int, tau: float, m: float, basis: SpectralBasis | None = None
 ) -> TopologicalSpinor:
     """Band-pass filter [I + tau (D_n - m I)^2]^(-1) restricted to im(D_n).
 
@@ -120,11 +128,11 @@ def dirac_filter(
     the output always lies in im(D_n): the part of the input outside it is
     dropped.  Without ``basis`` it uses the one ``Dop`` keeps for D_n.
     """
-    require_real("tau", tau, 0)
-    require_real("m", m)
+    checked_tau(tau)
+    checked_m(m)
     Dop._check(s_tilde_n)
     basis = _basis_for(Dop, n, basis)
-    lam, c = basis.eigenvalues[basis.nonzero_indices], basis.coefficients(s_tilde_n)
+    lam, c = basis.nonzero_eigenvalues, basis.coefficients(s_tilde_n)
     return basis.synthesize(c * _filter_weights(lam, tau, np.array([m]))[0])
 
 
@@ -373,12 +381,8 @@ def learn(
             RuntimeWarning,
             stacklevel=2,
         )
-    batch = _learn_batch(
-        basis.eigenvalues[basis.nonzero_indices],
-        C0,
-        None if truth is None else basis.coefficients(truth),
-        config,
-    )
+    c_true = None if truth is None else basis.coefficients(truth)
+    batch = _learn_batch(basis.nonzero_eigenvalues, C0, c_true, config)
     trace = batch.trace(0)
     result = (basis.synthesize(batch.coords[0]), trace)
     if not trace.converged and strict:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import filtering
-from .complexes import SimplicialComplex, load_complex, require_int, require_real
+from .complexes import SimplicialComplex, load_complex, read_json, require_int
 from .errors import ParseError
 from .filtering import (
     FilterConfig,
@@ -46,6 +46,8 @@ from .filtering import (
     _learn_batch,
     _low_snr,
     _squared_delta_s,
+    checked_m,
+    checked_tau,
     rayleigh_m,
 )
 
@@ -56,7 +58,7 @@ from .operators import DiracOperator, SpectralBasis, assemble_dirac, spectral_ba
 from .signals import (
     NoiseModel,
     SignalSpec,
-    eigenmode_signal,
+    _eigenmode,
     gaussian_mix_signal,
     lift_signal,
     load_signal,
@@ -110,12 +112,12 @@ class ExperimentPlan:
         for name in ("eta", "delta", "max_iters"):
             object.__setattr__(self, name, getattr(config, name))
         # every list entry by the rule of the owner it feeds: NoiseModel's
-        # alpha, dirac_filter's tau and m, FilterConfig's m0 (and each size
+        # alpha, the fixed filters' tau and m, FilterConfig's m0 (and each size
         # an integer, which cmd_bench then checks as NgfParams' target_nodes)
         rules = {
             "alphas": lambda alpha: NoiseModel(alpha=alpha).alpha,
-            "taus": lambda tau: require_real("tau", tau, 0),
-            "ms": lambda m: require_real("m", m),
+            "taus": checked_tau,
+            "ms": checked_m,
             "m0s": lambda m0: self.config(1.0, m0).m0,
             "sizes": lambda size: require_int("every size", size),
         }
@@ -159,10 +161,7 @@ def plan_from_dict(data: dict) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    try:
-        return plan_from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    return plan_from_dict(read_json(path))
 
 
 # -- dataset and signal resolution -------------------------------------------
@@ -203,17 +202,11 @@ def make_signal(
     spec: SignalSpec, Dop: DiracOperator, basis: SpectralBasis
 ) -> tuple[TopologicalSpinor, float]:
     """Resolve a SignalSpec to (unit true signal, its spectral center m_true)."""
-    if spec.mode == "eigen":
-        idx = select_eigenvalue(basis, spec.selector)
-        s = eigenmode_signal(basis, spec.selector)
-        return s, float(basis.eigenvalues[idx])
+    if spec.mode == "eigen":  # the selector resolved once, for the mode and its eigenvalue
+        i = select_eigenvalue(basis, spec.selector)
+        return _eigenmode(basis, i), float(basis.eigenvalues[i])
     if spec.mode == "gaussian_mix":
-        s = gaussian_mix_signal(
-            basis,
-            spec.lambda_bar,
-            spec.sigma_hat,
-            variance_convention=spec.variance_convention,
-        )
+        s = gaussian_mix_signal(basis, spec.lambda_bar, spec.sigma_hat, variance_convention=spec.variance_convention)
         return s, rayleigh_m(s, Dop, spec.n)
     # "lifted", the one mode left: SignalSpec admits no other
     src = spec.source
@@ -314,8 +307,7 @@ def _learn_draws(
             RuntimeWarning,
             stacklevel=4,  # the caller of the command, past _learning_cells' generator
         )
-    basis = setup.basis
-    return _learn_batch(basis.eigenvalues[basis.nonzero_indices], C0, setup.c_true, config)
+    return _learn_batch(setup.basis.nonzero_eigenvalues, C0, setup.c_true, config)
 
 
 def _learning_cells(plan: ExperimentPlan) -> tuple[_Setup, Iterator[tuple]]:
@@ -369,7 +361,7 @@ def cmd_sweep_m(plan: ExperimentPlan, out) -> Path:
     if 0.0 not in ms:
         ms = [0.0] + ms
     base_row = ms.index(0.0)
-    lam = setup.basis.eigenvalues[setup.basis.nonzero_indices]
+    lam = setup.basis.nonzero_eigenvalues
     rows = []
     for c, (tau, alpha) in enumerate(product(plan.taus, plan.alphas)):
         C = _draw_coords(plan, setup, alpha, c)

@@ -433,6 +433,11 @@ class SpectralBasis:
     def nonzero_indices(self) -> np.ndarray:
         return np.concatenate([self.neg_indices, self.pos_indices])
 
+    @property
+    def nonzero_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues of the nonzero modes, in ``nonzero_indices`` order, as ``coefficients`` gives coordinates."""
+        return self.eigenvalues[self.nonzero_indices]
+
     def _check_mode(self, i: int) -> None:
         if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i < self.K.spinor_dim:
             raise IndexError(f"mode {i} outside 0..{self.K.spinor_dim - 1}")

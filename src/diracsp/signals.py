@@ -2,7 +2,10 @@
 
 True signals are unit-norm spinors living in im(D_n): single eigenmodes of
 D_n, Gaussian-weighted mixtures of its nonzero eigenmodes, or real data
-lifted across dimensions with s_n = c_n (sigma + D_n sigma).
+lifted across dimensions with s_n = c_n (sigma + D_n sigma).  Each rule has
+one owner: :func:`checked_selector` reads a selector, :func:`select_eigenvalue`
+resolves it to one mode, and the nonzero spectrum, empty or not, is read in
+one place for every mode that needs it.
 
 Noise is an i.i.d. standard normal vector projected onto im(D_n) and scaled
 so that E||eps_n||^2 = alpha^2.  Draws are keyed by (seed, n, draw_index)
@@ -123,6 +126,13 @@ def checked_selector(selector) -> int | float | str:
     return int(selector) if isinstance(selector, Integral) else require_real("selector", selector)
 
 
+def _nonzero_spectrum(basis: SpectralBasis) -> np.ndarray:
+    """``basis.nonzero_eigenvalues``; EmptySpectrum when D_n has none, as no signal can be built then."""
+    if basis.rank == 0:
+        raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
+    return basis.nonzero_eigenvalues
+
+
 def select_eigenvalue(basis: SpectralBasis, selector) -> int:
     """Resolve a selector to an index into ``basis.eigenvalues``.
 
@@ -131,10 +141,7 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
     or a name of SELECTORS (magnitude within each sign class); a selector
     :func:`checked_selector` refuses is a NoSuchEigenvalue.
     """
-    vals = basis.eigenvalues
-    nz = basis.nonzero_indices
-    if nz.size == 0:
-        raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
+    vals, lam = basis.eigenvalues, _nonzero_spectrum(basis)
     try:
         selector = checked_selector(selector)
     except ValueError as exc:
@@ -152,32 +159,27 @@ def select_eigenvalue(basis: SpectralBasis, selector) -> int:
             raise NoSuchEigenvalue(f"no eigenvalues match {selector!r}")
         return int(idxs[which])
 
-    scale = float(np.max(np.abs(vals[nz])))
-    dists = np.abs(vals[nz] - selector)
-    best = int(nz[np.argmin(dists)])
+    scale = float(np.max(np.abs(lam)))
+    best = int(basis.nonzero_indices[np.argmin(np.abs(lam - selector))])
     if abs(vals[best] - selector) > 1e-6 * max(scale, 1.0):
-        raise NoSuchEigenvalue(
-            f"no eigenvalue of D_{basis.order} within tolerance of {selector}"
-        )
+        raise NoSuchEigenvalue(f"no eigenvalue of D_{basis.order} within tolerance of {selector}")
     return best
-
-
-def _assert_nondegenerate(basis: SpectralBasis, i: int) -> None:
-    vals = basis.eigenvalues
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    gaps = np.abs(np.delete(vals, i) - vals[i])
-    if gaps.size and gaps.min() <= DEGENERACY_RTOL * scale:
-        raise DegenerateSelection(
-            f"eigenvalue {vals[i]:.12g} of D_{basis.order} is degenerate"
-        )
 
 
 def eigenmode_signal(basis: SpectralBasis, selector) -> TopologicalSpinor:
     """A single unit-norm eigenvector of D_n, chosen by ``selector``."""
-    i = select_eigenvalue(basis, selector)
+    return _eigenmode(basis, select_eigenvalue(basis, selector))
+
+
+def _eigenmode(basis: SpectralBasis, i: int) -> TopologicalSpinor:
+    """The eigenvector of mode i, as :func:`select_eigenvalue` resolved it, unless harmonic or degenerate."""
     if i in basis.harm_indices:
         raise NoSuchEigenvalue("selector picked a harmonic mode; true signals live in im(D_n)")
-    _assert_nondegenerate(basis, i)
+    vals = basis.eigenvalues
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    gaps = np.abs(np.delete(vals, i) - vals[i])
+    if gaps.size and gaps.min() <= DEGENERACY_RTOL * scale:
+        raise DegenerateSelection(f"eigenvalue {vals[i]:.12g} of D_{basis.order} is degenerate")
     return basis.spinor(i)
 
 
@@ -192,11 +194,7 @@ def _gaussian_parameters(lambda_bar, sigma_hat, variance_convention) -> tuple[fl
 
 
 def gaussian_mix_signal(
-    basis: SpectralBasis,
-    lambda_bar: float,
-    sigma_hat: float,
-    *,
-    variance_convention: str = SignalSpec.variance_convention,
+    basis: SpectralBasis, lambda_bar: float, sigma_hat: float, *, variance_convention: str = SignalSpec.variance_convention
 ) -> TopologicalSpinor:
     """Mixture over all nonzero eigenmodes with Gaussian weights.
 
@@ -205,10 +203,7 @@ def gaussian_mix_signal(
     2 sigma_hat^2 instead.  The result is normalized to unit Euclidean norm.
     """
     lambda_bar, sigma_hat = _gaussian_parameters(lambda_bar, sigma_hat, variance_convention)
-    nz = basis.nonzero_indices
-    if nz.size == 0:
-        raise EmptySpectrum(f"D_{basis.order} has no nonzero eigenvalues")
-    lam = basis.eigenvalues[nz]
+    lam = _nonzero_spectrum(basis)
     denom = 2.0 * sigma_hat if variance_convention == "linear" else 2.0 * sigma_hat**2
     d2 = (lam - lambda_bar) ** 2
     # weights are scale-free; subtract the min exponent for stability

@@ -123,6 +123,9 @@ HARD_COMPLEXES = {
     # every triangle on five nodes: beta = (1, 0, 4), and B2 (10 x 10) is
     # wide, so D_2 stores U and its triangle kernel is the derived side's
     "k5": build_complex(list(combinations(range(5), 2)), list(combinations(range(5), 3))),
+    # the bare 6 x 6 torus: every link bounds two triangles, so nothing
+    # collapses and rank B2 is counted on the whole surface; beta = (1, 2, 1)
+    "torus": surface(_torus(6)),
 }
 
 

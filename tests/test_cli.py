@@ -149,6 +149,18 @@ def test_info_rejects_invalid_file(tmp_path):
     assert "error=IndexOutOfRange" in r.output or "error=MissingFace" in r.output
 
 
+def test_a_complex_or_plan_file_that_is_not_json_is_one_parse_error_line(tmp_path):
+    # complex and plan files are read by one JSON reader, with one message
+    bad = tmp_path / "bad.json"
+    bad.write_text("")
+    want = [f"error=ParseError: {bad}: not valid JSON (Expecting value: line 1 column 1 (char 0))"]
+    for args in (("info", "-i", bad), ("learn", "--plan", bad, "--seed", 0, "-o", tmp_path / "out.csv")):
+        r = invoke(*args)
+        assert r.exit_code == 3, r.output
+        assert r.output.splitlines() == want
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 def test_info_rejects_non_integer_entries(tmp_path):
     bad = tmp_path / "bad.json"
     for complex_, error in (
@@ -591,6 +603,9 @@ _MALFORMED_INPUTS = {
     "bench-file-dataset": (
         _bench_from_plan, {"sizes": [15, 30], "runs": 1}, 3,
         "ParseError: bench grows NGF complexes"),
+    "bench-ngf-flavor": (
+        _bench_from_plan, {"dataset": {"kind": "ngf", "flavor": 2}, "sizes": [15, 30], "runs": 1}, 3,
+        "ParseError: malformed dataset: flavor must be one of -1, 0, 1, got 2"),
     **{
         f"{cmd}-lifted-without-source": (
             cmd, ("-i", FF, "--mode", "lifted", "--seed", 1), 1,
@@ -691,6 +706,29 @@ def test_plan_faults_are_one_parse_error_in_every_grid_command(tmp_path, florent
     assert "Traceback" not in r.output
     lines = r.output.splitlines()
     assert len(lines) == 1 and re.match(rf"error=ParseError: malformed (plan|dataset): {field} must ", lines[0]), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
+
+
+# A value NgfParams refuses in a plan's ngf dataset, and the one line it prints.
+_NGF_DATASET_FAULTS = {
+    "flavor": ({"flavor": 2}, "flavor must be one of -1, 0, 1, got 2"),
+    "beta": ({"beta": -1}, "beta must be finite and >= 0, got -1"),
+    "target_nodes": ({"target_nodes": 2}, "target_nodes must be >= 3, got 2"),
+}
+
+
+@pytest.mark.parametrize("command", ["sweep-m", "learn", "heatmap", "basin"])
+@pytest.mark.parametrize("field", sorted(_NGF_DATASET_FAULTS))
+def test_an_ngf_dataset_fault_is_one_parse_error_line(tmp_path, florentine_plan, field, command):
+    # the flavor's own error type is a ValueError too, so the dataset's
+    # wrapper reports it as it reports the other fields
+    change, message = _NGF_DATASET_FAULTS[field]
+    dataset = {"kind": "ngf", "target_nodes": 20, "flavor": -1, "beta": 0.0, **change}
+    pf = tmp_path / "plan.json"
+    pf.write_text(json.dumps({**florentine_plan, "dataset": dataset}))
+    r = invoke(command, "--plan", pf, "--seed", 7, "-o", tmp_path / "out.csv")
+    assert r.exit_code == 3, r.output
+    assert r.output.splitlines() == [f"error=ParseError: malformed dataset: {message}"]
     assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]
 
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -632,8 +633,12 @@ def test_rows_reverse_in_their_own_storage(m):
     assert np.array_equal(A, want)
 
 
-@pytest.mark.parametrize("nodes", [300, 1000])
-@pytest.mark.parametrize("flavor", [-1, 0, 1])
+# every flavor at NGF-300 and NGF-1000, and flavor -1 at NGF-3000, whose
+# 2999 eigenvalues are all simple
+L0_CASES = [*product((-1, 0, 1), (300, 1000)), (-1, 3000)]
+
+
+@pytest.mark.parametrize("flavor,nodes", L0_CASES, ids=[f"{flavor}-{nodes}" for flavor, nodes in L0_CASES])
 def test_sylvester_counts_certify_the_spectrum_of_l0(nodes, flavor):
     # between every two clusters of B1's Gram spectrum (L0's, as B1 is wide)
     # the count of eigenvalues below the midpoint, from the pivots of

@@ -121,8 +121,10 @@ def test_generator_matches_the_per_step_loop(nodes, flavor, beta, seed):
 
 
 def test_invalid_params():
-    with pytest.raises(InvalidFlavor):
+    # the flavor's own error, a ValueError like the other fields' errors
+    with pytest.raises(InvalidFlavor, match="^flavor must be one of -1, 0, 1, got 2$"):
         NgfParams(target_nodes=10, flavor=2)
+    assert issubclass(InvalidFlavor, ValueError)
     with pytest.raises(ValueError):
         NgfParams(target_nodes=2)
     for kw, match in (

@@ -18,9 +18,11 @@ from diracsp import (
     betti_numbers,
     complexes,
     gaussian_mix_signal,
+    harness,
     learn,
     ngf_generate,
     operators,
+    signals,
     spectral_basis,
 )
 from diracsp.datasets import coastal_tessellation, dataset_path
@@ -145,6 +147,7 @@ def test_resolve_dataset_rejects_non_integer_counts_and_bad_beta():
         ({"seed": 3.0}, "seed must be an integer, got 3.0"),
         ({"beta": float("nan")}, "beta must be finite and >= 0, got nan"),
         ({"beta": float("inf")}, "beta must be finite and >= 0, got inf"),
+        ({"flavor": 2}, "flavor must be one of -1, 0, 1, got 2"),
     ]
     for kw, match in bad:
         with pytest.raises(ParseError, match=f"malformed dataset: {match}"):
@@ -570,6 +573,25 @@ def test_make_signal_modes(tmp_path):
     # an unknown mode never reaches make_signal: SignalSpec rejects it when it is built
     with pytest.raises(ValueError, match="mode"):
         SignalSpec(mode="telepathy")
+
+
+def test_an_eigen_set_up_resolves_its_selector_once(monkeypatch):
+    # make_signal takes the mode and its eigenvalue from one resolved index
+    calls, resolve = [], signals.select_eigenvalue
+
+    def spy(basis, selector):
+        calls.append(selector)
+        return resolve(basis, selector)
+
+    for module in (harness, signals):
+        monkeypatch.setattr(module, "select_eigenvalue", spy)
+    for selector in ("smallest_positive", "largest_negative", 0.5881523311806464):
+        calls.clear()
+        setup = _prepare(ff_plan(signal=SignalSpec(mode="eigen", selector=selector)))
+        assert calls == [selector]
+        i = resolve(setup.basis, selector)
+        assert setup.m_true == setup.basis.eigenvalues[i]
+        assert np.array_equal(setup.s_true.vector, setup.basis.spinor(i).vector)
 
 
 def test_bench_two_sizes_low_confidence(tmp_path):

@@ -555,7 +555,7 @@ def test_empty_and_nodes_only_complexes():
     from diracsp import build_complex, betti_numbers, harmonic_project, hodge_filter
     from diracsp.errors import EmptySpectrum
     from diracsp.filtering import dirac_filter
-    from diracsp.signals import gaussian_mix_signal
+    from diracsp.signals import eigenmode_signal, gaussian_mix_signal, select_eigenvalue
 
     empty = build_complex([], [], 0)
     assert betti_numbers(empty) == (0, 0, 0)
@@ -566,8 +566,14 @@ def test_empty_and_nodes_only_complexes():
     basis = spectral_basis(D, 1)
     assert basis.nonharmonic_dim == 0
     assert basis.harm_indices.size == 4
-    with pytest.raises(EmptySpectrum):
-        gaussian_mix_signal(basis, 1.0, 0.2)
+    # every signal that reads the nonzero spectrum meets the same check first
+    for make in (
+        lambda: gaussian_mix_signal(basis, 1.0, 0.2),
+        lambda: select_eigenvalue(basis, 0),
+        lambda: eigenmode_signal(basis, "smallest_positive"),
+    ):
+        with pytest.raises(EmptySpectrum, match="^D_1 has no nonzero eigenvalues$"):
+            make()
     s = TopologicalSpinor(np.ones(4), np.zeros(0), np.zeros(0))
     # everything is harmonic: projection keeps it, filters leave it alone
     assert (harmonic_project(s, D) - s).norm() == 0.0

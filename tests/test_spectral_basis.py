@@ -93,6 +93,38 @@ def test_factored_basis_matches_dense_reference(name, K, n):
         assert col[np.argmax(np.abs(col))] > 0
 
 
+def test_nonzero_eigenvalues_are_read_in_nonzero_indices_order():
+    # the one spectrum the filters, the learner and the signals read
+    for _, K, n in CASES:
+        basis = spectral_basis(assemble_dirac(K), n)
+        lam = basis.nonzero_eigenvalues
+        assert np.array_equal(lam, basis.eigenvalues[basis.nonzero_indices])
+        assert np.array_equal(lam, np.concatenate([-basis.sigma, basis.sigma[::-1]]))
+
+
+def test_the_bare_torus_kernel_is_its_harmonic_columns():
+    # beta = (1, 2, 1) from ranks exact over Q; the columns of harmonic_basis,
+    # and the harmonic spinor(i) of each D_n, are orthonormal and span the
+    # kernel a dense eigensolve finds, ker(D) and ker(D_n), to 1e-12
+    K = HARD_COMPLEXES["torus"]
+    ranks = exact_rank(complexes.boundary_matrix(K, 1)), exact_rank(complexes.boundary_matrix(K, 2))
+    assert (K.rank1, K.rank2) == ranks == (35, 71)
+    assert betti_numbers(K) == (1, 2, 1)
+    D = assemble_dirac(K)
+
+    def assert_spans_the_kernel(H, A):
+        w, X = np.linalg.eigh(A)
+        ref = X[:, np.abs(w) <= 1e-8]
+        assert H.shape == ref.shape
+        assert np.abs(H.T @ H - np.eye(H.shape[1])).max() <= 1e-12
+        assert np.abs(H @ H.T - ref @ ref.T).max() <= 1e-12
+
+    assert_spans_the_kernel(harmonic_basis(D), D.full.toarray())
+    for n in (1, 2):
+        basis = spectral_basis(D, n)
+        assert_spans_the_kernel(_columns(basis, basis.harm_indices), D.part(n).toarray())
+
+
 @pytest.mark.parametrize("name,K,n", CASES, ids=IDS)
 def test_coefficients_round_trip_is_the_image_projection(name, K, n):
     D = assemble_dirac(K)
